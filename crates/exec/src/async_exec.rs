@@ -7,15 +7,17 @@
 //! reduction of the solve DAG ([`sptrsv_core::SpMp::reduced_dag`], the
 //! planner's `sync=reduced` policy): waiting on fewer edges is the second
 //! half of SpMP's trick. The wait loop itself runs under the executor's
-//! [`Backoff`] policy (`spin` or `yield`, the §8 backoff exploration).
+//! [`Backoff`](sptrsv_core::registry::Backoff) policy (`spin` or `yield`,
+//! the §8 backoff exploration).
 //!
 //! Threads are **leased per solve** from the executor's
 //! [`SolverRuntime`](crate::runtime::SolverRuntime): a lease of width `k`
 //! runs a schedule compiled for `n ≥ k` cores by striding (lease thread
 //! `t` owns schedule cores `t, t+k, …`), so concurrent plans share the
 //! machine and a contended solve degrades gracefully down to serial. Like
-//! its siblings, the executor walks the shared [`CompiledSchedule`] layout;
-//! only the synchronization differs from [`crate::barrier`].
+//! its siblings, the executor runs the crate's one superstep engine over
+//! the shared [`CompiledSchedule`] layout; only the synchronization (the
+//! engine's done-flag strategy) differs from [`crate::barrier`].
 //!
 //! The done flags are a **generation-counted array owned by the executor**
 //! (`done[v] == generation` means "v is solved in the current solve"), so
@@ -46,65 +48,26 @@
 //! lease's publish and completion wait, and the generation mutex is held
 //! for the whole solve, so no state is shared between solves.
 
-use crate::barrier::SharedX;
+use crate::engine::{Engine, Flags, Many, One};
 use crate::executor::Executor;
 use crate::runtime::RuntimeHandle;
-use sptrsv_core::kernel::{KernelOp, KernelPlan};
-use sptrsv_core::registry::{Backoff, ExecModel, ExecPolicy};
+use sptrsv_core::kernel::KernelPlan;
+use sptrsv_core::registry::{ExecModel, ExecPolicy};
 use sptrsv_core::{CompiledSchedule, Schedule, ScheduleError};
 use sptrsv_dag::SolveDag;
 use sptrsv_sparse::CsrMatrix;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{Arc, Mutex};
-
-/// The executor-owned done-flag array: `flags[v] == generation` marks `v`
-/// solved in the current solve. Reused across solves (allocation-free
-/// steady state); guarded by a mutex that also serializes concurrent
-/// solves on one shared executor.
-struct DoneFlags {
-    flags: Vec<AtomicU32>,
-    generation: u32,
-}
-
-impl DoneFlags {
-    fn new(n: usize) -> DoneFlags {
-        DoneFlags { flags: (0..n).map(|_| AtomicU32::new(0)).collect(), generation: 0 }
-    }
-
-    /// Starts a new solve: bumps the generation so every flag reads
-    /// "not done", zeroing the array only when the counter wraps.
-    fn begin_solve(&mut self) -> u32 {
-        self.generation = self.generation.wrapping_add(1);
-        if self.generation == 0 {
-            for flag in &mut self.flags {
-                *flag.get_mut() = 0;
-            }
-            self.generation = 1;
-        }
-        self.generation
-    }
-}
+use std::sync::Arc;
 
 /// Pre-planned asynchronous executor.
 pub struct AsyncExecutor {
-    compiled: Arc<CompiledSchedule>,
-    /// For every vertex, the parents on *other* schedule cores that must
-    /// be awaited (same-core dependencies are ordered by the cell walk
-    /// itself).
-    waits: Vec<Vec<u32>>,
-    /// The runtime solves lease their threads from.
-    runtime: RuntimeHandle,
-    /// Execution policy: the grant policy sizes every lease, the backoff
-    /// drives the done-flag spins (`elastic` is ignored — growing a lease
-    /// mid-solve is only safe with a barrier between supersteps, which
-    /// asynchronous execution does not have).
-    policy: ExecPolicy,
-    /// The blocked/unrolled kernel plan of the compiled schedule; `Some`
-    /// only under `fastmath=on`, `None` keeps the bit-identical scalar
-    /// path.
-    kernel: Option<Arc<KernelPlan>>,
-    /// Generation-counted done flags (see the module docs).
-    state: Mutex<DoneFlags>,
+    /// The compiled cells, kernel plan and runtime. The policy's grant
+    /// sizes every lease and its backoff drives the done-flag spins;
+    /// `elastic` is ignored — growing a lease mid-solve is only safe with
+    /// a barrier between supersteps, which asynchronous execution lacks.
+    engine: Engine,
+    /// Cross-core wait lists and the generation-counted done flags (see
+    /// the module docs).
+    flags: Flags,
 }
 
 impl AsyncExecutor {
@@ -122,151 +85,36 @@ impl AsyncExecutor {
         let full_dag = SolveDag::from_lower_triangular(matrix);
         schedule.validate(&full_dag)?;
         let compiled = Arc::new(CompiledSchedule::from_schedule(schedule));
-        Ok(Self::from_compiled(compiled, sync_dag, RuntimeHandle::default(), ExecPolicy::default()))
+        let (runtime, policy) = (RuntimeHandle::default(), ExecPolicy::default());
+        Ok(Self::from_compiled(compiled, None, sync_dag, runtime, policy))
     }
 
     /// Wraps an already-validated compiled schedule (shared with sibling
-    /// executors by [`crate::plan::SolvePlan`]); crate-private for the same
-    /// reason as [`crate::barrier::BarrierExecutor::from_compiled`].
+    /// executors by [`crate::plan::SolvePlan`]) and its optional fastmath
+    /// kernel plan; crate-private for the same reason as
+    /// [`crate::barrier::BarrierExecutor::from_compiled`].
     pub(crate) fn from_compiled(
         compiled: Arc<CompiledSchedule>,
+        kernel: Option<Arc<KernelPlan>>,
         sync_dag: &SolveDag,
         runtime: RuntimeHandle,
         policy: ExecPolicy,
     ) -> AsyncExecutor {
-        let n = compiled.n_vertices();
-        assert_eq!(sync_dag.n(), n, "sync DAG size mismatch");
-        let core_of = compiled.core_assignment();
-        let mut waits = vec![Vec::new(); n];
-        for (v, wait_list) in waits.iter_mut().enumerate() {
-            for &u in sync_dag.parents(v) {
-                if core_of[u] != core_of[v] {
-                    wait_list.push(u as u32);
-                }
-            }
-        }
-        AsyncExecutor {
-            compiled,
-            waits,
-            runtime,
-            policy,
-            kernel: None,
-            state: Mutex::new(DoneFlags::new(n)),
-        }
-    }
-
-    /// Attaches a fastmath kernel plan (detected from the same compiled
-    /// schedule); solves dispatch the planned blocked/unrolled kernels.
-    pub(crate) fn with_kernel(mut self, kernel: Arc<KernelPlan>) -> AsyncExecutor {
-        self.kernel = Some(kernel);
-        self
+        let flags = Flags::new(&compiled, sync_dag, policy.backoff);
+        AsyncExecutor { engine: Engine::new(compiled, kernel, Some(runtime), policy), flags }
     }
 
     /// Solves `L x = b` with point-to-point synchronization.
     pub fn solve(&self, l: &CsrMatrix, b: &[f64], x: &mut [f64]) {
-        let n = l.n_rows();
-        assert_eq!(b.len(), n);
-        assert_eq!(x.len(), n);
-        let shared = SharedX(x.as_mut_ptr());
-        let kernel = self.kernel.as_deref();
-        if self.compiled.n_cores() == 1 {
-            serial_sweep(l, b, shared, &self.compiled, kernel, 1);
-            return;
-        }
-        let mut state = self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let generation = state.begin_solve();
-        let done: &[AtomicU32] = &state.flags;
-        let backoff = self.policy.backoff;
-        let mut lease = self.runtime.get().lease_with(self.compiled.n_cores(), self.policy.grant);
-        let width = lease.size();
-        if width == 1 {
-            // Fully contended runtime: schedule-order serial sweep, no
-            // flags needed (program order covers every dependency).
-            serial_sweep(l, b, shared, &self.compiled, kernel, 1);
-            return;
-        }
-        // A panicking thread raises the abort flag so siblings spinning on
-        // its done-flags unwind too (the runtime re-raises on the
-        // leaseholder) instead of waiting forever.
-        let abort = AtomicBool::new(false);
-        let abort = &abort;
-        let waits = &self.waits;
-        let compiled = &self.compiled;
-        lease.run(backoff, &|thread: usize| {
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_core(
-                    l, b, shared, compiled, kernel, thread, width, waits, done, generation,
-                    backoff, abort,
-                )
-            }));
-            if let Err(panic) = result {
-                abort.store(true, Ordering::Release);
-                std::panic::resume_unwind(panic);
-            }
-        });
+        let (_turn, flags) = self.flags.begin();
+        self.engine.solve(flags, l, b, x, One);
     }
 
     /// Solves `L X = B` (`r` right-hand sides, row-major) with point-to-point
     /// synchronization: one *done* flag per row, set after all `r` values.
     pub fn solve_multi(&self, l: &CsrMatrix, b: &[f64], x: &mut [f64], r: usize) {
-        let n = l.n_rows();
-        assert!(r > 0);
-        assert_eq!(b.len(), n * r);
-        assert_eq!(x.len(), n * r);
-        let shared = SharedX(x.as_mut_ptr());
-        let kernel = self.kernel.as_deref();
-        if self.compiled.n_cores() == 1 {
-            serial_sweep(l, b, shared, &self.compiled, kernel, r);
-            return;
-        }
-        let mut state = self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let generation = state.begin_solve();
-        let done: &[AtomicU32] = &state.flags;
-        let backoff = self.policy.backoff;
-        let mut lease = self.runtime.get().lease_with(self.compiled.n_cores(), self.policy.grant);
-        let width = lease.size();
-        if width == 1 {
-            serial_sweep(l, b, shared, &self.compiled, kernel, r);
-            return;
-        }
-        let abort = AtomicBool::new(false);
-        let abort = &abort;
-        let waits = &self.waits;
-        let compiled = &self.compiled;
-        lease.run(backoff, &|thread: usize| {
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_core_multi(
-                    l, b, shared, compiled, kernel, thread, width, waits, done, generation, r,
-                    backoff, abort,
-                )
-            }));
-            if let Err(panic) = result {
-                abort.store(true, Ordering::Release);
-                std::panic::resume_unwind(panic);
-            }
-        });
-    }
-}
-
-/// Schedule-order sweep on the calling thread (width-1 leases and 1-core
-/// schedules): supersteps outermost, cores ascending — a topological order,
-/// so no synchronization is needed.
-fn serial_sweep(
-    l: &CsrMatrix,
-    b: &[f64],
-    x: SharedX,
-    compiled: &CompiledSchedule,
-    kernel: Option<&KernelPlan>,
-    r: usize,
-) {
-    for step in 0..compiled.n_supersteps() {
-        for core in 0..compiled.n_cores() {
-            let rows = compiled.cell(step, core);
-            let fast = kernel.map(|k| (k, k.cell_ops(step, core)));
-            // SAFETY: single-threaded; program order covers every
-            // dependency of the topological walk.
-            unsafe { crate::kernels::run_cell_multi(l, b, x.0, r, rows, fast) };
-        }
+        let (_turn, flags) = self.flags.begin();
+        self.engine.solve(flags, l, b, x, Many(r));
     }
 }
 
@@ -284,205 +132,15 @@ impl Executor for AsyncExecutor {
     }
 }
 
-/// Waits (under `backoff`) until every cross-core parent of `i` carries the
-/// solve's generation; panics if the solve was aborted by a panicking
-/// sibling thread.
-#[inline]
-fn await_parents(
-    waits: &[Vec<u32>],
-    done: &[AtomicU32],
-    generation: u32,
-    i: usize,
-    backoff: Backoff,
-    abort: &AtomicBool,
-) {
-    for &u in &waits[i] {
-        let mut spins = 0;
-        while done[u as usize].load(Ordering::Acquire) != generation {
-            if abort.load(Ordering::Relaxed) {
-                panic!("parallel solve aborted: a sibling core panicked");
-            }
-            crate::runtime::backoff_wait(backoff, &mut spins);
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)] // mirrors the barrier kernel's signature
-fn run_core(
-    l: &CsrMatrix,
-    b: &[f64],
-    x: SharedX,
-    compiled: &CompiledSchedule,
-    kernel: Option<&KernelPlan>,
-    thread: usize,
-    width: usize,
-    waits: &[Vec<u32>],
-    done: &[AtomicU32],
-    generation: u32,
-    backoff: Backoff,
-    abort: &AtomicBool,
-) {
-    let n_cores = compiled.n_cores();
-    for step in 0..compiled.n_supersteps() {
-        let mut core = thread;
-        while core < n_cores {
-            let rows = compiled.cell(step, core);
-            match kernel {
-                None => {
-                    for &i in rows {
-                        let i = i as usize;
-                        await_parents(waits, done, generation, i, backoff, abort);
-                        // SAFETY: cross-core parents were awaited above
-                        // (Acquire pairs with the Release below);
-                        // same-thread parents precede in program order.
-                        // See module docs.
-                        unsafe { crate::kernels::solve_row_raw(l, i, b, x.0) };
-                        done[i].store(generation, Ordering::Release);
-                    }
-                }
-                Some(plan) => {
-                    let inv = plan.inv_diag();
-                    for op in plan.cell_ops(step, core) {
-                        match *op {
-                            KernelOp::Scalar { start, len } => {
-                                for &i in &rows[start as usize..(start + len) as usize] {
-                                    let i = i as usize;
-                                    await_parents(waits, done, generation, i, backoff, abort);
-                                    // SAFETY: as in the scalar path.
-                                    unsafe { crate::kernels::solve_row_fast(l, i, b, x.0, inv) };
-                                    done[i].store(generation, Ordering::Release);
-                                }
-                            }
-                            KernelOp::Unrolled { start, len, lanes } => {
-                                for &i in &rows[start as usize..(start + len) as usize] {
-                                    let i = i as usize;
-                                    await_parents(waits, done, generation, i, backoff, abort);
-                                    // SAFETY: as in the scalar path.
-                                    unsafe {
-                                        if lanes >= 8 {
-                                            crate::kernels::solve_row_unrolled::<8>(
-                                                l, i, b, x.0, inv,
-                                            );
-                                        } else {
-                                            crate::kernels::solve_row_unrolled::<4>(
-                                                l, i, b, x.0, inv,
-                                            );
-                                        }
-                                    }
-                                    done[i].store(generation, Ordering::Release);
-                                }
-                            }
-                            KernelOp::Dense { block } => {
-                                let blk = &plan.blocks()[block as usize];
-                                // Await the cross-core parents of *all*
-                                // block rows up front. Deadlock-free: a
-                                // cross-core parent always lies in a
-                                // strictly earlier superstep (Definition
-                                // 2.1), so the wait-for relation only
-                                // points backwards in superstep order and
-                                // can never cycle through this block.
-                                for i in blk.row_range() {
-                                    await_parents(waits, done, generation, i, backoff, abort);
-                                }
-                                // SAFETY: all off-block parents awaited
-                                // above or program-ordered (same thread);
-                                // this thread exclusively owns the block
-                                // rows (one cell, one thread).
-                                unsafe { crate::kernels::solve_dense(blk, inv, b, x.0) };
-                                for i in blk.row_range() {
-                                    done[i].store(generation, Ordering::Release);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            core += width;
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)] // mirrors the barrier kernel's signature
-fn run_core_multi(
-    l: &CsrMatrix,
-    b: &[f64],
-    x: SharedX,
-    compiled: &CompiledSchedule,
-    kernel: Option<&KernelPlan>,
-    thread: usize,
-    width: usize,
-    waits: &[Vec<u32>],
-    done: &[AtomicU32],
-    generation: u32,
-    r: usize,
-    backoff: Backoff,
-    abort: &AtomicBool,
-) {
-    let n_cores = compiled.n_cores();
-    for step in 0..compiled.n_supersteps() {
-        let mut core = thread;
-        while core < n_cores {
-            let rows = compiled.cell(step, core);
-            match kernel {
-                None => {
-                    for &i in rows {
-                        let i = i as usize;
-                        await_parents(waits, done, generation, i, backoff, abort);
-                        // SAFETY: same flag ordering as `run_core`,
-                        // row-granular (all r values written before the
-                        // Release store).
-                        unsafe { crate::kernels::solve_row_multi_raw(l, i, b, x.0, r) };
-                        done[i].store(generation, Ordering::Release);
-                    }
-                }
-                Some(plan) => {
-                    let inv = plan.inv_diag();
-                    for op in plan.cell_ops(step, core) {
-                        match *op {
-                            KernelOp::Scalar { start, len }
-                            | KernelOp::Unrolled { start, len, .. } => {
-                                for &i in &rows[start as usize..(start + len) as usize] {
-                                    let i = i as usize;
-                                    await_parents(waits, done, generation, i, backoff, abort);
-                                    // SAFETY: as in the scalar path.
-                                    unsafe {
-                                        crate::kernels::solve_row_fast_multi(l, i, b, x.0, r, inv)
-                                    };
-                                    done[i].store(generation, Ordering::Release);
-                                }
-                            }
-                            KernelOp::Dense { block } => {
-                                let blk = &plan.blocks()[block as usize];
-                                // Group-await, solve, group-release — see
-                                // `run_core` for the deadlock-freedom
-                                // argument.
-                                for i in blk.row_range() {
-                                    await_parents(waits, done, generation, i, backoff, abort);
-                                }
-                                // SAFETY: as in `run_core`'s dense arm,
-                                // for all r values of the block rows.
-                                unsafe { crate::kernels::solve_dense_multi(blk, inv, b, x.0, r) };
-                                for i in blk.row_range() {
-                                    done[i].store(generation, Ordering::Release);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            core += width;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multi::solve_lower_multi_serial;
+    use crate::engine::DoneFlags;
     use crate::runtime::SolverRuntime;
-    use crate::serial::solve_lower_serial;
+    use crate::serial::{solve_lower_multi_serial, solve_lower_serial};
     use sptrsv_core::{Scheduler, SpMp};
     use sptrsv_sparse::gen::grid::{grid2d_laplacian, Stencil2D};
+    use std::sync::atomic::Ordering;
 
     #[test]
     fn async_matches_serial_with_reduced_sync_dag() {
@@ -535,14 +193,14 @@ mod tests {
     #[test]
     fn generation_wrap_resets_the_flags() {
         let mut flags = DoneFlags::new(4);
-        flags.generation = u32::MAX - 1;
+        *flags.generation.get_mut().unwrap() = u32::MAX - 1;
         for flag in &mut flags.flags {
             *flag.get_mut() = u32::MAX - 1;
         }
-        assert_eq!(flags.begin_solve(), u32::MAX);
+        assert_eq!(*flags.begin_solve(), u32::MAX);
         // The wrap: generation restarts at 1 and every stale flag is
         // zeroed, so nothing compares equal to the new generation.
-        assert_eq!(flags.begin_solve(), 1);
+        assert_eq!(*flags.begin_solve(), 1);
         for flag in &flags.flags {
             assert_eq!(flag.load(Ordering::Relaxed), 0);
         }
@@ -564,6 +222,7 @@ mod tests {
             let runtime = Arc::new(SolverRuntime::new(capacity));
             let exec = AsyncExecutor::from_compiled(
                 Arc::clone(&compiled),
+                None,
                 &reduced,
                 RuntimeHandle::explicit(runtime),
                 ExecPolicy::default(),
@@ -599,7 +258,7 @@ mod tests {
         let dag = SolveDag::from_lower_triangular(&l);
         let schedule = SpMp.schedule(&dag, 2);
         let exec = AsyncExecutor::new(&l, &schedule, &dag).unwrap();
-        for (v, waits) in exec.waits.iter().enumerate() {
+        for (v, waits) in exec.flags.waits.iter().enumerate() {
             for &u in waits {
                 assert_ne!(schedule.core_of(u as usize), schedule.core_of(v));
             }

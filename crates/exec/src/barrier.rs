@@ -26,7 +26,8 @@
 //! The execution plan is a [`CompiledSchedule`] — the flat CSR-style cell
 //! layout compiled once at construction. Per solve, a thread's walk of its
 //! cells is pure pointer arithmetic over two shared arrays; nothing is
-//! allocated and no nested vectors are chased.
+//! allocated and no nested vectors are chased. The walk is the crate's one
+//! superstep engine under its barrier strategy, shared with every executor.
 //!
 //! # Safety argument
 //!
@@ -50,32 +51,21 @@
 //!   between the lease's publish and its completion wait, so nothing
 //!   outlives the borrow of `x`.
 
+use crate::engine::{Barrier, Engine, Many, One};
 use crate::executor::Executor;
-use crate::runtime::{ElasticGrowth, RuntimeHandle};
+use crate::runtime::RuntimeHandle;
 use sptrsv_core::kernel::KernelPlan;
 use sptrsv_core::registry::{ExecModel, ExecPolicy};
 use sptrsv_core::{CompiledSchedule, Schedule, ScheduleError};
 use sptrsv_sparse::CsrMatrix;
 use std::sync::Arc;
 
-/// Shared mutable pointer to the solution vector; safety per module docs.
-#[derive(Clone, Copy)]
-pub(crate) struct SharedX(pub(crate) *mut f64);
-unsafe impl Send for SharedX {}
-unsafe impl Sync for SharedX {}
-
 /// Pre-planned executor: a reusable compiled schedule leasing cores from a
 /// [`SolverRuntime`](crate::runtime::SolverRuntime) per solve (the
 /// paper's amortization setting, §7.7,
 /// without owning threads).
 pub struct BarrierExecutor {
-    compiled: Arc<CompiledSchedule>,
-    runtime: RuntimeHandle,
-    policy: ExecPolicy,
-    /// The blocked/unrolled kernel plan of the compiled schedule; `Some`
-    /// only under `fastmath=on` (the planner attaches it), `None` keeps
-    /// the bit-identical scalar path.
-    kernel: Option<Arc<KernelPlan>>,
+    engine: Engine,
 }
 
 impl BarrierExecutor {
@@ -88,6 +78,7 @@ impl BarrierExecutor {
         schedule.validate(&dag)?;
         Ok(Self::from_compiled(
             Arc::new(CompiledSchedule::from_schedule(schedule)),
+            None,
             RuntimeHandle::default(),
             ExecPolicy::default(),
         ))
@@ -96,32 +87,27 @@ impl BarrierExecutor {
     /// Wraps an already-validated compiled schedule (shared with sibling
     /// executors by [`crate::plan::SolvePlan`]). Callers must have validated
     /// the source schedule against the matrix — the solve loop's safety rests
-    /// on it, which is why this is crate-private.
+    /// on it, which is why this is crate-private. A fastmath `kernel` plan
+    /// (detected from the same compiled schedule) replaces the exact scalar
+    /// loop with the planned blocked/unrolled kernels.
     pub(crate) fn from_compiled(
         compiled: Arc<CompiledSchedule>,
+        kernel: Option<Arc<KernelPlan>>,
         runtime: RuntimeHandle,
         policy: ExecPolicy,
     ) -> BarrierExecutor {
-        BarrierExecutor { compiled, runtime, policy, kernel: None }
-    }
-
-    /// Attaches a fastmath kernel plan (detected from the same compiled
-    /// schedule); solves dispatch the planned blocked/unrolled kernels
-    /// instead of the exact scalar loop.
-    pub(crate) fn with_kernel(mut self, kernel: Arc<KernelPlan>) -> BarrierExecutor {
-        self.kernel = Some(kernel);
-        self
+        BarrierExecutor { engine: Engine::new(compiled, kernel, Some(runtime), policy) }
     }
 
     /// The compiled execution plan.
     pub fn compiled(&self) -> &CompiledSchedule {
-        &self.compiled
+        &self.engine.compiled
     }
 
     /// Solves `L x = b` following the schedule, on cores leased from the
     /// runtime.
     pub fn solve(&self, l: &CsrMatrix, b: &[f64], x: &mut [f64]) {
-        solve_compiled(l, &self.compiled, self.kernel.as_deref(), b, x, &self.runtime, self.policy);
+        self.engine.solve(Barrier, l, b, x, One);
     }
 }
 
@@ -135,109 +121,7 @@ impl Executor for BarrierExecutor {
     }
 
     fn solve_multi(&self, l: &CsrMatrix, b: &[f64], x: &mut [f64], r: usize) {
-        crate::multi::solve_multi_compiled(
-            l,
-            &self.compiled,
-            self.kernel.as_deref(),
-            b,
-            x,
-            r,
-            &self.runtime,
-            self.policy,
-        );
-    }
-}
-
-/// The leased barrier solve over a compiled schedule (shared by
-/// [`BarrierExecutor`] and the one-shot [`solve_with_barriers`]).
-///
-/// The compiled schedule must stem from a schedule validated against `l`'s
-/// solve DAG (see the module-level safety argument).
-pub(crate) fn solve_compiled(
-    l: &CsrMatrix,
-    compiled: &CompiledSchedule,
-    kernel: Option<&KernelPlan>,
-    b: &[f64],
-    x: &mut [f64],
-    runtime: &RuntimeHandle,
-    policy: ExecPolicy,
-) {
-    let n = l.n_rows();
-    assert_eq!(b.len(), n);
-    assert_eq!(x.len(), n);
-    let shared = SharedX(x.as_mut_ptr());
-    let n_cores = compiled.n_cores();
-    if n_cores == 1 {
-        serial_sweep(l, b, shared, compiled, kernel);
-        return;
-    }
-    let mut lease = runtime.get().lease_with(n_cores, policy.grant);
-    if lease.size() == 1 && !policy.elastic {
-        // Fully contended runtime, fixed width: the schedule-order serial
-        // sweep (one thread striding over every schedule core, no barrier
-        // needed). An elastic solve runs the protocol instead, so it can
-        // recover cores freed mid-solve.
-        serial_sweep(l, b, shared, compiled, kernel);
-        return;
-    }
-    let growth = policy.elastic.then_some(ElasticGrowth {
-        grant: policy.grant,
-        max_width: n_cores,
-        shrink: policy.shrink,
-    });
-    lease.run_supersteps(
-        policy.backoff,
-        compiled.n_supersteps(),
-        growth,
-        &|thread, width, step| {
-            run_superstep(l, b, shared, compiled, kernel, thread, width, step);
-        },
-    );
-}
-
-/// The width-1 degradation path: one thread strides over every schedule
-/// core in superstep order (a topological order, so no barrier is needed).
-fn serial_sweep(
-    l: &CsrMatrix,
-    b: &[f64],
-    x: SharedX,
-    compiled: &CompiledSchedule,
-    kernel: Option<&KernelPlan>,
-) {
-    for step in 0..compiled.n_supersteps() {
-        run_superstep(l, b, x, compiled, kernel, 0, 1, step);
-    }
-}
-
-/// Executes one lease thread's share of one superstep: schedule cores
-/// `thread, thread + width, …` (per-row arithmetic is width-independent,
-/// so the solution is bit-identical at every width — and along every
-/// elastic width trajectory, since the width only changes between
-/// supersteps).
-#[allow(clippy::too_many_arguments)] // mirrors the superstep callback shape
-pub(crate) fn run_superstep(
-    l: &CsrMatrix,
-    b: &[f64],
-    x: SharedX,
-    compiled: &CompiledSchedule,
-    kernel: Option<&KernelPlan>,
-    thread: usize,
-    width: usize,
-    step: usize,
-) {
-    let n_cores = compiled.n_cores();
-    let mut core = thread;
-    while core < n_cores {
-        let rows = compiled.cell(step, core);
-        let fast = kernel.map(|k| (k, k.cell_ops(step, core)));
-        // SAFETY: x[c] was written in an earlier superstep (barrier
-        // ordering) or earlier on this thread in this superstep (program
-        // order), and this thread exclusively owns every x[i] of its
-        // cells; see the module-level safety argument. A dense op only
-        // widens the write granularity to consecutive same-cell rows,
-        // which the same argument covers.
-        unsafe { crate::kernels::run_cell(l, b, x.0, rows, fast) };
-        core += width;
+        self.engine.solve(Barrier, l, b, x, Many(r));
     }
 }
 
@@ -309,6 +193,7 @@ mod tests {
             let runtime = Arc::new(SolverRuntime::new(capacity));
             let exec = BarrierExecutor::from_compiled(
                 Arc::clone(&compiled),
+                None,
                 RuntimeHandle::explicit(runtime),
                 ExecPolicy::default(),
             );
@@ -339,6 +224,7 @@ mod tests {
             let blocker = runtime.lease(1 + round % 3);
             let exec = BarrierExecutor::from_compiled(
                 Arc::clone(&compiled),
+                None,
                 RuntimeHandle::explicit(Arc::clone(&runtime)),
                 policy,
             );
@@ -386,6 +272,21 @@ mod tests {
         let s = GrowLocal::new().schedule(&dag, 3);
         let exec = BarrierExecutor::new(&l, &s).unwrap();
         assert_eq!(exec.compiled().to_cells(), s.cells());
+    }
+
+    #[test]
+    fn parallel_multi_matches_serial_multi() {
+        let (l, _) = problem(13, 9);
+        let n = l.n_rows();
+        let r = 4;
+        let dag = SolveDag::from_lower_triangular(&l);
+        let exec = BarrierExecutor::new(&l, &GrowLocal::new().schedule(&dag, 3)).unwrap();
+        let b: Vec<f64> = (0..n * r).map(|i| (i as f64 * 0.31).sin()).collect();
+        let mut expected = vec![0.0; n * r];
+        crate::serial::solve_lower_multi_serial(&l, &b, &mut expected, r);
+        let mut x = vec![0.0; n * r];
+        Executor::solve_multi(&exec, &l, &b, &mut x, r);
+        assert_eq!(x, expected);
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! Row and block kernels: the one place every executor's inner loop lives.
+//! Row and block kernels: the arithmetic every executor's inner loop runs.
 //!
 //! Two families share this module:
 //!
 //! * **Exact scalar kernels** — `substitute_row`, `solve_row_raw` and
-//!   `solve_row_multi_raw`: the reference gather-multiply loop (diagonal
-//!   divide), previously copy-pasted across the serial, barrier,
-//!   asynchronous and multi-RHS executors. Every `fastmath=off` path runs
+//!   `solve_row_multi_raw` (whose reciprocal finish doubles as the
+//!   multi-RHS fastmath row): the reference gather-multiply loop (diagonal
+//!   divide) of every execution model. Every `fastmath=off` path runs
 //!   these, so results stay bit-identical across all execution models,
 //!   lease widths and elastic trajectories.
 //! * **Fastmath kernels** — the blocked/unrolled implementations of a
@@ -22,16 +22,13 @@
 //! bit-identically. That is exactly the `fastmath=on|off` execution-policy
 //! switch — `off` (the default) never touches this family.
 //!
-//! Executors funnel through `run_cell` / `run_cell_multi`: one cell of
-//! a compiled schedule, executed either as the exact per-row loop
-//! (`fast = None`) or by dispatching the cell's planned op sequence.
+//! Every executor reaches these kernels through the crate's superstep
+//! engine, whose single cell dispatch runs either the exact per-row loop
+//! (no kernel plan) or the cell's planned op sequence.
 
-use crate::executor::Executor;
-use sptrsv_core::kernel::{DenseBlock, KernelOp, KernelPlan, MAX_DENSE_BLOCK};
-use sptrsv_core::registry::ExecModel;
-use sptrsv_core::CompiledSchedule;
+use crate::engine::{check_lengths, run_cell, Barrier, Natural, One};
+use sptrsv_core::kernel::{DenseBlock, KernelPlan, MAX_DENSE_BLOCK};
 use sptrsv_sparse::CsrMatrix;
-use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Exact scalar kernels (the bit-identical `fastmath=off` family).
@@ -91,7 +88,9 @@ pub(crate) unsafe fn solve_row_raw(l: &CsrMatrix, i: usize, b: &[f64], x: *mut f
 }
 
 /// Computes row `i` of the multi-RHS substitution through the shared
-/// pointer, accumulating in place (no scratch).
+/// pointer, accumulating in place (no scratch). `inv_diag` selects the
+/// finish: `None` divides by the diagonal (the exact family), `Some`
+/// multiplies by the precomputed reciprocal (the scalar fastmath row).
 ///
 /// # Safety
 /// Same contract as [`solve_row_raw`], for all `r` values of row `i`.
@@ -102,6 +101,7 @@ pub(crate) unsafe fn solve_row_multi_raw(
     b: &[f64],
     x: *mut f64,
     r: usize,
+    inv_diag: Option<&[f64]>,
 ) {
     let (cols, vals) = l.row(i);
     let k = cols.len() - 1;
@@ -117,10 +117,21 @@ pub(crate) unsafe fn solve_row_multi_raw(
             unsafe { *x.add(i * r + j) -= v * *x.add(c * r + j) };
         }
     }
-    let diag = vals[k];
-    for j in 0..r {
-        // SAFETY: exclusive writer of row i.
-        unsafe { *x.add(i * r + j) /= diag };
+    match inv_diag {
+        None => {
+            let diag = vals[k];
+            for j in 0..r {
+                // SAFETY: exclusive writer of row i.
+                unsafe { *x.add(i * r + j) /= diag };
+            }
+        }
+        Some(inv_diag) => {
+            let inv = inv_diag[i];
+            for j in 0..r {
+                // SAFETY: exclusive writer of row i.
+                unsafe { *x.add(i * r + j) *= inv };
+            }
+        }
     }
 }
 
@@ -242,39 +253,6 @@ pub(crate) unsafe fn solve_dense(blk: &DenseBlock, inv_diag: &[f64], b: &[f64], 
     }
 }
 
-/// Scalar fastmath row for `r` right-hand sides (reciprocal diagonal).
-///
-/// # Safety
-/// Same contract as [`solve_row_multi_raw`].
-#[inline]
-pub(crate) unsafe fn solve_row_fast_multi(
-    l: &CsrMatrix,
-    i: usize,
-    b: &[f64],
-    x: *mut f64,
-    r: usize,
-    inv_diag: &[f64],
-) {
-    let (cols, vals) = l.row(i);
-    let k = cols.len() - 1;
-    debug_assert_eq!(cols[k], i);
-    for j in 0..r {
-        // SAFETY: exclusive writer of row i (caller contract).
-        unsafe { *x.add(i * r + j) = b[i * r + j] };
-    }
-    for (&c, &v) in cols[..k].iter().zip(&vals[..k]) {
-        for j in 0..r {
-            // SAFETY: parent row c is ready and c < i (no aliasing).
-            unsafe { *x.add(i * r + j) -= v * *x.add(c * r + j) };
-        }
-    }
-    let inv = inv_diag[i];
-    for j in 0..r {
-        // SAFETY: exclusive writer of row i.
-        unsafe { *x.add(i * r + j) *= inv };
-    }
-}
-
 /// Packed dense block solve for `r` right-hand sides (row-major `n × r`
 /// operands): one pass of [`solve_dense`]'s algorithm per right-hand side.
 ///
@@ -320,112 +298,7 @@ pub(crate) unsafe fn solve_dense_multi(
 }
 
 // ---------------------------------------------------------------------------
-// The shared cell entry point.
-// ---------------------------------------------------------------------------
-
-/// Executes one cell of a compiled schedule: the exact per-row scalar loop
-/// when `fast` is `None` (bit-identical to the historical executors), or
-/// the cell's planned op sequence when the plan and its ops are supplied
-/// (`fastmath=on`).
-///
-/// # Safety
-/// Caller must guarantee, for every row of the cell, the contract of
-/// [`solve_row_raw`]; when `fast` is `Some`, the ops must stem from the
-/// same `KernelPlan::detect` run as the compiled schedule the cell belongs
-/// to (op positions index into `rows`).
-#[inline]
-pub(crate) unsafe fn run_cell(
-    l: &CsrMatrix,
-    b: &[f64],
-    x: *mut f64,
-    rows: &[u32],
-    fast: Option<(&KernelPlan, &[KernelOp])>,
-) {
-    match fast {
-        None => {
-            for &i in rows {
-                // SAFETY: forwarded caller contract.
-                unsafe { solve_row_raw(l, i as usize, b, x) };
-            }
-        }
-        Some((plan, ops)) => {
-            let inv = plan.inv_diag();
-            for op in ops {
-                match *op {
-                    KernelOp::Scalar { start, len } => {
-                        for &i in &rows[start as usize..(start + len) as usize] {
-                            // SAFETY: forwarded caller contract.
-                            unsafe { solve_row_fast(l, i as usize, b, x, inv) };
-                        }
-                    }
-                    KernelOp::Unrolled { start, len, lanes } => {
-                        for &i in &rows[start as usize..(start + len) as usize] {
-                            // SAFETY: forwarded caller contract.
-                            unsafe {
-                                if lanes >= 8 {
-                                    solve_row_unrolled::<8>(l, i as usize, b, x, inv);
-                                } else {
-                                    solve_row_unrolled::<4>(l, i as usize, b, x, inv);
-                                }
-                            }
-                        }
-                    }
-                    KernelOp::Dense { block } => {
-                        // SAFETY: forwarded caller contract (a Dense op
-                        // covers consecutive rows of this cell).
-                        unsafe { solve_dense(&plan.blocks()[block as usize], inv, b, x) };
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Multi-RHS analog of [`run_cell`]. `Unrolled` ops fall back to the
-/// scalar fastmath row — with `r` right-hand sides the inner `j` loop
-/// already provides the independent accumulation chains lane-unrolling
-/// exists to create.
-///
-/// # Safety
-/// Same contract as [`run_cell`], for all `r` values of every cell row.
-#[inline]
-pub(crate) unsafe fn run_cell_multi(
-    l: &CsrMatrix,
-    b: &[f64],
-    x: *mut f64,
-    r: usize,
-    rows: &[u32],
-    fast: Option<(&KernelPlan, &[KernelOp])>,
-) {
-    match fast {
-        None => {
-            for &i in rows {
-                // SAFETY: forwarded caller contract.
-                unsafe { solve_row_multi_raw(l, i as usize, b, x, r) };
-            }
-        }
-        Some((plan, ops)) => {
-            let inv = plan.inv_diag();
-            for op in ops {
-                match *op {
-                    KernelOp::Scalar { start, len } | KernelOp::Unrolled { start, len, .. } => {
-                        for &i in &rows[start as usize..(start + len) as usize] {
-                            // SAFETY: forwarded caller contract.
-                            unsafe { solve_row_fast_multi(l, i as usize, b, x, r, inv) };
-                        }
-                    }
-                    KernelOp::Dense { block } => {
-                        // SAFETY: forwarded caller contract.
-                        unsafe { solve_dense_multi(&plan.blocks()[block as usize], inv, b, x, r) };
-                    }
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Safe entry points: the fastmath serial sweep and its executor.
+// Safe entry point: the natural-order fastmath serial sweep.
 // ---------------------------------------------------------------------------
 
 /// Serial fastmath forward substitution: executes a natural-order kernel
@@ -440,85 +313,12 @@ pub(crate) unsafe fn run_cell_multi(
 pub fn solve_lower_serial_fast(l: &CsrMatrix, plan: &KernelPlan, b: &[f64], x: &mut [f64]) {
     let n = l.n_rows();
     assert_eq!(plan.n_rows(), n, "kernel plan does not match the matrix");
-    assert_eq!(b.len(), n);
-    assert_eq!(x.len(), n);
-    let inv = plan.inv_diag();
-    let xp = x.as_mut_ptr();
-    // A serial plan's single cell is the identity map: position p is row p.
-    for op in plan.cell_ops(0, 0) {
-        match *op {
-            KernelOp::Scalar { start, len } => {
-                for i in start as usize..(start + len) as usize {
-                    // SAFETY: single-threaded ascending sweep — every
-                    // dependency is program-ordered; x is exclusively
-                    // borrowed.
-                    unsafe { solve_row_fast(l, i, b, xp, inv) };
-                }
-            }
-            KernelOp::Unrolled { start, len, lanes } => {
-                for i in start as usize..(start + len) as usize {
-                    // SAFETY: as above.
-                    unsafe {
-                        if lanes >= 8 {
-                            solve_row_unrolled::<8>(l, i, b, xp, inv);
-                        } else {
-                            solve_row_unrolled::<4>(l, i, b, xp, inv);
-                        }
-                    }
-                }
-            }
-            KernelOp::Dense { block } => {
-                // SAFETY: as above.
-                unsafe { solve_dense(&plan.blocks()[block as usize], inv, b, xp) };
-            }
-        }
-    }
-}
-
-/// The serial execution model under `fastmath=on`: sweeps the compiled
-/// cells in schedule order (a topological order) through the planned
-/// kernels. Constructed by the planner instead of
-/// [`crate::serial::SerialExecutor`] when the policy enables fastmath.
-pub(crate) struct FastSerialExecutor {
-    pub(crate) compiled: Arc<CompiledSchedule>,
-    pub(crate) kernel: Arc<KernelPlan>,
-}
-
-impl Executor for FastSerialExecutor {
-    fn model(&self) -> ExecModel {
-        ExecModel::Serial
-    }
-
-    fn solve(&self, l: &CsrMatrix, b: &[f64], x: &mut [f64]) {
-        assert_eq!(b.len(), l.n_rows());
-        assert_eq!(x.len(), l.n_rows());
-        let xp = x.as_mut_ptr();
-        for step in 0..self.compiled.n_supersteps() {
-            for core in 0..self.compiled.n_cores() {
-                let rows = self.compiled.cell(step, core);
-                let fast = Some((&*self.kernel, self.kernel.cell_ops(step, core)));
-                // SAFETY: single-threaded sweep in schedule order (a
-                // topological order): program order covers every
-                // dependency, and x is exclusively borrowed.
-                unsafe { run_cell(l, b, xp, rows, fast) };
-            }
-        }
-    }
-
-    fn solve_multi(&self, l: &CsrMatrix, b: &[f64], x: &mut [f64], r: usize) {
-        assert!(r > 0);
-        assert_eq!(b.len(), l.n_rows() * r);
-        assert_eq!(x.len(), l.n_rows() * r);
-        let xp = x.as_mut_ptr();
-        for step in 0..self.compiled.n_supersteps() {
-            for core in 0..self.compiled.n_cores() {
-                let rows = self.compiled.cell(step, core);
-                let fast = Some((&*self.kernel, self.kernel.cell_ops(step, core)));
-                // SAFETY: as in `solve`.
-                unsafe { run_cell_multi(l, b, xp, r, rows, fast) };
-            }
-        }
-    }
+    check_lengths(n, One, b, x);
+    let ops = plan.cell_ops(0, 0);
+    // SAFETY: single-threaded ascending sweep — every dependency is
+    // program-ordered; x is exclusively borrowed. A serial plan's single
+    // cell is the identity map: position p is row p.
+    unsafe { run_cell(l, b, x.as_mut_ptr(), One, Barrier, Natural(n), Some((plan, ops))) };
 }
 
 #[cfg(test)]

@@ -2,20 +2,25 @@
 //!
 //! * [`executor`] — the [`Executor`] trait: one interface over every
 //!   execution model ([`ExecModel`]), dispatched by [`SolvePlan`];
-//! * [`serial`] — the reference forward/backward substitution kernels and
-//!   the [`SerialExecutor`] (`@serial`);
+//! * [`serial`] — the reference forward/backward substitution kernels
+//!   (single- and multi-RHS) and the [`SerialExecutor`] (`@serial`);
 //! * [`barrier`] — a real multi-threaded executor that runs a
 //!   [`Schedule`](sptrsv_core::Schedule) with one synchronization barrier per
-//!   superstep (the paper's execution model, §6.1; `@barrier`);
+//!   superstep (the paper's execution model, §6.1; `@barrier`), single- and
+//!   multi-RHS (SpTRSM);
 //! * [`async_exec`] — an SpMP-style asynchronous executor with per-vertex
 //!   ready flags (point-to-point synchronization instead of barriers;
 //!   `@async`), single- and multi-RHS;
-//! * [`multi`] — SpTRSM kernels (multiple right-hand sides);
-//! * [`kernels`] — the row/block kernel layer every executor's inner loop
-//!   funnels through: the exact scalar kernels (bit-identical
-//!   `fastmath=off` path) and the blocked/unrolled fastmath kernels that
-//!   execute a detected [`KernelPlan`](sptrsv_core::kernel::KernelPlan)
-//!   under the `fastmath=on` execution policy;
+//! * `engine` (crate-private) — the one superstep loop behind every
+//!   executor: length checks, the serial sweep, the lease and elastic
+//!   decision, thread striding and the single cell dispatch, monomorphised
+//!   over the sync strategy (barrier or done flags) and the RHS shape (one
+//!   or `r` right-hand sides);
+//! * [`kernels`] — the row/block kernels the engine's cell dispatch runs:
+//!   the exact scalar kernels (bit-identical `fastmath=off` path) and the
+//!   blocked/unrolled fastmath kernels that execute a detected
+//!   [`KernelPlan`](sptrsv_core::kernel::KernelPlan) under the
+//!   `fastmath=on` execution policy;
 //! * [`runtime`] — the process-wide [`SolverRuntime`]: one shared,
 //!   hardware-sized pool of persistent workers from which every solve
 //!   leases cores ([`CoreLease`]), so concurrent plans coexist without
@@ -34,10 +39,10 @@
 //!   borrowed-RHS [`SolvePlan::solve_batch_in_place`] entry point the
 //!   `sptrsv-serve` batcher fuses queued requests through;
 //! * [`sim`] — a calibrated multicore machine model used for the paper's
-//!   speed-up experiments (see DESIGN.md, substitution 3: the build/CI
-//!   machine has a single core, so wall-clock parallel speed-ups are
-//!   unmeasurable; the simulator charges compute, cache misses, memory
-//!   bandwidth and synchronization costs against the schedule structure);
+//!   speed-up experiments: it charges compute, cache misses, memory
+//!   bandwidth and synchronization costs against the schedule structure
+//!   (wall-clock speed-ups are measured by the drift-bench package under
+//!   `benchmark/`);
 //! * [`verify`] — helpers to check any executor against the serial kernel.
 //!
 //! # Examples
@@ -67,9 +72,9 @@
 
 pub mod async_exec;
 pub mod barrier;
+mod engine;
 pub mod executor;
 pub mod kernels;
-pub mod multi;
 pub mod plan;
 pub mod runtime;
 pub mod serial;
@@ -81,13 +86,14 @@ pub use async_exec::AsyncExecutor;
 pub use barrier::{solve_with_barriers, BarrierExecutor};
 pub use executor::Executor;
 pub use kernels::solve_lower_serial_fast;
-pub use multi::{solve_lower_multi_serial, MultiRhsExecutor};
 pub use plan::{
     BatchWorkspace, CacheOutcome, Orientation, PlanBuilder, PlanError, PreOrder, SolvePlan,
     SolveWorkspace,
 };
 pub use runtime::{CoreLease, ElasticGrowth, SenseBarrier, SolverRuntime, TenantRegistration};
-pub use serial::{solve_lower_serial, solve_upper_serial, SerialExecutor};
+pub use serial::{
+    solve_lower_multi_serial, solve_lower_serial, solve_upper_serial, SerialExecutor,
+};
 pub use sim::{
     simulate_async, simulate_barrier, simulate_model, simulate_serial, MachineProfile, SimReport,
 };

@@ -73,10 +73,10 @@
 
 use crate::async_exec::AsyncExecutor;
 use crate::barrier::BarrierExecutor;
+use crate::engine::Engine;
 use crate::executor::Executor;
-use crate::kernels::FastSerialExecutor;
 use crate::runtime::{RuntimeHandle, SolverRuntime};
-use crate::serial::SerialExecutor;
+use crate::serial::{FastSerialExecutor, SerialExecutor};
 use crate::sim::{simulate_model, MachineProfile, SimReport};
 use sptrsv_core::kernel::KernelPlan;
 use sptrsv_core::registry::{
@@ -1476,28 +1476,19 @@ fn make_executor(
     runtime: RuntimeHandle,
     sync: Option<&SolveDag>,
 ) -> Box<dyn Executor> {
+    let kernel = kernel.cloned();
+    let compiled = Arc::clone(compiled);
     match model {
         ExecModel::Barrier => {
-            let exec = BarrierExecutor::from_compiled(Arc::clone(compiled), runtime, policy);
-            match kernel {
-                Some(k) => Box::new(exec.with_kernel(Arc::clone(k))),
-                None => Box::new(exec),
-            }
+            Box::new(BarrierExecutor::from_compiled(compiled, kernel, runtime, policy))
         }
         ExecModel::Serial => match kernel {
-            Some(k) => Box::new(FastSerialExecutor {
-                compiled: Arc::clone(compiled),
-                kernel: Arc::clone(k),
-            }),
+            Some(k) => Box::new(FastSerialExecutor(Engine::new(compiled, Some(k), None, policy))),
             None => Box::new(SerialExecutor),
         },
         ExecModel::Async => {
             let sync = sync.expect("async plans carry a synchronization DAG");
-            let exec = AsyncExecutor::from_compiled(Arc::clone(compiled), sync, runtime, policy);
-            match kernel {
-                Some(k) => Box::new(exec.with_kernel(Arc::clone(k))),
-                None => Box::new(exec),
-            }
+            Box::new(AsyncExecutor::from_compiled(compiled, kernel, sync, runtime, policy))
         }
     }
 }
@@ -2042,6 +2033,39 @@ mod tests {
                 let xj = plan.solve(&bj);
                 for i in 0..n {
                     assert!((x[i * r + j] - xj[i]).abs() < 1e-12, "{model} col {j} row {i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn wrong_length_operands_panic_under_every_model() {
+        // Every executor owns the length contract (the plan's own gathers
+        // are bypassed here): an oversized or short `b`, or an oversized
+        // `x`, is rejected instead of leaving part of `x` stale.
+        let l = lower();
+        let n = l.n_rows();
+        for model in ExecModel::ALL {
+            for fastmath in [false, true] {
+                let plan = PlanBuilder::new(&l)
+                    .cores(2)
+                    .execution(model)
+                    .fastmath(fastmath)
+                    .build()
+                    .unwrap();
+                let exec = plan.executor();
+                let m = plan.internal_matrix();
+                for (b_len, x_len) in [(n + 1, n), (n - 1, n), (n, n + 1)] {
+                    let panics = |f: &dyn Fn()| {
+                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err()
+                    };
+                    let solve = panics(&|| exec.solve(m, &vec![1.0; b_len], &mut vec![0.0; x_len]));
+                    let multi = panics(&|| {
+                        exec.solve_multi(m, &vec![1.0; 2 * b_len], &mut vec![0.0; 2 * x_len], 2)
+                    });
+                    let config = format!("{model} fastmath={fastmath} b={b_len} x={x_len}");
+                    assert!(solve, "{config}: solve accepted wrong lengths");
+                    assert!(multi, "{config}: solve_multi accepted wrong lengths");
                 }
             }
         }

@@ -2,6 +2,7 @@
 //! the [`SerialExecutor`] that exposes the reference kernel through the
 //! [`Executor`] trait (`@serial` in the registry's spec grammar).
 
+use crate::engine::{check_lengths, run_cell, Barrier, Engine, Many, Natural, One};
 use crate::executor::Executor;
 use crate::kernels::substitute_row;
 use sptrsv_core::registry::ExecModel;
@@ -13,12 +14,12 @@ use sptrsv_sparse::CsrMatrix;
 /// for any lower-triangular CSR with sorted columns and full diagonal).
 ///
 /// # Panics
-/// Panics in debug builds if a row lacks its diagonal; validate the operand
-/// with [`CsrMatrix::validate_triangular`] first.
+/// Panics if `b` or `x` is not `n` long; in debug builds also if a row
+/// lacks its diagonal — validate the operand with
+/// [`CsrMatrix::validate_triangular`] first.
 pub fn solve_lower_serial(l: &CsrMatrix, b: &[f64], x: &mut [f64]) {
     let n = l.n_rows();
-    debug_assert_eq!(b.len(), n);
-    debug_assert_eq!(x.len(), n);
+    check_lengths(n, One, b, x);
     for i in 0..n {
         let (cols, vals) = l.row(i);
         debug_assert_eq!(*cols.last().expect("empty row"), i, "row {i} lacks its diagonal");
@@ -29,15 +30,27 @@ pub fn solve_lower_serial(l: &CsrMatrix, b: &[f64], x: &mut [f64]) {
 /// Solves `U x = b` for an upper-triangular `U` by backward substitution.
 ///
 /// The diagonal entry must be the first stored entry of each row.
+///
+/// # Panics
+/// Panics if `b` or `x` is not `n` long.
 pub fn solve_upper_serial(u: &CsrMatrix, b: &[f64], x: &mut [f64]) {
     let n = u.n_rows();
-    debug_assert_eq!(b.len(), n);
-    debug_assert_eq!(x.len(), n);
+    check_lengths(n, One, b, x);
     for i in (0..n).rev() {
         let (cols, vals) = u.row(i);
         debug_assert_eq!(cols[0], i, "row {i} lacks its diagonal");
         x[i] = substitute_row(cols, vals, b[i], x, true);
     }
+}
+
+/// Solves `L X = B` serially (SpTRSM); `B` and `X` are row-major `n x r`.
+/// The row kernel accumulates in place in the output row, so no scratch
+/// is allocated.
+pub fn solve_lower_multi_serial(l: &CsrMatrix, b: &[f64], x: &mut [f64], r: usize) {
+    check_lengths(l.n_rows(), Many(r), b, x);
+    // SAFETY: single-threaded ascending sweep — every dependency is
+    // program-ordered, and `x` is exclusively borrowed.
+    unsafe { run_cell(l, b, x.as_mut_ptr(), Many(r), Barrier, Natural(l.n_rows()), None) };
 }
 
 /// The reference kernel as an [`Executor`]: rows in natural (vertex) order,
@@ -57,7 +70,27 @@ impl Executor for SerialExecutor {
     }
 
     fn solve_multi(&self, l: &CsrMatrix, b: &[f64], x: &mut [f64], r: usize) {
-        crate::multi::solve_lower_multi_serial(l, b, x, r);
+        solve_lower_multi_serial(l, b, x, r);
+    }
+}
+
+/// The serial execution model under `fastmath=on`: the engine's serial
+/// sweep (no runtime) over the compiled cells in schedule order — a
+/// topological order — through the planned kernels. Constructed by the
+/// planner instead of [`SerialExecutor`] when the policy enables fastmath.
+pub(crate) struct FastSerialExecutor(pub(crate) Engine);
+
+impl Executor for FastSerialExecutor {
+    fn model(&self) -> ExecModel {
+        ExecModel::Serial
+    }
+
+    fn solve(&self, l: &CsrMatrix, b: &[f64], x: &mut [f64]) {
+        self.0.solve(Barrier, l, b, x, One);
+    }
+
+    fn solve_multi(&self, l: &CsrMatrix, b: &[f64], x: &mut [f64], r: usize) {
+        self.0.solve(Barrier, l, b, x, Many(r));
     }
 }
 
@@ -106,6 +139,62 @@ mod tests {
         assert_eq!(x, b.to_vec());
         solve_upper_serial(&i, &b, &mut x);
         assert_eq!(x, b.to_vec());
+    }
+
+    fn grid_lower() -> (CsrMatrix, usize) {
+        let a = sptrsv_sparse::gen::grid::grid2d_laplacian(
+            13,
+            9,
+            sptrsv_sparse::gen::grid::Stencil2D::FivePoint,
+            0.5,
+        );
+        let l = a.lower_triangle().unwrap();
+        let n = l.n_rows();
+        (l, n)
+    }
+
+    #[test]
+    fn serial_multi_matches_column_by_column() {
+        let (l, n) = grid_lower();
+        let r = 3;
+        let b: Vec<f64> = (0..n * r).map(|i| ((i * 17) % 29) as f64 - 14.0).collect();
+        let mut x = vec![0.0; n * r];
+        solve_lower_multi_serial(&l, &b, &mut x, r);
+        // Compare with r independent single-RHS solves.
+        for j in 0..r {
+            let bj: Vec<f64> = (0..n).map(|i| b[i * r + j]).collect();
+            let mut xj = vec![0.0; n];
+            solve_lower_serial(&l, &bj, &mut xj);
+            for i in 0..n {
+                assert!((x[i * r + j] - xj[i]).abs() < 1e-12, "column {j}, row {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn single_rhs_degenerates_to_sptrsv() {
+        let (l, n) = grid_lower();
+        let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 3) as f64).collect();
+        let mut x1 = vec![0.0; n];
+        solve_lower_serial(&l, &b, &mut x1);
+        let mut xm = vec![0.0; n];
+        solve_lower_multi_serial(&l, &b, &mut xm, 1);
+        assert_eq!(x1, xm);
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one right-hand side")]
+    fn zero_rhs_rejected() {
+        let (l, _) = grid_lower();
+        solve_lower_multi_serial(&l, &[], &mut [], 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "solution length")]
+    fn backward_substitution_rejects_an_oversized_solution() {
+        let u = lower_example().transpose();
+        let mut x = vec![0.0; 4];
+        solve_upper_serial(&u, &[1.0; 3], &mut x);
     }
 
     #[test]

@@ -19,6 +19,11 @@
 //! → wait round trip allocates nothing either — pinned here because the
 //! counting allocator must wrap the whole process, batcher thread
 //! included.
+//!
+//! The counter is process-global, so a concurrently running test would
+//! leak its allocations into another's measurement window. The phases
+//! therefore run in sequence inside the file's single `#[test]`, which
+//! keeps the measurement exact under any `--test-threads`.
 
 use sptrsv_exec::{ExecModel, PlanBuilder, SolverRuntime};
 use sptrsv_sparse::gen::grid::{grid2d_laplacian, Stencil2D};
@@ -55,17 +60,30 @@ fn allocations() -> usize {
 }
 
 #[test]
-fn steady_state_solves_do_not_allocate() {
+fn steady_state_solves_and_serving_do_not_allocate() {
+    single_rhs_solves_do_not_allocate();
+    multi_rhs_solves_do_not_allocate();
+    serving_does_not_allocate_per_request();
+}
+
+/// Every execution model with the exact and the fastmath kernels: every
+/// sync strategy and RHS shape of the shared superstep engine.
+fn engine_configs() -> impl Iterator<Item = (ExecModel, bool)> {
+    ExecModel::ALL.into_iter().flat_map(|model| [(model, false), (model, true)])
+}
+
+fn single_rhs_solves_do_not_allocate() {
     let l = grid2d_laplacian(24, 24, Stencil2D::FivePoint, 0.5).lower_triangle().unwrap();
     let n = l.n_rows();
     let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64).collect();
     // A private runtime keeps the measurement hermetic (nothing else
     // leases from it mid-test).
     let runtime = Arc::new(SolverRuntime::new(3));
-    for model in [ExecModel::Barrier, ExecModel::Async] {
+    for (model, fastmath) in engine_configs() {
         let plan = PlanBuilder::new(&l)
             .cores(3)
             .execution(model)
+            .fastmath(fastmath)
             .runtime(Arc::clone(&runtime))
             .build()
             .unwrap();
@@ -83,13 +101,13 @@ fn steady_state_solves_do_not_allocate() {
             plan.solve_into(&b, &mut x, &mut ws);
         }
         let delta = allocations() - before;
-        assert_eq!(x, reference, "{model} diverged during the measured burst");
-        assert_eq!(delta, 0, "{model}: {delta} allocations across 50 steady-state solves");
+        let config = format!("{model} fastmath={fastmath}");
+        assert_eq!(x, reference, "{config} diverged during the measured burst");
+        assert_eq!(delta, 0, "{config}: {delta} allocations across 50 steady-state solves");
     }
 }
 
-#[test]
-fn steady_state_multi_rhs_solves_do_not_allocate() {
+fn multi_rhs_solves_do_not_allocate() {
     // The multi-RHS row kernel accumulates in place (no per-row scratch),
     // so SpTRSM steady state is allocation-free too.
     let l = grid2d_laplacian(16, 16, Stencil2D::FivePoint, 0.5).lower_triangle().unwrap();
@@ -97,10 +115,11 @@ fn steady_state_multi_rhs_solves_do_not_allocate() {
     let r = 4;
     let b: Vec<f64> = (0..n * r).map(|i| (i as f64 * 0.13).sin() + 1.0).collect();
     let runtime = Arc::new(SolverRuntime::new(3));
-    for model in [ExecModel::Barrier, ExecModel::Async] {
+    for (model, fastmath) in engine_configs() {
         let plan = PlanBuilder::new(&l)
             .cores(3)
             .execution(model)
+            .fastmath(fastmath)
             .runtime(Arc::clone(&runtime))
             .build()
             .unwrap();
@@ -113,12 +132,12 @@ fn steady_state_multi_rhs_solves_do_not_allocate() {
             plan.executor().solve_multi(plan.internal_matrix(), &b, &mut px, r);
         }
         let delta = allocations() - before;
-        assert_eq!(delta, 0, "{model}: {delta} allocations across 20 multi-RHS solves");
+        let config = format!("{model} fastmath={fastmath}");
+        assert_eq!(delta, 0, "{config}: {delta} allocations across 20 multi-RHS solves");
     }
 }
 
-#[test]
-fn steady_state_serving_does_not_allocate_per_request() {
+fn serving_does_not_allocate_per_request() {
     // The full serving round trip — submit, queue, batch formation, fused
     // solve through `solve_batch_in_place`, completion, wait — allocates
     // nothing once warm: slots recycle through the pool, the queue and

@@ -11,7 +11,7 @@ use sptrsv::core::CompiledSchedule;
 use sptrsv::dag::transitive::reduction_invocations;
 use sptrsv::exec::async_exec::AsyncExecutor;
 use sptrsv::exec::verify::deviation_from_serial;
-use sptrsv::exec::{solve_lower_serial, ExecModel, MultiRhsExecutor, PlanBuilder};
+use sptrsv::exec::{solve_lower_serial, BarrierExecutor, ExecModel, Executor, PlanBuilder};
 use sptrsv::prelude::*;
 
 #[test]
@@ -54,10 +54,10 @@ fn all_executors_agree_through_the_compiled_schedule() {
     let mut x_barrier = vec![0.0; n];
     solve_with_barriers(&ds.lower, &schedule, &b, &mut x_barrier).expect("valid");
     assert!(deviation_from_serial(&ds.lower, &b, &x_barrier) < 1e-12);
-    // Multi-RHS executor with r = 1 must match exactly.
-    let multi = MultiRhsExecutor::new(&ds.lower, &schedule).expect("valid");
+    // The barrier executor's multi-RHS path with r = 1 must match exactly.
+    let multi = BarrierExecutor::new(&ds.lower, &schedule).expect("valid");
     let mut x_multi = vec![0.0; n];
-    multi.solve(&ds.lower, &b, &mut x_multi, 1);
+    Executor::solve_multi(&multi, &ds.lower, &b, &mut x_multi, 1);
     assert_eq!(x_barrier, x_multi, "multi-RHS r=1 diverged from barrier executor");
     // Async executor waiting on the full DAG.
     let asynchronous = AsyncExecutor::new(&ds.lower, &schedule, &dag).expect("valid");

@@ -238,25 +238,59 @@ fn fastmath_agrees_with_exact_path_on_every_suite_scheduler_and_model() {
 
 #[test]
 fn fastmath_multi_rhs_agrees_column_by_column() {
+    // Every branch of the shared superstep engine, per execution model:
+    // exact and fastmath kernels, one and several right-hand sides, the
+    // degraded serial sweep (capacity 1) and the leased one (capacity 3),
+    // and elastic barrier leases. Each `solve_multi` column must equal that
+    // column's `solve_into` bit-for-bit on the exact path, and within the
+    // documented 1e-12 under fastmath (the multi-RHS rows run the scalar
+    // fastmath kernel where a single RHS runs the lane-unrolled one).
+    use sptrsv::exec::{ExecModel, PlanBuilder, SolverRuntime};
+    use std::sync::Arc;
     let suite = load_suite(SuiteKind::SuiteSparse, Scale::Test, 13);
     let ds = &suite[0];
     let n = ds.lower.n_rows();
-    let r = 3;
-    use sptrsv::exec::{ExecModel, PlanBuilder};
-    for model in ExecModel::ALL {
-        let plan =
-            PlanBuilder::new(&ds.lower).cores(4).execution(model).fastmath(true).build().unwrap();
-        let b: Vec<f64> = (0..n * r).map(|i| (i as f64 * 0.17).cos()).collect();
-        let x = plan.solve_multi(&b, r);
-        for j in 0..r {
-            let bj: Vec<f64> = (0..n).map(|i| b[i * r + j]).collect();
-            let xj = plan.solve(&bj);
-            let scale = xj.iter().fold(1.0f64, |m, v| m.max(v.abs()));
-            for i in 0..n {
-                assert!(
-                    (x[i * r + j] - xj[i]).abs() / scale < 1e-12,
-                    "{model} fastmath multi-RHS col {j} row {i}"
-                );
+    for capacity in [1, 3] {
+        let runtime = Arc::new(SolverRuntime::new(capacity));
+        for model in ExecModel::ALL {
+            for (fastmath, elastic) in [(false, false), (true, false), (false, true), (true, true)]
+            {
+                if elastic && model != ExecModel::Barrier {
+                    continue; // elastic leases are a barrier-model policy
+                }
+                let plan = PlanBuilder::new(&ds.lower)
+                    .cores(4)
+                    .execution(model)
+                    .fastmath(fastmath)
+                    .elastic(elastic)
+                    .runtime(Arc::clone(&runtime))
+                    .build()
+                    .unwrap();
+                let mut ws = plan.workspace();
+                for r in [1, 3] {
+                    let config = format!(
+                        "{model} fastmath={fastmath} elastic={elastic} capacity={capacity} r={r}"
+                    );
+                    let b: Vec<f64> = (0..n * r).map(|i| (i as f64 * 0.17).cos()).collect();
+                    let x = plan.solve_multi(&b, r);
+                    for j in 0..r {
+                        let bj: Vec<f64> = (0..n).map(|i| b[i * r + j]).collect();
+                        let mut xj = vec![f64::NAN; n];
+                        plan.solve_into(&bj, &mut xj, &mut ws);
+                        let column: Vec<f64> = (0..n).map(|i| x[i * r + j]).collect();
+                        if !fastmath {
+                            assert_eq!(column, xj, "{config} col {j} not bit-identical");
+                            continue;
+                        }
+                        let scale = xj.iter().fold(1.0f64, |m, v| m.max(v.abs()));
+                        for i in 0..n {
+                            assert!(
+                                (column[i] - xj[i]).abs() / scale < 1e-12,
+                                "{config} col {j} row {i}"
+                            );
+                        }
+                    }
+                }
             }
         }
     }
