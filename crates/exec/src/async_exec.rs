@@ -48,14 +48,14 @@
 //! lease's publish and completion wait, and the generation mutex is held
 //! for the whole solve, so no state is shared between solves.
 
-use crate::engine::{Engine, Flags, Many, One};
-use crate::executor::Executor;
+use crate::engine::{Engine, Flags, Identity, Many, One};
+use crate::executor::{Executor, UserOperands};
 use crate::runtime::RuntimeHandle;
 use sptrsv_core::kernel::KernelPlan;
 use sptrsv_core::registry::{ExecModel, ExecPolicy};
 use sptrsv_core::{CompiledSchedule, Schedule, ScheduleError};
 use sptrsv_dag::SolveDag;
-use sptrsv_sparse::CsrMatrix;
+use sptrsv_sparse::{CsrMatrix, Permutation};
 use std::sync::Arc;
 
 /// Pre-planned asynchronous executor.
@@ -107,14 +107,14 @@ impl AsyncExecutor {
     /// Solves `L x = b` with point-to-point synchronization.
     pub fn solve(&self, l: &CsrMatrix, b: &[f64], x: &mut [f64]) {
         let (_turn, flags) = self.flags.begin();
-        self.engine.solve(flags, l, b, x, One);
+        self.engine.solve(flags, l, Identity(b), x, One);
     }
 
     /// Solves `L X = B` (`r` right-hand sides, row-major) with point-to-point
     /// synchronization: one *done* flag per row, set after all `r` values.
     pub fn solve_multi(&self, l: &CsrMatrix, b: &[f64], x: &mut [f64], r: usize) {
         let (_turn, flags) = self.flags.begin();
-        self.engine.solve(flags, l, b, x, Many(r));
+        self.engine.solve(flags, l, Identity(b), x, Many(r));
     }
 }
 
@@ -129,6 +129,11 @@ impl Executor for AsyncExecutor {
 
     fn solve_multi(&self, l: &CsrMatrix, b: &[f64], x: &mut [f64], r: usize) {
         AsyncExecutor::solve_multi(self, l, b, x, r);
+    }
+
+    fn solve_user(&self, l: &CsrMatrix, to_internal: &Permutation, user: UserOperands<'_>) {
+        let (_turn, flags) = self.flags.begin();
+        self.engine.solve_user(flags, l, to_internal, user);
     }
 }
 

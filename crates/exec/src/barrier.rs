@@ -51,13 +51,13 @@
 //!   between the lease's publish and its completion wait, so nothing
 //!   outlives the borrow of `x`.
 
-use crate::engine::{Barrier, Engine, Many, One};
-use crate::executor::Executor;
+use crate::engine::{Barrier, Engine, Identity, Many, One};
+use crate::executor::{Executor, UserOperands};
 use crate::runtime::RuntimeHandle;
 use sptrsv_core::kernel::KernelPlan;
 use sptrsv_core::registry::{ExecModel, ExecPolicy};
 use sptrsv_core::{CompiledSchedule, Schedule, ScheduleError};
-use sptrsv_sparse::CsrMatrix;
+use sptrsv_sparse::{CsrMatrix, Permutation};
 use std::sync::Arc;
 
 /// Pre-planned executor: a reusable compiled schedule leasing cores from a
@@ -107,7 +107,7 @@ impl BarrierExecutor {
     /// Solves `L x = b` following the schedule, on cores leased from the
     /// runtime.
     pub fn solve(&self, l: &CsrMatrix, b: &[f64], x: &mut [f64]) {
-        self.engine.solve(Barrier, l, b, x, One);
+        self.engine.solve(Barrier, l, Identity(b), x, One);
     }
 }
 
@@ -121,7 +121,11 @@ impl Executor for BarrierExecutor {
     }
 
     fn solve_multi(&self, l: &CsrMatrix, b: &[f64], x: &mut [f64], r: usize) {
-        self.engine.solve(Barrier, l, b, x, Many(r));
+        self.engine.solve(Barrier, l, Identity(b), x, Many(r));
+    }
+
+    fn solve_user(&self, l: &CsrMatrix, to_internal: &Permutation, user: UserOperands<'_>) {
+        self.engine.solve_user(Barrier, l, to_internal, user);
     }
 }
 

@@ -5,11 +5,24 @@
 //! barrier for per-row ready flags. [`Engine::solve`] writes the loop once
 //! — length checks, the serial sweep, the lease and elastic decision,
 //! thread striding and the single [`KernelOp`] dispatch — monomorphised
-//! over the sync strategy ([`Hooks`]: [`Barrier`] or the done flags of
-//! [`FlagSolve`]) and the RHS shape ([`Rhs`]: the register-accumulating
-//! [`One`] kernels or the in-place [`Many`] kernels, kept apart because
-//! their memory patterns differ). The strategies' safety arguments are the
-//! module docs of [`crate::barrier`] and [`crate::async_exec`].
+//! over three axes:
+//!
+//! * the sync strategy ([`Hooks`]: [`Barrier`] or the done flags of
+//!   [`FlagSolve`]);
+//! * the RHS shape ([`Rhs`]: the register-accumulating [`One`] kernels or
+//!   the in-place [`Many`] kernels, kept apart because their memory
+//!   patterns differ);
+//! * the numbering ([`Numbering`]): [`Identity`] reads `b` and writes `x`
+//!   in internal order, exactly as the executor's own `solve` is called;
+//!   [`UserNumbered`] fuses the plan's user↔internal permutation into the
+//!   row kernels — each row reads its right-hand side from the caller's
+//!   buffer at `old_of_new[i]` and, besides the internal `x` later rows
+//!   read, stores its solution to the caller's slot `old_of_new[i]`. No
+//!   solve runs a separate gather or scatter pass.
+//!
+//! The strategies' safety arguments are the module docs of
+//! [`crate::barrier`] and [`crate::async_exec`]; [`UserNumbered`] adds
+//! one writer per caller slot, because the permutation is a bijection.
 
 use crate::kernels::{
     solve_dense, solve_dense_multi, solve_row_fast, solve_row_multi_raw, solve_row_raw,
@@ -20,31 +33,43 @@ use sptrsv_core::kernel::{DenseBlock, KernelOp, KernelPlan};
 use sptrsv_core::registry::{Backoff, ExecPolicy};
 use sptrsv_core::CompiledSchedule;
 use sptrsv_dag::SolveDag;
-use sptrsv_sparse::CsrMatrix;
+use sptrsv_sparse::{CsrMatrix, Permutation};
+use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Shared mutable pointer to the solution vector.
-#[derive(Clone, Copy)]
-struct SharedX(*mut f64);
-// SAFETY: the pointer is only dereferenced by `run_steps`, whose callers
-// give every row one writer and order each read after its write (the
-// strategy module docs); the engine's borrow of `x` outlives every thread.
-unsafe impl Send for SharedX {}
+/// Shared mutable pointer into one solve's operand (the internal solution,
+/// or a caller-side column).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct SharedPtr(*mut f64);
+// SAFETY: the pointer is only dereferenced by the row kernels during the
+// solve that built it, whose callers give every row (and, through a
+// bijective permutation, every caller slot) one writer and order each read
+// after its write (the strategy module docs); the engine's borrow of the
+// operands outlives every thread.
+unsafe impl Send for SharedPtr {}
 // SAFETY: as for `Send`.
-unsafe impl Sync for SharedX {}
+unsafe impl Sync for SharedPtr {}
 
 /// How many right-hand sides a row carries, and the row kernels for that
 /// shape. Every method has the contract of [`solve_row_raw`] (or, for
 /// `dense`, of [`solve_dense`]) for all values of the row.
 pub(crate) trait Rhs: Copy + Send + Sync {
-    /// Values per row (`b` and `x` are row-major `n × width`).
+    /// Values per row (internal `x` is row-major `n × width`).
     fn width(self) -> usize;
-    unsafe fn exact(self, l: &CsrMatrix, i: usize, b: &[f64], x: *mut f64);
+    unsafe fn exact<N: Numbering>(self, l: &CsrMatrix, i: usize, num: N, x: *mut f64);
     /// The fastmath row: scalar for `lanes == 0`, else lane-unrolled.
-    unsafe fn fast(self, l: &CsrMatrix, i: usize, b: &[f64], x: *mut f64, inv: &[f64], lanes: u8);
-    unsafe fn dense(self, blk: &DenseBlock, inv: &[f64], b: &[f64], x: *mut f64);
+    unsafe fn fast<N: Numbering>(
+        self,
+        l: &CsrMatrix,
+        i: usize,
+        num: N,
+        x: *mut f64,
+        inv: &[f64],
+        lanes: u8,
+    );
+    unsafe fn dense<N: Numbering>(self, blk: &DenseBlock, inv: &[f64], num: N, x: *mut f64);
 }
 
 /// One right-hand side: the row accumulates in a register.
@@ -62,25 +87,33 @@ impl Rhs for One {
         1
     }
     #[inline]
-    unsafe fn exact(self, l: &CsrMatrix, i: usize, b: &[f64], x: *mut f64) {
+    unsafe fn exact<N: Numbering>(self, l: &CsrMatrix, i: usize, num: N, x: *mut f64) {
         // SAFETY: forwarded trait contract.
-        unsafe { solve_row_raw(l, i, b, x) }
+        unsafe { solve_row_raw(l, i, num, x) }
     }
     #[inline]
-    unsafe fn fast(self, l: &CsrMatrix, i: usize, b: &[f64], x: *mut f64, inv: &[f64], lanes: u8) {
+    unsafe fn fast<N: Numbering>(
+        self,
+        l: &CsrMatrix,
+        i: usize,
+        num: N,
+        x: *mut f64,
+        inv: &[f64],
+        lanes: u8,
+    ) {
         // SAFETY: forwarded trait contract.
         unsafe {
             match lanes {
-                0 => solve_row_fast(l, i, b, x, inv),
-                1..8 => solve_row_unrolled::<4>(l, i, b, x, inv),
-                _ => solve_row_unrolled::<8>(l, i, b, x, inv),
+                0 => solve_row_fast(l, i, num, x, inv),
+                1..8 => solve_row_unrolled::<4, N>(l, i, num, x, inv),
+                _ => solve_row_unrolled::<8, N>(l, i, num, x, inv),
             }
         }
     }
     #[inline]
-    unsafe fn dense(self, blk: &DenseBlock, inv: &[f64], b: &[f64], x: *mut f64) {
+    unsafe fn dense<N: Numbering>(self, blk: &DenseBlock, inv: &[f64], num: N, x: *mut f64) {
         // SAFETY: forwarded trait contract.
-        unsafe { solve_dense(blk, inv, b, x) }
+        unsafe { solve_dense(blk, inv, num, x) }
     }
 }
 
@@ -89,27 +122,280 @@ impl Rhs for Many {
         self.0
     }
     #[inline]
-    unsafe fn exact(self, l: &CsrMatrix, i: usize, b: &[f64], x: *mut f64) {
+    unsafe fn exact<N: Numbering>(self, l: &CsrMatrix, i: usize, num: N, x: *mut f64) {
         // SAFETY: forwarded trait contract.
-        unsafe { solve_row_multi_raw(l, i, b, x, self.0, None) }
+        unsafe { solve_row_multi_raw(l, i, num, x, self.0, None) }
     }
     #[inline]
-    unsafe fn fast(self, l: &CsrMatrix, i: usize, b: &[f64], x: *mut f64, inv: &[f64], _: u8) {
+    unsafe fn fast<N: Numbering>(
+        self,
+        l: &CsrMatrix,
+        i: usize,
+        num: N,
+        x: *mut f64,
+        inv: &[f64],
+        _: u8,
+    ) {
         // SAFETY: forwarded trait contract.
-        unsafe { solve_row_multi_raw(l, i, b, x, self.0, Some(inv)) }
+        unsafe { solve_row_multi_raw(l, i, num, x, self.0, Some(inv)) }
     }
     #[inline]
-    unsafe fn dense(self, blk: &DenseBlock, inv: &[f64], b: &[f64], x: *mut f64) {
+    unsafe fn dense<N: Numbering>(self, blk: &DenseBlock, inv: &[f64], num: N, x: *mut f64) {
         // SAFETY: forwarded trait contract.
-        unsafe { solve_dense_multi(blk, inv, b, x, self.0) }
+        unsafe { solve_dense_multi(blk, inv, num, x, self.0) }
+    }
+}
+
+/// Where a row's right-hand side comes from, and who sees its solution
+/// besides the internal `x` later rows read: the permutation axis. Row
+/// kernels map internal row `i` to its caller-side `slot` once, read
+/// `b(slot, j, r)` before any write of the row, and `publish` each final
+/// value right after storing it to `x`.
+pub(crate) trait Numbering: Copy + Send + Sync {
+    /// Asserts the caller-side operands fit an `n`-row solve of `width`
+    /// right-hand sides (the bounds every other method relies on).
+    fn check(self, n: usize, width: usize);
+    /// The caller-side slot of internal row `i`.
+    ///
+    /// # Safety
+    /// `i` is a row of the checked solve.
+    unsafe fn slot(self, i: usize) -> usize;
+    /// Right-hand side `j` of the row at `slot` (`r` per row).
+    ///
+    /// # Safety
+    /// `slot` comes from [`Numbering::slot`], `j < r`, `r` the checked width.
+    unsafe fn b(self, slot: usize, j: usize, r: usize) -> f64;
+    /// Hands the solved value `v` (right-hand side `j` of the row at
+    /// `slot`) to the caller.
+    ///
+    /// # Safety
+    /// As for [`Numbering::b`], and the caller is the row's one writer.
+    unsafe fn publish(self, slot: usize, j: usize, v: f64);
+}
+
+/// Internal numbering: `b` is row-major `n × width` in the executor's own
+/// order and the solution stays in `x`.
+#[derive(Clone, Copy)]
+pub(crate) struct Identity<'a>(pub(crate) &'a [f64]);
+
+impl Numbering for Identity<'_> {
+    fn check(self, n: usize, width: usize) {
+        assert_eq!(self.0.len(), n * width, "right-hand side length");
+    }
+    #[inline(always)]
+    unsafe fn slot(self, i: usize) -> usize {
+        i
+    }
+    #[inline(always)]
+    unsafe fn b(self, slot: usize, j: usize, r: usize) -> f64 {
+        debug_assert!(slot * r + j < self.0.len());
+        // SAFETY: `check` sized `b` to `n * r` and `slot < n`, `j < r`.
+        unsafe { *self.0.get_unchecked(slot * r + j) }
+    }
+    #[inline(always)]
+    unsafe fn publish(self, _: usize, _: usize, _: f64) {}
+}
+
+/// One caller-side operand in the user's numbering: value `j` of user row
+/// `u` lives at `column(j) + u * stride`. Column 0 is held directly (the
+/// only column a single-RHS solve touches); further columns come from a
+/// caller-owned address table.
+#[derive(Clone, Copy)]
+struct UserSide {
+    col0: *mut f64,
+    /// Addresses of columns `0..width` (unused when `width == 1`).
+    cols: *const SharedPtr,
+    stride: usize,
+}
+
+impl UserSide {
+    /// Address of value `j` of user row `u`.
+    ///
+    /// # Safety
+    /// `u` and `j` lie inside the operand the side was built over.
+    #[inline(always)]
+    unsafe fn at(self, u: usize, j: usize) -> *mut f64 {
+        // SAFETY: in bounds per the caller contract (the constructors in
+        // `UserOperands` size every column to `rows` values at `stride`).
+        unsafe {
+            let col = if j == 0 { self.col0 } else { (*self.cols.add(j)).0 };
+            col.add(u * self.stride)
+        }
+    }
+}
+
+/// The user numbering: the plan's `to_internal` permutation fused into the
+/// row kernels. Row `i` reads `b[old_of_new[i]]` from the caller's buffer
+/// and publishes `x_i` to the caller's slot `old_of_new[i]`.
+#[derive(Clone, Copy)]
+pub(crate) struct UserNumbered<'a> {
+    old_of_new: &'a [usize],
+    b: UserSide,
+    x: UserSide,
+    /// Rows of each caller-side operand.
+    rows: usize,
+    width: usize,
+}
+
+// SAFETY: the raw sides point into operands the solve borrows for its
+// whole duration (`UserOperands` carries the borrow); reads and writes
+// through them follow the one-writer argument of `publish`.
+unsafe impl Send for UserNumbered<'_> {}
+// SAFETY: as for `Send`.
+unsafe impl Sync for UserNumbered<'_> {}
+
+impl UserNumbered<'_> {
+    /// Right-hand sides per row.
+    pub(crate) fn width(self) -> usize {
+        self.width
+    }
+}
+
+impl Numbering for UserNumbered<'_> {
+    fn check(self, n: usize, width: usize) {
+        assert_eq!(self.old_of_new.len(), n, "permutation length");
+        assert_eq!(self.rows, n, "right-hand side length");
+        assert_eq!(self.width, width, "right-hand side count");
+    }
+    #[inline(always)]
+    unsafe fn slot(self, i: usize) -> usize {
+        debug_assert!(i < self.old_of_new.len());
+        // SAFETY: `i < n == old_of_new.len()` (caller contract + `check`).
+        unsafe { *self.old_of_new.get_unchecked(i) }
+    }
+    #[inline(always)]
+    unsafe fn b(self, slot: usize, j: usize, _: usize) -> f64 {
+        debug_assert!(slot < self.rows && j < self.width);
+        // SAFETY: a permutation entry is `< n == rows`, and `j < width`.
+        unsafe { *self.b.at(slot, j) }
+    }
+    #[inline(always)]
+    unsafe fn publish(self, slot: usize, j: usize, v: f64) {
+        // SAFETY: `to_internal` is a bijection, so each user slot is the
+        // image of exactly one internal row and has one writer: the thread
+        // solving that row. Nothing else reads the caller's `x` during the
+        // solve — except in place, where `b` and `x` share the slot and
+        // row `i` itself is its only reader, reading `b` before it writes.
+        debug_assert!(slot < self.rows && j < self.width, "user slot out of range");
+        unsafe { *self.x.at(slot, j) = v };
+    }
+}
+
+/// The caller's side of a user-numbered solve
+/// ([`Executor::solve_user`](crate::executor::Executor::solve_user)):
+/// right-hand sides and solutions in the user's numbering, plus the
+/// internal-order solution buffer (`n × width`) later rows read. Built by
+/// the [`SolvePlan`](crate::plan::SolvePlan) solve entry points, which
+/// also own the buffers it borrows.
+pub struct UserOperands<'a> {
+    b: UserSide,
+    x: UserSide,
+    /// Rows of every caller-side operand.
+    rows: usize,
+    /// Right-hand sides per row.
+    width: usize,
+    internal: &'a mut [f64],
+    /// The caller-side buffers `b` and `x` point into.
+    user: PhantomData<&'a mut [f64]>,
+}
+
+impl<'a> UserOperands<'a> {
+    /// One right-hand side `b`, solved into `x`.
+    pub(crate) fn one(b: &'a [f64], x: &'a mut [f64], internal: &'a mut [f64]) -> Self {
+        assert_eq!(b.len(), x.len(), "solution length");
+        let side = |col0| UserSide { col0, cols: std::ptr::null(), stride: 1 };
+        UserOperands {
+            b: side(b.as_ptr().cast_mut()),
+            x: side(x.as_mut_ptr()),
+            rows: b.len(),
+            width: 1,
+            internal,
+            user: PhantomData,
+        }
+    }
+
+    /// `r` right-hand sides, row-major `n × r`, solved into `x`; `table`
+    /// receives the `2r` column addresses.
+    pub(crate) fn rows(
+        b: &'a [f64],
+        x: &'a mut [f64],
+        r: usize,
+        internal: &'a mut [f64],
+        table: &'a mut Vec<SharedPtr>,
+    ) -> Self {
+        assert!(r > 0, "need at least one right-hand side");
+        assert_eq!(b.len() % r, 0, "right-hand side length");
+        assert_eq!(b.len(), x.len(), "solution length");
+        let rows = b.len() / r;
+        let (b, x) = (b.as_ptr().cast_mut(), x.as_mut_ptr());
+        table.clear();
+        // `wrapping_add`: an empty operand's column starts are never read.
+        table.extend((0..r).map(|j| SharedPtr(b.wrapping_add(j))));
+        table.extend((0..r).map(|j| SharedPtr(x.wrapping_add(j))));
+        let cols = table.as_ptr();
+        UserOperands {
+            b: UserSide { col0: b, cols, stride: r },
+            x: UserSide { col0: x, cols: cols.wrapping_add(r), stride: r },
+            rows,
+            width: r,
+            internal,
+            user: PhantomData,
+        }
+    }
+
+    /// Columns solved in place: on entry each `columns[j]` is a right-hand
+    /// side, on exit its solution. `table` receives the column
+    /// addresses. Row `i` is the only reader of its slot `old_of_new[i]`
+    /// in every column and reads it before it writes it, so one buffer
+    /// serves as both `b` and `x`.
+    pub(crate) fn in_place(
+        columns: &'a mut [Vec<f64>],
+        internal: &'a mut [f64],
+        table: &'a mut Vec<SharedPtr>,
+    ) -> Self {
+        assert!(!columns.is_empty(), "need at least one right-hand side");
+        let rows = columns[0].len();
+        for (j, column) in columns.iter().enumerate() {
+            assert_eq!(column.len(), rows, "right-hand side {j} has the wrong length");
+        }
+        table.clear();
+        table.extend(columns.iter_mut().map(|column| SharedPtr(column.as_mut_ptr())));
+        let side = UserSide { col0: table[0].0, cols: table.as_ptr(), stride: 1 };
+        UserOperands { b: side, x: side, rows, width: columns.len(), internal, user: PhantomData }
+    }
+
+    /// The numbering over these operands under `to_internal`, and the
+    /// internal solution buffer.
+    pub(crate) fn numbered<'p>(
+        &mut self,
+        to_internal: &'p Permutation,
+    ) -> (UserNumbered<'p>, &mut [f64]) {
+        let num = UserNumbered {
+            old_of_new: to_internal.old_of_new(),
+            b: self.b,
+            x: self.x,
+            rows: self.rows,
+            width: self.width,
+        };
+        (num, &mut *self.internal)
     }
 }
 
 /// Checks the operand lengths of a solve with `rhs` right-hand sides.
-pub(crate) fn check_lengths(n: usize, rhs: impl Rhs, b: &[f64], x: &[f64]) {
+pub(crate) fn check_lengths(n: usize, rhs: impl Rhs, num: impl Numbering, x: &[f64]) {
     assert!(rhs.width() > 0, "need at least one right-hand side");
-    assert_eq!(b.len(), n * rhs.width(), "right-hand side length");
+    num.check(n, rhs.width());
     assert_eq!(x.len(), n * rhs.width(), "solution length");
+}
+
+/// The natural-order serial sweep over all rows of `l` with the exact
+/// kernels: the `@serial` model's user-numbered solves and the serial
+/// multi-RHS reference.
+pub(crate) fn natural_sweep(l: &CsrMatrix, num: impl Numbering, x: &mut [f64], rhs: impl Rhs) {
+    check_lengths(l.n_rows(), rhs, num, x);
+    // SAFETY: lengths checked; single-threaded ascending sweep — every
+    // dependency is program-ordered, and `x` is exclusively borrowed.
+    unsafe { run_cell(l, num, x.as_mut_ptr(), rhs, Barrier, Natural(l.n_rows()), None) };
 }
 
 /// How lease threads are synchronized during one solve: row hooks and
@@ -320,12 +606,13 @@ impl CellRows for Natural {
 ///
 /// # Safety
 /// For every row of the cell, the contract of [`Rhs::exact`] once `hooks`
-/// has run `before` it; when `fast` is `Some`, the ops must stem from the
-/// same `KernelPlan` detection as `rows` (op positions index into them).
+/// has run `before` it, with `num` checked for this solve; when `fast` is
+/// `Some`, the ops must stem from the same `KernelPlan` detection as
+/// `rows` (op positions index into them).
 #[inline]
-pub(crate) unsafe fn run_cell<H: Hooks, R: Rhs>(
+pub(crate) unsafe fn run_cell<H: Hooks, R: Rhs, N: Numbering>(
     l: &CsrMatrix,
-    b: &[f64],
+    num: N,
     x: *mut f64,
     rhs: R,
     hooks: H,
@@ -336,7 +623,7 @@ pub(crate) unsafe fn run_cell<H: Hooks, R: Rhs>(
         for i in rows.run(0, rows.len()) {
             hooks.before(i);
             // SAFETY: forwarded caller contract.
-            unsafe { rhs.exact(l, i, b, x) };
+            unsafe { rhs.exact(l, i, num, x) };
             hooks.after(i);
         }
         return;
@@ -351,7 +638,7 @@ pub(crate) unsafe fn run_cell<H: Hooks, R: Rhs>(
                 blk.row_range().for_each(|i| hooks.before(i));
                 // SAFETY: forwarded caller contract (a Dense op covers
                 // consecutive rows of this cell, all awaited above).
-                unsafe { rhs.dense(blk, inv, b, x) };
+                unsafe { rhs.dense(blk, inv, num, x) };
                 blk.row_range().for_each(|i| hooks.after(i));
                 continue;
             }
@@ -359,7 +646,7 @@ pub(crate) unsafe fn run_cell<H: Hooks, R: Rhs>(
         for i in rows.run(start as usize, len as usize) {
             hooks.before(i);
             // SAFETY: forwarded caller contract.
-            unsafe { rhs.fast(l, i, b, x, inv, lanes) };
+            unsafe { rhs.fast(l, i, num, x, inv, lanes) };
             hooks.after(i);
         }
     }
@@ -390,24 +677,27 @@ impl Engine {
         Engine { compiled, kernel, runtime, policy }
     }
 
-    /// Solves `L X = B` (`rhs` right-hand sides, row-major) synchronized by
-    /// `sync`, striding the schedule's cores over the leased width (see
-    /// [`crate::barrier`] for why every width gives the same bits).
-    pub(crate) fn solve<H: Hooks, R: Rhs>(
+    /// Solves `L X = B` (`rhs` right-hand sides; `x` row-major in internal
+    /// order) synchronized by `sync`, striding the schedule's cores over
+    /// the leased width (see [`crate::barrier`] for why every width gives
+    /// the same bits). `num` says where `B` is read and who else receives
+    /// each solved row.
+    pub(crate) fn solve<H: Hooks, R: Rhs, N: Numbering>(
         &self,
         sync: H,
         l: &CsrMatrix,
-        b: &[f64],
+        num: N,
         x: &mut [f64],
         rhs: R,
     ) {
-        check_lengths(l.n_rows(), rhs, b, x);
+        check_lengths(l.n_rows(), rhs, num, x);
         let (compiled, kernel) = (&*self.compiled, self.kernel.as_deref());
-        let x = SharedX(x.as_mut_ptr());
+        let x = SharedPtr(x.as_mut_ptr());
         let all = 0..compiled.n_supersteps();
         // SAFETY: lengths checked, `x` borrowed for the whole solve, and the
         // serial sweep runs alone (width 1 needs no synchronization).
-        let serial = || unsafe { run_steps(l, b, x, rhs, compiled, kernel, Barrier, (0, 1), all) };
+        let serial =
+            || unsafe { run_steps(l, num, x, rhs, compiled, kernel, Barrier, (0, 1), all) };
         let n_cores = compiled.n_cores();
         let Some(runtime) = self.runtime.as_ref().filter(|_| n_cores > 1) else {
             return serial();
@@ -422,8 +712,24 @@ impl Engine {
         sync.drive(&mut lease, self, &|thread, width, steps| {
             // SAFETY: as above; `drive` runs each thread's steps in order,
             // synchronized by `sync`.
-            unsafe { run_steps(l, b, x, rhs, compiled, kernel, sync, (thread, width), steps) }
+            unsafe { run_steps(l, num, x, rhs, compiled, kernel, sync, (thread, width), steps) }
         });
+    }
+
+    /// [`Engine::solve`] in the user's numbering: the single-RHS kernels
+    /// for one right-hand side, the multi-RHS kernels otherwise.
+    pub(crate) fn solve_user<H: Hooks>(
+        &self,
+        sync: H,
+        l: &CsrMatrix,
+        to_internal: &Permutation,
+        mut user: UserOperands<'_>,
+    ) {
+        let (num, x) = user.numbered(to_internal);
+        match num.width() {
+            1 => self.solve(sync, l, num, x, One),
+            r => self.solve(sync, l, num, x, Many(r)),
+        }
     }
 }
 
@@ -440,13 +746,15 @@ impl Engine {
 /// flags. Same-thread dependencies are program-ordered by the ascending
 /// walk, and striding is a function of the schedule core, so each row has
 /// exactly one writer — see the strategy module docs. `x` must point at
-/// `l.n_rows() * rhs.width()` values the solve exclusively borrows.
+/// `l.n_rows() * rhs.width()` values the solve exclusively borrows, and
+/// `num` must be checked for this solve. `num` is passed by value, like
+/// the flag hooks, so its fields stay in registers.
 #[allow(clippy::too_many_arguments)] // one solve's operands as parameters
 #[inline(never)]
-unsafe fn run_steps<H: Hooks, R: Rhs>(
+unsafe fn run_steps<H: Hooks, R: Rhs, N: Numbering>(
     l: &CsrMatrix,
-    b: &[f64],
-    x: SharedX,
+    num: N,
+    x: SharedPtr,
     rhs: R,
     compiled: &CompiledSchedule,
     kernel: Option<&KernelPlan>,
@@ -462,7 +770,7 @@ unsafe fn run_steps<H: Hooks, R: Rhs>(
             let fast = kernel.map(|k| (k, k.cell_ops(step, core)));
             // SAFETY: forwarded caller contract; the kernel plan was
             // detected from this compiled schedule.
-            unsafe { run_cell(l, b, x.0, rhs, hooks, rows, fast) };
+            unsafe { run_cell(l, num, x.0, rhs, hooks, rows, fast) };
             core += width;
         }
     }

@@ -18,9 +18,18 @@
 //! inner loop for the blocked/unrolled/reciprocal kernels of
 //! [`crate::kernels`]: solutions then agree with the exact path to a
 //! documented `1e-12` relative tolerance rather than bit-for-bit.
+//!
+//! A plan numbers its operand internally (orientation reversal,
+//! pre-ordering, the §5 reorder). [`Executor::solve`] and
+//! [`Executor::solve_multi`] work in that internal numbering;
+//! [`Executor::solve_user`] takes the plan's permutation and the caller's
+//! operands in the user's numbering, and each row kernel reads and writes
+//! them through the permutation directly — the plan runs no gather or
+//! scatter pass of its own.
 
+pub use crate::engine::UserOperands;
 use sptrsv_core::registry::ExecModel;
-use sptrsv_sparse::CsrMatrix;
+use sptrsv_sparse::{CsrMatrix, Permutation};
 
 /// A reusable, schedule-driven triangular-solve execution engine.
 ///
@@ -37,4 +46,11 @@ pub trait Executor: Send + Sync {
 
     /// Solves `L X = B` for `r` right-hand sides (row-major `n × r`).
     fn solve_multi(&self, l: &CsrMatrix, b: &[f64], x: &mut [f64], r: usize);
+
+    /// Solves in the user's numbering: `to_internal` maps user indices to
+    /// the internal rows of `l`, and `user` carries the caller's right-hand
+    /// sides and solution buffers plus the internal-order solution the
+    /// kernels read back. Every row reads its right-hand side and stores
+    /// its solution through the permutation itself.
+    fn solve_user(&self, l: &CsrMatrix, to_internal: &Permutation, user: UserOperands<'_>);
 }

@@ -24,9 +24,14 @@
 //!
 //! Every executor reaches these kernels through the crate's superstep
 //! engine, whose single cell dispatch runs either the exact per-row loop
-//! (no kernel plan) or the cell's planned op sequence.
+//! (no kernel plan) or the cell's planned op sequence. The engine's
+//! `Numbering` says where each row reads its right-hand side and who
+//! else receives its solution: every kernel reads a row's `b` values
+//! before it writes any of them, and publishes each final value right
+//! after storing it to the internal `x` — the same arithmetic in either
+//! numbering.
 
-use crate::engine::{check_lengths, run_cell, Barrier, Natural, One};
+use crate::engine::{check_lengths, run_cell, Barrier, Identity, Natural, Numbering, One};
 use sptrsv_core::kernel::{DenseBlock, KernelPlan, MAX_DENSE_BLOCK};
 use sptrsv_sparse::CsrMatrix;
 
@@ -71,20 +76,28 @@ pub(crate) fn substitute_row(
 /// # Safety
 /// Caller must guarantee the schedule-validity conditions of
 /// [`crate::barrier`] (or the flag-ordering conditions of
-/// [`crate::async_exec`]): exclusive write access to `x[i]`, and every
-/// parent `x[c]` ready (ordered by barrier, done-flag or program order).
+/// [`crate::async_exec`]): exclusive write access to `x[i]` (and to row
+/// `i`'s caller slot under `num`), and every parent `x[c]` ready (ordered
+/// by barrier, done-flag or program order); `num` is checked for a solve
+/// of `l`.
 #[inline]
-pub(crate) unsafe fn solve_row_raw(l: &CsrMatrix, i: usize, b: &[f64], x: *mut f64) {
+pub(crate) unsafe fn solve_row_raw<N: Numbering>(l: &CsrMatrix, i: usize, num: N, x: *mut f64) {
     let (cols, vals) = l.row(i);
     let k = cols.len() - 1;
     debug_assert_eq!(cols[k], i);
-    let mut acc = b[i];
+    // SAFETY: `i` is a row of the checked solve.
+    let slot = unsafe { num.slot(i) };
+    let mut acc = unsafe { num.b(slot, 0, 1) };
     for (&c, &v) in cols[..k].iter().zip(&vals[..k]) {
         // SAFETY: parent x[c] is ready per the caller contract.
         acc -= v * unsafe { *x.add(c) };
     }
-    // SAFETY: exclusive writer of x[i] per the caller contract.
-    unsafe { *x.add(i) = acc / vals[k] };
+    let xi = acc / vals[k];
+    // SAFETY: exclusive writer of x[i] and of its caller slot.
+    unsafe {
+        *x.add(i) = xi;
+        num.publish(slot, 0, xi);
+    }
 }
 
 /// Computes row `i` of the multi-RHS substitution through the shared
@@ -95,10 +108,10 @@ pub(crate) unsafe fn solve_row_raw(l: &CsrMatrix, i: usize, b: &[f64], x: *mut f
 /// # Safety
 /// Same contract as [`solve_row_raw`], for all `r` values of row `i`.
 #[inline]
-pub(crate) unsafe fn solve_row_multi_raw(
+pub(crate) unsafe fn solve_row_multi_raw<N: Numbering>(
     l: &CsrMatrix,
     i: usize,
-    b: &[f64],
+    num: N,
     x: *mut f64,
     r: usize,
     inv_diag: Option<&[f64]>,
@@ -106,9 +119,11 @@ pub(crate) unsafe fn solve_row_multi_raw(
     let (cols, vals) = l.row(i);
     let k = cols.len() - 1;
     debug_assert_eq!(cols[k], i);
+    // SAFETY: `i` is a row of the checked solve.
+    let slot = unsafe { num.slot(i) };
     for j in 0..r {
-        // SAFETY: exclusive writer of row i (caller contract).
-        unsafe { *x.add(i * r + j) = b[i * r + j] };
+        // SAFETY: exclusive writer of row i (caller contract); `j < r`.
+        unsafe { *x.add(i * r + j) = num.b(slot, j, r) };
     }
     for (&c, &v) in cols[..k].iter().zip(&vals[..k]) {
         for j in 0..r {
@@ -121,15 +136,23 @@ pub(crate) unsafe fn solve_row_multi_raw(
         None => {
             let diag = vals[k];
             for j in 0..r {
-                // SAFETY: exclusive writer of row i.
-                unsafe { *x.add(i * r + j) /= diag };
+                // SAFETY: exclusive writer of row i and its caller slot.
+                unsafe {
+                    let xj = *x.add(i * r + j) / diag;
+                    *x.add(i * r + j) = xj;
+                    num.publish(slot, j, xj);
+                }
             }
         }
         Some(inv_diag) => {
             let inv = inv_diag[i];
             for j in 0..r {
-                // SAFETY: exclusive writer of row i.
-                unsafe { *x.add(i * r + j) *= inv };
+                // SAFETY: exclusive writer of row i and its caller slot.
+                unsafe {
+                    let xj = *x.add(i * r + j) * inv;
+                    *x.add(i * r + j) = xj;
+                    num.publish(slot, j, xj);
+                }
             }
         }
     }
@@ -145,10 +168,10 @@ pub(crate) unsafe fn solve_row_multi_raw(
 /// # Safety
 /// Same contract as [`solve_row_raw`].
 #[inline]
-pub(crate) unsafe fn solve_row_fast(
+pub(crate) unsafe fn solve_row_fast<N: Numbering>(
     l: &CsrMatrix,
     i: usize,
-    b: &[f64],
+    num: N,
     x: *mut f64,
     inv_diag: &[f64],
 ) {
@@ -158,13 +181,18 @@ pub(crate) unsafe fn solve_row_fast(
     let (cols, vals) = unsafe { l.row_unchecked(i) };
     let k = cols.len() - 1;
     debug_assert_eq!(cols[k], i);
-    let mut acc = unsafe { *b.get_unchecked(i) };
+    let slot = unsafe { num.slot(i) };
+    let mut acc = unsafe { num.b(slot, 0, 1) };
     for (&c, &v) in cols[..k].iter().zip(&vals[..k]) {
         // SAFETY: parent x[c] is ready per the caller contract.
         acc -= v * unsafe { *x.add(c) };
     }
-    // SAFETY: exclusive writer of x[i].
-    unsafe { *x.add(i) = acc * *inv_diag.get_unchecked(i) };
+    // SAFETY: exclusive writer of x[i] and of its caller slot.
+    unsafe {
+        let xi = acc * *inv_diag.get_unchecked(i);
+        *x.add(i) = xi;
+        num.publish(slot, 0, xi);
+    }
 }
 
 /// Lane-unrolled fastmath row: `LANES` independent accumulators over the
@@ -174,10 +202,10 @@ pub(crate) unsafe fn solve_row_fast(
 /// # Safety
 /// Same contract as [`solve_row_raw`].
 #[inline]
-pub(crate) unsafe fn solve_row_unrolled<const LANES: usize>(
+pub(crate) unsafe fn solve_row_unrolled<const LANES: usize, N: Numbering>(
     l: &CsrMatrix,
     i: usize,
-    b: &[f64],
+    num: N,
     x: *mut f64,
     inv_diag: &[f64],
 ) {
@@ -198,10 +226,15 @@ pub(crate) unsafe fn solve_row_unrolled<const LANES: usize>(
         // SAFETY: as above.
         tail += v * unsafe { *x.add(c) };
     }
-    // SAFETY: exclusive writer of x[i]; `b[i]`/`inv_diag[i]` in bounds as
-    // in [`solve_row_fast`].
-    let acc = unsafe { *b.get_unchecked(i) } - (tree_sum(&lane) + tail);
-    unsafe { *x.add(i) = acc * *inv_diag.get_unchecked(i) };
+    // SAFETY: exclusive writer of x[i] and its caller slot; the row's `b`
+    // and `inv_diag[i]` in bounds as in [`solve_row_fast`].
+    unsafe {
+        let slot = num.slot(i);
+        let acc = num.b(slot, 0, 1) - (tree_sum(&lane) + tail);
+        let xi = acc * *inv_diag.get_unchecked(i);
+        *x.add(i) = xi;
+        num.publish(slot, 0, xi);
+    }
 }
 
 /// Pairwise (tree) reduction of the accumulator lanes — a fixed
@@ -222,13 +255,23 @@ fn tree_sum(lane: &[f64]) -> f64 {
 ///
 /// # Safety
 /// Caller must guarantee exclusive write access to all block rows of `x`
-/// and that every off-block parent `x[c]` (`c ∈ blk.cols`) is ready.
-pub(crate) unsafe fn solve_dense(blk: &DenseBlock, inv_diag: &[f64], b: &[f64], x: *mut f64) {
+/// (and their caller slots under `num`), that every off-block parent
+/// `x[c]` (`c ∈ blk.cols`) is ready, and that `num` is checked for the
+/// solve the block belongs to.
+pub(crate) unsafe fn solve_dense<N: Numbering>(
+    blk: &DenseBlock,
+    inv_diag: &[f64],
+    num: N,
+    x: *mut f64,
+) {
     let r = blk.rows as usize;
     let first = blk.first as usize;
     debug_assert!(r <= MAX_DENSE_BLOCK);
     let mut acc = [0.0f64; MAX_DENSE_BLOCK];
-    acc[..r].copy_from_slice(&b[first..first + r]);
+    for (i, a) in acc[..r].iter_mut().enumerate() {
+        // SAFETY: block rows are rows of the checked solve.
+        *a = unsafe { num.b(num.slot(first + i), 0, 1) };
+    }
     for (ci, &c) in blk.cols.iter().enumerate() {
         // SAFETY: off-block parent x[c] is ready per the caller contract;
         // the packed off panel is exactly `cols.len() * r` long.
@@ -245,6 +288,7 @@ pub(crate) unsafe fn solve_dense(blk: &DenseBlock, inv_diag: &[f64], b: &[f64], 
         unsafe {
             let xj = *acc.get_unchecked(j) * *inv_diag.get_unchecked(first + j);
             *x.add(first + j) = xj;
+            num.publish(num.slot(first + j), 0, xj);
             let col = blk.diag.get_unchecked(j * r + j + 1..j * r + r);
             for (a, &v) in acc.get_unchecked_mut(j + 1..r).iter_mut().zip(col) {
                 *a -= v * xj;
@@ -258,10 +302,10 @@ pub(crate) unsafe fn solve_dense(blk: &DenseBlock, inv_diag: &[f64], b: &[f64], 
 ///
 /// # Safety
 /// Same contract as [`solve_dense`], for all `r` values of the block rows.
-pub(crate) unsafe fn solve_dense_multi(
+pub(crate) unsafe fn solve_dense_multi<N: Numbering>(
     blk: &DenseBlock,
     inv_diag: &[f64],
-    b: &[f64],
+    num: N,
     x: *mut f64,
     r: usize,
 ) {
@@ -271,7 +315,8 @@ pub(crate) unsafe fn solve_dense_multi(
     for j in 0..r {
         let mut acc = [0.0f64; MAX_DENSE_BLOCK];
         for (i, a) in acc[..rows].iter_mut().enumerate() {
-            *a = b[(first + i) * r + j];
+            // SAFETY: block rows are rows of the checked solve; `j < r`.
+            *a = unsafe { num.b(num.slot(first + i), j, r) };
         }
         for (ci, &c) in blk.cols.iter().enumerate() {
             // SAFETY: off-block parent row c is ready per the caller
@@ -288,6 +333,7 @@ pub(crate) unsafe fn solve_dense_multi(
             unsafe {
                 let xj = *acc.get_unchecked(jj) * *inv_diag.get_unchecked(first + jj);
                 *x.add((first + jj) * r + j) = xj;
+                num.publish(num.slot(first + jj), j, xj);
                 let col = blk.diag.get_unchecked(jj * rows + jj + 1..jj * rows + rows);
                 for (a, &v) in acc.get_unchecked_mut(jj + 1..rows).iter_mut().zip(col) {
                     *a -= v * xj;
@@ -313,12 +359,13 @@ pub(crate) unsafe fn solve_dense_multi(
 pub fn solve_lower_serial_fast(l: &CsrMatrix, plan: &KernelPlan, b: &[f64], x: &mut [f64]) {
     let n = l.n_rows();
     assert_eq!(plan.n_rows(), n, "kernel plan does not match the matrix");
-    check_lengths(n, One, b, x);
+    check_lengths(n, One, Identity(b), x);
     let ops = plan.cell_ops(0, 0);
-    // SAFETY: single-threaded ascending sweep — every dependency is
-    // program-ordered; x is exclusively borrowed. A serial plan's single
-    // cell is the identity map: position p is row p.
-    unsafe { run_cell(l, b, x.as_mut_ptr(), One, Barrier, Natural(n), Some((plan, ops))) };
+    // SAFETY: lengths checked; single-threaded ascending sweep — every
+    // dependency is program-ordered; x is exclusively borrowed. A serial
+    // plan's single cell is the identity map: position p is row p.
+    let (b, fast) = (Identity(b), Some((plan, ops)));
+    unsafe { run_cell(l, b, x.as_mut_ptr(), One, Barrier, Natural(n), fast) };
 }
 
 #[cfg(test)]

@@ -14,8 +14,9 @@
 //! * `engine` (crate-private) — the one superstep loop behind every
 //!   executor: length checks, the serial sweep, the lease and elastic
 //!   decision, thread striding and the single cell dispatch, monomorphised
-//!   over the sync strategy (barrier or done flags) and the RHS shape (one
-//!   or `r` right-hand sides);
+//!   over the sync strategy (barrier or done flags), the RHS shape (one
+//!   or `r` right-hand sides) and the numbering (internal, or the plan's
+//!   user↔internal permutation fused into the row kernels);
 //! * [`kernels`] — the row/block kernels the engine's cell dispatch runs:
 //!   the exact scalar kernels (bit-identical `fastmath=off` path) and the
 //!   blocked/unrolled fastmath kernels that execute a detected
@@ -84,7 +85,7 @@ pub mod verify;
 
 pub use async_exec::AsyncExecutor;
 pub use barrier::{solve_with_barriers, BarrierExecutor};
-pub use executor::Executor;
+pub use executor::{Executor, UserOperands};
 pub use kernels::solve_lower_serial_fast;
 pub use plan::{
     BatchWorkspace, CacheOutcome, Orientation, PlanBuilder, PlanError, PreOrder, SolvePlan,

@@ -73,8 +73,8 @@
 
 use crate::async_exec::AsyncExecutor;
 use crate::barrier::BarrierExecutor;
-use crate::engine::Engine;
-use crate::executor::Executor;
+use crate::engine::{Engine, SharedPtr};
+use crate::executor::{Executor, UserOperands};
 use crate::runtime::{RuntimeHandle, SolverRuntime};
 use crate::serial::{FastSerialExecutor, SerialExecutor};
 use crate::sim::{simulate_model, MachineProfile, SimReport};
@@ -517,21 +517,27 @@ fn schedule_coarsened(dag: &SolveDag, scheduler: &dyn Scheduler, n_cores: usize)
     coarsen_and_schedule(dag, scheduler, n_cores, &options, true)
 }
 
-/// Reusable gather/solve buffers for [`SolvePlan::solve_into`].
+/// Reusable buffer for [`SolvePlan::solve_into`]: the solution in the
+/// plan's internal numbering, which later rows read while each row also
+/// stores its value straight into the caller's `x`. Plans whose
+/// permutation is the identity solve in the caller's `x` directly and
+/// leave it empty.
 #[derive(Debug, Default, Clone)]
 pub struct SolveWorkspace {
-    pb: Vec<f64>,
     px: Vec<f64>,
 }
 
-/// Reusable gather/scatter buffers for [`SolvePlan::solve_batch_in_place`]:
-/// the borrowed-RHS entry point of the multi-RHS executor. Size it once
-/// with [`SolvePlan::batch_workspace`] for the widest batch the caller
-/// fuses; batches up to that width then solve without heap allocation.
+/// Reusable buffers for [`SolvePlan::solve_batch_in_place`]: the
+/// borrowed-RHS entry point of the multi-RHS executor. Holds the batch's
+/// solution in internal numbering (`n × width`, which later rows read)
+/// and the addresses of the caller's columns, which each row reads and
+/// overwrites through the permutation. Size it once with
+/// [`SolvePlan::batch_workspace`] for the widest batch the caller fuses;
+/// batches up to that width then solve without heap allocation.
 #[derive(Debug, Default, Clone)]
 pub struct BatchWorkspace {
-    pb: Vec<f64>,
     px: Vec<f64>,
+    columns: Vec<SharedPtr>,
 }
 
 /// A planned, reusable parallel triangular solve.
@@ -539,8 +545,11 @@ pub struct SolvePlan {
     /// The internal lower-triangular matrix the executor runs on (an `Arc`
     /// so cache hits and value rebinds share it instead of copying).
     matrix: Arc<CsrMatrix>,
-    /// Gather permutation from user indices to internal indices.
+    /// Permutation from user indices to internal indices.
     to_internal: Permutation,
+    /// Whether `to_internal` moves anything, decided once at assembly:
+    /// selects the user-numbered engine path over the identity one.
+    permuted: bool,
     schedule: Schedule,
     /// The flat execution layout, shared with the executor.
     compiled: Arc<CompiledSchedule>,
@@ -908,6 +917,7 @@ impl SolvePlan {
         );
         let plan = SolvePlan {
             matrix,
+            permuted: !to_internal.is_identity(),
             to_internal,
             schedule: entry.schedule.clone(),
             compiled: Arc::clone(&entry.compiled),
@@ -1019,6 +1029,7 @@ impl SolvePlan {
         );
         let plan = SolvePlan {
             matrix,
+            permuted: !to_internal.is_identity(),
             to_internal,
             schedule: saved.schedule,
             compiled,
@@ -1104,6 +1115,7 @@ impl SolvePlan {
         );
         Ok(SolvePlan {
             matrix,
+            permuted: !to_internal.is_identity(),
             to_internal,
             schedule,
             compiled,
@@ -1159,26 +1171,25 @@ impl SolvePlan {
 
     /// Fresh reusable buffers sized for this plan.
     pub fn workspace(&self) -> SolveWorkspace {
-        let n = self.matrix.n_rows();
-        SolveWorkspace { pb: vec![0.0; n], px: vec![0.0; n] }
+        let n = if self.permuted { self.matrix.n_rows() } else { 0 };
+        SolveWorkspace { px: vec![0.0; n] }
     }
 
     /// Solves for one right-hand side into `x` (user numbering), reusing
-    /// `workspace`: steady-state calls are allocation-free.
+    /// `workspace`: steady-state calls are allocation-free. A plan whose
+    /// permutation is the identity runs exactly `executor().solve`; any
+    /// other plan's row kernels read `b` and write `x` through the
+    /// permutation (no separate gather or scatter pass).
     pub fn solve_into(&self, b: &[f64], x: &mut [f64], workspace: &mut SolveWorkspace) {
         let n = self.matrix.n_rows();
-        assert_eq!(b.len(), n);
-        assert_eq!(x.len(), n);
-        workspace.pb.resize(n, 0.0);
+        assert_eq!(b.len(), n, "right-hand side length");
+        assert_eq!(x.len(), n, "solution length");
+        if !self.permuted {
+            return self.executor.solve(&self.matrix, b, x);
+        }
         workspace.px.resize(n, 0.0);
-        let old_of_new = self.to_internal.old_of_new();
-        for (slot, &old) in workspace.pb.iter_mut().zip(old_of_new) {
-            *slot = b[old];
-        }
-        self.executor.solve(&self.matrix, &workspace.pb, &mut workspace.px);
-        for (&px, &old) in workspace.px.iter().zip(old_of_new) {
-            x[old] = px;
-        }
+        let user = UserOperands::one(b, x, &mut workspace.px);
+        self.executor.solve_user(&self.matrix, &self.to_internal, user);
     }
 
     /// Solves for one right-hand side, returning the solution in the user's
@@ -1191,21 +1202,20 @@ impl SolvePlan {
         x
     }
 
-    /// Solves `r` right-hand sides at once (`b` row-major `n x r`).
+    /// Solves `r` right-hand sides at once (`b` row-major `n x r`, user
+    /// numbering), with the permutation fused into the kernels as in
+    /// [`SolvePlan::solve_into`].
     pub fn solve_multi(&self, b: &[f64], r: usize) -> Vec<f64> {
         let n = self.matrix.n_rows();
-        assert_eq!(b.len(), n * r);
-        // Gather rows of B into the internal order.
-        let mut pb = vec![0.0; n * r];
-        for (new, &old) in self.to_internal.old_of_new().iter().enumerate() {
-            pb[new * r..(new + 1) * r].copy_from_slice(&b[old * r..(old + 1) * r]);
-        }
-        let mut px = vec![0.0; n * r];
-        self.executor.solve_multi(&self.matrix, &pb, &mut px, r);
+        assert_eq!(b.len(), n * r, "right-hand side length");
         let mut x = vec![0.0; n * r];
-        for (new, &old) in self.to_internal.old_of_new().iter().enumerate() {
-            x[old * r..(old + 1) * r].copy_from_slice(&px[new * r..(new + 1) * r]);
+        if !self.permuted {
+            self.executor.solve_multi(&self.matrix, b, &mut x, r);
+            return x;
         }
+        let (mut px, mut table) = (vec![0.0; n * r], Vec::new());
+        let user = UserOperands::rows(b, &mut x, r, &mut px, &mut table);
+        self.executor.solve_user(&self.matrix, &self.to_internal, user);
         x
     }
 
@@ -1213,7 +1223,7 @@ impl SolvePlan {
     /// sides (see [`SolvePlan::solve_batch_in_place`]).
     pub fn batch_workspace(&self, max_r: usize) -> BatchWorkspace {
         let n = self.matrix.n_rows();
-        BatchWorkspace { pb: Vec::with_capacity(n * max_r), px: Vec::with_capacity(n * max_r) }
+        BatchWorkspace { px: Vec::with_capacity(n * max_r), columns: Vec::with_capacity(max_r) }
     }
 
     /// Solves every right-hand side in `rhs` as **one** multi-RHS solve,
@@ -1221,12 +1231,13 @@ impl SolvePlan {
     /// the user's numbering, on exit it holds the corresponding solution.
     ///
     /// This is the borrowed-RHS entry point the serving layer's batcher
-    /// uses to gather and scatter without copies into a packed caller-owned
-    /// buffer or per-request output allocation: the plan interleaves the
-    /// borrowed columns into `workspace`, runs the multi-RHS executor once,
-    /// and scatters each solution back into the request's own buffer.
-    /// Steady-state calls are allocation-free once `workspace` has seen the
-    /// batch width ([`SolvePlan::batch_workspace`] pre-sizes it).
+    /// uses: no copy into a packed caller-owned buffer, no per-request
+    /// output allocation, and no gather or scatter pass — every row reads
+    /// its right-hand sides from the borrowed columns and writes its
+    /// solutions back into them through the plan's permutation, once per
+    /// batch. A batch of one runs the single-RHS kernels. Steady-state
+    /// calls are allocation-free once `workspace` has seen the batch width
+    /// ([`SolvePlan::batch_workspace`] pre-sizes it).
     ///
     /// Each column goes through the exact per-row operation sequence of a
     /// standalone [`SolvePlan::solve_into`] — batching changes grouping,
@@ -1242,20 +1253,9 @@ impl SolvePlan {
         for (j, b) in rhs.iter().enumerate() {
             assert_eq!(b.len(), n, "right-hand side {j} has the wrong length");
         }
-        workspace.pb.resize(n * k, 0.0);
         workspace.px.resize(n * k, 0.0);
-        let old_of_new = self.to_internal.old_of_new();
-        for (new, &old) in old_of_new.iter().enumerate() {
-            for (j, b) in rhs.iter().enumerate() {
-                workspace.pb[new * k + j] = b[old];
-            }
-        }
-        self.executor.solve_multi(&self.matrix, &workspace.pb, &mut workspace.px, k);
-        for (new, &old) in old_of_new.iter().enumerate() {
-            for (j, x) in rhs.iter_mut().enumerate() {
-                x[old] = workspace.px[new * k + j];
-            }
-        }
+        let user = UserOperands::in_place(rhs, &mut workspace.px, &mut workspace.columns);
+        self.executor.solve_user(&self.matrix, &self.to_internal, user);
     }
 
     /// Simulates this plan's execution on a machine profile, under the
@@ -1382,6 +1382,7 @@ impl SolvePlan {
         Ok(SolvePlan {
             matrix: internal,
             to_internal: self.to_internal.clone(),
+            permuted: self.permuted,
             schedule: self.schedule.clone(),
             compiled: Arc::clone(&self.compiled),
             model: self.model,
@@ -1494,7 +1495,7 @@ fn make_executor(
 }
 
 /// Validates the orientation and returns the lower-triangular operand plus
-/// the base gather permutation (reversal for upper operands).
+/// the base user-to-internal permutation (reversal for upper operands).
 fn orient(
     matrix: &CsrMatrix,
     orientation: Orientation,
@@ -1516,8 +1517,8 @@ fn orient(
     }
 }
 
-/// Applies the pre-ordering pass, composing its permutation into the gather
-/// chain.
+/// Applies the pre-ordering pass, composing its permutation into the
+/// user-to-internal chain.
 fn apply_pre_order(
     lower: CsrMatrix,
     base_perm: Permutation,
@@ -1796,9 +1797,8 @@ mod tests {
 
     #[test]
     fn batched_upper_and_preordered_plans_stay_exact() {
-        // The gather/scatter runs through the full permutation chain
-        // (orientation reversal + pre-order + §5 reorder), same as
-        // solve_into.
+        // The fused permutation is the full chain (orientation reversal +
+        // pre-order + §5 reorder), same as solve_into.
         let u = lower().transpose();
         let n = u.n_rows();
         let plan = PlanBuilder::new(&u)
@@ -2040,7 +2040,7 @@ mod tests {
 
     #[test]
     fn wrong_length_operands_panic_under_every_model() {
-        // Every executor owns the length contract (the plan's own gathers
+        // Every executor owns the length contract (the plan's own checks
         // are bypassed here): an oversized or short `b`, or an oversized
         // `x`, is rejected instead of leaving part of `x` stale.
         let l = lower();
@@ -2441,5 +2441,189 @@ mod tests {
         let b: Vec<f64> = (0..n).map(|i| ((i % 7) as f64) - 3.0).collect();
         let x = rebound.solve(&b);
         assert!(relative_residual(&scaled, &x, &b) < 1e-12);
+    }
+
+    /// Operands for the fused-permutation tests: a stencil, a supernodal
+    /// matrix (dense blocks under `fastmath=on`) and a random matrix with
+    /// long rows (lane-unrolled rows under `fastmath=on`).
+    fn permutation_operands() -> Vec<CsrMatrix> {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(3);
+        vec![
+            lower(),
+            sptrsv_sparse::gen::supernodal_spd(12, 8, 2, 0.5).lower_triangle().unwrap(),
+            sptrsv_sparse::gen::erdos_renyi_lower(120, 0.2, &mut rng),
+        ]
+    }
+
+    /// Largest deviation of `x` from `reference`, relative to the
+    /// reference's largest magnitude (at least 1).
+    fn scaled_deviation(x: &[f64], reference: &[f64]) -> f64 {
+        let scale = reference.iter().fold(1.0f64, |m, v| m.max(v.abs()));
+        x.iter().zip(reference).map(|(a, e)| (a - e).abs()).fold(0.0, f64::max) / scale
+    }
+
+    #[test]
+    fn fused_permutation_matches_gather_solve_scatter() {
+        // The row kernels read `b` and write `x` through the plan's
+        // permutation. The oracle is the path they replace: gather `b`
+        // into internal order, `executor().solve` on the internal operand,
+        // scatter `x` back. Runs under the CI ThreadSanitizer step, which
+        // thereby covers the cross-thread writes into the caller's buffer.
+        use crate::runtime::SolverRuntime;
+        let runtimes = [1, 3].map(|capacity| Arc::new(SolverRuntime::new(capacity)));
+        let (mut dense_rows, mut unrolled_rows) = (0, 0);
+        for operand in permutation_operands() {
+            let n = operand.n_rows();
+            let columns: Vec<Vec<f64>> = (0..3)
+                .map(|j| (0..n).map(|i| 1.0 + ((i * 7 + j * 13) % 11) as f64).collect())
+                .collect();
+            for (orientation, m) in
+                [(Orientation::Lower, operand.clone()), (Orientation::Upper, operand.transpose())]
+            {
+                for model in ExecModel::ALL {
+                    let elastic: &[bool] =
+                        if model == ExecModel::Barrier { &[false, true] } else { &[false] };
+                    let mut cases = Vec::new();
+                    for &elastic in elastic {
+                        for fastmath in [false, true] {
+                            for reorder in [false, true] {
+                                let with = |rt| (elastic, fastmath, reorder, rt);
+                                cases.extend(runtimes.iter().map(with));
+                            }
+                        }
+                    }
+                    for (elastic, fastmath, reorder, runtime) in cases {
+                        let plan = PlanBuilder::new(&m)
+                            .orientation(orientation)
+                            .cores(3)
+                            .execution(model)
+                            .fastmath(fastmath)
+                            .reorder(reorder)
+                            .elastic(elastic)
+                            .runtime(Arc::clone(runtime))
+                            .build()
+                            .unwrap();
+                        let config = format!(
+                            "n={n} {orientation:?} {model} fastmath={fastmath} reorder={reorder} \
+                             elastic={elastic} capacity={}",
+                            runtime.capacity()
+                        );
+                        if let Some(k) = &plan.kernel {
+                            dense_rows += k.dense_rows();
+                            unrolled_rows += k.unrolled_rows();
+                        }
+                        let old_of_new = plan.to_internal.old_of_new();
+                        let mut ws = plan.workspace();
+                        let mut singles = Vec::new();
+                        for b in &columns {
+                            let pb: Vec<f64> = old_of_new.iter().map(|&old| b[old]).collect();
+                            let mut px = vec![0.0; n];
+                            plan.executor().solve(plan.internal_matrix(), &pb, &mut px);
+                            let mut expected = vec![0.0; n];
+                            for (&v, &old) in px.iter().zip(old_of_new) {
+                                expected[old] = v;
+                            }
+                            let mut x = vec![f64::NAN; n];
+                            plan.solve_into(b, &mut x, &mut ws);
+                            assert!(x.iter().all(|v| !v.is_nan()), "{config}: unwritten slot");
+                            assert_eq!(x, expected, "{config}: solve_into");
+                            singles.push(x);
+                        }
+                        let mut batch_ws = plan.batch_workspace(3);
+                        for k in 1..=3 {
+                            let b: Vec<f64> = (0..n * k).map(|p| columns[p % k][p / k]).collect();
+                            let multi = plan.solve_multi(&b, k);
+                            let mut batch = columns[..k].to_vec();
+                            plan.solve_batch_in_place(&mut batch, &mut batch_ws);
+                            for (j, single) in singles[..k].iter().enumerate() {
+                                let multi_j: Vec<f64> = (0..n).map(|i| multi[i * k + j]).collect();
+                                if fastmath {
+                                    let (dm, db) = (
+                                        scaled_deviation(&multi_j, single),
+                                        scaled_deviation(&batch[j], single),
+                                    );
+                                    assert!(dm < 1e-12, "{config}: solve_multi k={k} col {j}");
+                                    assert!(db < 1e-12, "{config}: batch k={k} col {j}");
+                                } else {
+                                    assert_eq!(&multi_j, single, "{config}: solve_multi k={k}");
+                                    assert_eq!(&batch[j], single, "{config}: batch k={k} col {j}");
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(dense_rows > 0, "no fastmath plan exercised the dense block kernels");
+        assert!(unrolled_rows > 0, "no fastmath plan exercised the lane-unrolled kernels");
+    }
+
+    #[test]
+    fn degenerate_operands_solve_through_every_entry_point() {
+        // Empty, 1 × 1 and diagonal-only operands through `solve_into`,
+        // `solve_multi` and `solve_batch_in_place`, under every spec the
+        // benchmark drives plus the serial and fastmath variants.
+        let diagonal = |d: &[f64]| {
+            let mut coo = sptrsv_sparse::CooMatrix::new(d.len(), d.len());
+            for (i, &v) in d.iter().enumerate() {
+                coo.push(i, i, v).unwrap();
+            }
+            coo.to_csr()
+        };
+        let operands: [Vec<f64>; 3] =
+            [vec![], vec![4.0], (0..37).map(|i| 1.5 + (i % 5) as f64).collect()];
+        let specs = [
+            "growlocal",
+            "funnel-gl",
+            "hdagg",
+            "spmp",
+            "wavefront",
+            "growlocal@serial",
+            "growlocal:fastmath=on",
+            "spmp:fastmath=on@async",
+        ];
+        for d in &operands {
+            let (m, n) = (diagonal(d), d.len());
+            for orientation in [Orientation::Lower, Orientation::Upper] {
+                for spec in specs {
+                    let config = format!("n={n} {orientation:?} {spec}");
+                    let plan = PlanBuilder::new(&m)
+                        .orientation(orientation)
+                        .scheduler(spec)
+                        .cores(2)
+                        .build()
+                        .unwrap_or_else(|e| panic!("{config}: {e}"));
+                    let column = |j: usize| -> Vec<f64> {
+                        (0..n).map(|i| (i + 2 * j) as f64 - 3.5).collect()
+                    };
+                    let close = |x: &[f64], b: &[f64], what: &str| {
+                        for i in 0..n {
+                            let want = b[i] / d[i];
+                            assert!(
+                                (x[i] - want).abs() <= 1e-12 * want.abs(),
+                                "{config} {what}: x[{i}] = {} vs {want}",
+                                x[i]
+                            );
+                        }
+                    };
+                    let mut x = vec![f64::NAN; n];
+                    plan.solve_into(&column(0), &mut x, &mut plan.workspace());
+                    close(&x, &column(0), "solve_into");
+                    let mut ws = plan.batch_workspace(3);
+                    for k in 1..=3 {
+                        let b: Vec<f64> = (0..n * k).map(|p| column(p % k)[p / k]).collect();
+                        let multi = plan.solve_multi(&b, k);
+                        let mut batch: Vec<Vec<f64>> = (0..k).map(column).collect();
+                        plan.solve_batch_in_place(&mut batch, &mut ws);
+                        for (j, x) in batch.iter().enumerate() {
+                            let multi_j: Vec<f64> = (0..n).map(|i| multi[i * k + j]).collect();
+                            close(&multi_j, &column(j), "solve_multi");
+                            close(x, &column(j), "solve_batch_in_place");
+                        }
+                    }
+                }
+            }
+        }
     }
 }

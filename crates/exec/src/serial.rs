@@ -2,11 +2,11 @@
 //! the [`SerialExecutor`] that exposes the reference kernel through the
 //! [`Executor`] trait (`@serial` in the registry's spec grammar).
 
-use crate::engine::{check_lengths, run_cell, Barrier, Engine, Many, Natural, One};
-use crate::executor::Executor;
+use crate::engine::{check_lengths, natural_sweep, Barrier, Engine, Identity, Many, One};
+use crate::executor::{Executor, UserOperands};
 use crate::kernels::substitute_row;
 use sptrsv_core::registry::ExecModel;
-use sptrsv_sparse::CsrMatrix;
+use sptrsv_sparse::{CsrMatrix, Permutation};
 
 /// Solves `L x = b` for a lower-triangular `L` by forward substitution.
 ///
@@ -19,7 +19,7 @@ use sptrsv_sparse::CsrMatrix;
 /// [`CsrMatrix::validate_triangular`] first.
 pub fn solve_lower_serial(l: &CsrMatrix, b: &[f64], x: &mut [f64]) {
     let n = l.n_rows();
-    check_lengths(n, One, b, x);
+    check_lengths(n, One, Identity(b), x);
     for i in 0..n {
         let (cols, vals) = l.row(i);
         debug_assert_eq!(*cols.last().expect("empty row"), i, "row {i} lacks its diagonal");
@@ -35,7 +35,7 @@ pub fn solve_lower_serial(l: &CsrMatrix, b: &[f64], x: &mut [f64]) {
 /// Panics if `b` or `x` is not `n` long.
 pub fn solve_upper_serial(u: &CsrMatrix, b: &[f64], x: &mut [f64]) {
     let n = u.n_rows();
-    check_lengths(n, One, b, x);
+    check_lengths(n, One, Identity(b), x);
     for i in (0..n).rev() {
         let (cols, vals) = u.row(i);
         debug_assert_eq!(cols[0], i, "row {i} lacks its diagonal");
@@ -47,10 +47,7 @@ pub fn solve_upper_serial(u: &CsrMatrix, b: &[f64], x: &mut [f64]) {
 /// The row kernel accumulates in place in the output row, so no scratch
 /// is allocated.
 pub fn solve_lower_multi_serial(l: &CsrMatrix, b: &[f64], x: &mut [f64], r: usize) {
-    check_lengths(l.n_rows(), Many(r), b, x);
-    // SAFETY: single-threaded ascending sweep — every dependency is
-    // program-ordered, and `x` is exclusively borrowed.
-    unsafe { run_cell(l, b, x.as_mut_ptr(), Many(r), Barrier, Natural(l.n_rows()), None) };
+    natural_sweep(l, Identity(b), x, Many(r));
 }
 
 /// The reference kernel as an [`Executor`]: rows in natural (vertex) order,
@@ -72,6 +69,16 @@ impl Executor for SerialExecutor {
     fn solve_multi(&self, l: &CsrMatrix, b: &[f64], x: &mut [f64], r: usize) {
         solve_lower_multi_serial(l, b, x, r);
     }
+
+    /// The natural-order sweep with the permutation fused into the exact
+    /// kernels (the engine's serial sweep over one natural cell).
+    fn solve_user(&self, l: &CsrMatrix, to_internal: &Permutation, mut user: UserOperands<'_>) {
+        let (num, x) = user.numbered(to_internal);
+        match num.width() {
+            1 => natural_sweep(l, num, x, One),
+            r => natural_sweep(l, num, x, Many(r)),
+        }
+    }
 }
 
 /// The serial execution model under `fastmath=on`: the engine's serial
@@ -86,11 +93,15 @@ impl Executor for FastSerialExecutor {
     }
 
     fn solve(&self, l: &CsrMatrix, b: &[f64], x: &mut [f64]) {
-        self.0.solve(Barrier, l, b, x, One);
+        self.0.solve(Barrier, l, Identity(b), x, One);
     }
 
     fn solve_multi(&self, l: &CsrMatrix, b: &[f64], x: &mut [f64], r: usize) {
-        self.0.solve(Barrier, l, b, x, Many(r));
+        self.0.solve(Barrier, l, Identity(b), x, Many(r));
+    }
+
+    fn solve_user(&self, l: &CsrMatrix, to_internal: &Permutation, user: UserOperands<'_>) {
+        self.0.solve_user(Barrier, l, to_internal, user);
     }
 }
 

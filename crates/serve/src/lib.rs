@@ -34,8 +34,8 @@
 //! keeps its documented `1e-12` tolerance). The warm serving path —
 //! submit, batch, solve, wait — performs **no heap allocation**: slots
 //! recycle through a pool, the queue and batch buffers are bounded and
-//! pre-sized, and solutions are scattered back into each request's own
-//! buffer.
+//! pre-sized, and the fused solve writes each solution straight into its
+//! request's own buffer.
 //!
 //! ```
 //! use sptrsv_exec::PlanBuilder;
@@ -93,7 +93,7 @@ pub struct RequestTiming {
     pub queued: Duration,
     /// Duration of the fused multi-RHS solve the request rode in.
     pub solve: Duration,
-    /// Submission to result availability (`queued` + gather/scatter +
+    /// Submission to result availability (`queued` + batch assembly +
     /// `solve`).
     pub total: Duration,
     /// How many requests were fused into the request's batch (1 ..= the

@@ -74,7 +74,7 @@ fn main() {
             let mut au = vec![0.0; n];
             spmv(&a, &u, &mut au);
             let residual: Vec<f64> = rhs.iter().zip(&au).map(|(b, ax)| b - ax).collect();
-            // Solve M d = residual (the plan gathers/scatters internally).
+            // Solve M d = residual (the plan applies its permutation internally).
             plan.solve_into(&residual, &mut d, &mut workspace);
             for (ui, di) in u.iter_mut().zip(&d) {
                 *ui += di;
