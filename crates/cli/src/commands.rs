@@ -82,9 +82,9 @@ already-running runtime workers without re-spawning threads) and checks
 they are bit-identical.
 serve-bench starts a batching solve server over the plan (the sptrsv-serve
 front-end): C closed-loop clients each submit R single right-hand sides,
-a batcher thread fuses up to batch=N queued requests into one multi-RHS
-solve after lingering at most batch_wait_us microseconds, and admission
-control engages at queue depth D (block stalls submitters, shed bounces
+a waiting client fuses up to batch=N queued requests into one multi-RHS
+solve on its own thread (the batch_wait_us linger only delays requests
+nobody waits on), and admission control engages at queue depth D (block stalls submitters, shed bounces
 them). Every response is verified against the standalone solve, then the
 achieved batch widths, latency percentiles and goodput are printed.
 --batch/--batch-wait-us override the spec's batch keys.

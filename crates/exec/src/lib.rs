@@ -38,7 +38,7 @@
 //!   keys) and runtime ([`PlanBuilder::runtime`]), with an
 //!   allocation-free [`SolvePlan::solve_into`] steady-state path and a
 //!   borrowed-RHS [`SolvePlan::solve_batch_in_place`] entry point the
-//!   `sptrsv-serve` batcher fuses queued requests through;
+//!   `sptrsv-serve` combiner fuses queued requests through;
 //! * [`sim`] — a calibrated multicore machine model used for the paper's
 //!   speed-up experiments: it charges compute, cache misses, memory
 //!   bandwidth and synchronization costs against the schedule structure

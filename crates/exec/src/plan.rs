@@ -1230,7 +1230,7 @@ impl SolvePlan {
     /// in place: on entry each `rhs[j]` is a full-length right-hand side in
     /// the user's numbering, on exit it holds the corresponding solution.
     ///
-    /// This is the borrowed-RHS entry point the serving layer's batcher
+    /// This is the borrowed-RHS entry point the serving layer's combiner
     /// uses: no copy into a packed caller-owned buffer, no per-request
     /// output allocation, and no gather or scatter pass — every row reads
     /// its right-hand sides from the borrowed columns and writes its

@@ -16,7 +16,8 @@
 //!
 //! The serving layer (`sptrsv-serve`) rides the same guarantee: once its
 //! slot pool, queue and batch buffers are warm, a submit → batch → solve
-//! → wait round trip allocates nothing either — pinned here because the
+//! → wait round trip allocates nothing either, whether the batcher
+//! thread or the waiting caller runs the batch — pinned here because the
 //! counting allocator must wrap the whole process, batcher thread
 //! included.
 //!
@@ -63,7 +64,11 @@ fn allocations() -> usize {
 fn steady_state_solves_and_serving_do_not_allocate() {
     single_rhs_solves_do_not_allocate();
     multi_rhs_solves_do_not_allocate();
-    serving_does_not_allocate_per_request();
+    // A short linger lets the batcher race the waiters; a linger no round
+    // trip outlasts leaves every dispatch to the waiters themselves (the
+    // caller-runs combiner path).
+    serving_does_not_allocate_per_request(std::time::Duration::from_micros(50));
+    serving_does_not_allocate_per_request(std::time::Duration::from_secs(10));
 }
 
 /// Every execution model with the exact and the fastmath kernels: every
@@ -137,14 +142,13 @@ fn multi_rhs_solves_do_not_allocate() {
     }
 }
 
-fn serving_does_not_allocate_per_request() {
+fn serving_does_not_allocate_per_request(linger: std::time::Duration) {
     // The full serving round trip — submit, queue, batch formation, fused
     // solve through `solve_batch_in_place`, completion, wait — allocates
     // nothing once warm: slots recycle through the pool, the queue and
     // batch buffers are pre-sized, and solutions scatter back into each
     // request's own buffer.
     use sptrsv_serve::{Admission, ServeBuilder};
-    use std::time::Duration;
 
     let l = grid2d_laplacian(16, 16, Stencil2D::FivePoint, 0.5).lower_triangle().unwrap();
     let n = l.n_rows();
@@ -156,12 +160,12 @@ fn serving_does_not_allocate_per_request() {
     let reference_b = plan.solve(&template_b);
     let server = ServeBuilder::new(plan)
         .max_batch(4)
-        .batch_wait(Duration::from_micros(50))
+        .batch_wait(linger)
         .queue_depth(8)
         .admission(Admission::Block)
         .start();
     // Two in-flight requests per round exercise widths 1 and 2 depending
-    // on how the linger races the solve; both paths must be warm and
+    // on how the linger races the waiter; both paths must be warm and
     // allocation-free. The response hands each buffer back, so the same
     // two allocations cycle through the whole measurement.
     let mut buf_a = template_a.clone();
@@ -186,6 +190,9 @@ fn serving_does_not_allocate_per_request() {
         buf_b.copy_from_slice(&template_b);
     }
     let delta = allocations() - before;
-    assert_eq!(delta, 0, "{delta} allocations across 50 warm serving round trips");
+    assert_eq!(
+        delta, 0,
+        "linger {linger:?}: {delta} allocations across 50 warm serving round trips"
+    );
     server.shutdown();
 }

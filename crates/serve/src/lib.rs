@@ -12,12 +12,18 @@
 //!
 //! * **Submission queue per plan** — clients [`SolveServer::submit`] one
 //!   right-hand side and get a [`SolveHandle`] back immediately;
-//! * **Coalescing batcher** — a dedicated thread fuses queued requests
-//!   into one multi-RHS solve through the plan's borrowed-RHS entry point
+//! * **Coalescing combiner** — queued requests are fused into one
+//!   multi-RHS solve through the plan's borrowed-RHS entry point
 //!   ([`SolvePlan::solve_batch_in_place`]): one dispatch, one lease and
-//!   one matrix traversal serve up to `batch=N` requests. A
-//!   `batch_wait_us` linger bound dispatches a partial batch rather than
-//!   starve a lone request;
+//!   one matrix traversal serve up to `batch=N` requests. Whoever needs a
+//!   result runs the batch (flat combining, Hendler et al., SPAA 2010): a
+//!   [`SolveHandle::wait`] that finds the combiner free drains the queue
+//!   and solves on its own thread, with no linger and no thread handoff,
+//!   completing every request it fused. A background batcher thread is
+//!   only the fallback for requests nobody waits on (async submitters,
+//!   [`SolveHandle::is_ready`] pollers, dropped handles, the shutdown
+//!   drain); for those the `batch_wait_us` linger bounds how long a
+//!   request waits for company before a partial batch dispatches;
 //! * **Admission control** — when the queue is full (depth implies the
 //!   latency budget is blown) a submit either blocks
 //!   ([`Admission::Block`]) or is shed with its buffer returned
@@ -59,7 +65,7 @@ use sptrsv_exec::{BatchWorkspace, SolvePlan};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -74,7 +80,7 @@ pub const DEFAULT_BATCH_WAIT: Duration = Duration::from_micros(100);
 /// What a full queue does to the next submission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Admission {
-    /// Block the submitter until the batcher frees queue space (closed-loop
+    /// Block the submitter until a combiner frees queue space (closed-loop
     /// clients; no request is ever lost).
     #[default]
     Block,
@@ -88,8 +94,9 @@ pub enum Admission {
 /// Per-request timing breakdown, reported with every [`SolveResponse`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RequestTiming {
-    /// Submission to batch formation: time spent waiting in the queue
-    /// (including the linger the batcher spent waiting for company).
+    /// Submission to batch formation: time spent waiting in the queue.
+    /// A request whose waiter combined it queues only until `wait` ran;
+    /// one nobody waits on also spends the batcher's linger here.
     pub queued: Duration,
     /// Duration of the fused multi-RHS solve the request rode in.
     pub solve: Duration,
@@ -177,8 +184,10 @@ impl SubmitError {
 enum SlotState {
     /// In the pool, awaiting reuse.
     Idle,
-    /// Queued: the right-hand side awaits the batcher.
-    Pending { b: Vec<f64> },
+    /// Queued: the right-hand side awaits a combiner. `awaited` is set
+    /// while a [`SolveHandle::wait`] sleeps on the slot, so a combiner
+    /// releasing the role knows whom to hand it to.
+    Pending { b: Vec<f64>, awaited: bool },
     /// Drained from the queue into a batch; the solve is running.
     InFlight,
     /// Solved: the solution awaits [`SolveHandle::wait`].
@@ -186,7 +195,7 @@ enum SlotState {
 }
 
 /// One request's rendezvous cell: the submitter parks the right-hand side
-/// here, the batcher swaps in the solution, the handle takes it out.
+/// here, a combiner swaps in the solution, the handle takes it out.
 struct Slot {
     state: Mutex<SlotState>,
     done: Condvar,
@@ -219,9 +228,23 @@ struct Counters {
     widths: Vec<AtomicUsize>,
 }
 
+/// The combiner role and its reusable batch buffers, pre-sized for
+/// `max_batch` in [`ServeBuilder::start`] so a warm combine never
+/// allocates. Whoever holds the lock drains and solves ([`combine`]).
+///
+/// Lock order: `combiner` → `queue` → slot. A thread holding a slot lock
+/// (a waiter checking its request) only ever `try_lock`s the combiner, so
+/// it can never wait on a combiner that is waiting on that slot.
+struct Combiner {
+    batch: Vec<(Arc<Slot>, Instant)>,
+    bufs: Vec<Vec<f64>>,
+    workspace: BatchWorkspace,
+}
+
 /// State shared by clients, the batcher thread and handles.
 struct Shared {
     queue: Mutex<QueueState>,
+    combiner: Mutex<Combiner>,
     /// Signals the batcher: work arrived or shutdown began.
     work: Condvar,
     /// Signals blocked submitters: queue space freed or shutdown began.
@@ -311,8 +334,10 @@ impl ServeBuilder {
         self
     }
 
-    /// How long the batcher holds the oldest queued request while waiting
-    /// for the batch to fill (zero = dispatch immediately). Overrides the
+    /// How long a request nobody waits on lingers for company before the
+    /// batcher dispatches it in a partial batch (zero = dispatch
+    /// immediately). A request whose handle is in [`SolveHandle::wait`]
+    /// never pays it: the waiter solves the batch itself. Overrides the
     /// plan's `batch_wait_us=` policy key.
     pub fn batch_wait(mut self, batch_wait: Duration) -> ServeBuilder {
         self.batch_wait = Some(batch_wait);
@@ -340,12 +365,13 @@ impl ServeBuilder {
     /// beyond that depth would blow the budget, so they block or shed at
     /// admission instead of queueing doomed work.
     pub fn latency_budget(self, budget: Duration, est_batch_solve: Duration) -> ServeBuilder {
+        assert!(
+            !est_batch_solve.is_zero(),
+            "a batch solve takes time: the estimate must be nonzero"
+        );
         let width = self.effective_max_batch();
-        let batches_in_budget = if est_batch_solve.is_zero() {
-            usize::MAX
-        } else {
-            (budget.as_nanos() / est_batch_solve.as_nanos().max(1)) as usize
-        };
+        let batches_in_budget =
+            usize::try_from(budget.as_nanos() / est_batch_solve.as_nanos()).unwrap_or(usize::MAX);
         let depth = batches_in_budget.saturating_mul(width).max(1);
         self.queue_depth(depth)
     }
@@ -354,7 +380,7 @@ impl ServeBuilder {
         self.max_batch.or(self.plan.exec_policy().batch).unwrap_or(DEFAULT_MAX_BATCH)
     }
 
-    /// Starts the batcher thread and returns the running server.
+    /// Starts the fallback batcher thread and returns the running server.
     pub fn start(self) -> SolveServer {
         let max_batch = self.effective_max_batch();
         let batch_wait = self.batch_wait.unwrap_or_else(|| {
@@ -368,11 +394,19 @@ impl ServeBuilder {
         // Warm slots cycle queue -> batch -> pool: depth + one full batch
         // in flight bounds the live population, headroom absorbs handles
         // held briefly past completion.
-        let pool_cap = queue_depth + 2 * max_batch;
+        let pool_cap = max_batch
+            .checked_mul(2)
+            .and_then(|batches| batches.checked_add(queue_depth))
+            .expect("queue depth plus two batches of slots overflows usize");
         let shared = Arc::new(Shared {
             queue: Mutex::new(QueueState {
                 slots: VecDeque::with_capacity(queue_depth),
                 shutting_down: false,
+            }),
+            combiner: Mutex::new(Combiner {
+                batch: Vec::with_capacity(max_batch),
+                bufs: Vec::with_capacity(max_batch),
+                workspace: self.plan.batch_workspace(max_batch),
             }),
             work: Condvar::new(),
             space: Condvar::new(),
@@ -446,8 +480,8 @@ impl SolveServer {
     /// server until the returned [`SolveHandle`] yields it back (solved in
     /// place) — on rejection every error variant returns it immediately.
     ///
-    /// With [`Admission::Block`] a full queue blocks the caller until the
-    /// batcher frees space; with [`Admission::Shed`] it returns
+    /// With [`Admission::Block`] a full queue blocks the caller until a
+    /// combiner frees space; with [`Admission::Shed`] it returns
     /// [`SubmitError::QueueFull`]. Steady-state submissions are
     /// allocation-free: slots recycle through the server's pool.
     ///
@@ -501,7 +535,7 @@ impl SolveServer {
             }
         }
         let slot = shared.pool.lock().unwrap().pop().unwrap_or_else(Slot::new);
-        *slot.state.lock().unwrap() = SlotState::Pending { b };
+        *slot.state.lock().unwrap() = SlotState::Pending { b, awaited: false };
         queue.slots.push_back((Arc::clone(&slot), Instant::now()));
         shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
         drop(queue);
@@ -521,9 +555,10 @@ impl SolveServer {
         }
     }
 
-    /// Stops accepting submissions, drains every queued request through
-    /// the batcher (outstanding [`SolveHandle`]s stay redeemable), joins
-    /// the batcher thread and returns the final counters.
+    /// Stops accepting submissions, drains every queued request
+    /// (outstanding [`SolveHandle`]s stay redeemable), waits out any
+    /// combine a waiter is running, joins the batcher thread and returns
+    /// the final counters.
     pub fn shutdown(mut self) -> ServerStats {
         self.begin_shutdown();
         if let Some(batcher) = self.batcher.take() {
@@ -564,29 +599,51 @@ impl fmt::Debug for SolveServer {
 /// Redeems one submitted request; returned by [`SolveServer::submit`].
 ///
 /// Dropping a handle without calling [`SolveHandle::wait`] abandons the
-/// result (the solve still happens; the slot is simply not recycled).
+/// result (the solve still happens — a later waiter's combine or the
+/// batcher after its linger runs it; the slot is simply not recycled).
 pub struct SolveHandle {
     slot: Arc<Slot>,
     shared: Arc<Shared>,
 }
 
 impl SolveHandle {
-    /// Blocks until the request's batch has solved and returns the
-    /// solution (in the buffer the request was submitted with) plus its
-    /// timing breakdown.
+    /// Blocks until the request is solved and returns the solution (in
+    /// the buffer the request was submitted with) plus its timing
+    /// breakdown.
+    ///
+    /// A waiter whose request is still queued takes the combiner role if
+    /// nobody holds it: it drains up to `max_batch` queued requests
+    /// (oldest first, its own among them or ahead of it), solves them as
+    /// one batch on the calling thread and completes them all, repeating
+    /// until its own request is done. Otherwise it sleeps until the
+    /// current combiner either completes the request or hands the role on.
     pub fn wait(self) -> SolveResponse {
+        let shared = &self.shared;
         let mut state = self.slot.state.lock().unwrap();
         loop {
             match std::mem::replace(&mut *state, SlotState::Idle) {
                 SlotState::Done { x, timing } => {
                     drop(state);
                     // Recycle the slot; a saturated pool lets it drop.
-                    let mut pool = self.shared.pool.lock().unwrap();
-                    if pool.len() < self.shared.pool_cap {
+                    let mut pool = shared.pool.lock().unwrap();
+                    if pool.len() < shared.pool_cap {
                         pool.push(Arc::clone(&self.slot));
                     }
                     return SolveResponse { x, timing };
                 }
+                SlotState::Pending { b, .. } => match shared.combiner.try_lock() {
+                    Ok(combiner) => {
+                        *state = SlotState::Pending { b, awaited: false };
+                        drop(state);
+                        combine_and_hand_off(shared, combiner);
+                        state = self.slot.state.lock().unwrap();
+                    }
+                    Err(TryLockError::WouldBlock) => {
+                        *state = SlotState::Pending { b, awaited: true };
+                        state = self.slot.done.wait(state).unwrap();
+                    }
+                    Err(TryLockError::Poisoned(_)) => panic!("a combiner panicked mid-solve"),
+                },
                 other => {
                     *state = other;
                     state = self.slot.done.wait(state).unwrap();
@@ -608,17 +665,19 @@ impl fmt::Debug for SolveHandle {
     }
 }
 
-/// The batcher thread: linger, drain, fuse, solve, complete — allocation-
-/// free once the reused buffers below have seen `max_batch`.
+/// The fallback batcher thread: lingers for company, then takes the
+/// combiner role. It dispatches only what no waiter has combined first —
+/// requests nobody waits on, and the shutdown drain.
 fn batcher_loop(shared: &Shared) {
-    let mut batch: Vec<(Arc<Slot>, Instant)> = Vec::with_capacity(shared.max_batch);
-    let mut bufs: Vec<Vec<f64>> = Vec::with_capacity(shared.max_batch);
-    let mut workspace: BatchWorkspace = shared.plan.batch_workspace(shared.max_batch);
     loop {
         let mut queue = shared.queue.lock().unwrap();
         loop {
             if queue.slots.is_empty() {
                 if queue.shutting_down {
+                    drop(queue);
+                    // Outlast a waiter's in-flight combine so shutdown
+                    // returns final counters.
+                    drop(shared.combiner.lock().unwrap());
                     return;
                 }
                 queue = shared.work.wait(queue).unwrap();
@@ -636,37 +695,69 @@ fn batcher_loop(shared: &Shared) {
             }
             queue = shared.work.wait_timeout(queue, shared.batch_wait - waited).unwrap().0;
         }
-        let width = queue.slots.len().min(shared.max_batch);
-        batch.extend(queue.slots.drain(..width));
         drop(queue);
-        // Freed queue space: admit blocked submitters.
-        shared.space.notify_all();
+        combine_and_hand_off(shared, shared.combiner.lock().unwrap());
+    }
+}
 
-        let formed = Instant::now();
-        for (slot, _) in &batch {
-            let mut state = slot.state.lock().unwrap();
-            match std::mem::replace(&mut *state, SlotState::InFlight) {
-                SlotState::Pending { b } => bufs.push(b),
-                _ => unreachable!("queued slots are pending until the batcher drains them"),
-            }
+/// Runs one [`combine`] as the role's holder, releases the role, and — if
+/// requests are still queued — wakes the waiter sleeping on the oldest of
+/// them that has one, so it retries the role instead of depending on the
+/// batcher's linger (requests nobody waits on are skipped: they are the
+/// batcher's).
+fn combine_and_hand_off(shared: &Shared, mut combiner: MutexGuard<'_, Combiner>) {
+    combine(shared, &mut combiner);
+    drop(combiner);
+    let queue = shared.queue.lock().unwrap();
+    for (slot, _) in &queue.slots {
+        let state = slot.state.lock().unwrap();
+        if matches!(*state, SlotState::Pending { awaited: true, .. }) {
+            slot.done.notify_one();
+            return;
         }
-        let solve_start = Instant::now();
-        shared.plan.solve_batch_in_place(&mut bufs, &mut workspace);
-        let solve = solve_start.elapsed();
+    }
+}
 
-        shared.counters.batches.fetch_add(1, Ordering::Relaxed);
-        shared.counters.widths[width].fetch_add(1, Ordering::Relaxed);
-        let done = Instant::now();
-        for ((slot, submitted), x) in batch.drain(..).zip(bufs.drain(..)) {
-            let timing = RequestTiming {
-                queued: formed.duration_since(submitted),
-                solve,
-                total: done.duration_since(submitted),
-                batch_width: width,
-            };
-            *slot.state.lock().unwrap() = SlotState::Done { x, timing };
-            slot.done.notify_all();
-            shared.counters.completed.fetch_add(1, Ordering::Relaxed);
+/// One combining pass: drain up to `max_batch` queued requests (FIFO),
+/// fuse them into one multi-RHS solve and complete each — allocation-free
+/// once `combiner`'s buffers have seen `max_batch`. Returns without
+/// solving when the queue is empty (a previous combiner got there first).
+fn combine(shared: &Shared, combiner: &mut Combiner) {
+    let Combiner { batch, bufs, workspace } = combiner;
+    let mut queue = shared.queue.lock().unwrap();
+    let width = queue.slots.len().min(shared.max_batch);
+    if width == 0 {
+        return;
+    }
+    batch.extend(queue.slots.drain(..width));
+    drop(queue);
+    // Freed queue space: admit blocked submitters.
+    shared.space.notify_all();
+
+    let formed = Instant::now();
+    for (slot, _) in batch.iter() {
+        let mut state = slot.state.lock().unwrap();
+        match std::mem::replace(&mut *state, SlotState::InFlight) {
+            SlotState::Pending { b, .. } => bufs.push(b),
+            _ => unreachable!("queued slots are pending until a combiner drains them"),
         }
+    }
+    let solve_start = Instant::now();
+    shared.plan.solve_batch_in_place(bufs, workspace);
+    let solve = solve_start.elapsed();
+
+    shared.counters.batches.fetch_add(1, Ordering::Relaxed);
+    shared.counters.widths[width].fetch_add(1, Ordering::Relaxed);
+    let done = Instant::now();
+    for ((slot, submitted), x) in batch.drain(..).zip(bufs.drain(..)) {
+        let timing = RequestTiming {
+            queued: formed.duration_since(submitted),
+            solve,
+            total: done.duration_since(submitted),
+            batch_width: width,
+        };
+        *slot.state.lock().unwrap() = SlotState::Done { x, timing };
+        slot.done.notify_all();
+        shared.counters.completed.fetch_add(1, Ordering::Relaxed);
     }
 }

@@ -1,7 +1,8 @@
-//! Batcher semantics: linger expiry, `batch=N` capping, backpressure,
-//! clean shutdown, in-place buffers — plus the bit-identity property test
-//! (any interleaving of submissions matches serial per-request solves
-//! bit-for-bit).
+//! Serving semantics: linger expiry for un-awaited requests, caller-runs
+//! combining for awaited ones, `batch=N` capping, backpressure, clean
+//! shutdown, builder validation, in-place buffers — plus the
+//! bit-identity property test (any interleaving of submissions matches
+//! serial per-request solves bit-for-bit).
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -10,8 +11,12 @@ use sptrsv_exec::{PlanBuilder, SolvePlan, SolverRuntime};
 use sptrsv_serve::{Admission, ServeBuilder, SolveServer, SubmitError};
 use sptrsv_sparse::gen::grid::{grid2d_laplacian, Stencil2D};
 use sptrsv_sparse::CsrMatrix;
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Barrier, Mutex};
+use std::time::{Duration, Instant};
+
+/// A linger no test outlasts: with it only a waiter (or shutdown) can
+/// dispatch a partial batch.
+const LONG_LINGER: Duration = Duration::from_secs(10);
 
 fn lower() -> CsrMatrix {
     grid2d_laplacian(20, 14, Stencil2D::FivePoint, 0.5).lower_triangle().unwrap()
@@ -33,15 +38,156 @@ fn a_lone_request_dispatches_at_linger_expiry() {
     let n = server.plan().internal_matrix().n_rows();
     let b = rhs(n, 1);
     let expected = server.plan().solve(&b);
-    let response = server.submit(b).unwrap().wait();
-    // Nobody joined, so the batch went out alone — but only after the
-    // full linger (queued time covers the wait for company).
+    let handle = server.submit(b).unwrap();
+    // Poll instead of waiting: a request nobody waits on is the batcher's,
+    // so it goes out alone — but only after the full linger (queued time
+    // covers the wait for company).
+    let polling = Instant::now();
+    while !handle.is_ready() {
+        assert!(polling.elapsed() < Duration::from_secs(10), "the batcher never dispatched");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let response = handle.wait();
     assert_eq!(response.timing.batch_width, 1);
     assert!(response.timing.queued >= linger, "dispatched before the linger expired");
     assert_eq!(response.x, expected);
     let stats = server.shutdown();
     assert_eq!((stats.submitted, stats.completed, stats.batches), (1, 1, 1));
     assert_eq!(stats.widths[1], 1);
+}
+
+#[test]
+fn a_waiting_caller_solves_without_linger() {
+    // The waiter takes the combiner role and solves on its own thread:
+    // a closed loop at window 1 never pays the linger.
+    let server = ServeBuilder::new(plan()).max_batch(4).batch_wait(LONG_LINGER).start();
+    let n = server.plan().internal_matrix().n_rows();
+    let b = rhs(n, 1);
+    let expected = server.plan().solve(&b);
+    let response = server.submit(b).unwrap().wait();
+    assert!(response.timing.queued < LONG_LINGER / 10, "the waiter sat out the linger");
+    assert_eq!(response.timing.batch_width, 1);
+    assert_eq!(response.x, expected);
+    let stats = server.shutdown();
+    assert_eq!((stats.submitted, stats.completed, stats.batches), (1, 1, 1));
+    assert_eq!(stats.widths[1], 1);
+}
+
+#[test]
+fn a_waiter_fuses_a_window_of_two_without_linger() {
+    // Two queued requests, one waiter: it drains both into a single
+    // width-2 solve, so the second handle is ready without ever waiting.
+    let server = ServeBuilder::new(plan()).max_batch(4).batch_wait(LONG_LINGER).start();
+    let n = server.plan().internal_matrix().n_rows();
+    let (b1, b2) = (rhs(n, 1), rhs(n, 2));
+    let (e1, e2) = (server.plan().solve(&b1), server.plan().solve(&b2));
+    let h1 = server.submit(b1).unwrap();
+    let h2 = server.submit(b2).unwrap();
+    let r1 = h1.wait();
+    assert!(h2.is_ready(), "the waiter left its queued neighbour behind");
+    let r2 = h2.wait();
+    assert!(r1.timing.queued < LONG_LINGER / 10, "the waiter sat out the linger");
+    assert_eq!((r1.timing.batch_width, r2.timing.batch_width), (2, 2));
+    assert_eq!((r1.x, r2.x), (e1, e2));
+    let stats = server.shutdown();
+    assert_eq!((stats.batches, stats.widths[2], stats.completed), (1, 1, 2));
+}
+
+#[test]
+fn no_waiter_is_stranded_behind_another_combiner() {
+    // Each round three clients queue one request apiece, then all wait at
+    // once. Whoever loses the race for the combiner role sleeps; a
+    // combiner releasing the role with requests still queued must wake
+    // one of their waiters, because the batcher would hold them for the
+    // full linger. At width 1 the batcher also dispatches on fullness; at
+    // width 2 the odd request out can only be rescued by that hand-off.
+    // A larger operand widens the window in which a waiter finds the role
+    // taken.
+    let l = grid2d_laplacian(96, 96, Stencil2D::FivePoint, 0.5).lower_triangle().unwrap();
+    let runtime = Arc::new(SolverRuntime::new(2));
+    for width in [1, 2] {
+        let plan = PlanBuilder::new(&l).cores(2).runtime(Arc::clone(&runtime)).build().unwrap();
+        let server = ServeBuilder::new(plan).max_batch(width).batch_wait(LONG_LINGER).start();
+        let n = l.n_rows();
+        let clients = 3;
+        let rounds = 20;
+        let step = Barrier::new(clients);
+        // Failures are collected, not panicked on, and checked by all
+        // clients in lockstep so one ends every loop instead of
+        // deadlocking the barrier.
+        let failures = Mutex::new(Vec::new());
+        std::thread::scope(|scope| {
+            for client in 0..clients {
+                let (server, step, failures) = (&server, &step, &failures);
+                scope.spawn(move || {
+                    for round in 0..rounds {
+                        let b = rhs(n, client * rounds + round);
+                        let expected = server.plan().solve(&b);
+                        step.wait();
+                        let handle = server.submit(b).unwrap();
+                        step.wait();
+                        let response = handle.wait();
+                        if response.x != expected {
+                            failures.lock().unwrap().push(format!("client {client} diverged"));
+                        }
+                        if response.timing.total >= LONG_LINGER / 4 {
+                            failures.lock().unwrap().push(format!("client {client} stranded"));
+                        }
+                        step.wait();
+                        if !failures.lock().unwrap().is_empty() {
+                            break;
+                        }
+                    }
+                });
+            }
+        });
+        let failures = failures.into_inner().unwrap();
+        assert!(failures.is_empty(), "width {width}: {failures:?}");
+        let stats = server.shutdown();
+        assert_eq!(stats.completed, clients * rounds, "width {width}");
+    }
+}
+
+#[test]
+fn shutdown_while_a_waiter_combines_drains_every_request() {
+    let server =
+        ServeBuilder::new(plan()).max_batch(2).batch_wait(LONG_LINGER).queue_depth(8).start();
+    let n = server.plan().internal_matrix().n_rows();
+    let requests: Vec<Vec<f64>> = (0..5).map(|salt| rhs(n, salt)).collect();
+    let expected: Vec<Vec<f64>> = requests.iter().map(|b| server.plan().solve(b)).collect();
+    let mut handles: Vec<_> =
+        requests.into_iter().map(|b| Some(server.submit(b).unwrap())).collect();
+    let waited = handles[0].take().unwrap();
+    let start = Barrier::new(2);
+    let (stats, first) = std::thread::scope(|scope| {
+        // One thread takes the combiner role on the oldest request while
+        // the main thread shuts down; the batcher drains the rest behind
+        // it and outlasts its combine.
+        let waiter = scope.spawn(|| {
+            start.wait();
+            waited.wait()
+        });
+        start.wait();
+        let stats = server.shutdown();
+        (stats, waiter.join().unwrap())
+    });
+    assert_eq!(stats.completed, 5, "shutdown returned before every request completed");
+    assert_eq!(first.x, expected[0]);
+    for (i, handle) in handles.into_iter().enumerate().skip(1) {
+        assert_eq!(handle.unwrap().wait().x, expected[i], "request {i}");
+    }
+}
+
+#[test]
+#[should_panic(expected = "estimate must be nonzero")]
+fn a_zero_batch_solve_estimate_is_rejected() {
+    let _ = ServeBuilder::new(plan()).latency_budget(Duration::from_millis(1), Duration::ZERO);
+}
+
+#[test]
+#[should_panic(expected = "overflows usize")]
+fn an_unrepresentable_slot_pool_is_rejected_at_start() {
+    let _ = ServeBuilder::new(plan()).queue_depth(usize::MAX).start();
 }
 
 #[test]

@@ -7,11 +7,14 @@
 //!
 //! The closed-loop serving regime: a process holds one prepared plan per
 //! system and many request threads submit single right-hand sides. Each
-//! plan's [`SolveServer`] queues the submissions and a batcher thread
-//! fuses up to `batch=N` of them into **one** multi-RHS solve — one
-//! dispatch, one core lease and one matrix traversal serve a whole batch,
-//! so per-request overhead is amortized exactly like the paper amortizes
-//! scheduling cost across repeated solves. Fusion changes grouping, never
+//! plan's [`SolveServer`] queues the submissions, and whichever client
+//! reaches `wait` while its request is still queued takes the combiner
+//! role and fuses up to `batch=N` of them into **one** multi-RHS solve on
+//! its own thread (a fallback batcher thread only serves requests nobody
+//! waits on, after the `batch_wait_us` linger) — one dispatch, one core
+//! lease and one matrix traversal serve a whole batch, so per-request
+//! overhead is amortized exactly like the paper amortizes scheduling
+//! cost across repeated solves. Fusion changes grouping, never
 //! arithmetic: every response is bit-identical to solving that request
 //! alone, and every client below checks it.
 //!
