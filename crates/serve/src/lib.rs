@@ -65,7 +65,7 @@ use sptrsv_exec::{BatchWorkspace, SolvePlan};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError};
+use std::sync::{Arc, Barrier, Condvar, Mutex, MutexGuard, TryLockError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -380,7 +380,8 @@ impl ServeBuilder {
         self.max_batch.or(self.plan.exec_policy().batch).unwrap_or(DEFAULT_MAX_BATCH)
     }
 
-    /// Starts the fallback batcher thread and returns the running server.
+    /// Starts the fallback batcher thread and returns the running server
+    /// once that thread runs.
     pub fn start(self) -> SolveServer {
         let max_batch = self.effective_max_batch();
         let batch_wait = self.batch_wait.unwrap_or_else(|| {
@@ -426,10 +427,19 @@ impl ServeBuilder {
             admission: self.admission,
         });
         let batcher_shared = Arc::clone(&shared);
+        // Return only once the batcher runs: waiters never need it, so
+        // without this its one-time thread start-up allocations could
+        // land in the middle of a warm, allocation-free round trip.
+        let started = Arc::new(Barrier::new(2));
+        let batcher_started = Arc::clone(&started);
         let batcher = std::thread::Builder::new()
             .name("sptrsv-serve-batcher".to_string())
-            .spawn(move || batcher_loop(&batcher_shared))
+            .spawn(move || {
+                batcher_started.wait();
+                batcher_loop(&batcher_shared)
+            })
             .expect("spawning the batcher thread");
+        started.wait();
         SolveServer { shared, batcher: Some(batcher) }
     }
 }
