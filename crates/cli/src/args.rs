@@ -47,6 +47,11 @@ impl Args {
         self.positional(idx).ok_or_else(|| format!("missing {what}"))
     }
 
+    /// The names of every flag given (`-o` as `output`).
+    pub fn flag_names(&self) -> impl Iterator<Item = &str> {
+        self.flags.keys().map(String::as_str)
+    }
+
     /// String flag.
     pub fn get(&self, key: &str) -> Option<&str> {
         self.flags.get(key).map(String::as_str)

@@ -11,7 +11,7 @@
 use crate::args::Args;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use sptrsv_core::registry::{self, GrantPolicy, SchedulerSpec};
+use sptrsv_core::registry::{self, SchedulerSpec};
 use sptrsv_core::CompiledSchedule;
 use sptrsv_dag::{wavefronts, SolveDag};
 use sptrsv_exec::{
@@ -37,42 +37,31 @@ commands:
   schedule <file.mtx> [--algo SPEC] [--cores K] [-o <file.sched>]
   solve    <file.mtx> [--algo SPEC] [--cores K] [--no-reorder true]
            [--pre-order rcm|min-degree|nested-dissection] [--coarsen true]
-           [--repeat N] [--grant greedy|fair|cap=K] [--elastic on|off]
-           [--shrink on|off] [--fastmath on|off] [--plan-cache DIR]
+           [--repeat N] [--fastmath on|off] [--plan-cache DIR]
   plan     <file.mtx> [--algo SPEC] [--cores K] [--no-reorder true]
            [--pre-order rcm|min-degree|nested-dissection] [--coarsen true]
            [--save <file.plan>] [--load <file.plan>] [--plan-cache DIR]
   simulate <file.mtx> [--algo SPEC] [--cores K] [--machine intel|amd|arm]
-           [--grant greedy|fair|cap=K] [--elastic on|off] [--shrink on|off]
            [--fastmath on|off]
   tune     <file.mtx> [--algo auto[:key=...][@model]] [--cores K]
            [--budget N] [--measure on|off] [--cache DIR]
   serve-bench <file.mtx> [--algo SPEC] [--cores K] [--batch N]
            [--batch-wait-us U] [--clients C] [--requests R] [--depth D]
-           [--admission block|shed] [--grant greedy|fair|cap=K]
-           [--elastic on|off] [--shrink on|off] [--fastmath on|off]
-           [--plan-cache DIR]
+           [--admission block|shed] [--fastmath on|off] [--plan-cache DIR]
 
 --algo takes a scheduler spec in the grammar name[:key=value,...][@model]:
 a name from `sptrsv algos`, optional parameters (scoped keys like gl.alpha
 reach a composite scheduler's inner GrowLocal; sync=full|reduced,
-backoff=spin|yield, cores=N, grant=greedy|fair|cap=K, elastic=on|off,
-shrink=on|off, fastmath=on|off, batch=N and batch_wait_us=U address the
-execution policy
-on any scheduler) and an
+backoff=spin|yield, cores=N, fastmath=on|off, batch=N and
+batch_wait_us=U address the execution policy on any scheduler) and an
 optional execution model, e.g. growlocal:alpha=8,sync=2000,
-funnel-gl:gl.alpha=8,cap=auto, growlocal:sync=full@async,
-spmp:backoff=yield or growlocal:grant=fair,elastic=on. Explicit
---cores/--grant/--elastic/--shrink/--fastmath flags override the spec's
-keys.
+funnel-gl:gl.alpha=8,cap=auto, growlocal:sync=full@async or
+spmp:backoff=yield. Explicit --cores/--fastmath flags override the spec's
+keys. A command rejects any flag it does not take.
 Parallel solves lease their threads per solve from the process-wide solver
 runtime (sized to the hardware), so concurrent solves never oversubscribe
 the machine — a solve wider than the free capacity degrades gracefully to
-fewer cores; --grant bounds each tenant's share (fair = capacity/tenants)
-and --elastic on lets a barrier solve grow back at superstep boundaries as
-cores free up. --shrink on makes the resize symmetric: when a tenant joins
-and the fair share drops, a wide elastic solve sheds cores at the next
-boundary so fairness is retroactive, not just for future admissions.
+fewer cores and keeps that width until it finishes.
 --fastmath on routes the solve through detected dense-block / lane-unrolled
 row kernels with precomputed diagonal reciprocals: the one policy that can
 change results (agreement with the exact path to 1e-12 relative tolerance
@@ -119,6 +108,11 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
         return Err(format!("no command given\n{USAGE}"));
     };
     let args = Args::parse(&argv[1..])?;
+    if let Some(known) = known_flags(command) {
+        if let Some(flag) = args.flag_names().find(|flag| !known.contains(flag)) {
+            return Err(format!("`{command}` takes no flag --{flag} (see `sptrsv help`)"));
+        }
+    }
     match command.as_str() {
         "generate" => generate(&args),
         "info" => info(&args),
@@ -135,6 +129,43 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
         }
         other => Err(format!("unknown command `{other}`\n{USAGE}")),
     }
+}
+
+/// The flags `command` reads, or `None` for an unknown command.
+fn known_flags(command: &str) -> Option<&'static [&'static str]> {
+    Some(match command {
+        "generate" => &["seed", "width", "height", "depth", "n", "rate", "prob", "band", "output"],
+        "info" | "algos" | "help" | "--help" | "-h" => &[],
+        "schedule" => &["algo", "cores", "output"],
+        "solve" => &[
+            "algo",
+            "cores",
+            "no-reorder",
+            "pre-order",
+            "coarsen",
+            "repeat",
+            "fastmath",
+            "plan-cache",
+        ],
+        "plan" => {
+            &["algo", "cores", "no-reorder", "pre-order", "coarsen", "plan-cache", "save", "load"]
+        }
+        "simulate" => &["algo", "cores", "machine", "fastmath"],
+        "tune" => &["algo", "cores", "budget", "measure", "cache"],
+        "serve-bench" => &[
+            "algo",
+            "cores",
+            "clients",
+            "requests",
+            "depth",
+            "admission",
+            "fastmath",
+            "batch",
+            "batch-wait-us",
+            "plan-cache",
+        ],
+        _ => return None,
+    })
 }
 
 /// Loads a matrix and extracts its lower triangle (reporting what happened).
@@ -265,23 +296,6 @@ fn effective_cores(args: &Args, algo: &str, default: usize) -> Result<usize, Str
     Ok(policy.cores.unwrap_or(default))
 }
 
-/// The `--grant` flag, if given (a [`GrantPolicy`] spec value).
-fn grant_flag(args: &Args) -> Result<Option<GrantPolicy>, String> {
-    args.get("grant")
-        .map(|text| text.parse().map_err(|e: registry::RegistryError| e.to_string()))
-        .transpose()
-}
-
-/// The `--elastic` flag, if given (`on` or `off`).
-fn elastic_flag(args: &Args) -> Result<Option<bool>, String> {
-    on_off_flag(args, "elastic")
-}
-
-/// The `--shrink` flag, if given (`on` or `off`).
-fn shrink_flag(args: &Args) -> Result<Option<bool>, String> {
-    on_off_flag(args, "shrink")
-}
-
 /// The `--fastmath` flag, if given (`on` or `off`).
 fn fastmath_flag(args: &Args) -> Result<Option<bool>, String> {
     on_off_flag(args, "fastmath")
@@ -354,15 +368,6 @@ fn solve(args: &Args) -> Result<(), String> {
         .pre_order(pre_order)
         .coarsen(coarsen)
         .reorder(reorder);
-    if let Some(grant) = grant_flag(args)? {
-        builder = builder.grant_policy(grant);
-    }
-    if let Some(elastic) = elastic_flag(args)? {
-        builder = builder.elastic(elastic);
-    }
-    if let Some(shrink) = shrink_flag(args)? {
-        builder = builder.shrink(shrink);
-    }
     if let Some(fastmath) = fastmath_flag(args)? {
         builder = builder.fastmath(fastmath);
     }
@@ -380,12 +385,9 @@ fn solve(args: &Args) -> Result<(), String> {
     println!("algorithm:         {algo}");
     println!("execution model:   {}", plan.exec_model());
     println!(
-        "execution policy:  sync={} backoff={} grant={} elastic={} shrink={} fastmath={}",
+        "execution policy:  sync={} backoff={} fastmath={}",
         plan.exec_policy().sync,
         plan.exec_policy().backoff,
-        plan.exec_policy().grant,
-        if plan.exec_policy().elastic { "on" } else { "off" },
-        if plan.exec_policy().shrink { "on" } else { "off" },
         if plan.exec_policy().fastmath { "on" } else { "off" }
     );
     if plan.cache_outcome() != CacheOutcome::Uncached {
@@ -503,15 +505,6 @@ fn simulate(args: &Args) -> Result<(), String> {
     let spec: SchedulerSpec = algo.parse().map_err(|e: registry::RegistryError| e.to_string())?;
     let model = registry::resolve_model(&spec).map_err(|e| e.to_string())?;
     let mut policy = registry::resolve_exec_policy(&spec).map_err(|e| e.to_string())?;
-    if let Some(grant) = grant_flag(args)? {
-        policy.grant = grant;
-    }
-    if let Some(elastic) = elastic_flag(args)? {
-        policy.elastic = elastic;
-    }
-    if let Some(shrink) = shrink_flag(args)? {
-        policy.shrink = shrink;
-    }
     if let Some(fastmath) = fastmath_flag(args)? {
         policy.fastmath = fastmath;
     }
@@ -524,12 +517,9 @@ fn simulate(args: &Args) -> Result<(), String> {
     println!("algorithm:        {} (spec: {algo})", sched.name());
     println!("execution model:  {model}");
     println!(
-        "execution policy: sync={} backoff={} grant={} elastic={} shrink={} fastmath={}",
+        "execution policy: sync={} backoff={} fastmath={}",
         policy.sync,
         policy.backoff,
-        policy.grant,
-        if policy.elastic { "on" } else { "off" },
-        if policy.shrink { "on" } else { "off" },
         if policy.fastmath { "on" } else { "off" }
     );
     println!("serial cycles:    {:.3e}", serial.cycles);
@@ -604,15 +594,6 @@ fn serve_bench(args: &Args) -> Result<(), String> {
     };
     let mut builder =
         PlanBuilder::new(&lower).orientation(Orientation::Lower).scheduler(algo).cores(cores);
-    if let Some(grant) = grant_flag(args)? {
-        builder = builder.grant_policy(grant);
-    }
-    if let Some(elastic) = elastic_flag(args)? {
-        builder = builder.elastic(elastic);
-    }
-    if let Some(shrink) = shrink_flag(args)? {
-        builder = builder.shrink(shrink);
-    }
     if let Some(fastmath) = fastmath_flag(args)? {
         builder = builder.fastmath(fastmath);
     }
@@ -871,44 +852,20 @@ mod tests {
             dispatch(&sv(&["simulate", mtx.to_str().unwrap(), "--cores", "4", "--algo", spec]))
                 .unwrap_or_else(|e| panic!("simulate --algo {spec}: {e}"));
         }
-        // Grant/elastic/shrink policy: spec keys and the flag overrides.
-        for spec in [
-            "growlocal:grant=fair@barrier",
-            "growlocal:grant=cap=2,elastic=on@barrier",
-            "growlocal:grant=fair,elastic=on,shrink=on@barrier",
-        ] {
-            dispatch(&sv(&["solve", mtx.to_str().unwrap(), "--cores", "2", "--algo", spec]))
-                .unwrap_or_else(|e| panic!("solve --algo {spec}: {e}"));
+        // There is no grant/elastic/shrink policy: the spec keys and the
+        // flags are rejected by name, never ignored.
+        for key in ["grant", "elastic", "shrink"] {
+            let spec = format!("growlocal:{key}=on@barrier");
+            let err =
+                dispatch(&sv(&["solve", mtx.to_str().unwrap(), "--algo", &spec])).unwrap_err();
+            assert!(err.contains(&format!("no parameter `{key}`")), "{spec}: {err}");
+            for command in ["solve", "simulate", "serve-bench"] {
+                let flag = format!("--{key}");
+                let err =
+                    dispatch(&sv(&[command, mtx.to_str().unwrap(), &flag, "on"])).unwrap_err();
+                assert!(err.contains(&format!("takes no flag --{key}")), "{command} {flag}: {err}");
+            }
         }
-        dispatch(&sv(&[
-            "solve",
-            mtx.to_str().unwrap(),
-            "--cores",
-            "2",
-            "--grant",
-            "fair",
-            "--elastic",
-            "on",
-            "--shrink",
-            "on",
-        ]))
-        .unwrap();
-        dispatch(&sv(&[
-            "simulate",
-            mtx.to_str().unwrap(),
-            "--cores",
-            "4",
-            "--algo",
-            "growlocal:grant=fair",
-            "--elastic",
-            "on",
-            "--shrink",
-            "on",
-        ]))
-        .unwrap();
-        assert!(dispatch(&sv(&["solve", mtx.to_str().unwrap(), "--grant", "everything"])).is_err());
-        assert!(dispatch(&sv(&["solve", mtx.to_str().unwrap(), "--elastic", "yes"])).is_err());
-        assert!(dispatch(&sv(&["solve", mtx.to_str().unwrap(), "--shrink", "maybe"])).is_err());
         // Fastmath: spec key and flag forms on every execution model, and
         // bad values rejected (flag and spec key alike).
         for spec in ["growlocal:fastmath=on@barrier", "growlocal:fastmath=on@serial"] {
@@ -1005,7 +962,7 @@ mod tests {
             "--cores",
             "2",
             "--algo",
-            "spmp:grant=fair@async",
+            "spmp@async",
             "--clients",
             "2",
             "--requests",

@@ -22,17 +22,12 @@
 //! omitting it picks the scheduler's default (the first entry of
 //! [`SchedulerInfo::exec_models`]).
 //!
-//! Ten keys address the **execution policy** rather than the scheduler,
+//! Seven keys address the **execution policy** rather than the scheduler,
 //! and are accepted on every spec: `sync=full|reduced`
 //! selects the wait DAG of asynchronous execution, `backoff=spin|yield`
 //! the behavior of every threaded wait loop, `cores=N` the core count
 //! the schedule targets (and hence the width the executor leases from the
 //! shared runtime, and the parallelism the simulator models),
-//! `grant=greedy|fair|cap=K` how the shared runtime sizes lease grants
-//! under multi-tenant contention, `elastic=on|off` whether a
-//! barrier-model solve may grow its lease at superstep boundaries,
-//! `shrink=on|off` whether an elastic solve also sheds cores when the
-//! grant share drops (a tenant joined — fair grants become retroactive),
 //! `fastmath=on|off` whether executors run the planned blocked/unrolled
 //! kernels (tolerance-equal, not bit-identical — see
 //! [`ExecPolicy::fastmath`]), and `batch=N` / `batch_wait_us=U` how a
@@ -41,9 +36,9 @@
 //! before a partial batch is dispatched; ignored by direct solves), and
 //! `plan_cache=DIR` the on-disk warm-start cache directory the planner
 //! saves to and loads from (resolved by [`resolve_plan_cache`]; the other
-//! nine land in [`ExecPolicy`]) —
+//! six land in [`ExecPolicy`]) —
 //! `growlocal:sync=full@async`, `spmp:backoff=yield`,
-//! `hdagg:cores=16@barrier`, `growlocal:grant=fair,elastic=on`. They are
+//! `hdagg:cores=16@barrier`, `growlocal:fastmath=on`. They are
 //! resolved by [`resolve_exec_policy`] and stripped before scheduler
 //! parameters are checked; `growlocal`'s own numeric `sync` parameter is
 //! unaffected because the value domains are disjoint.
@@ -204,72 +199,7 @@ impl FromStr for Backoff {
     }
 }
 
-/// How a solver runtime sizes lease grants under multi-tenant contention —
-/// the `grant=` execution-policy key.
-///
-/// The policy bounds the width of every lease (and of every mid-solve
-/// elastic growth step) a plan's solves request from the shared
-/// `SolverRuntime`. It never changes results: lease width only selects how
-/// schedule cores are strided over threads, which is bit-identical at
-/// every width.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum GrantPolicy {
-    /// `min(requested, free)`: take everything available right now. A
-    /// first tenant can hold the whole runtime while later tenants run
-    /// serial until it releases (maximal single-tenant throughput,
-    /// worst-case multi-tenant tail latency).
-    #[default]
-    Greedy,
-    /// Bound each grant by the fair share `ceil(capacity / active
-    /// tenants)`, where active tenants counts every outstanding lease and
-    /// every blocked lessee. Frees are re-split on release: blocked
-    /// tenants wake into the recomputed share and elastic leases grow
-    /// into it at their next superstep boundary.
-    Fair,
-    /// Hard per-lease width cap of `K` cores (spec text `cap=K`), an
-    /// explicit quality-of-service ceiling independent of tenant count.
-    Cap(usize),
-}
-
-impl GrantPolicy {
-    /// The spec-grammar value (`greedy`, `fair` or `cap=K`).
-    pub fn as_spec_value(&self) -> String {
-        match self {
-            GrantPolicy::Greedy => "greedy".to_string(),
-            GrantPolicy::Fair => "fair".to_string(),
-            GrantPolicy::Cap(k) => format!("cap={k}"),
-        }
-    }
-}
-
-impl fmt::Display for GrantPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.as_spec_value())
-    }
-}
-
-impl FromStr for GrantPolicy {
-    type Err = RegistryError;
-
-    fn from_str(text: &str) -> Result<GrantPolicy, RegistryError> {
-        match text {
-            "greedy" => Ok(GrantPolicy::Greedy),
-            "fair" => Ok(GrantPolicy::Fair),
-            other => match other.strip_prefix("cap=").map(str::parse::<usize>) {
-                Some(Ok(k)) if k > 0 => Ok(GrantPolicy::Cap(k)),
-                _ => Err(RegistryError::BadValue {
-                    scheduler: "exec",
-                    key: "grant",
-                    value: other.to_string(),
-                    expected: "greedy, fair or cap=K (K >= 1)",
-                }),
-            },
-        }
-    }
-}
-
-/// Parses an `on`/`off` execution-policy value (the `elastic=`,
-/// `shrink=` and `fastmath=` keys).
+/// Parses an `on`/`off` execution-policy value (the `fastmath=` key).
 fn parse_on_off(key: &'static str, text: &str) -> Result<bool, RegistryError> {
     match text {
         "on" => Ok(true),
@@ -298,18 +228,15 @@ fn parse_on_off(key: &'static str, text: &str) -> Result<bool, RegistryError> {
 /// untouched:
 ///
 /// ```
-/// use sptrsv_core::registry::{resolve_exec_policy, GrantPolicy, SchedulerSpec, SyncPolicy};
+/// use sptrsv_core::registry::{resolve_exec_policy, SchedulerSpec, SyncPolicy};
 ///
 /// let spec: SchedulerSpec =
-///     "growlocal:alpha=8,sync=full,grant=fair,elastic=on,cores=4@async".parse()?;
+///     "growlocal:alpha=8,sync=full,fastmath=on,cores=4@async".parse()?;
 /// let policy = resolve_exec_policy(&spec)?;
 /// assert_eq!(policy.sync, SyncPolicy::Full);
-/// assert_eq!(policy.grant, GrantPolicy::Fair);
-/// assert!(policy.elastic);
+/// assert!(policy.fastmath);
 /// assert_eq!(policy.cores, Some(4));
-/// // `alpha=8` stays a scheduler parameter; `grant=cap=3` caps lease width.
-/// let capped = resolve_exec_policy(&"spmp:grant=cap=3".parse()?)?;
-/// assert_eq!(capped.grant, GrantPolicy::Cap(3));
+/// // `alpha=8` stays a scheduler parameter.
 /// # Ok::<(), sptrsv_core::registry::RegistryError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -325,26 +252,6 @@ pub struct ExecPolicy {
     /// own core-count setting (the typed `PlanBuilder::cores` knob, a CLI
     /// `--cores` flag, a harness parameter) and its default.
     pub cores: Option<usize>,
-    /// Lease-width grant policy of the shared runtime (the `grant=` key):
-    /// how much of the requested width a solve is given under
-    /// multi-tenant contention.
-    pub grant: GrantPolicy,
-    /// Elastic leases (the `elastic=` key): when `true`, a barrier-model
-    /// solve granted fewer cores than its schedule targets may grow its
-    /// lease at superstep boundaries as other tenants release cores
-    /// (asynchronous execution ignores the key — re-striding between
-    /// supersteps is only safe with a barrier between them).
-    pub elastic: bool,
-    /// Elastic shrink (the `shrink=` key, an arm on `elastic=`): when
-    /// `true` and the lease is elastic, a solve also **sheds** workers at
-    /// superstep boundaries when the grant share drops below its running
-    /// width (a tenant joined under `grant=fair`/`cap=K`), returning the
-    /// cores to the runtime mid-solve — fairness becomes retroactive
-    /// instead of admission-only. Results stay bit-identical along every
-    /// grow/shrink trajectory (striding never changes per-row arithmetic
-    /// order). Ignored without `elastic=on`; default `off` preserves
-    /// grow-only elasticity.
-    pub shrink: bool,
     /// Fastmath kernels (the `fastmath=` key): when `true`, executors run
     /// the planned blocked/unrolled kernels with precomputed diagonal
     /// reciprocals (`sptrsv_core::kernel`). **The only policy key that can
@@ -373,26 +280,22 @@ pub struct ExecPolicy {
 /// scheduler parameter (see [`ExecPolicy`] for the disambiguation rule).
 fn is_exec_policy_param(key: &str, value: &str) -> bool {
     match key {
-        "backoff" | "cores" | "grant" | "elastic" | "shrink" | "fastmath" | "batch"
-        | "batch_wait_us" | "plan_cache" => true,
+        "backoff" | "cores" | "fastmath" | "batch" | "batch_wait_us" | "plan_cache" => true,
         "sync" => value.parse::<SyncPolicy>().is_ok(),
         _ => false,
     }
 }
 
 /// The execution policy a spec selects: its
-/// `sync=`/`backoff=`/`cores=`/`grant=`/`elastic=`/`shrink=`/`fastmath=`/
-/// `batch=`/`batch_wait_us=` keys (last occurrence wins), with defaults
-/// for the absent ones. The tenth policy key, `plan_cache=DIR`, is
+/// `sync=`/`backoff=`/`cores=`/`fastmath=`/`batch=`/`batch_wait_us=` keys
+/// (last occurrence wins), with defaults for the absent ones. The seventh
+/// policy key, `plan_cache=DIR`, is
 /// validated here but carried separately — see [`resolve_plan_cache`].
 pub fn resolve_exec_policy(spec: &SchedulerSpec) -> Result<ExecPolicy, RegistryError> {
     let mut policy = ExecPolicy::default();
     for (key, value) in spec.params() {
         match key.as_str() {
             "backoff" => policy.backoff = value.parse()?,
-            "grant" => policy.grant = value.parse()?,
-            "elastic" => policy.elastic = parse_on_off("elastic", value)?,
-            "shrink" => policy.shrink = parse_on_off("shrink", value)?,
             "fastmath" => policy.fastmath = parse_on_off("fastmath", value)?,
             "cores" => {
                 policy.cores = match value.parse::<usize>() {
@@ -865,13 +768,6 @@ pub fn help_text() -> String {
     out.push_str("    backoff      wait loops: spin | yield (default spin)\n");
     out.push_str("    cores        schedule core count / runtime lease width: a positive\n");
     out.push_str("                 integer (default: the consumer's --cores setting)\n");
-    out.push_str("    grant        runtime lease sizing: greedy | fair | cap=K\n");
-    out.push_str("                 (default greedy; fair = ceil(capacity/tenants) share)\n");
-    out.push_str("    elastic      on | off (default off): barrier solves granted fewer\n");
-    out.push_str("                 cores may grow the lease at superstep boundaries\n");
-    out.push_str("    shrink       on | off (default off): elastic solves also shed cores\n");
-    out.push_str("                 when the grant share drops (a tenant joined), making\n");
-    out.push_str("                 fair grants retroactive; requires elastic=on\n");
     out.push_str("    fastmath     on | off (default off): blocked/unrolled kernels with\n");
     out.push_str("                 reciprocal diagonals; results match the scalar path to\n");
     out.push_str("                 1e-12 relative tolerance instead of bit-identically\n");
@@ -996,6 +892,24 @@ pub fn resolve_model(spec: &SchedulerSpec) -> Result<ExecModel, RegistryError> {
     }
 }
 
+/// Checks a spec without building it: the scheduler is registered, the
+/// model is supported, every execution-policy value parses and every other
+/// key is a parameter the scheduler declares. Parameter *values* are
+/// checked by [`build`], which needs the DAG. Callers that may skip
+/// [`build`] (a plan-cache hit, a cached tuner verdict) validate here, so a
+/// key the registry does not know never reaches a plan unnoticed.
+pub fn validate(spec: &SchedulerSpec) -> Result<&'static SchedulerInfo, RegistryError> {
+    let Some(entry) = info(spec.name()) else {
+        return Err(RegistryError::UnknownScheduler { name: spec.name().to_string() });
+    };
+    resolve_model(spec)?;
+    // The execution-policy keys configure the executor: validate their
+    // values, then hide them from the scheduler-parameter check.
+    resolve_exec_policy(spec)?;
+    ParamReader { scheduler: entry.name, spec: &strip_exec_policy(spec) }.check_keys()?;
+    Ok(entry)
+}
+
 /// Instantiates the scheduler a spec describes.
 ///
 /// `dag` and `n_cores` size the self-configuring schedulers (`funnel-gl`'s
@@ -1007,16 +921,8 @@ pub fn build(
     dag: &SolveDag,
     n_cores: usize,
 ) -> Result<Box<dyn Scheduler>, RegistryError> {
-    let Some(entry) = info(spec.name()) else {
-        return Err(RegistryError::UnknownScheduler { name: spec.name().to_string() });
-    };
-    resolve_model(spec)?;
-    // Validate the execution-policy keys, then hide them from the
-    // scheduler-parameter machinery (they configure the executor).
-    resolve_exec_policy(spec)?;
-    let spec = &strip_exec_policy(spec);
-    let reader = ParamReader { scheduler: entry.name, spec };
-    reader.check_keys()?;
+    let entry = validate(spec)?;
+    let reader = ParamReader { scheduler: entry.name, spec: &strip_exec_policy(spec) };
     Ok(match entry.name {
         "growlocal" => Box::new(GrowLocal::with_params(reader.growlocal_params(false)?)),
         "funnel-gl" => {
@@ -1349,14 +1255,9 @@ mod tests {
             "sync",
             "backoff",
             "cores",
-            "grant",
-            "elastic",
-            "shrink",
-            "retroactive",
             "fastmath",
             "full | reduced",
             "spin | yield",
-            "greedy | fair | cap=K",
             "on | off",
             "batch",
             "batch_wait_us",
@@ -1434,13 +1335,13 @@ mod tests {
         assert_eq!(resolve_exec_policy(&spec).unwrap().batch_wait_us, Some(0));
         // Composes with every other policy dimension.
         let spec: SchedulerSpec =
-            "growlocal:alpha=8,batch=4,grant=fair,elastic=on,cores=4,batch_wait_us=50@barrier"
+            "growlocal:alpha=8,batch=4,fastmath=on,cores=4,batch_wait_us=50@barrier"
                 .parse()
                 .unwrap();
         let policy = resolve_exec_policy(&spec).unwrap();
         assert_eq!(policy.batch, Some(4));
         assert_eq!(policy.batch_wait_us, Some(50));
-        assert_eq!(policy.grant, GrantPolicy::Fair);
+        assert!(policy.fastmath);
         assert_eq!(policy.cores, Some(4));
         // Bad values are policy errors (there is no scheduler fallback).
         assert!(matches!(
@@ -1462,72 +1363,46 @@ mod tests {
     }
 
     #[test]
-    fn exec_policy_grant_and_elastic_keys_parse_on_every_scheduler() {
+    fn exec_policy_fastmath_key_parses_on_every_scheduler() {
         let g = dag();
         for entry in list() {
-            let spec = format!("{}:grant=fair,elastic=on,shrink=on,fastmath=on", entry.name);
-            let parsed: SchedulerSpec = spec.parse().unwrap();
-            let policy = resolve_exec_policy(&parsed).unwrap();
-            assert_eq!(policy.grant, GrantPolicy::Fair);
-            assert!(policy.elastic);
-            assert!(policy.shrink);
+            let spec = format!("{}:fastmath=on", entry.name);
+            let policy = resolve_exec_policy(&spec.parse().unwrap()).unwrap();
             assert!(policy.fastmath);
             assert!(resolve(&spec, &g, 2).is_ok(), "`{spec}` failed to build");
         }
-        // Defaults: greedy grants, fixed-width grow-only leases, exact
-        // scalar kernels.
-        let policy = resolve_exec_policy(&SchedulerSpec::new("growlocal")).unwrap();
-        assert_eq!(policy.grant, GrantPolicy::Greedy);
-        assert!(!policy.elastic);
-        assert!(!policy.shrink);
-        assert!(!policy.fastmath);
-        // cap=K carries its width through the nested `=` (split_once keeps
-        // the remainder intact).
-        let spec: SchedulerSpec = "spmp:grant=cap=3".parse().unwrap();
-        assert_eq!(resolve_exec_policy(&spec).unwrap().grant, GrantPolicy::Cap(3));
-        assert!(resolve("spmp:grant=cap=3", &g, 2).is_ok());
-        // Composes with every other policy dimension.
-        let spec: SchedulerSpec =
-            "growlocal:alpha=8,grant=cap=2,elastic=off,cores=4,backoff=yield@barrier"
-                .parse()
-                .unwrap();
-        let policy = resolve_exec_policy(&spec).unwrap();
-        assert_eq!(policy.grant, GrantPolicy::Cap(2));
-        assert!(!policy.elastic);
-        assert_eq!(policy.cores, Some(4));
-        // Round-trip through the spec-value rendering.
-        for grant in [GrantPolicy::Greedy, GrantPolicy::Fair, GrantPolicy::Cap(7)] {
-            assert_eq!(grant.as_spec_value().parse::<GrantPolicy>().unwrap(), grant);
-        }
-    }
-
-    #[test]
-    fn exec_policy_grant_and_elastic_bad_values_rejected() {
-        let g = dag();
-        assert!(matches!(
-            resolve("growlocal:grant=all", &g, 2),
-            Err(RegistryError::BadValue { key: "grant", .. })
-        ));
-        assert!(matches!(
-            resolve("growlocal:grant=cap=0", &g, 2),
-            Err(RegistryError::BadValue { key: "grant", .. })
-        ));
-        assert!(matches!(
-            resolve("growlocal:grant=cap=lots", &g, 2),
-            Err(RegistryError::BadValue { key: "grant", .. })
-        ));
-        assert!(matches!(
-            resolve("spmp:elastic=maybe", &g, 2),
-            Err(RegistryError::BadValue { key: "elastic", .. })
-        ));
-        assert!(matches!(
-            resolve("spmp:shrink=sometimes", &g, 2),
-            Err(RegistryError::BadValue { key: "shrink", .. })
-        ));
+        // Default: the exact scalar kernels.
+        assert!(!resolve_exec_policy(&SchedulerSpec::new("growlocal")).unwrap().fastmath);
         assert!(matches!(
             resolve("growlocal:fastmath=fast", &g, 2),
             Err(RegistryError::BadValue { key: "fastmath", .. })
         ));
+    }
+
+    #[test]
+    fn removed_policy_keys_are_unknown_params_on_every_scheduler() {
+        // `grant=`, `elastic=` and `shrink=` are not execution-policy
+        // keys: on any scheduler they are parameters the scheduler does
+        // not declare, rejected by name — never ignored.
+        let g = dag();
+        for entry in list() {
+            for key in ["grant", "elastic", "shrink"] {
+                let spec = format!("{}:{key}=on", entry.name);
+                let parsed: SchedulerSpec = spec.parse().unwrap();
+                let named = |e: RegistryError| matches!(e, RegistryError::UnknownParam { key: ref k, .. } if k == key);
+                assert!(validate(&parsed).err().is_some_and(named), "`{spec}` validated");
+                assert!(resolve(&spec, &g, 2).err().is_some_and(named), "`{spec}` built");
+            }
+        }
+        assert!(!help_text().contains("grant"));
+        // The policy key set is exactly these seven: a schedule identity
+        // strips all of them and nothing else.
+        let spec: SchedulerSpec =
+            "growlocal:sync=full,backoff=yield,cores=2,fastmath=on,batch=2,batch_wait_us=0,\
+             plan_cache=dir,alpha=8"
+                .parse()
+                .unwrap();
+        assert_eq!(schedule_identity(&spec), "growlocal:alpha=8");
     }
 
     #[test]

@@ -60,10 +60,8 @@ use std::sync::Arc;
 
 /// Pre-planned asynchronous executor.
 pub struct AsyncExecutor {
-    /// The compiled cells, kernel plan and runtime. The policy's grant
-    /// sizes every lease and its backoff drives the done-flag spins;
-    /// `elastic` is ignored — growing a lease mid-solve is only safe with
-    /// a barrier between supersteps, which asynchronous execution lacks.
+    /// The compiled cells, kernel plan and runtime. The policy's backoff
+    /// drives the done-flag spins.
     engine: Engine,
     /// Cross-core wait lists and the generation-counted done flags (see
     /// the module docs).

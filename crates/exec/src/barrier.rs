@@ -13,15 +13,9 @@
 //! lease width, waiting under the executor's
 //! [`Backoff`](sptrsv_core::registry::Backoff) policy.
 //!
-//! The lease is sized by the executor's grant policy (`grant=` — greedy,
-//! fair-share or hard-capped, see
-//! [`GrantPolicy`](sptrsv_core::registry::GrantPolicy)), and under
-//! `elastic=on` it may **grow at superstep boundaries**: the runtime's
-//! [`CoreLease::run_supersteps`](crate::runtime::CoreLease::run_supersteps)
-//! protocol recruits cores freed by other tenants into the running solve,
-//! re-striding the remaining supersteps — the width only ever changes at a
-//! barrier, so the safety argument below and the bit-identity of results
-//! hold along every width trajectory.
+//! The lease is granted `min(cores, free)` threads and keeps that width
+//! for the whole solve, so the safety argument below and the bit-identity
+//! of results hold at every granted width.
 //!
 //! The execution plan is a [`CompiledSchedule`] — the flat CSR-style cell
 //! layout compiled once at construction. Per solve, a thread's walk of its
@@ -208,13 +202,12 @@ mod tests {
     }
 
     #[test]
-    fn elastic_solves_are_bit_identical_at_every_width_trajectory() {
+    fn contended_solves_are_bit_identical_at_every_granted_width() {
         use crate::runtime::SolverRuntime;
-        use sptrsv_core::registry::GrantPolicy;
         // A 4-core schedule on a capacity-4 runtime whose cores are partly
-        // blocked at solve start and released mid-solve: the elastic lease
-        // starts narrow and grows at some superstep boundary — wherever
-        // growth lands, the bits must match the serial reference.
+        // held by another lessee that releases them while the solve runs:
+        // the solve keeps whatever width it was granted, and the bits
+        // must match the serial reference either way.
         let (l, b) = problem(20, 16);
         let n = l.n_rows();
         let dag = SolveDag::from_lower_triangular(&l);
@@ -222,7 +215,6 @@ mod tests {
         let compiled = Arc::new(CompiledSchedule::from_schedule(&s));
         let mut reference = vec![0.0; n];
         solve_lower_serial(&l, &b, &mut reference);
-        let policy = ExecPolicy { elastic: true, grant: GrantPolicy::Fair, ..Default::default() };
         for round in 0..10 {
             let runtime = Arc::new(SolverRuntime::new(4));
             let blocker = runtime.lease(1 + round % 3);
@@ -230,20 +222,18 @@ mod tests {
                 Arc::clone(&compiled),
                 None,
                 RuntimeHandle::explicit(Arc::clone(&runtime)),
-                policy,
+                ExecPolicy::default(),
             );
             let mut x = vec![f64::NAN; n];
             std::thread::scope(|scope| {
                 scope.spawn(move || {
-                    // Release the blocked cores at an arbitrary point of
-                    // the solve (scheduling decides where growth lands).
                     std::thread::yield_now();
                     drop(blocker);
                 });
                 exec.solve(&l, &b, &mut x);
             });
-            assert_eq!(x, reference, "elastic trajectory diverged (round {round})");
-            assert_eq!(runtime.cores_in_use(), 0, "elastic solve leaked cores");
+            assert_eq!(x, reference, "contended solve diverged (round {round})");
+            assert_eq!(runtime.cores_in_use(), 0, "contended solve leaked cores");
         }
     }
 

@@ -3,8 +3,8 @@
 //! The paper's kernel (§6.1) walks each thread's `(superstep, core)` cells
 //! and synchronizes between supersteps; SpMP's variant only swaps that
 //! barrier for per-row ready flags. [`Engine::solve`] writes the loop once
-//! — length checks, the serial sweep, the lease and elastic decision,
-//! thread striding and the single [`KernelOp`] dispatch — monomorphised
+//! — length checks, the serial sweep, the lease decision, thread
+//! striding and the single [`KernelOp`] dispatch — monomorphised
 //! over three axes:
 //!
 //! * the sync strategy ([`Hooks`]: [`Barrier`] or the done flags of
@@ -28,7 +28,7 @@ use crate::kernels::{
     solve_dense, solve_dense_multi, solve_row_fast, solve_row_multi_raw, solve_row_raw,
     solve_row_unrolled,
 };
-use crate::runtime::{backoff_wait, CoreLease, ElasticGrowth, RuntimeHandle};
+use crate::runtime::{backoff_wait, CoreLease, RuntimeHandle};
 use sptrsv_core::kernel::{DenseBlock, KernelOp, KernelPlan};
 use sptrsv_core::registry::{Backoff, ExecPolicy};
 use sptrsv_core::CompiledSchedule;
@@ -403,8 +403,6 @@ pub(crate) fn natural_sweep(l: &CsrMatrix, num: impl Numbering, x: &mut [f64], r
 /// before the engine leases, so a solve never holds cores while it queues
 /// for that state.
 pub(crate) trait Hooks: Copy + Sync {
-    /// Whether `elastic=on` may resize the lease between supersteps.
-    const ELASTIC: bool;
     /// Before row `i` (or each row of a dense block) is computed.
     fn before(&self, _i: usize) {}
     /// After row `i` (or the whole dense block) is written.
@@ -424,17 +422,10 @@ type StepFn<'a> = dyn Fn(usize, usize, Range<usize>) + Sync + 'a;
 pub(crate) struct Barrier;
 
 impl Hooks for Barrier {
-    const ELASTIC: bool = true;
-
     fn drive(&self, lease: &mut CoreLease<'_>, engine: &Engine, body: &StepFn<'_>) {
-        let (policy, compiled) = (engine.policy, &engine.compiled);
-        let growth = policy.elastic.then_some(ElasticGrowth {
-            grant: policy.grant,
-            max_width: compiled.n_cores(),
-            shrink: policy.shrink,
-        });
         let one_step = |thread, width, step| body(thread, width, step..step + 1);
-        lease.run_supersteps(policy.backoff, compiled.n_supersteps(), growth, &one_step);
+        let n_steps = engine.compiled.n_supersteps();
+        lease.run_supersteps(engine.policy.backoff, n_steps, None, &one_step);
     }
 }
 
@@ -471,8 +462,7 @@ impl DoneFlags {
 }
 
 /// Point-to-point synchronization through per-row done flags (see
-/// [`crate::async_exec`]). Never elastic: growing a lease mid-solve is only
-/// safe with a barrier between supersteps.
+/// [`crate::async_exec`]).
 pub(crate) struct Flags {
     /// For every vertex, the parents on *other* schedule cores that must
     /// be awaited (same-core dependencies are ordered by the cell walk).
@@ -529,8 +519,6 @@ pub(crate) struct FlagSolve<'a> {
 }
 
 impl Hooks for FlagSolve<'_> {
-    const ELASTIC: bool = false;
-
     /// Waits (under the policy's backoff) until every cross-core parent of
     /// `i` carries the solve's generation; panics if a sibling aborted.
     /// A dense block awaits all its rows first — deadlock-free, since a
@@ -702,11 +690,9 @@ impl Engine {
         let Some(runtime) = self.runtime.as_ref().filter(|_| n_cores > 1) else {
             return serial();
         };
-        let mut lease = runtime.get().lease_with(n_cores, self.policy.grant);
-        if lease.size() == 1 && !(H::ELASTIC && self.policy.elastic) {
-            // Fully contended runtime, fixed width: the schedule-order
-            // serial sweep. An elastic solve runs the protocol instead, so
-            // it can recover cores freed mid-solve.
+        let mut lease = runtime.get().lease(n_cores);
+        if lease.size() == 1 {
+            // Fully contended runtime: the schedule-order serial sweep.
             return serial();
         }
         sync.drive(&mut lease, self, &|thread, width, steps| {

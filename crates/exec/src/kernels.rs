@@ -6,8 +6,8 @@
 //!   `solve_row_multi_raw` (whose reciprocal finish doubles as the
 //!   multi-RHS fastmath row): the reference gather-multiply loop (diagonal
 //!   divide) of every execution model. Every `fastmath=off` path runs
-//!   these, so results stay bit-identical across all execution models,
-//!   lease widths and elastic trajectories.
+//!   these, so results stay bit-identical across all execution models
+//!   and lease widths.
 //! * **Fastmath kernels** — the blocked/unrolled implementations of a
 //!   [`KernelPlan`] (see [`sptrsv_core::kernel`]): a packed dense
 //!   triangular block solve, a lane-unrolled (4/8 accumulator) sparse row

@@ -12,8 +12,8 @@
 //!   ready flags (point-to-point synchronization instead of barriers;
 //!   `@async`), single- and multi-RHS;
 //! * `engine` (crate-private) — the one superstep loop behind every
-//!   executor: length checks, the serial sweep, the lease and elastic
-//!   decision, thread striding and the single cell dispatch, monomorphised
+//!   executor: length checks, the serial sweep, the lease decision,
+//!   thread striding and the single cell dispatch, monomorphised
 //!   over the sync strategy (barrier or done flags), the RHS shape (one
 //!   or `r` right-hand sides) and the numbering (internal, or the plan's
 //!   user↔internal permutation fused into the row kernels);
@@ -26,11 +26,7 @@
 //!   hardware-sized pool of persistent workers from which every solve
 //!   leases cores ([`CoreLease`]), so concurrent plans coexist without
 //!   oversubscription, degrade gracefully under contention (down to
-//!   serial), grow **and shed** cores at superstep boundaries under
-//!   `elastic=on`/`shrink=on`, and release deterministically on panic;
-//! * [`topology`] — the socket layout ([`Topology`]) the runtime shards
-//!   its workers by: grants prefer a single socket, elastic resizes stay
-//!   socket-local while local cores remain;
+//!   serial) and release deterministically on panic;
 //! * [`plan`] — the high-level [`PlanBuilder`]/[`SolvePlan`] API: matrix →
 //!   validated, pre-ordered, scheduled (via registry spec), reordered,
 //!   compiled, reusable parallel solve (lower or upper) under a selectable
@@ -58,7 +54,7 @@
 //!
 //! let l = grid2d_laplacian(16, 16, Stencil2D::FivePoint, 0.5).lower_triangle().unwrap();
 //! let plan = PlanBuilder::new(&l)
-//!     .scheduler("growlocal:grant=fair,elastic=on") // any registry spec
+//!     .scheduler("growlocal:alpha=8@barrier") // any registry spec
 //!     .cores(4)
 //!     .build()?;
 //! let b = vec![1.0; l.n_rows()];
@@ -80,7 +76,6 @@ pub mod plan;
 pub mod runtime;
 pub mod serial;
 pub mod sim;
-pub mod topology;
 pub mod verify;
 
 pub use async_exec::AsyncExecutor;
@@ -91,14 +86,13 @@ pub use plan::{
     BatchWorkspace, CacheOutcome, Orientation, PlanBuilder, PlanError, PreOrder, SolvePlan,
     SolveWorkspace,
 };
-pub use runtime::{CoreLease, ElasticGrowth, SenseBarrier, SolverRuntime, TenantRegistration};
+pub use runtime::{CoreLease, SenseBarrier, SolverRuntime};
 pub use serial::{
     solve_lower_multi_serial, solve_lower_serial, solve_upper_serial, SerialExecutor,
 };
 pub use sim::{
     simulate_async, simulate_barrier, simulate_model, simulate_serial, MachineProfile, SimReport,
 };
-pub use sptrsv_core::registry::{Backoff, ExecModel, ExecPolicy, GrantPolicy, SyncPolicy};
+pub use sptrsv_core::registry::{Backoff, ExecModel, ExecPolicy, SyncPolicy};
 pub use sptrsv_core::serialize::{PlanCache, PlanFingerprint};
-pub use topology::Topology;
 pub use verify::max_abs_diff;

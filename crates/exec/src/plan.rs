@@ -20,21 +20,15 @@
 //! scheduler's [`Scheduler::sync_dag`] hook before reducing itself, so
 //! `spmp@async` reduces exactly once per plan), `backoff=spin|yield` the
 //! behavior of every threaded wait loop, `cores=N` the core count the
-//! schedule targets, `grant=greedy|fair|cap=K` how the shared runtime
-//! sizes the plan's lease grants under multi-tenant contention, and
-//! `elastic=on|off` whether a barrier solve may grow its lease at
-//! superstep boundaries, `shrink=on|off` whether an elastic solve also
-//! sheds cores when the grant share drops, and `fastmath=on|off` whether the executor runs
+//! schedule targets, `fastmath=on|off` whether the executor runs
 //! the blocked/unrolled kernel layer over a detected
 //! [`sptrsv_core::kernel::KernelPlan`] (the only key that can change
 //! results — to a documented `1e-12` relative tolerance), and
 //! `batch=N`/`batch_wait_us=U` how a serving front-end
 //! (`sptrsv-serve`) coalesces queued requests on the plan — as spec keys
 //! or the typed [`PlanBuilder::sync_policy`]/[`PlanBuilder::backoff`]/
-//! [`PlanBuilder::cores`]/[`PlanBuilder::grant_policy`]/
-//! [`PlanBuilder::elastic`]/[`PlanBuilder::shrink`]/[`PlanBuilder::fastmath`]/
-//! [`PlanBuilder::batch`]/[`PlanBuilder::batch_wait_us`] knobs (typed
-//! knobs win).
+//! [`PlanBuilder::cores`]/[`PlanBuilder::fastmath`]/[`PlanBuilder::batch`]/
+//! [`PlanBuilder::batch_wait_us`] knobs (typed knobs win).
 //!
 //! Parallel plans execute on the **process-wide
 //! `SolverRuntime`** ([`crate::runtime::SolverRuntime`]): each solve leases
@@ -80,7 +74,7 @@ use crate::serial::{FastSerialExecutor, SerialExecutor};
 use crate::sim::{simulate_model, MachineProfile, SimReport};
 use sptrsv_core::kernel::KernelPlan;
 use sptrsv_core::registry::{
-    self, Backoff, ExecModel, ExecPolicy, GrantPolicy, RegistryError, SchedulerSpec, SyncPolicy,
+    self, Backoff, ExecModel, ExecPolicy, RegistryError, SchedulerSpec, SyncPolicy,
 };
 use sptrsv_core::serialize::{
     read_plan_file, value_digest, write_plan_file, CachedPlan, PlanCache, PlanFingerprint,
@@ -232,9 +226,6 @@ pub struct PlanBuilder<'m> {
     execution: Option<ExecModel>,
     sync_policy: Option<SyncPolicy>,
     backoff: Option<Backoff>,
-    grant: Option<GrantPolicy>,
-    elastic: Option<bool>,
-    shrink: Option<bool>,
     fastmath: Option<bool>,
     batch: Option<usize>,
     batch_wait_us: Option<u64>,
@@ -265,9 +256,6 @@ impl<'m> PlanBuilder<'m> {
             execution: None,
             sync_policy: None,
             backoff: None,
-            grant: None,
-            elastic: None,
-            shrink: None,
             fastmath: None,
             batch: None,
             batch_wait_us: None,
@@ -350,41 +338,6 @@ impl<'m> PlanBuilder<'m> {
     /// neither, `spin` applies.
     pub fn backoff(mut self, backoff: Backoff) -> Self {
         self.backoff = Some(backoff);
-        self
-    }
-
-    /// How the shared runtime sizes this plan's lease grants under
-    /// multi-tenant contention: greedy (`min(requested, free)`), fair
-    /// (bounded by `ceil(capacity / active tenants)`, re-splitting frees
-    /// on release) or a hard per-lease cap. Overrides the spec's `grant=`
-    /// key; with neither, greedy applies. Grant width never changes
-    /// results — only how schedule cores stride over lease threads.
-    pub fn grant_policy(mut self, grant: GrantPolicy) -> Self {
-        self.grant = Some(grant);
-        self
-    }
-
-    /// Elastic leases: when enabled, a barrier-model solve granted fewer
-    /// cores than its schedule targets grows its lease at superstep
-    /// boundaries as other tenants release cores (bounded by the grant
-    /// policy), instead of keeping its admission width for the whole
-    /// solve. Overrides the spec's `elastic=` key; with neither, off.
-    /// Ignored by asynchronous and serial execution.
-    pub fn elastic(mut self, elastic: bool) -> Self {
-        self.elastic = Some(elastic);
-        self
-    }
-
-    /// Elastic shrink: when enabled (together with
-    /// [`PlanBuilder::elastic`]), a solve also sheds lease workers at
-    /// superstep boundaries when the grant share drops below its running
-    /// width (a tenant joined under `fair`/`cap=K` grants), returning
-    /// the cores to the runtime mid-solve. Results stay bit-identical
-    /// along every grow/shrink trajectory. Overrides the spec's
-    /// `shrink=` key; with neither, off (grow-only elasticity). Ignored
-    /// without elasticity.
-    pub fn shrink(mut self, shrink: bool) -> Self {
-        self.shrink = Some(shrink);
         self
     }
 
@@ -617,7 +570,9 @@ impl SolvePlan {
         if let Some(model) = builder.execution {
             spec = spec.with_model(model);
         }
-        // Validated against the scheduler's supported set by the registry.
+        // Every key is checked up front: a cache hit below skips the
+        // scheduler build that would otherwise reject an unknown one.
+        registry::validate(&spec)?;
         let model = registry::resolve_model(&spec)?;
         // Execution policy: spec keys, overridden by the typed knobs.
         let mut policy = registry::resolve_exec_policy(&spec)?;
@@ -626,15 +581,6 @@ impl SolvePlan {
         }
         if let Some(backoff) = builder.backoff {
             policy.backoff = backoff;
-        }
-        if let Some(grant) = builder.grant {
-            policy.grant = grant;
-        }
-        if let Some(elastic) = builder.elastic {
-            policy.elastic = elastic;
-        }
-        if let Some(shrink) = builder.shrink {
-            policy.shrink = shrink;
         }
         if let Some(fastmath) = builder.fastmath {
             policy.fastmath = fastmath;
@@ -1659,39 +1605,23 @@ mod tests {
     }
 
     #[test]
-    fn grant_and_elastic_keys_and_knobs_resolve() {
+    fn removed_policy_keys_are_rejected_by_name() {
+        // `grant=`, `elastic=` and `shrink=` are not policy keys: a spec
+        // carrying one fails with a registry error naming the key, never
+        // a plan that silently ignores it.
         let l = lower();
-        // Defaults: greedy, fixed-width.
-        let plan = PlanBuilder::new(&l).cores(2).build().unwrap();
-        assert_eq!(plan.exec_policy().grant, GrantPolicy::Greedy);
-        assert!(!plan.exec_policy().elastic);
-        // Spec keys select the policy.
-        let plan = PlanBuilder::new(&l)
-            .scheduler("growlocal:grant=fair,elastic=on")
-            .cores(2)
-            .build()
-            .unwrap();
-        assert_eq!(plan.exec_policy().grant, GrantPolicy::Fair);
-        assert!(plan.exec_policy().elastic);
-        // Typed knobs override the spec keys.
-        let plan = PlanBuilder::new(&l)
-            .scheduler("growlocal:grant=fair,elastic=on")
-            .grant_policy(GrantPolicy::Cap(3))
-            .elastic(false)
-            .cores(2)
-            .build()
-            .unwrap();
-        assert_eq!(plan.exec_policy().grant, GrantPolicy::Cap(3));
-        assert!(!plan.exec_policy().elastic);
-        // Bad values are registry errors.
-        assert!(matches!(
-            PlanBuilder::new(&l).scheduler("growlocal:grant=all").build(),
-            Err(PlanError::Registry(_))
-        ));
-        assert!(matches!(
-            PlanBuilder::new(&l).scheduler("growlocal:elastic=sometimes").build(),
-            Err(PlanError::Registry(_))
-        ));
+        for spec in ["growlocal:grant=fair", "growlocal:elastic=on", "growlocal:shrink=on@barrier"]
+        {
+            let key = spec["growlocal:".len()..].split('=').next().unwrap();
+            let err = PlanBuilder::new(&l).scheduler(spec).cores(2).build().err();
+            assert!(
+                matches!(
+                    &err,
+                    Some(PlanError::Registry(RegistryError::UnknownParam { key: k, .. })) if k == key
+                ),
+                "`{spec}` gave {err:?}"
+            );
+        }
     }
 
     #[test]
@@ -1816,35 +1746,24 @@ mod tests {
     }
 
     #[test]
-    fn every_grant_policy_and_elasticity_solves_identically() {
-        // Grant and elasticity select lease widths and width trajectories,
-        // never arithmetic: all combinations are bit-identical, on roomy
-        // and on contended runtimes.
+    fn every_runtime_capacity_and_model_solves_identically() {
+        // The runtime capacity selects the lease width, never arithmetic:
+        // every capacity and model is bit-identical to the roomy solve.
         use crate::runtime::SolverRuntime;
         let l = lower();
         let n = l.n_rows();
         let b: Vec<f64> = (0..n).map(|i| ((i * 13) % 17) as f64 - 8.0).collect();
         let reference = PlanBuilder::new(&l).cores(4).build().unwrap().solve(&b);
-        for capacity in [1, 2, 4] {
+        for capacity in 1..=4 {
             let runtime = Arc::new(SolverRuntime::new(capacity));
-            for grant in [GrantPolicy::Greedy, GrantPolicy::Fair, GrantPolicy::Cap(2)] {
-                for elastic in [false, true] {
-                    for model in [ExecModel::Barrier, ExecModel::Async] {
-                        let plan = PlanBuilder::new(&l)
-                            .cores(4)
-                            .execution(model)
-                            .grant_policy(grant)
-                            .elastic(elastic)
-                            .runtime(Arc::clone(&runtime))
-                            .build()
-                            .unwrap();
-                        assert_eq!(
-                            plan.solve(&b),
-                            reference,
-                            "{model}/{grant:?}/elastic={elastic} on capacity {capacity}"
-                        );
-                    }
-                }
+            for model in ExecModel::ALL {
+                let plan = PlanBuilder::new(&l)
+                    .cores(4)
+                    .execution(model)
+                    .runtime(Arc::clone(&runtime))
+                    .build()
+                    .unwrap();
+                assert_eq!(plan.solve(&b), reference, "{model} on capacity {capacity}");
             }
             assert_eq!(runtime.cores_in_use(), 0, "capacity {capacity} leaked leases");
         }
@@ -2173,7 +2092,7 @@ mod tests {
         let l = lower();
         let dir = temp_dir("sptrsv-plan-key-test");
         // The spec key drives the disk cache; the policy struct is
-        // untouched (the ninth key carries a path, not execution state).
+        // untouched (the seventh key carries a path, not execution state).
         let plan = PlanBuilder::new(&l)
             .scheduler(format!("growlocal:plan_cache={}", dir.display()))
             .cores(2)
@@ -2482,31 +2401,25 @@ mod tests {
                 [(Orientation::Lower, operand.clone()), (Orientation::Upper, operand.transpose())]
             {
                 for model in ExecModel::ALL {
-                    let elastic: &[bool] =
-                        if model == ExecModel::Barrier { &[false, true] } else { &[false] };
                     let mut cases = Vec::new();
-                    for &elastic in elastic {
-                        for fastmath in [false, true] {
-                            for reorder in [false, true] {
-                                let with = |rt| (elastic, fastmath, reorder, rt);
-                                cases.extend(runtimes.iter().map(with));
-                            }
+                    for fastmath in [false, true] {
+                        for reorder in [false, true] {
+                            cases.extend(runtimes.iter().map(|rt| (fastmath, reorder, rt)));
                         }
                     }
-                    for (elastic, fastmath, reorder, runtime) in cases {
+                    for (fastmath, reorder, runtime) in cases {
                         let plan = PlanBuilder::new(&m)
                             .orientation(orientation)
                             .cores(3)
                             .execution(model)
                             .fastmath(fastmath)
                             .reorder(reorder)
-                            .elastic(elastic)
                             .runtime(Arc::clone(runtime))
                             .build()
                             .unwrap();
                         let config = format!(
                             "n={n} {orientation:?} {model} fastmath={fastmath} reorder={reorder} \
-                             elastic={elastic} capacity={}",
+                             capacity={}",
                             runtime.capacity()
                         );
                         if let Some(k) = &plan.kernel {

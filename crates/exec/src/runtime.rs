@@ -12,18 +12,11 @@
 //! sum of all outstanding lease widths never exceeds the runtime's
 //! capacity** — so concurrent plans coexist without oversubscription:
 //!
-//! * a lease is granted as soon as at least one core is free, for up to
-//!   `min(requested, free)` cores — under contention a solve **degrades
-//!   gracefully** to fewer cores, down to fully serial (a width-1 lease
-//!   runs inline on the caller), instead of piling threads on the machine;
-//! * the grant is additionally bounded by a
-//!   [`GrantPolicy`]: `greedy` takes everything free (a first tenant can
-//!   hold the whole runtime), `fair` caps every grant at the fair share
-//!   `ceil(capacity / active tenants)` — active tenants counting every
-//!   outstanding lease *and* every blocked lessee, so frees are re-split
-//!   instead of re-monopolized — and `cap=K` is a hard per-lease ceiling
-//!   ([`SolverRuntime::lease_with`]; [`SolverRuntime::lease`] is the
-//!   greedy shorthand);
+//! * a lease is granted as soon as at least one core is free, for
+//!   `min(requested, free)` cores, and keeps that width until it drops —
+//!   under contention a solve **degrades gracefully** to fewer cores, down
+//!   to fully serial (a width-1 lease runs inline on the caller), instead
+//!   of piling threads on the machine;
 //! * when the runtime is fully leased, [`SolverRuntime::lease`] blocks
 //!   until a core is released ([`SolverRuntime::try_lease`] never blocks
 //!   and degrades straight to width 1 — what the `rayon` bridge uses so
@@ -41,50 +34,6 @@
 //! and the async done-flag safety arguments carry over verbatim — and the
 //! per-row arithmetic order is unchanged, so the solution is bit-identical
 //! at every width.
-//!
-//! # Elastic leases
-//!
-//! A fixed-width lease strands capacity: cores freed mid-solve by other
-//! tenants sit idle until the *next* solve leases them.
-//! [`CoreLease::run_supersteps`] closes that gap for barrier-structured
-//! jobs: between supersteps the barrier's releasing arriver may **grow**
-//! the lease ([`ElasticGrowth`]) — it acquires free cores (bounded by the
-//! same [`GrantPolicy`]), publishes the running job to the new workers
-//! with a start superstep, enlarges the barrier's participant count and
-//! republishes the stride width, all before flipping the barrier sense.
-//! Every thread re-reads the width at each superstep boundary, so a width
-//! change is just a different striding of the *next* superstep — the same
-//! argument as degradation above, which is why results stay bit-identical
-//! along every width trajectory. Growing is only safe with a barrier
-//! between supersteps (asynchronous execution relies on same-thread
-//! program order across supersteps and therefore keeps fixed-width
-//! leases).
-//!
-//! With [`ElasticGrowth::shrink`] enabled the protocol is symmetric: when
-//! the grant share drops below the running width (a tenant joined under
-//! `grant=fair` or `cap=K`), the same releasing arriver **sheds** the
-//! highest lease threads — it pops their workers into a drain list,
-//! narrows the barrier's participant count and republishes the smaller
-//! width, all before the sense flip. A shed thread re-reads the width
-//! after the flip, finds itself out of range and drains out without
-//! arriving at another barrier; the *next* boundary's releaser reclaims
-//! the retired workers and returns their cores to the runtime, where they
-//! immediately satisfy blocked lessees. Fairness becomes retroactive
-//! instead of admission-only, and because shedding is just one more width
-//! change at a superstep boundary, results stay bit-identical along
-//! every grow/shrink trajectory.
-//!
-//! # Topology-aware sharding
-//!
-//! The runtime's free list is sharded by socket
-//! ([`Topology`], detected from sysfs for the
-//! [global](SolverRuntime::global) runtime or injected via
-//! [`SolverRuntime::with_topology`]): a grant takes the tightest single
-//! socket that fits before spilling, elastic growth prefers the sockets
-//! the lease already occupies, and recruits are ordered local-first so a
-//! later shrink sheds remote workers before local ones — a solve never
-//! spans sockets unless it cannot fit otherwise, and never migrates
-//! across them once placed while local cores remain.
 //!
 //! # Examples
 //!
@@ -109,13 +58,13 @@
 //! Leasing directly (the executor-facing API):
 //!
 //! ```
-//! use sptrsv_core::registry::{Backoff, GrantPolicy};
+//! use sptrsv_core::registry::Backoff;
 //! use sptrsv_exec::SolverRuntime;
 //! use std::sync::atomic::{AtomicUsize, Ordering};
 //!
 //! let runtime = SolverRuntime::new(4);
-//! // A fair-share grant: the sole tenant gets everything it asks for.
-//! let mut lease = runtime.lease_with(4, GrantPolicy::Fair);
+//! // The sole lessee gets everything it asks for.
+//! let mut lease = runtime.lease(4);
 //! assert_eq!(lease.size(), 4);
 //! let hits = AtomicUsize::new(0);
 //! lease.run(Backoff::Spin, &|_thread| {
@@ -164,8 +113,7 @@
 //! [`SenseBarrier`], raise a flag the done-flag waits check) so sibling
 //! threads unwind instead of waiting forever on a panicked one.
 
-use crate::topology::Topology;
-use sptrsv_core::registry::{Backoff, GrantPolicy};
+use sptrsv_core::registry::Backoff;
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -264,11 +212,7 @@ fn park_threshold(backoff: Backoff, participants: usize) -> u32 {
 /// arrival that will never come (the runtime catches those panics and the
 /// leaseholder re-raises).
 pub struct SenseBarrier {
-    /// Participant count. Atomic because elastic supersteps *grow* the
-    /// barrier mid-solve: the releasing arriver of a phase may add
-    /// participants (see [`SenseBarrier::grow`]) before flipping the
-    /// sense, which is the only moment no participant is between phases.
-    n: AtomicUsize,
+    n: usize,
     count: AtomicUsize,
     sense: AtomicBool,
     poisoned: AtomicBool,
@@ -282,7 +226,7 @@ impl SenseBarrier {
     pub fn new(n: usize) -> SenseBarrier {
         assert!(n > 0, "a barrier needs at least one participant");
         SenseBarrier {
-            n: AtomicUsize::new(n),
+            n,
             count: AtomicUsize::new(0),
             sense: AtomicBool::new(false),
             poisoned: AtomicBool::new(false),
@@ -290,28 +234,6 @@ impl SenseBarrier {
             gate: Mutex::new(()),
             bell: Condvar::new(),
         }
-    }
-
-    /// Adds `k` participants to every future phase. Only sound when called
-    /// by the **releasing arriver** of the current phase, after the count
-    /// reset and before the sense flip: at that instant every current
-    /// participant is blocked on the flip (none is between phases), and a
-    /// *new* participant only starts after its job is published, which the
-    /// elastic-growth protocol orders after this increment — so every
-    /// arrival of the next phase observes the grown count.
-    fn grow(&self, k: usize) {
-        self.n.fetch_add(k, Ordering::SeqCst);
-    }
-
-    /// Removes `k` participants from every future phase. Same soundness
-    /// window as [`SenseBarrier::grow`]: only the releasing arriver of
-    /// the current phase, after the count reset and before the sense
-    /// flip, may shed — every shed thread is blocked on that flip, and
-    /// the narrower width published with it makes each one drain out
-    /// without arriving at another phase, so the next phase completes
-    /// with exactly the reduced count.
-    fn shrink(&self, k: usize) {
-        self.n.fetch_sub(k, Ordering::SeqCst);
     }
 
     /// Panics if the barrier was poisoned by a panicking sibling.
@@ -336,26 +258,6 @@ impl SenseBarrier {
         }
     }
 
-    /// Spins until the sense flip of (1-based) `phase` is visible. An
-    /// elastic joiner is published during a phase's release hook, *before*
-    /// that phase's flip — and because the sense alternates, the pre-flip
-    /// value coincides with the joiner's own first-phase target, so an
-    /// early joiner could sail through its first wait and corrupt the
-    /// count. Observing the recruiting phase's flip first closes that
-    /// window; the flip cannot be missed because the next one requires
-    /// the joiner's own arrival. Returns early when poisoned (the next
-    /// wait raises the abort).
-    fn await_phase_flip(&self, phase: usize, backoff: Backoff) {
-        let expected = phase % 2 == 1;
-        let mut spins = 0;
-        while self.sense.load(Ordering::SeqCst) != expected {
-            if self.poisoned.load(Ordering::Relaxed) {
-                return;
-            }
-            backoff_wait(backoff, &mut spins);
-        }
-    }
-
     /// Aborts the solve: every current and future [`SenseBarrier::wait`]
     /// panics instead of waiting. Called by a participant that caught a
     /// panic in its share of the work, so siblings blocked on its arrival
@@ -371,24 +273,15 @@ impl SenseBarrier {
     ///
     /// Panics if the barrier is [poisoned](SenseBarrier::poison).
     pub fn wait(&self, local_sense: &mut bool, backoff: Backoff) {
-        self.wait_hooked(local_sense, backoff, || {});
-    }
-
-    /// [`SenseBarrier::wait`] with a release hook: the releasing arriver
-    /// runs `release_hook` after resetting the count and before flipping
-    /// the sense — the one instant no participant is between phases, where
-    /// elastic growth may enlarge the barrier and publish new jobs.
-    fn wait_hooked(&self, local_sense: &mut bool, backoff: Backoff, release_hook: impl FnOnce()) {
         let target = !*local_sense;
         *local_sense = target;
-        if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.n.load(Ordering::SeqCst) {
+        if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
             self.count.store(0, Ordering::Relaxed);
-            release_hook();
             self.sense.store(target, Ordering::SeqCst);
             self.wake_sleepers();
         } else {
             let mut spins = 0;
-            let threshold = park_threshold(backoff, self.n.load(Ordering::SeqCst));
+            let threshold = park_threshold(backoff, self.n);
             while self.sense.load(Ordering::Acquire) != target {
                 self.check_poison();
                 if spins < threshold {
@@ -487,49 +380,13 @@ struct RuntimeShared {
 
 /// Core-leasing bookkeeping, guarded by [`SolverRuntime::state`].
 struct LeaseState {
-    /// Indices of workers not currently owned by a lease, sharded by
-    /// socket: `free[s]` holds the free workers whose core lives on
-    /// socket `s` (worker `w` occupies topology core `w + 1`). Sharding
-    /// is what lets grants and elastic growth prefer socket-local
-    /// workers without scanning.
-    free: Vec<Vec<usize>>,
+    /// Indices of workers not currently owned by a lease.
+    free: Vec<usize>,
     /// Total cores leased out (leaseholder threads included).
     in_use: usize,
-    /// Transient tenants: outstanding (counted) leases plus lessees
-    /// blocked in [`SolverRuntime::lease_with`]. Together with
-    /// `registered` this forms the denominator of the `fair` grant share
-    /// — counting waiters is what makes frees re-split instead of
-    /// letting the first waker re-monopolize the runtime.
-    tenants: usize,
-    /// Declared steady tenants ([`SolverRuntime::register_tenant`]
-    /// guards). The fair share divides by `max(tenants, registered)`, so
-    /// a registered tenant keeps its share reserved even in the instants
-    /// between its solves.
-    registered: usize,
     /// Recycled worker-index buffers, so steady-state leasing allocates
     /// nothing (a buffer is taken at acquisition and returned at release).
     spare_bufs: Vec<Vec<usize>>,
-}
-
-impl LeaseState {
-    /// The fair-share denominator: transient tenants (holding or
-    /// waiting), or the declared steady tenant set when that is larger.
-    fn active_tenants(&self) -> usize {
-        self.tenants.max(self.registered)
-    }
-}
-
-/// The per-lease width ceiling a grant policy imposes with `tenants`
-/// active tenants on a runtime of `capacity` cores (the grantee included
-/// in `tenants`). Greedy imposes none; fair shares the capacity evenly
-/// (rounding up, so small runtimes still parallelize); `cap=K` is a hard
-/// ceiling.
-fn grant_width_cap(policy: GrantPolicy, capacity: usize, tenants: usize) -> usize {
-    match policy {
-        GrantPolicy::Greedy => capacity,
-        GrantPolicy::Fair => capacity.div_ceil(tenants.max(1)).max(1),
-        GrantPolicy::Cap(k) => k.max(1),
-    }
 }
 
 /// A process-wide pool of persistent worker threads from which executors
@@ -541,7 +398,6 @@ fn grant_width_cap(policy: GrantPolicy, capacity: usize, tenants: usize) -> usiz
 /// ([`PlanBuilder::runtime`](crate::plan::PlanBuilder::runtime)).
 pub struct SolverRuntime {
     capacity: usize,
-    topology: Topology,
     shared: Arc<RuntimeShared>,
     state: Mutex<LeaseState>,
     /// Wakes blocked [`SolverRuntime::lease`] callers on release.
@@ -552,21 +408,9 @@ pub struct SolverRuntime {
 impl SolverRuntime {
     /// A runtime serving `capacity` cores: `capacity − 1` worker threads
     /// are spawned immediately (leaseholders supply the remaining thread),
-    /// parked until leased work arrives. The socket layout is
-    /// [detected](Topology::detect) from sysfs, degrading to a single
-    /// socket; use [`SolverRuntime::with_topology`] to inject one.
+    /// parked until leased work arrives.
     pub fn new(capacity: usize) -> SolverRuntime {
-        SolverRuntime::with_topology(Topology::detect(capacity))
-    }
-
-    /// A runtime whose core count **and** socket layout come from an
-    /// explicit [`Topology`] (core 0 is the leaseholder's nominal core;
-    /// worker `w` occupies core `w + 1`). This is the injection point
-    /// the placement tests use: the free-list sharding, socket-local
-    /// grants and shed-remote-first ordering all follow the injected
-    /// layout deterministically, independent of the build machine.
-    pub fn with_topology(topology: Topology) -> SolverRuntime {
-        let capacity = topology.n_cores();
+        assert!(capacity > 0, "a runtime needs at least one core");
         crate::runtime::install_rayon_bridge();
         let n_workers = capacity - 1;
         let shared = Arc::new(RuntimeShared {
@@ -583,19 +427,12 @@ impl SolverRuntime {
                     .expect("failed to spawn runtime worker")
             })
             .collect();
-        let mut free: Vec<Vec<usize>> = vec![Vec::new(); topology.n_sockets()];
-        for w in 0..n_workers {
-            free[topology.socket_of(w + 1)].push(w);
-        }
         SolverRuntime {
             capacity,
-            topology,
             shared,
             state: Mutex::new(LeaseState {
-                free,
+                free: (0..n_workers).collect(),
                 in_use: 0,
-                tenants: 0,
-                registered: 0,
                 spare_bufs: Vec::new(),
             }),
             lessee_bell: Condvar::new(),
@@ -618,71 +455,23 @@ impl SolverRuntime {
         self.capacity
     }
 
-    /// The socket layout this runtime shards its workers by (detected at
-    /// construction, or injected via [`SolverRuntime::with_topology`]).
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
-    /// The socket of the core worker `w` occupies (worker `w` runs on
-    /// topology core `w + 1`; core 0 is the leaseholder's).
-    fn socket_of_worker(&self, w: usize) -> usize {
-        self.topology.socket_of(w + 1)
-    }
-
     /// Cores currently leased out across all plans (instrumentation; the
     /// value is a snapshot and may be stale by the time it is read).
     pub fn cores_in_use(&self) -> usize {
         lock_ignore_poison(&self.state).in_use
     }
 
-    /// Active tenants right now: outstanding leases plus blocked lessees,
-    /// or the declared steady tenant set when that is larger
-    /// (instrumentation; the fair-share denominator).
-    pub fn active_tenants(&self) -> usize {
-        lock_ignore_poison(&self.state).active_tenants()
-    }
-
-    /// Declares a steady tenant: for the lifetime of the returned guard,
-    /// the `fair` grant share divides by at least the number of
-    /// registered tenants, whether or not each of them is holding or
-    /// awaiting a lease at that instant. A service should register one
-    /// guard per tenant with ongoing traffic — otherwise a tenant is only
-    /// counted while *inside* `lease_with`, and the momentary gaps
-    /// between its solves would let neighbors transiently claim its
-    /// share. Transient tenancy still counts when it exceeds the
-    /// registered set, so unregistered callers behave as before.
-    pub fn register_tenant(&self) -> TenantRegistration<'_> {
-        lock_ignore_poison(&self.state).registered += 1;
-        TenantRegistration { runtime: self }
-    }
-
-    /// Leases up to `requested` cores with the greedy grant policy,
-    /// **blocking** until at least one core is free — shorthand for
-    /// [`SolverRuntime::lease_with`] with [`GrantPolicy::Greedy`].
+    /// Leases `min(requested, free)` cores, **blocking** until at least
+    /// one core is free. Under contention a lease degrades gracefully
+    /// toward width 1 (serial) and keeps its granted width until it drops;
+    /// the accounting invariant is that the widths of all outstanding
+    /// leases never sum past [`SolverRuntime::capacity`].
     pub fn lease(&self, requested: usize) -> CoreLease<'_> {
-        self.lease_with(requested, GrantPolicy::Greedy)
-    }
-
-    /// Leases up to `requested` cores under `policy`, **blocking** until
-    /// at least one core is free. The granted width is
-    /// `min(requested, free, policy cap)` — under contention a lease
-    /// degrades gracefully toward width 1 (serial); the accounting
-    /// invariant is that the widths of all outstanding leases never sum
-    /// past [`SolverRuntime::capacity`]. The caller counts as an active
-    /// tenant from this call until the lease drops, so concurrent `fair`
-    /// grants share the capacity over everyone currently waiting or
-    /// holding.
-    pub fn lease_with(&self, requested: usize, policy: GrantPolicy) -> CoreLease<'_> {
-        let requested = requested.max(1);
         let mut state = lock_ignore_poison(&self.state);
-        // Registered before blocking: a waiting tenant must already shrink
-        // the fair share of whoever is granted next.
-        state.tenants += 1;
         while self.capacity == state.in_use {
             state = self.lessee_bell.wait(state).unwrap_or_else(std::sync::PoisonError::into_inner);
         }
-        self.grant(state, requested, policy)
+        self.grant(state, requested)
     }
 
     /// Non-blocking lease: takes whatever is free right now (possibly
@@ -691,102 +480,30 @@ impl SolverRuntime {
     /// never deadlock a full runtime). Used by the schedule-time `rayon`
     /// bridge, which must never wait on solve traffic.
     pub fn try_lease(&self, requested: usize) -> CoreLease<'_> {
-        let mut state = lock_ignore_poison(&self.state);
+        let state = lock_ignore_poison(&self.state);
         if self.capacity == state.in_use {
             return CoreLease { runtime: self, workers: Vec::new(), counted: 0 };
         }
-        state.tenants += 1;
-        self.grant(state, requested.max(1), GrantPolicy::Greedy)
+        self.grant(state, requested)
     }
 
-    /// Grants `min(requested, capacity − in_use, policy cap)` cores; the
-    /// caller has verified at least one is free and registered the tenant.
+    /// Grants `min(max(requested, 1), capacity − in_use)` cores; the
+    /// caller has verified at least one is free.
     fn grant(
         &self,
         mut state: std::sync::MutexGuard<'_, LeaseState>,
         requested: usize,
-        policy: GrantPolicy,
     ) -> CoreLease<'_> {
-        let cap = grant_width_cap(policy, self.capacity, state.active_tenants());
-        let granted = requested.min(cap).min(self.capacity - state.in_use);
+        let granted = requested.max(1).min(self.capacity - state.in_use);
         let mut workers = state.spare_bufs.pop().unwrap_or_default();
         // in_use counts every leaseholder thread, so free workers always
         // cover the remainder (granted − 1 ≤ capacity − in_use − 1 ≤
         // free).
-        self.pop_workers(&mut state, granted.saturating_sub(1), |_| false, &mut workers);
+        for _ in 1..granted {
+            workers.push(state.free.pop().expect("lease accounting invariant"));
+        }
         state.in_use += granted;
         CoreLease { runtime: self, workers, counted: granted }
-    }
-
-    /// Pops `need` free workers into `out`, socket-aware: sockets flagged
-    /// by `home` (those already hosting the requesting lease) are drained
-    /// first so growth never leaves a socket while local cores remain;
-    /// the remainder goes to the **tightest** single socket that fits it
-    /// whole (best fit keeps big holes intact for wide lessees); only
-    /// when no single socket fits does the pop spill, fullest socket
-    /// first so the lease touches as few sockets as possible. `out` is
-    /// ordered home-first, so a later shrink (which sheds from the back)
-    /// releases remote workers before local ones.
-    ///
-    /// The caller has verified `need` workers are free in total.
-    fn pop_workers(
-        &self,
-        state: &mut LeaseState,
-        need: usize,
-        home: impl Fn(usize) -> bool,
-        out: &mut Vec<usize>,
-    ) {
-        /// First socket maximizing the free count among those `eligible`
-        /// admits, or `None` when all of them are empty.
-        fn fullest(free: &[Vec<usize>], eligible: impl Fn(usize) -> bool) -> Option<usize> {
-            let mut best: Option<usize> = None;
-            for s in 0..free.len() {
-                if eligible(s)
-                    && !free[s].is_empty()
-                    && best.is_none_or(|b| free[s].len() > free[b].len())
-                {
-                    best = Some(s);
-                }
-            }
-            best
-        }
-        let mut remaining = need;
-        while remaining > 0 {
-            let Some(s) = fullest(&state.free, &home) else { break };
-            while remaining > 0 {
-                match state.free[s].pop() {
-                    Some(w) => {
-                        out.push(w);
-                        remaining -= 1;
-                    }
-                    None => break,
-                }
-            }
-        }
-        if remaining == 0 {
-            return;
-        }
-        if let Some(s) = (0..state.free.len())
-            .filter(|&s| !home(s) && state.free[s].len() >= remaining)
-            .min_by_key(|&s| state.free[s].len())
-        {
-            for _ in 0..remaining {
-                out.push(state.free[s].pop().expect("fit was checked under the lock"));
-            }
-            return;
-        }
-        while remaining > 0 {
-            let s = fullest(&state.free, |_| true).expect("lease accounting invariant");
-            while remaining > 0 {
-                match state.free[s].pop() {
-                    Some(w) => {
-                        out.push(w);
-                        remaining -= 1;
-                    }
-                    None => break,
-                }
-            }
-        }
     }
 }
 
@@ -913,200 +630,6 @@ fn await_retirement(slot: &WorkerSlot, threshold: u32, backoff: Backoff) -> bool
     slot.panicked.swap(false, Ordering::AcqRel)
 }
 
-/// How an elastic superstep job may grow its lease between supersteps
-/// (see [`CoreLease::run_supersteps`]).
-#[derive(Debug, Clone, Copy)]
-pub struct ElasticGrowth {
-    /// The grant policy bounding every growth step — the same cap the
-    /// initial grant obeyed, re-evaluated against the *current* tenant
-    /// count, so a lease grows into shares freed by departed tenants.
-    pub grant: GrantPolicy,
-    /// Never grow past this width (the schedule's core count — extra
-    /// threads beyond it would have no cells to stride over).
-    pub max_width: usize,
-    /// Also **shed** workers when the grant share drops below the
-    /// running width (a tenant joined under `fair`/`cap=K`): the
-    /// releasing arriver pops the highest lease threads, narrows the
-    /// barrier and width, and the drained cores satisfy blocked lessees
-    /// by the next superstep — fairness becomes retroactive instead of
-    /// admission-only. With `false` the protocol is grow-only, exactly
-    /// as before shrink existed.
-    pub shrink: bool,
-}
-
-/// Shared state of one elastic superstep dispatch: the resizable barrier,
-/// the current stride width, per-thread start supersteps for joiners and
-/// the job template republished to workers acquired mid-solve.
-struct SuperstepState<'rt> {
-    runtime: &'rt SolverRuntime,
-    barrier: SenseBarrier,
-    /// The stride width of the *next* superstep; re-read by every thread
-    /// after each barrier. Only the barrier's releasing arriver writes it,
-    /// strictly before the sense flip that lets anyone read it.
-    width: AtomicUsize,
-    n_steps: usize,
-    /// `start_step[t]` is the first superstep lease thread `t` executes
-    /// (0 for the initial threads; the join superstep for elastic
-    /// joiners). Sized to the growth cap, empty when growth is disabled.
-    start_step: Vec<AtomicUsize>,
-    /// The worker backing each live lease thread ≥ 1 (`threads[t − 1]`
-    /// backs thread `t`). Growth pushes, shrink pops — so the shed
-    /// threads are always the highest strides, and recruits (ordered
-    /// home-socket-first) are shed remote-first. Mutated only by barrier
-    /// releasers inside the release hook; the leaseholder reads it after
-    /// the dispatch, when resizing is quiescent.
-    threads: Mutex<Vec<usize>>,
-    /// Workers shed by a shrink whose retirement has not yet been
-    /// observed; the *next* boundary's releaser reclaims them back into
-    /// the runtime's free lists.
-    draining: Mutex<Vec<usize>>,
-    /// A shed worker's job panicked (observed at reclaim; folded into
-    /// the leaseholder's panic report when the dispatch completes).
-    shed_panicked: AtomicBool,
-    growth: Option<ElasticGrowth>,
-    /// The type-erased job template (entry point + context) the initial
-    /// dispatch published, re-published verbatim to joiners. Written once
-    /// before any job is published; read only by barrier releasers, whose
-    /// own job delivery ordered them after the write.
-    job: UnsafeCell<Option<(JobFn, *const ())>>,
-}
-
-// SAFETY: the raw job template is written once before the state is shared
-// and read only after a happens-before edge through job delivery (see the
-// field docs); everything else is atomics and sync primitives.
-unsafe impl Sync for SuperstepState<'_> {}
-
-impl SuperstepState<'_> {
-    /// The elastic resize step, run by the barrier's releasing arriver
-    /// between supersteps (every participant is blocked on the sense
-    /// flip). Three duties, in order: **reclaim** workers shed at the
-    /// previous boundary (their retirement proves the job closure is no
-    /// longer borrowed, so their cores return to the runtime and satisfy
-    /// blocked lessees); **shed** the highest lease threads when shrink
-    /// is enabled and the grant share dropped below the running width;
-    /// otherwise **grow** toward the share — acquire free cores up to
-    /// the grant-policy cap (preferring the sockets the lease already
-    /// occupies), enlarge the barrier, publish the new stride width, and
-    /// hand the running job to the new workers starting at superstep
-    /// `next_step`.
-    fn try_resize(&self, next_step: usize, backoff: Backoff) {
-        let Some(growth) = self.growth else { return };
-        self.reclaim_drained(backoff);
-        if self.barrier.poisoned.load(Ordering::Relaxed) {
-            return; // aborting solve: do not resize it
-        }
-        // Releaser-only: no other thread can be between phases, so the
-        // width cannot change concurrently.
-        let width = self.width.load(Ordering::Relaxed);
-        let runtime = self.runtime;
-        let max_width = growth.max_width.min(runtime.capacity);
-        let mut state = lock_ignore_poison(&runtime.state);
-        // The policy cap is re-evaluated at the current tenant count: a
-        // cap above the width bounds growth; with shrink enabled, a cap
-        // *below* the width (a tenant joined) sheds down to it. A
-        // concurrent grow opportunity racing a share drop resolves here
-        // to the single grant-cap target — there is exactly one decision
-        // point per boundary.
-        let cap = grant_width_cap(growth.grant, runtime.capacity, state.active_tenants());
-        if growth.shrink && cap < width && width > 1 {
-            // Shed the highest-stride threads down to the share (never
-            // below the leaseholder itself). The shed threads observe
-            // the narrower width after this phase's flip and drain out;
-            // their workers are reclaimed at the next boundary. No
-            // runtime-wide state moves yet, so the lock goes back early.
-            drop(state);
-            let target = cap.max(1);
-            let shed_n = width - target;
-            let mut threads = lock_ignore_poison(&self.threads);
-            let mut draining = lock_ignore_poison(&self.draining);
-            for _ in 0..shed_n {
-                let w = threads.pop().expect("every lease thread >= 1 is backed by a worker");
-                draining.push(w);
-            }
-            drop(draining);
-            drop(threads);
-            self.barrier.shrink(shed_n);
-            self.width.store(target, Ordering::SeqCst);
-            return;
-        }
-        if width >= max_width || state.in_use == runtime.capacity {
-            return;
-        }
-        // Without shrink, a share below the held width never shrinks the
-        // lease (the running threads' cells are already in flight) —
-        // `cap.max(width)` preserves the grow-only behavior exactly.
-        let target = max_width.min(cap.max(width));
-        let extra_n = (target - width).min(runtime.capacity - state.in_use);
-        if extra_n == 0 {
-            return;
-        }
-        // SAFETY: see the `job` field docs — written before the initial
-        // dispatch; this thread is ordered after that write through its
-        // own job delivery.
-        let (call, ctx) = unsafe { *self.job.get() }.expect("job template set before dispatch");
-        let mut threads = lock_ignore_poison(&self.threads);
-        debug_assert_eq!(threads.len() + 1, width, "thread-worker map out of sync");
-        // Home sockets = wherever the lease's workers already sit, so
-        // growth does not migrate the solve across sockets while local
-        // cores are free.
-        let mut home = vec![false; state.free.len()];
-        for &w in threads.iter() {
-            home[runtime.socket_of_worker(w)] = true;
-        }
-        let mut recruits = Vec::with_capacity(extra_n);
-        // in_use counts every leaseholder thread, so free workers always
-        // cover the growth (extra_n ≤ capacity − in_use ≤ free).
-        runtime.pop_workers(&mut state, extra_n, |s| home[s], &mut recruits);
-        // Order matters: the barrier must cover the joiners and the new
-        // width must be published before any joiner observes its job — a
-        // joiner strides its first superstep with the grown width.
-        self.barrier.grow(extra_n);
-        self.width.store(width + extra_n, Ordering::SeqCst);
-        for (i, &w) in recruits.iter().enumerate() {
-            let thread = width + i;
-            self.start_step[thread].store(next_step, Ordering::Relaxed);
-            publish_job(&runtime.shared.slots[w], call, ctx, thread);
-            threads.push(w);
-        }
-        state.in_use += extra_n;
-    }
-
-    /// Returns workers shed at a previous boundary to the runtime's free
-    /// lists. Runs on the releasing arriver with every live participant
-    /// blocked on the flip. Waiting for each shed worker's retirement is
-    /// bounded — a shed thread drains as soon as it re-reads the width
-    /// published by the flip that already happened when it was shed —
-    /// and makes the hand-off deterministic: one boundary sheds, the
-    /// next returns the cores (visible to `cores_in_use` and blocked
-    /// lessees). Retirement also establishes the happens-before edge
-    /// that lets the next lease republish the worker's job slot.
-    fn reclaim_drained(&self, backoff: Backoff) {
-        let mut draining = lock_ignore_poison(&self.draining);
-        if draining.is_empty() {
-            return;
-        }
-        let runtime = self.runtime;
-        let threshold = if runtime.shared.oversubscribed { 0 } else { park_threshold(backoff, 2) };
-        for &w in draining.iter() {
-            if await_retirement(&runtime.shared.slots[w], threshold, backoff) {
-                // A shed worker's panic must not leak into whoever
-                // leases the core next; the swap above cleared the flag
-                // and the leaseholder re-raises at the end.
-                self.shed_panicked.store(true, Ordering::Relaxed);
-            }
-        }
-        let mut state = lock_ignore_poison(&runtime.state);
-        for &w in draining.iter() {
-            state.free[runtime.socket_of_worker(w)].push(w);
-        }
-        state.in_use -= draining.len();
-        drop(state);
-        draining.clear();
-        drop(draining);
-        runtime.lessee_bell.notify_all();
-    }
-}
-
 /// An exclusive claim on `width` cores of a [`SolverRuntime`] — the
 /// caller's thread plus `width − 1` leased workers. Dropping the lease
 /// returns the cores (and wakes blocked lessees); `Drop` runs on unwind,
@@ -1126,19 +649,6 @@ impl CoreLease<'_> {
     /// the calling thread included.
     pub fn size(&self) -> usize {
         self.workers.len() + 1
-    }
-
-    /// The distinct sockets this lease's **workers** occupy, sorted
-    /// (instrumentation; empty for a width-1 lease — the leaseholder
-    /// runs on the caller's thread, wherever that is). The placement
-    /// tests assert a lease never spans sockets when a single-socket
-    /// grant would have fit.
-    pub fn sockets(&self) -> Vec<usize> {
-        let mut sockets: Vec<usize> =
-            self.workers.iter().map(|&w| self.runtime.socket_of_worker(w)).collect();
-        sockets.sort_unstable();
-        sockets.dedup();
-        sockets
     }
 
     /// Runs `f(thread)` for every lease thread `0..size`, thread 0 on the
@@ -1190,188 +700,61 @@ impl CoreLease<'_> {
     /// Runs a **superstep-structured** job on the lease, with the
     /// inter-superstep barrier owned by the runtime: every lease thread
     /// executes `body(thread, width, step)` for each superstep
-    /// `0..n_steps`, separated by a [`SenseBarrier`] over the current
-    /// lease width. `body` must partition its work by striding: thread
-    /// `t` of width `w` owns schedule cores `t, t + w, t + 2w, …` of the
-    /// superstep.
+    /// `0..n_steps`, separated by one [`SenseBarrier`] over the lease
+    /// width. `body` must partition its work by striding: thread `t` of
+    /// width `w` owns schedule cores `t, t + w, t + 2w, …` of the
+    /// superstep. A width-1 lease runs every step inline, unsynchronized.
     ///
-    /// With `growth` set, the lease is **elastic**: between supersteps the
-    /// barrier's releasing arriver may acquire cores freed by other
-    /// tenants (never blocking, bounded by the growth's [`GrantPolicy`]
-    /// re-evaluated at the current tenant count and by
-    /// [`ElasticGrowth::max_width`]) and recruit them into the running
-    /// job from the next superstep on. Each thread re-reads `width` after
-    /// every barrier, so a grown lease just re-strides the remaining
-    /// supersteps — bit-identical results along every width trajectory,
-    /// by the same argument as lease-width degradation. Workers acquired
-    /// mid-solve join the lease and are released by its `Drop` like the
-    /// initial ones.
+    /// `_unused` is always `None`: the parameter is kept only for the
+    /// four-argument call in the drift benchmark's runtime probe
+    /// (`benchmark/`), and goes when that caller drops it.
     ///
-    /// With [`ElasticGrowth::shrink`] additionally set, the resize is
-    /// symmetric: when the grant share drops below the running width (a
-    /// tenant joined), the releasing arriver **sheds** the highest lease
-    /// threads instead — they drain out at the boundary, and the next
-    /// boundary returns their cores to the runtime, where they satisfy
-    /// blocked lessees mid-solve (see the module docs for the drain
-    /// protocol). Growth prefers the sockets the lease already occupies
-    /// and shedding releases remote recruits first, so a solve never
-    /// migrates across sockets while local cores remain.
-    ///
-    /// Panic containment matches [`CoreLease::run`], with the barrier
-    /// poisoning handled here: a panicking thread poisons the shared
-    /// barrier so siblings unwind instead of waiting forever, every
-    /// worker (joiners included) retires, and the panic is re-raised on
-    /// the caller.
+    /// Panic containment matches [`CoreLease::run`]: a panicking thread
+    /// poisons the barrier so siblings unwind instead of waiting forever,
+    /// every worker retires, and the panic is re-raised on the caller.
     pub fn run_supersteps<F: Fn(usize, usize, usize) + Sync>(
         &mut self,
         backoff: Backoff,
         n_steps: usize,
-        growth: Option<ElasticGrowth>,
+        _unused: Option<std::convert::Infallible>,
         body: &F,
     ) {
-        if n_steps == 0 {
-            return;
-        }
-        // Growth that cannot change anything (already at the cap, and
-        // nothing to shed) is dropped so the fixed-width fast paths below
-        // apply. An *uncounted* degraded `try_lease` (counted == 0,
-        // never registered as a tenant) must not resize either: it would
-        // start charging capacity mid-run and its `Drop` would retire a
-        // tenant that never existed.
-        let growth = growth.filter(|g| {
-            let can_grow = g.max_width.min(self.runtime.capacity) > self.size();
-            let can_shrink = g.shrink && self.size() > 1;
-            self.counted > 0 && (can_grow || can_shrink)
-        });
-        if self.workers.is_empty() && growth.is_none() {
+        let width = self.size();
+        if width == 1 {
             for step in 0..n_steps {
                 body(0, 1, step);
             }
             return;
         }
-        let width0 = self.size();
-        // Thread indices stay below max(initial width, growth cap): a
-        // shrink can free indices a later grow re-issues, but never mints
-        // higher ones.
-        let grow_cap = growth.map_or(0, |g| g.max_width.min(self.runtime.capacity).max(width0));
-        let state = SuperstepState {
-            runtime: self.runtime,
-            barrier: SenseBarrier::new(width0),
-            width: AtomicUsize::new(width0),
-            n_steps,
-            start_step: (0..grow_cap).map(|_| AtomicUsize::new(0)).collect(),
-            // Moved, not cloned: the steady-state fixed-width path must
-            // not allocate per solve. The lease takes them back (same
-            // buffer) once the dispatch completes.
-            threads: Mutex::new(std::mem::take(&mut self.workers)),
-            draining: Mutex::new(Vec::new()),
-            shed_panicked: AtomicBool::new(false),
-            growth,
-            job: UnsafeCell::new(None),
-        };
-        let state = &state;
-        let g = move |thread: usize| {
-            let start = state.start_step.get(thread).map_or(0, |s| s.load(Ordering::Relaxed));
-            // The shared sense has flipped once per completed barrier
-            // phase; a joiner starting at superstep `start` has `start`
-            // phases behind it — and must see the recruiting phase's flip
-            // land before it may arrive anywhere (see `await_phase_flip`).
-            if start > 0 {
-                state.barrier.await_phase_flip(start, backoff);
-            }
-            let mut sense = start % 2 == 1;
+        let barrier = SenseBarrier::new(width);
+        self.run(backoff, &|thread| {
+            let mut sense = false;
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let mut step = start;
-                while step < state.n_steps {
-                    let width = state.width.load(Ordering::SeqCst);
-                    if thread >= width {
-                        // Shed at the previous boundary: drain out
-                        // without arriving at another barrier — the next
-                        // boundary's releaser reclaims the worker once
-                        // its retirement lands.
-                        break;
+                for step in 0..n_steps {
+                    if step > 0 {
+                        barrier.wait(&mut sense, backoff);
                     }
                     body(thread, width, step);
-                    step += 1;
-                    if step < state.n_steps {
-                        state
-                            .barrier
-                            .wait_hooked(&mut sense, backoff, || state.try_resize(step, backoff));
-                    }
                 }
             }));
             if let Err(panic) = result {
-                state.barrier.poison();
+                barrier.poison();
                 std::panic::resume_unwind(panic);
             }
-        };
-        let ctx = &g as *const _ as *const ();
-        fn entry_of<G: Fn(usize)>(_: &G) -> JobFn {
-            job_entry::<G>
-        }
-        let call = entry_of(&g);
-        // Template first, dispatch second: a releaser reading the template
-        // is ordered after this write through its own job delivery.
-        // SAFETY: the state is not shared yet; nothing else reads it.
-        unsafe {
-            *state.job.get() = Some((call, ctx));
-        }
-        let slots = &self.runtime.shared.slots;
-        {
-            // No releaser can resize concurrently: every barrier phase
-            // needs the leader, who has not started yet.
-            let threads = lock_ignore_poison(&state.threads);
-            for (i, &w) in threads.iter().enumerate() {
-                publish_job(&slots[w], call, ctx, i + 1);
-            }
-        }
-        let leader_result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| g(0)));
-        // Resizing is quiescent here: every resize ran inside a barrier
-        // the leader participated in (thread 0 is never shed), and the
-        // leader's share has returned. The surviving threads' workers
-        // plus any still-draining shed workers are the lease's members
-        // now — awaited, re-counted against the capacity, released by
-        // `Drop`. Workers reclaimed mid-dispatch already went back to
-        // the runtime, so the lease must not return (or count) them
-        // again.
-        std::mem::swap(&mut self.workers, &mut *lock_ignore_poison(&state.threads));
-        self.workers.append(&mut *lock_ignore_poison(&state.draining));
-        if growth.is_some() {
-            // Resizes moved cores in and out; what remains (live threads
-            // plus still-draining shed workers) is exactly what is still
-            // charged against the capacity. Fixed-width dispatches leave
-            // the count alone — an uncounted degraded lease stays at 0.
-            self.counted = self.workers.len() + 1;
-        }
-        let threshold = self.retirement_threshold(backoff);
-        let mut worker_panicked = state.shed_panicked.load(Ordering::Relaxed);
-        for &w in &self.workers {
-            worker_panicked |= await_retirement(&slots[w], threshold, backoff);
-        }
-        if let Err(panic) = leader_result {
-            std::panic::resume_unwind(panic);
-        }
-        if worker_panicked {
-            panic!("a runtime worker panicked while executing a solve");
-        }
+        });
     }
 }
 
 impl Drop for CoreLease<'_> {
     fn drop(&mut self) {
         let mut state = lock_ignore_poison(&self.runtime.state);
-        // Drain back into the per-socket free lists, then recycle the
-        // (now empty, still allocated) buffer so steady-state leasing
-        // allocates nothing.
+        // Drain back into the free list, then recycle the (now empty,
+        // still allocated) buffer so steady-state leasing allocates
+        // nothing.
         while let Some(w) = self.workers.pop() {
-            state.free[self.runtime.socket_of_worker(w)].push(w);
+            state.free.push(w);
         }
         state.in_use -= self.counted;
-        // Counted leases registered as a tenant at acquisition (uncounted
-        // degraded try_leases never did).
-        if self.counted > 0 {
-            state.tenants -= 1;
-        }
         // Bounded recycling: at most `capacity` buffers can be useful at
         // once (one per concurrent lease), and degraded `try_lease`s bring
         // buffers of their own that must not accumulate forever.
@@ -1380,19 +763,6 @@ impl Drop for CoreLease<'_> {
         }
         drop(state);
         self.runtime.lessee_bell.notify_all();
-    }
-}
-
-/// A declared steady tenant of a [`SolverRuntime`] (see
-/// [`SolverRuntime::register_tenant`]); dropping the guard retires the
-/// tenant from the fair-share denominator.
-pub struct TenantRegistration<'rt> {
-    runtime: &'rt SolverRuntime,
-}
-
-impl Drop for TenantRegistration<'_> {
-    fn drop(&mut self) {
-        lock_ignore_poison(&self.runtime.state).registered -= 1;
     }
 }
 
@@ -1776,146 +1146,10 @@ mod tests {
     }
 
     #[test]
-    fn fair_grants_are_bounded_by_the_tenant_share() {
-        let runtime = SolverRuntime::new(8);
-        // A lone tenant gets everything it asks for (share = 8/1).
-        let lease = runtime.lease_with(8, GrantPolicy::Fair);
-        assert_eq!(lease.size(), 8);
-        drop(lease);
-        // Two tenants: the second grant is bounded by ceil(8/2) = 4.
-        let a = runtime.lease_with(4, GrantPolicy::Fair);
-        assert_eq!(a.size(), 4);
-        let b = runtime.lease_with(8, GrantPolicy::Fair);
-        assert_eq!(b.size(), 4, "second tenant's grant escaped the fair share");
-        assert_eq!(runtime.active_tenants(), 2);
-        drop(a);
-        // Third tenant with one lease outstanding: share = ceil(8/2) = 4,
-        // but only 4 are free anyway.
-        let c = runtime.lease_with(8, GrantPolicy::Fair);
-        assert_eq!(c.size(), 4);
-        drop(b);
-        drop(c);
-        assert_eq!(runtime.active_tenants(), 0);
-        assert_eq!(runtime.cores_in_use(), 0);
-    }
-
-    #[test]
-    fn waiting_tenants_shrink_the_fair_share() {
-        // The re-splitting property: a tenant *blocked* on a full runtime
-        // already counts toward the share, so the release that wakes it
-        // does not let the waker re-monopolize the capacity.
-        let runtime = Arc::new(SolverRuntime::new(4));
-        let hold = runtime.lease_with(4, GrantPolicy::Fair);
-        let (size_tx, size_rx) = std::sync::mpsc::channel();
-        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
-        let done_rx = std::sync::Mutex::new(done_rx);
-        std::thread::scope(|scope| {
-            for _ in 0..2 {
-                let runtime = &runtime;
-                let size_tx = size_tx.clone();
-                let done_rx = &done_rx;
-                scope.spawn(move || {
-                    let lease = runtime.lease_with(4, GrantPolicy::Fair);
-                    size_tx.send(lease.size()).unwrap();
-                    // Hold the lease until the main thread has seen both
-                    // grants, so the second grant happens while the first
-                    // is still outstanding.
-                    done_rx.lock().unwrap().recv().unwrap();
-                });
-            }
-            // Both waiters must be registered before the release re-splits.
-            while runtime.active_tenants() < 3 {
-                std::thread::yield_now();
-            }
-            drop(hold);
-            // Tenants at each wake: two waiters ⇒ share ≤ ceil(4/2) = 2
-            // for the first, and the leftover for the second.
-            let first = size_rx.recv_timeout(std::time::Duration::from_secs(10)).unwrap();
-            let second = size_rx.recv_timeout(std::time::Duration::from_secs(10)).unwrap();
-            assert!(first <= 2 && second <= 2, "wakers re-monopolized: {first}/{second}");
-            assert!(first >= 1 && second >= 1);
-            done_tx.send(()).unwrap();
-            done_tx.send(()).unwrap();
-        });
-        assert_eq!(runtime.cores_in_use(), 0);
-    }
-
-    #[test]
-    fn cap_grants_never_exceed_k() {
-        let runtime = SolverRuntime::new(8);
-        let a = runtime.lease_with(8, GrantPolicy::Cap(3));
-        assert_eq!(a.size(), 3);
-        let b = runtime.lease_with(2, GrantPolicy::Cap(3));
-        assert_eq!(b.size(), 2, "cap is a ceiling, not a floor");
-        let c = runtime.lease_with(8, GrantPolicy::Cap(3));
-        assert_eq!(c.size(), 3);
-        assert_eq!(runtime.cores_in_use(), 8);
-    }
-
-    #[test]
-    fn uncounted_try_leases_are_not_tenants() {
-        let runtime = SolverRuntime::new(2);
-        let hold = runtime.lease(2);
-        assert_eq!(runtime.active_tenants(), 1);
-        let inline = runtime.try_lease(2);
-        assert_eq!(inline.size(), 1);
-        assert_eq!(runtime.active_tenants(), 1, "degraded try_lease registered as a tenant");
-        drop(inline);
-        drop(hold);
-        assert_eq!(runtime.active_tenants(), 0);
-    }
-
-    #[test]
-    fn uncounted_try_leases_never_grow() {
-        // An uncounted degraded try_lease (counted == 0, no tenant
-        // registration) must stay width 1 through an elastic
-        // run_supersteps even when the whole runtime frees up: growing it
-        // would charge capacity mid-run and its Drop would retire a
-        // tenant that was never registered (count underflow).
-        let runtime = SolverRuntime::new(4);
-        let hold = runtime.lease(4);
-        let mut inline = runtime.try_lease(4);
-        assert_eq!(inline.size(), 1);
-        drop(hold); // everything free before the solve starts
-        let max_width = AtomicUsize::new(0);
-        inline.run_supersteps(
-            Backoff::Spin,
-            50,
-            Some(ElasticGrowth { grant: GrantPolicy::Greedy, max_width: 4, shrink: false }),
-            &|_thread, width, _step| {
-                max_width.fetch_max(width, Ordering::SeqCst);
-            },
-        );
-        assert_eq!(max_width.load(Ordering::SeqCst), 1, "uncounted lease grew");
-        drop(inline);
-        assert_eq!(runtime.active_tenants(), 0, "tenant count corrupted");
-        assert_eq!(runtime.cores_in_use(), 0);
-        // Fair grants still see a sane denominator afterwards.
-        assert_eq!(runtime.lease_with(4, GrantPolicy::Fair).size(), 4);
-    }
-
-    #[test]
-    fn registered_tenants_pin_the_fair_share() {
-        // A declared steady tenant keeps its share reserved even while it
-        // is between solves: with 4 registered tenants on capacity 8, a
-        // momentarily-alone lessee is still capped at ceil(8/4) = 2.
-        let runtime = SolverRuntime::new(8);
-        let registrations: Vec<_> = (0..4).map(|_| runtime.register_tenant()).collect();
-        assert_eq!(runtime.active_tenants(), 4);
-        let lease = runtime.lease_with(8, GrantPolicy::Fair);
-        assert_eq!(lease.size(), 2, "registered-but-idle tenants lost their share");
-        drop(lease);
-        drop(registrations);
-        assert_eq!(runtime.active_tenants(), 0);
-        // Unregistered again: a lone tenant takes everything.
-        assert_eq!(runtime.lease_with(8, GrantPolicy::Fair).size(), 8);
-    }
-
-    #[test]
     fn run_supersteps_covers_every_cell_exactly_once() {
-        // Fixed width (no growth): the runtime-owned barrier protocol must
-        // execute each (superstep, schedule core) cell exactly once, with
-        // supersteps strictly ordered.
+        // The runtime-owned barrier protocol must execute each
+        // (superstep, schedule core) cell exactly once, with supersteps
+        // strictly ordered.
         let n_cores = 5;
         let n_steps = 20;
         let runtime = SolverRuntime::new(3);
@@ -1939,356 +1173,27 @@ mod tests {
     }
 
     #[test]
-    fn elastic_lease_grows_into_freed_cores() {
-        // A width-2 lease on a capacity-4 runtime; the blocking tenant
-        // releases its 2 cores mid-solve, and the elastic superstep
-        // protocol must recruit them: the width reaches 4 and every cell
-        // still executes exactly once.
-        let n_cores = 4;
-        let n_steps = 50;
-        let runtime = Arc::new(SolverRuntime::new(4));
-        let blocker = runtime.lease(2);
-        let mut lease = runtime.lease(4);
-        assert_eq!(lease.size(), 2);
-        let max_width = AtomicUsize::new(0);
-        let hits: Vec<AtomicUsize> = (0..n_steps * n_cores).map(|_| AtomicUsize::new(0)).collect();
-        let (tx, rx) = std::sync::mpsc::channel::<()>();
-        let runtime_ref = &runtime;
-        std::thread::scope(|scope| {
-            scope.spawn(move || {
-                rx.recv().unwrap();
-                drop(blocker); // frees 2 cores mid-solve
-            });
-            lease.run_supersteps(
-                Backoff::Spin,
-                n_steps,
-                Some(ElasticGrowth {
-                    grant: GrantPolicy::Greedy,
-                    max_width: n_cores,
-                    shrink: false,
-                }),
-                &|thread, width, step| {
-                    if thread == 0 && step == 0 {
-                        tx.send(()).unwrap();
-                        // Hold superstep 0 open until the blocker's cores
-                        // are back, so the first barrier deterministically
-                        // grows.
-                        while runtime_ref.cores_in_use() == 4 {
-                            std::thread::yield_now();
-                        }
-                    }
-                    max_width.fetch_max(width, Ordering::SeqCst);
-                    let mut core = thread;
-                    while core < n_cores {
-                        hits[step * n_cores + core].fetch_add(1, Ordering::SeqCst);
-                        core += width;
-                    }
-                },
-            );
-        });
-        assert_eq!(
-            max_width.load(Ordering::SeqCst),
-            4,
-            "the lease never grew into the freed cores"
-        );
-        for (i, hit) in hits.iter().enumerate() {
-            assert_eq!(hit.load(Ordering::SeqCst), 1, "cell {i} not executed exactly once");
-        }
-        // The grown workers are lease members: all four cores are held
-        // until the lease drops, then everything returns.
-        assert_eq!(runtime.cores_in_use(), 4);
-        drop(lease);
-        assert_eq!(runtime.cores_in_use(), 0);
-        assert_eq!(runtime.lease(4).size(), 4);
-    }
-
-    #[test]
-    fn elastic_growth_respects_the_grant_policy_cap() {
-        // Under cap=2, a width-1 elastic lease may grow to 2 but never
-        // past it, even with the whole runtime free.
+    fn panicking_superstep_job_poisons_the_barrier_and_releases_every_core() {
+        // A thread panicking mid-solve never arrives at the next barrier:
+        // the poison must unwind its siblings, every worker retires, the
+        // panic reaches the caller and the cores come back.
         let runtime = SolverRuntime::new(4);
-        let blocker = runtime.lease(3);
-        let mut lease = runtime.lease_with(4, GrantPolicy::Cap(2));
-        assert_eq!(lease.size(), 1);
-        drop(blocker); // everything free before the solve starts
-        let max_width = AtomicUsize::new(0);
-        lease.run_supersteps(
-            Backoff::Spin,
-            50,
-            Some(ElasticGrowth { grant: GrantPolicy::Cap(2), max_width: 4, shrink: false }),
-            &|_thread, width, _step| {
-                max_width.fetch_max(width, Ordering::SeqCst);
-            },
-        );
-        let seen = max_width.load(Ordering::SeqCst);
-        assert!(seen <= 2, "growth escaped the cap: width {seen}");
-        assert_eq!(seen, 2, "growth never used the free capacity");
-    }
-
-    #[test]
-    fn panicking_elastic_solve_releases_grown_cores() {
-        let runtime = SolverRuntime::new(4);
-        let blocker = runtime.lease(2);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut lease = runtime.lease(4);
-            assert_eq!(lease.size(), 2);
-            drop(blocker);
-            lease.run_supersteps(
-                Backoff::Spin,
-                200,
-                Some(ElasticGrowth { grant: GrantPolicy::Greedy, max_width: 4, shrink: false }),
-                &|thread, width, step| {
-                    // Panic only after growth happened, from a joiner-era
-                    // superstep, so grown workers are in flight.
-                    if width == 4 && step > 100 && thread == 1 {
-                        panic!("elastic boom");
-                    }
-                },
-            );
+            lease.run_supersteps(Backoff::Spin, 200, None, &|thread, _width, step| {
+                if thread == 1 && step == 100 {
+                    panic!("superstep boom");
+                }
+            });
         }));
         assert!(result.is_err(), "panic was swallowed");
-        assert_eq!(runtime.cores_in_use(), 0, "panicked elastic lease leaked cores");
+        assert_eq!(runtime.cores_in_use(), 0, "panicked lease leaked cores");
         // Fully serviceable afterwards.
         let ok = AtomicUsize::new(0);
         runtime.lease(4).run(Backoff::Spin, &|_| {
             ok.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(ok.load(Ordering::Relaxed), 4);
-    }
-
-    /// Records the width thread 0 saw at each superstep.
-    fn width_log(n_steps: usize) -> Vec<AtomicUsize> {
-        (0..n_steps).map(|_| AtomicUsize::new(0)).collect()
-    }
-
-    fn widths_of(log: &[AtomicUsize]) -> Vec<usize> {
-        log.iter().map(|w| w.load(Ordering::SeqCst)).collect()
-    }
-
-    #[test]
-    fn shrink_sheds_to_the_fair_share_within_one_superstep_of_a_join() {
-        // The retroactive-fairness tentpole, pinned without timing: a
-        // tenant joins at superstep 1 (from thread 0's body, so the join
-        // happens-before the boundary hook), and the very next superstep
-        // must already run at the halved share. The shed cores are back
-        // in the runtime's accounting one boundary later.
-        let n_steps = 6;
-        let runtime = SolverRuntime::new(4);
-        let me = runtime.register_tenant();
-        let mut lease = runtime.lease_with(4, GrantPolicy::Fair);
-        assert_eq!(lease.size(), 4);
-        let joins: Mutex<Vec<TenantRegistration>> = Mutex::new(Vec::new());
-        let log = width_log(n_steps);
-        let in_use = width_log(n_steps);
-        lease.run_supersteps(
-            Backoff::Spin,
-            n_steps,
-            Some(ElasticGrowth { grant: GrantPolicy::Fair, max_width: 4, shrink: true }),
-            &|thread, width, step| {
-                if thread == 0 {
-                    if step == 1 {
-                        joins.lock().unwrap().push(runtime.register_tenant());
-                    }
-                    log[step].store(width, Ordering::SeqCst);
-                    in_use[step].store(runtime.cores_in_use(), Ordering::SeqCst);
-                }
-            },
-        );
-        // Join visible at the 1→2 boundary: width 2 from step 2 on.
-        assert_eq!(widths_of(&log), vec![4, 4, 2, 2, 2, 2]);
-        // Shed at the 1→2 boundary, reclaimed at the 2→3 boundary: the
-        // joiner sees the cores free by step 3 — deterministically.
-        assert_eq!(widths_of(&in_use), vec![4, 4, 4, 2, 2, 2]);
-        drop(lease);
-        drop(joins);
-        drop(me);
-        assert_eq!(runtime.cores_in_use(), 0);
-        assert_eq!(runtime.active_tenants(), 0);
-    }
-
-    #[test]
-    fn shrink_racing_a_concurrent_grow_resolves_to_the_grant_cap() {
-        // At one boundary, both signals fire: a blocker freed 2 cores (a
-        // grow opportunity) and two tenants joined (a shrink demand).
-        // There is exactly one decision point per boundary, and it lands
-        // on the grant-cap width — the lease shrinks despite free cores.
-        let n_steps = 6;
-        let runtime = SolverRuntime::new(6);
-        let me = runtime.register_tenant();
-        let blocker = Mutex::new(Some(runtime.lease(2)));
-        let mut lease = runtime.lease_with(6, GrantPolicy::Fair);
-        // Two transient tenants (blocker + us): ceil(6/2) = 3.
-        assert_eq!(lease.size(), 3);
-        let joins: Mutex<Vec<TenantRegistration>> = Mutex::new(Vec::new());
-        let log = width_log(n_steps);
-        lease.run_supersteps(
-            Backoff::Spin,
-            n_steps,
-            Some(ElasticGrowth { grant: GrantPolicy::Fair, max_width: 6, shrink: true }),
-            &|thread, width, step| {
-                if thread == 0 {
-                    if step == 1 {
-                        drop(blocker.lock().unwrap().take());
-                        let mut joins = joins.lock().unwrap();
-                        joins.push(runtime.register_tenant());
-                        joins.push(runtime.register_tenant());
-                    }
-                    log[step].store(width, Ordering::SeqCst);
-                }
-            },
-        );
-        // Three registered tenants: cap = ceil(6/3) = 2 < 3 held, so the
-        // boundary sheds to 2 — it must not grow into the freed cores.
-        assert_eq!(widths_of(&log), vec![3, 3, 2, 2, 2, 2]);
-        drop(lease);
-        drop(joins);
-        drop(me);
-        assert_eq!(runtime.cores_in_use(), 0);
-    }
-
-    #[test]
-    fn shrink_to_width_1_degrades_to_serial_striding() {
-        // Joins can push the fair share below 1 thread; the lease floors
-        // at the leaseholder alone, which strides the whole schedule —
-        // every cell still executes exactly once.
-        let n_cores = 3;
-        let n_steps = 8;
-        let runtime = SolverRuntime::new(2);
-        let me = runtime.register_tenant();
-        let mut lease = runtime.lease_with(2, GrantPolicy::Fair);
-        assert_eq!(lease.size(), 2);
-        let joins: Mutex<Vec<TenantRegistration>> = Mutex::new(Vec::new());
-        let log = width_log(n_steps);
-        let hits: Vec<AtomicUsize> = (0..n_steps * n_cores).map(|_| AtomicUsize::new(0)).collect();
-        lease.run_supersteps(
-            Backoff::Spin,
-            n_steps,
-            Some(ElasticGrowth { grant: GrantPolicy::Fair, max_width: 2, shrink: true }),
-            &|thread, width, step| {
-                if thread == 0 {
-                    if step == 1 {
-                        let mut joins = joins.lock().unwrap();
-                        joins.push(runtime.register_tenant());
-                        joins.push(runtime.register_tenant());
-                    }
-                    log[step].store(width, Ordering::SeqCst);
-                }
-                let mut core = thread;
-                while core < n_cores {
-                    hits[step * n_cores + core].fetch_add(1, Ordering::SeqCst);
-                    core += width;
-                }
-            },
-        );
-        // ceil(2/3) = 1: serial from step 2 on.
-        assert_eq!(widths_of(&log), vec![2, 2, 1, 1, 1, 1, 1, 1]);
-        for (i, hit) in hits.iter().enumerate() {
-            assert_eq!(hit.load(Ordering::SeqCst), 1, "cell {i} not executed exactly once");
-        }
-        drop(lease);
-        drop(joins);
-        drop(me);
-        assert_eq!(runtime.cores_in_use(), 0);
-    }
-
-    #[test]
-    fn elastic_without_shrink_preserves_grow_only_behavior() {
-        // `elastic=on` alone must behave exactly as before shrink
-        // existed: a dropped share never narrows a running lease — the
-        // width trajectory is grow-only, byte for byte.
-        let n_steps = 6;
-        let runtime = SolverRuntime::new(4);
-        let me = runtime.register_tenant();
-        let mut lease = runtime.lease_with(4, GrantPolicy::Fair);
-        assert_eq!(lease.size(), 4);
-        let joins: Mutex<Vec<TenantRegistration>> = Mutex::new(Vec::new());
-        let log = width_log(n_steps);
-        lease.run_supersteps(
-            Backoff::Spin,
-            n_steps,
-            Some(ElasticGrowth { grant: GrantPolicy::Fair, max_width: 4, shrink: false }),
-            &|thread, width, step| {
-                if thread == 0 {
-                    if step == 1 {
-                        joins.lock().unwrap().push(runtime.register_tenant());
-                    }
-                    log[step].store(width, Ordering::SeqCst);
-                }
-            },
-        );
-        assert_eq!(widths_of(&log), vec![4; n_steps], "grow-only lease narrowed");
-        drop(lease);
-        drop(joins);
-        drop(me);
-        assert_eq!(runtime.cores_in_use(), 0);
-    }
-
-    #[test]
-    fn panic_on_a_thread_being_shed_aborts_cleanly() {
-        // The drain edge case: a thread panics in the very superstep
-        // after which it would be shed (a shed thread runs no user code
-        // later, so this is the only panic a drain can race). Whichever
-        // lands first — the poison or the shed — the dispatch aborts,
-        // re-raises, and every core is back.
-        let runtime = SolverRuntime::new(4);
-        let me = runtime.register_tenant();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut lease = runtime.lease_with(4, GrantPolicy::Fair);
-            assert_eq!(lease.size(), 4);
-            let joins: Mutex<Vec<TenantRegistration>> = Mutex::new(Vec::new());
-            lease.run_supersteps(
-                Backoff::Spin,
-                6,
-                Some(ElasticGrowth { grant: GrantPolicy::Fair, max_width: 4, shrink: true }),
-                &|thread, _width, step| {
-                    if thread == 0 && step == 1 {
-                        joins.lock().unwrap().push(runtime.register_tenant());
-                    }
-                    if thread == 3 && step == 1 {
-                        panic!("boom on the shed thread");
-                    }
-                },
-            );
-        }));
-        assert!(result.is_err(), "panic was swallowed");
-        drop(me);
-        assert_eq!(runtime.cores_in_use(), 0, "shed-panic leaked cores");
-        assert_eq!(runtime.active_tenants(), 0);
-        // Fully serviceable afterwards.
-        let ok = AtomicUsize::new(0);
-        runtime.lease(4).run(Backoff::Spin, &|_| {
-            ok.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(ok.load(Ordering::Relaxed), 4);
-    }
-
-    #[test]
-    fn grants_prefer_a_single_socket() {
-        // uniform(2, 4) on capacity 8: workers 0..3 (cores 1..4) land on
-        // sockets [0,0,0,1]; workers 3..7 on socket 1. A grant that fits
-        // one socket must not span two.
-        let runtime = SolverRuntime::with_topology(Topology::uniform(2, 4));
-        assert_eq!(runtime.capacity(), 8);
-        let a = runtime.lease(4); // 3 workers: socket 0 fits exactly
-        assert_eq!(a.sockets(), vec![0]);
-        let b = runtime.lease(4); // socket 0 drained: socket 1 has 4 free
-        assert_eq!(b.sockets(), vec![1]);
-        drop(a);
-        drop(b);
-        // 4 workers fit only socket 1 (best fit, not first socket).
-        let c = runtime.lease(5);
-        assert_eq!(c.sockets(), vec![1]);
-        drop(c);
-        assert_eq!(runtime.cores_in_use(), 0);
-    }
-
-    #[test]
-    fn grants_span_sockets_only_when_no_single_socket_fits() {
-        let runtime = SolverRuntime::with_topology(Topology::uniform(2, 4));
-        let wide = runtime.lease(6); // 5 workers: 3 + 4 cannot fit one socket
-        assert_eq!(wide.sockets(), vec![0, 1]);
-        drop(wide);
-        assert_eq!(runtime.lease(8).size(), 8);
     }
 
     #[test]

@@ -77,17 +77,6 @@ pub struct MachineProfile {
     /// Number of cores that saturate the memory bandwidth; beyond this,
     /// streaming cost scales up linearly with the active core count.
     pub bandwidth_cores: f64,
-    /// Socket (or die/chiplet) domains the cores split into, modeled
-    /// contiguously: thread `t` lives on domain `t / ceil(max_cores /
-    /// sockets)`. Mirrors the runtime's `Topology` sharding.
-    pub sockets: usize,
-    /// One-time charge when an elastic resize recruits a thread on a
-    /// different socket than the lease's thread 0: the joiner pulls the
-    /// warm working set (x, b, schedule rows) across the interconnect
-    /// before it contributes. Routed through
-    /// [`simulate_barrier_elastic`]; zero-cost on single-socket
-    /// profiles.
-    pub cross_socket_join_cycles: f64,
 }
 
 impl MachineProfile {
@@ -108,8 +97,6 @@ impl MachineProfile {
             p2p_check_cycles: 120.0,
             yield_resume_cycles: 6000.0,
             bandwidth_cores: 9.0,
-            sockets: 1,
-            cross_socket_join_cycles: 0.0,
         }
     }
 
@@ -126,8 +113,6 @@ impl MachineProfile {
             p2p_check_cycles: 160.0,
             yield_resume_cycles: 8000.0,
             bandwidth_cores: 11.0,
-            sockets: 8, // CCD domains: barrier already models the crossing
-            cross_socket_join_cycles: 4500.0,
         }
     }
 
@@ -144,8 +129,6 @@ impl MachineProfile {
             p2p_check_cycles: 130.0,
             yield_resume_cycles: 7000.0,
             bandwidth_cores: 10.0,
-            sockets: 2, // two NUMA dies
-            cross_socket_join_cycles: 3000.0,
         }
     }
 
@@ -157,17 +140,6 @@ impl MachineProfile {
     /// Streaming-cost multiplier when `active` cores run concurrently.
     fn bandwidth_factor(&self, active: usize) -> f64 {
         (active as f64 / self.bandwidth_cores).max(1.0)
-    }
-
-    /// Cores per socket domain (rounded up; the last domain may be
-    /// short).
-    pub fn cores_per_socket(&self) -> usize {
-        self.max_cores.div_ceil(self.sockets.max(1)).max(1)
-    }
-
-    /// The socket domain of modeled thread `t` (contiguous split).
-    pub fn socket_of(&self, thread: usize) -> usize {
-        thread / self.cores_per_socket()
     }
 }
 
@@ -339,17 +311,7 @@ fn simulate_model_exact(
 ) -> SimReport {
     match model {
         ExecModel::Barrier => {
-            let mut report = if policy.elastic {
-                // Elastic leases matter when a solve is admitted below its
-                // target width; the model answers the worst such case — a
-                // solve admitted at width 1 under full contention that
-                // recovers one core per superstep boundary as other
-                // tenants release (vs. keeping width 1 for the whole
-                // solve, which is what `elastic=off` degradation does).
-                simulate_barrier_elastic(matrix, compiled, profile, 1)
-            } else {
-                simulate_barrier(matrix, compiled, profile)
-            };
+            let mut report = simulate_barrier(matrix, compiled, profile);
             if policy.backoff == Backoff::Yield {
                 // Every barrier release re-schedules the yielded waiters.
                 let extra = profile.yield_resume_cycles * compiled.n_barriers() as f64;
@@ -389,59 +351,6 @@ pub fn simulate_serial(matrix: &CsrMatrix, profile: &MachineProfile) -> SimRepor
     SimReport { cycles: compute, compute_cycles: compute, sync_cycles: 0.0, cache_misses: misses }
 }
 
-/// The shared BSP simulation loop behind [`simulate_barrier`] and
-/// [`simulate_barrier_elastic`]: superstep `s` runs at lease width
-/// `width_of_step(s)` threads, schedule core `c` on thread `c mod width`
-/// (the executors' striding), per-thread caches persisting across
-/// supersteps — so a width change also models the cache-warmth cost of
-/// migrating a schedule core to a different thread. `extra_barriers`
-/// charges the growth/re-stride dispatches on top of the schedule's own
-/// barriers.
-fn simulate_barrier_striding(
-    matrix: &CsrMatrix,
-    compiled: &CompiledSchedule,
-    profile: &MachineProfile,
-    width_of_step: impl Fn(usize) -> usize,
-    extra_barriers: u64,
-) -> SimReport {
-    let k = compiled.n_cores().min(profile.max_cores);
-    let mut caches: Vec<LruCache> = (0..k).map(|_| LruCache::new(profile.cache_lines)).collect();
-    let mut directory = CoherenceDirectory::default();
-    let mut misses = 0u64;
-    let mut compute = 0.0;
-    let mut thread_time = vec![0.0f64; k];
-    for step in 0..compiled.n_supersteps() {
-        let width = width_of_step(step).clamp(1, k);
-        let active = width.min(compiled.step_cells(step).filter(|cell| !cell.is_empty()).count());
-        let bw = profile.bandwidth_factor(active.max(1));
-        let threads = &mut thread_time[..width];
-        threads.fill(0.0);
-        for (c, cell) in compiled.step_cells(step).enumerate() {
-            let t = c % width;
-            for &v in cell {
-                threads[t] += row_cost(
-                    matrix,
-                    v as usize,
-                    t,
-                    &mut caches[t],
-                    &mut directory,
-                    profile,
-                    bw,
-                    &mut misses,
-                );
-            }
-        }
-        compute += threads.iter().copied().fold(0.0f64, f64::max);
-    }
-    let sync = profile.barrier_cycles * (compiled.n_barriers() as f64 + extra_barriers as f64);
-    SimReport {
-        cycles: compute + sync,
-        compute_cycles: compute,
-        sync_cycles: sync,
-        cache_misses: misses,
-    }
-}
-
 /// Simulates a barrier (BSP) execution of a compiled schedule.
 ///
 /// Per superstep the makespan is the maximum per-thread time; one barrier
@@ -458,42 +367,39 @@ pub fn simulate_barrier(
     profile: &MachineProfile,
 ) -> SimReport {
     let k = compiled.n_cores().min(profile.max_cores);
-    simulate_barrier_striding(matrix, compiled, profile, |_| k, 0)
-}
-
-/// Simulates an **elastic** barrier execution: the solve is admitted with
-/// `start_width` lease threads and grows by one core at each superstep
-/// boundary (cores freed by other tenants, re-striding the remaining
-/// supersteps) until it reaches the schedule's core count — the recovery
-/// trajectory of a solve admitted under contention with `elastic=on`.
-/// Each growth charges one extra `barrier_cycles` for the join/re-stride
-/// dispatch.
-pub fn simulate_barrier_elastic(
-    matrix: &CsrMatrix,
-    compiled: &CompiledSchedule,
-    profile: &MachineProfile,
-    start_width: usize,
-) -> SimReport {
-    let k = compiled.n_cores().min(profile.max_cores);
-    let start_width = start_width.clamp(1, k);
-    let growths = (k - start_width).min(compiled.n_supersteps().saturating_sub(1));
-    let mut report = simulate_barrier_striding(
-        matrix,
-        compiled,
-        profile,
-        |step| start_width + step,
-        growths as u64,
-    );
-    // Recruit t joins when the width grows past it; charge the crossing
-    // when it lives on a different socket domain than thread 0.
-    let home = profile.socket_of(0);
-    let migration = (start_width..start_width + growths)
-        .filter(|&t| profile.socket_of(t) != home)
-        .count() as f64
-        * profile.cross_socket_join_cycles;
-    report.sync_cycles += migration;
-    report.cycles += migration;
-    report
+    let mut caches: Vec<LruCache> = (0..k).map(|_| LruCache::new(profile.cache_lines)).collect();
+    let mut directory = CoherenceDirectory::default();
+    let mut misses = 0u64;
+    let mut compute = 0.0;
+    let mut thread_time = vec![0.0f64; k];
+    for step in 0..compiled.n_supersteps() {
+        let active = k.min(compiled.step_cells(step).filter(|cell| !cell.is_empty()).count());
+        let bw = profile.bandwidth_factor(active.max(1));
+        thread_time.fill(0.0);
+        for (c, cell) in compiled.step_cells(step).enumerate() {
+            let t = c % k;
+            for &v in cell {
+                thread_time[t] += row_cost(
+                    matrix,
+                    v as usize,
+                    t,
+                    &mut caches[t],
+                    &mut directory,
+                    profile,
+                    bw,
+                    &mut misses,
+                );
+            }
+        }
+        compute += thread_time.iter().copied().fold(0.0f64, f64::max);
+    }
+    let sync = profile.barrier_cycles * compiled.n_barriers() as f64;
+    SimReport {
+        cycles: compute + sync,
+        compute_cycles: compute,
+        sync_cycles: sync,
+        cache_misses: misses,
+    }
 }
 
 /// Simulates an asynchronous (point-to-point) execution, SpMP-style.
@@ -709,74 +615,6 @@ mod tests {
             r_full.sync_cycles
         );
         assert_eq!(r_full, simulate_model(&l, &s, ExecModel::Async, None, &p, full));
-    }
-
-    #[test]
-    fn elastic_model_recovers_between_degraded_and_full_width() {
-        let (l, dag) = grid_problem(50, 50);
-        let p = MachineProfile::intel_xeon_22();
-        let s = CompiledSchedule::from_schedule(&GrowLocal::new().schedule(&dag, 8));
-        let full = simulate_barrier(&l, &s, &p);
-        let elastic_from_1 = simulate_barrier_elastic(&l, &s, &p, 1);
-        let stuck_at_1 = {
-            // The non-elastic contended baseline: admitted at width 1 and
-            // never growing — serial compute plus the schedule's barriers.
-            let serial = simulate_serial(&l, &p);
-            serial.cycles + p.barrier_cycles * s.n_barriers() as f64
-        };
-        assert!(
-            elastic_from_1.cycles >= full.cycles,
-            "a recovering solve beat full width: {} vs {}",
-            elastic_from_1.cycles,
-            full.cycles
-        );
-        assert!(
-            elastic_from_1.cycles < stuck_at_1,
-            "elastic recovery did not beat a stuck width-1 lease: {} vs {stuck_at_1}",
-            elastic_from_1.cycles
-        );
-        // Admitted at full width, elastic has nothing to grow into.
-        let at_full = simulate_barrier_elastic(&l, &s, &p, 8);
-        assert!((at_full.cycles - full.cycles).abs() / full.cycles < 0.05);
-        // Deterministic, and routed by the policy's elastic flag.
-        assert_eq!(elastic_from_1, simulate_barrier_elastic(&l, &s, &p, 1));
-        let policy = ExecPolicy { elastic: true, ..ExecPolicy::default() };
-        assert_eq!(simulate_model(&l, &s, ExecModel::Barrier, None, &p, policy), elastic_from_1);
-    }
-
-    #[test]
-    fn cross_socket_join_charge_counts_remote_recruits_exactly() {
-        let (l, dag) = grid_problem(50, 50);
-        let s = CompiledSchedule::from_schedule(&GrowLocal::new().schedule(&dag, 8));
-        let flat = MachineProfile {
-            max_cores: 8,
-            sockets: 1,
-            cross_socket_join_cycles: 0.0,
-            ..MachineProfile::intel_xeon_22()
-        };
-        let numa = MachineProfile {
-            sockets: 2, // threads 0..4 on socket 0, 4..8 on socket 1
-            cross_socket_join_cycles: 5_000.0,
-            ..flat.clone()
-        };
-        let a = simulate_barrier_elastic(&l, &s, &flat, 1);
-        let b = simulate_barrier_elastic(&l, &s, &numa, 1);
-        // Recruits are the threads the elastic trajectory grows into (one
-        // per superstep boundary, capped by the schedule); the charge
-        // lands once per recruit on the remote die (threads 4..8).
-        let growths = 7usize.min(s.n_supersteps() - 1);
-        let remote = (1..1 + growths).filter(|&t| numa.socket_of(t) != 0).count();
-        assert!(remote > 0, "trajectory never leaves socket 0");
-        let expected = remote as f64 * numa.cross_socket_join_cycles;
-        assert!((b.cycles - a.cycles - expected).abs() < 1e-6, "{} vs {}", b.cycles, a.cycles);
-        assert!((b.sync_cycles - a.sync_cycles - expected).abs() < 1e-6);
-        // A single-socket profile never pays the charge, whatever its value.
-        let single = MachineProfile { cross_socket_join_cycles: 9e9, ..flat.clone() };
-        assert_eq!(simulate_barrier_elastic(&l, &s, &single, 1), a);
-        // Admitted at full width there is no recruit to migrate.
-        let full_flat = simulate_barrier_elastic(&l, &s, &flat, 8);
-        let full_numa = simulate_barrier_elastic(&l, &s, &numa, 8);
-        assert_eq!(full_flat, full_numa);
     }
 
     #[test]

@@ -77,6 +77,13 @@ pub const DEFAULT_MAX_BATCH: usize = 8;
 /// plan's `batch_wait_us=` policy key is given.
 pub const DEFAULT_BATCH_WAIT: Duration = Duration::from_micros(100);
 
+/// Largest queue depth [`ServeBuilder::latency_budget`] derives. A budget
+/// many batch-solve estimates long (a tiny estimate, say) would otherwise
+/// size the pre-allocated queue and slot pool past any real memory; this
+/// many queued requests already hold tens of thousands of right-hand
+/// sides, so a deeper queue could never drain within a meaningful budget.
+pub const MAX_BUDGET_DEPTH: usize = 1 << 16;
+
 /// What a full queue does to the next submission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Admission {
@@ -361,9 +368,10 @@ impl ServeBuilder {
     /// `max_batch` requests taking about `est_batch_solve` each, a request
     /// admitted behind `d` queued ones waits about
     /// `ceil(d / max_batch) × est_batch_solve` — the depth is the largest
-    /// `d` that keeps the estimate within `budget` (at least 1). Requests
-    /// beyond that depth would blow the budget, so they block or shed at
-    /// admission instead of queueing doomed work.
+    /// `d` that keeps the estimate within `budget` (at least 1, at most
+    /// [`MAX_BUDGET_DEPTH`]). Requests beyond that depth would blow the
+    /// budget, so they block or shed at admission instead of queueing
+    /// doomed work.
     pub fn latency_budget(self, budget: Duration, est_batch_solve: Duration) -> ServeBuilder {
         assert!(
             !est_batch_solve.is_zero(),
@@ -372,7 +380,7 @@ impl ServeBuilder {
         let width = self.effective_max_batch();
         let batches_in_budget =
             usize::try_from(budget.as_nanos() / est_batch_solve.as_nanos()).unwrap_or(usize::MAX);
-        let depth = batches_in_budget.saturating_mul(width).max(1);
+        let depth = batches_in_budget.saturating_mul(width).clamp(1, MAX_BUDGET_DEPTH);
         self.queue_depth(depth)
     }
 

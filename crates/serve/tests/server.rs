@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sptrsv_exec::{PlanBuilder, SolvePlan, SolverRuntime};
-use sptrsv_serve::{Admission, ServeBuilder, SolveServer, SubmitError};
+use sptrsv_serve::{Admission, ServeBuilder, SolveServer, SubmitError, MAX_BUDGET_DEPTH};
 use sptrsv_sparse::gen::grid::{grid2d_laplacian, Stencil2D};
 use sptrsv_sparse::CsrMatrix;
 use std::sync::{Arc, Barrier, Mutex};
@@ -182,6 +182,21 @@ fn shutdown_while_a_waiter_combines_drains_every_request() {
 #[should_panic(expected = "estimate must be nonzero")]
 fn a_zero_batch_solve_estimate_is_rejected() {
     let _ = ServeBuilder::new(plan()).latency_budget(Duration::from_millis(1), Duration::ZERO);
+}
+
+#[test]
+fn a_tiny_batch_solve_estimate_clamps_the_derived_depth() {
+    // One second over one nanosecond is 10^9 batches: unclamped, start()
+    // would pre-size a queue and slot pool of hundreds of gigabytes.
+    let server = ServeBuilder::new(plan())
+        .latency_budget(Duration::from_secs(1), Duration::from_nanos(1))
+        .start();
+    assert!(server.queue_depth() <= MAX_BUDGET_DEPTH, "depth {}", server.queue_depth());
+    let n = server.plan().internal_matrix().n_rows();
+    let b = rhs(n, 5);
+    let expected = server.plan().solve(&b);
+    assert_eq!(server.submit(b).unwrap().wait().x, expected);
+    assert_eq!(server.shutdown().completed, 1);
 }
 
 #[test]

@@ -37,7 +37,7 @@ fn serving_storm_stays_bit_identical_under_contention() {
         let runtime = Arc::new(SolverRuntime::new(capacity));
         let servers: Vec<_> = operands()
             .into_iter()
-            .zip(["growlocal:grant=fair,elastic=on", "spmp@async"])
+            .zip(["growlocal", "spmp@async"])
             .map(|(l, spec)| {
                 let plan = PlanBuilder::new(&l)
                     .scheduler(spec)

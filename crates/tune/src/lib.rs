@@ -205,11 +205,11 @@ pub struct Tuner<'m> {
     passthrough: Vec<(String, String)>,
 }
 
-/// Execution-policy keys `auto:` passes through to the winner. Mirrors
-/// the registry's policy-key set (pinned by a test there is no tenth key
-/// this list misses).
+/// Execution-policy keys `auto:` passes through to the winner: the
+/// registry's seven policy keys except `sync=`, which is matched by value
+/// (pinned by `passthrough_keys_mirror_the_registry_policy_keys`).
 const POLICY_KEYS: &[&str] =
-    &["backoff", "cores", "grant", "elastic", "fastmath", "batch", "batch_wait_us", "plan_cache"];
+    &["backoff", "cores", "fastmath", "batch", "batch_wait_us", "plan_cache"];
 
 impl<'m> Tuner<'m> {
     /// A tuner for `matrix` (the lower-triangular operand) with default
@@ -734,13 +734,31 @@ mod tests {
     fn passthrough_policy_reaches_the_winner() {
         let l = grid();
         let report =
-            Tuner::from_spec(&l, "auto:fastmath=off,elastic=on").unwrap().unwrap().run().unwrap();
+            Tuner::from_spec(&l, "auto:fastmath=off,cores=2").unwrap().unwrap().run().unwrap();
         let winner = report.winner.to_string();
         assert!(winner.contains("fastmath=off"), "got {winner}");
-        assert!(winner.contains("elastic=on"), "got {winner}");
+        assert!(winner.contains("cores=2"), "got {winner}");
         // Pinned fastmath suppresses generated fastmath variants.
         for e in &report.ranked {
             assert!(!e.spec.to_string().contains("fastmath=on"));
+        }
+    }
+
+    #[test]
+    fn passthrough_keys_mirror_the_registry_policy_keys() {
+        // The registry strips exactly its policy keys from a schedule
+        // identity: every passthrough key (plus `sync=`) must be one of
+        // them, and `grant=`/`elastic=`/`shrink=` are not.
+        let mut spec = SchedulerSpec::new("growlocal").with("sync", "full");
+        for key in POLICY_KEYS {
+            let value = if *key == "backoff" { "yield" } else { "1" };
+            spec = spec.with(*key, value);
+        }
+        assert_eq!(sptrsv_core::registry::schedule_identity(&spec), "growlocal");
+        let l = grid();
+        for key in ["grant", "elastic", "shrink"] {
+            let err = Tuner::from_spec(&l, &format!("auto:{key}=on")).unwrap_err();
+            assert!(matches!(&err, TuneError::Spec(m) if m.contains(key)), "{key}: {err}");
         }
     }
 }

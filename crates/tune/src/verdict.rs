@@ -19,7 +19,7 @@
 //! ```
 
 use crate::TuneError;
-use sptrsv_core::registry::{self, resolve_exec_policy, SchedulerSpec};
+use sptrsv_core::registry::{self, SchedulerSpec};
 use sptrsv_core::serialize::{FingerprintHasher, PlanFingerprint};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -56,7 +56,8 @@ pub fn write_verdict(fingerprint: &PlanFingerprint, winner: &SchedulerSpec) -> S
 /// Errors on: wrong version, missing/misordered lines, fingerprint
 /// mismatch against `expected`, checksum mismatch, a winner that does not
 /// parse under the spec grammar, an unregistered scheduler, a model the
-/// scheduler does not support, or an invalid policy key.
+/// scheduler does not support, an invalid policy value, or a key the
+/// scheduler does not take.
 pub fn read_verdict(text: &str, expected: &PlanFingerprint) -> Result<SchedulerSpec, TuneError> {
     let corrupt = |what: &str| TuneError::Cache(format!("verdict cache: {what}"));
     let mut lines = text.lines();
@@ -99,15 +100,10 @@ pub fn read_verdict(text: &str, expected: &PlanFingerprint) -> Result<SchedulerS
     // Checksum fine — now revalidate the pick itself.
     let spec: SchedulerSpec =
         winner_text.parse().map_err(|e| corrupt(&format!("winner does not parse: {e}")))?;
-    let info = registry::info(spec.name()).ok_or_else(|| {
+    registry::info(spec.name()).ok_or_else(|| {
         corrupt(&format!("winner names unregistered scheduler `{}`", spec.name()))
     })?;
-    let model = registry::resolve_model(&spec)
-        .map_err(|e| corrupt(&format!("winner model invalid: {e}")))?;
-    if !info.exec_models.contains(&model) {
-        return Err(corrupt(&format!("winner model @{model} unsupported by {}", spec.name())));
-    }
-    resolve_exec_policy(&spec).map_err(|e| corrupt(&format!("winner policy invalid: {e}")))?;
+    registry::validate(&spec).map_err(|e| corrupt(&format!("winner invalid: {e}")))?;
     Ok(spec)
 }
 
@@ -159,5 +155,15 @@ mod tests {
         let text = write_verdict(&fp(), &bogus);
         let err = read_verdict(&text, &fp()).unwrap_err();
         assert!(err.to_string().contains("unregistered"), "got: {err}");
+    }
+
+    #[test]
+    fn a_checksummed_winner_with_an_unknown_key_is_a_cache_error() {
+        // `elastic=` is not a policy key: a verdict naming it is
+        // corruption at read time, whatever its checksum says.
+        let spec: SchedulerSpec = "growlocal:elastic=on@barrier".parse().unwrap();
+        let text = write_verdict(&fp(), &spec);
+        let err = read_verdict(&text, &fp()).unwrap_err();
+        assert!(matches!(&err, TuneError::Cache(m) if m.contains("elastic")), "got: {err}");
     }
 }

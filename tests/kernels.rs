@@ -240,8 +240,8 @@ fn fastmath_agrees_with_exact_path_on_every_suite_scheduler_and_model() {
 fn fastmath_multi_rhs_agrees_column_by_column() {
     // Every branch of the shared superstep engine, per execution model:
     // exact and fastmath kernels, one and several right-hand sides, the
-    // degraded serial sweep (capacity 1) and the leased one (capacity 3),
-    // and elastic barrier leases. Each `solve_multi` column must equal that
+    // degraded serial sweep (capacity 1) and the leased one (capacity 3).
+    // Each `solve_multi` column must equal that
     // column's `solve_into` bit-for-bit on the exact path, and within the
     // documented 1e-12 under fastmath (the multi-RHS rows run the scalar
     // fastmath kernel where a single RHS runs the lane-unrolled one).
@@ -253,24 +253,17 @@ fn fastmath_multi_rhs_agrees_column_by_column() {
     for capacity in [1, 3] {
         let runtime = Arc::new(SolverRuntime::new(capacity));
         for model in ExecModel::ALL {
-            for (fastmath, elastic) in [(false, false), (true, false), (false, true), (true, true)]
-            {
-                if elastic && model != ExecModel::Barrier {
-                    continue; // elastic leases are a barrier-model policy
-                }
+            for fastmath in [false, true] {
                 let plan = PlanBuilder::new(&ds.lower)
                     .cores(4)
                     .execution(model)
                     .fastmath(fastmath)
-                    .elastic(elastic)
                     .runtime(Arc::clone(&runtime))
                     .build()
                     .unwrap();
                 let mut ws = plan.workspace();
                 for r in [1, 3] {
-                    let config = format!(
-                        "{model} fastmath={fastmath} elastic={elastic} capacity={capacity} r={r}"
-                    );
+                    let config = format!("{model} fastmath={fastmath} capacity={capacity} r={r}");
                     let b: Vec<f64> = (0..n * r).map(|i| (i as f64 * 0.17).cos()).collect();
                     let x = plan.solve_multi(&b, r);
                     for j in 0..r {
