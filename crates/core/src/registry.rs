@@ -816,6 +816,28 @@ impl ParamReader<'_> {
         }
     }
 
+    /// Like [`ParamReader::parse`], but a value outside the key's declared
+    /// range (`in_range` false, NaN included) is a `BadValue` as well.
+    fn parse_in_range<T: FromStr>(
+        &self,
+        key: &'static str,
+        default: T,
+        expected: &'static str,
+        in_range: fn(&T) -> bool,
+    ) -> Result<T, RegistryError> {
+        let value = self.parse(key, default, expected)?;
+        if in_range(&value) {
+            Ok(value)
+        } else {
+            Err(RegistryError::BadValue {
+                scheduler: self.scheduler,
+                key,
+                value: self.spec.get(key).unwrap_or_default().to_string(),
+                expected,
+            })
+        }
+    }
+
     /// Like [`ParamReader::parse`] but `auto` maps to `None`.
     fn parse_or_auto<T: FromStr>(
         &self,
@@ -870,9 +892,21 @@ impl ParamReader<'_> {
             }
         };
         Ok(GrowLocalParams {
-            alpha_init: self.parse(alpha, defaults.alpha_init, "a positive integer")?,
-            growth: self.parse(growth, defaults.growth, "a float > 1")?,
-            accept_ratio: self.parse(accept, defaults.accept_ratio, "a float in (0, 1]")?,
+            alpha_init: self.parse_in_range(
+                alpha,
+                defaults.alpha_init,
+                "a positive integer",
+                |a| *a >= 1,
+            )?,
+            growth: self.parse_in_range(growth, defaults.growth, "a finite float > 1", |g| {
+                g.is_finite() && *g > 1.0
+            })?,
+            accept_ratio: self.parse_in_range(
+                accept,
+                defaults.accept_ratio,
+                "a float in (0, 1]",
+                |a| *a > 0.0 && *a <= 1.0,
+            )?,
             sync_cost: self.parse(sync, defaults.sync_cost, "a non-negative integer")?,
             priority,
         })
@@ -974,25 +1008,20 @@ pub fn build(
         "hdagg" => {
             let defaults = HDagg::default();
             Box::new(HDagg {
-                balance_threshold: reader.parse(
+                balance_threshold: reader.parse_in_range(
                     "balance",
                     defaults.balance_threshold,
                     "a float >= 1",
+                    |b| *b >= 1.0,
                 )?,
             })
         }
         "spmp" => Box::new(SpMp),
         "bspg" => {
             let defaults = BspG::default();
-            let quota = reader.parse("quota", defaults.quota, "a positive integer")?;
-            if quota == 0 {
-                return Err(RegistryError::BadValue {
-                    scheduler: "bspg",
-                    key: "quota",
-                    value: "0".into(),
-                    expected: "a positive integer",
-                });
-            }
+            let quota =
+                reader
+                    .parse_in_range("quota", defaults.quota, "a positive integer", |q| *q >= 1)?;
             Box::new(BspG { quota })
         }
         _ => unreachable!("info() only returns registered names"),
@@ -1111,6 +1140,56 @@ mod tests {
             Err(RegistryError::BadValue { .. })
         ));
         assert!(matches!(resolve("bspg:quota=0", &g, 2), Err(RegistryError::BadValue { .. })));
+    }
+
+    /// Every listed value of `key` on `scheduler` is rejected naming `key`.
+    fn assert_out_of_range(scheduler: &str, key: &str, values: &[&str]) {
+        let g = dag();
+        for value in values {
+            let text = format!("{scheduler}:{key}={value}");
+            match resolve(&text, &g, 2) {
+                Err(RegistryError::BadValue { key: k, value: v, .. }) => {
+                    assert_eq!((k, v.as_str()), (key, *value), "{text}")
+                }
+                Err(e) => panic!("{text}: wrong error {e}"),
+                Ok(_) => panic!("{text} built"),
+            }
+        }
+    }
+
+    #[test]
+    fn balance_outside_its_range_is_rejected() {
+        assert_out_of_range("hdagg", "balance", &["NaN", "-2", "0.99", "0"]);
+        let g = dag();
+        for ok in ["1", "1.15", "inf"] {
+            assert!(resolve(&format!("hdagg:balance={ok}"), &g, 2).is_ok(), "balance={ok}");
+        }
+    }
+
+    #[test]
+    fn alpha_outside_its_range_is_rejected() {
+        assert_out_of_range("growlocal", "alpha", &["0"]);
+        assert_out_of_range("funnel-gl", "gl.alpha", &["0"]);
+        assert_out_of_range("block-gl", "gl.alpha", &["0"]);
+        assert!(resolve("growlocal:alpha=1", &dag(), 2).is_ok());
+    }
+
+    #[test]
+    fn growth_outside_its_range_is_rejected() {
+        let bad = ["0.5", "1", "NaN", "inf", "-3"];
+        assert_out_of_range("growlocal", "growth", &bad);
+        assert_out_of_range("funnel-gl", "gl.growth", &bad);
+        assert_out_of_range("block-gl", "gl.growth", &bad);
+        assert!(resolve("growlocal:growth=1.01", &dag(), 2).is_ok());
+    }
+
+    #[test]
+    fn accept_outside_its_range_is_rejected() {
+        let bad = ["NaN", "0", "-0.5", "1.5", "inf"];
+        assert_out_of_range("growlocal", "accept", &bad);
+        assert_out_of_range("funnel-gl", "gl.accept", &bad);
+        assert_out_of_range("block-gl", "gl.accept", &bad);
+        assert!(resolve("growlocal:accept=1", &dag(), 2).is_ok());
     }
 
     #[test]

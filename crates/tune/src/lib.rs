@@ -17,9 +17,11 @@
 //! * [`candidates::generate`] — every supported (scheduler, model) pair
 //!   from [`registry::list()`](sptrsv_core::registry::list), dominated or
 //!   degenerate combinations pruned by cheap structural rules;
-//! * [`Tuner`] — builds each surviving candidate's schedule (bounded by
-//!   [`TuneBudget`]) and ranks modeled cycles via the existing simulate
-//!   paths; `measure=on` refines the top-K with real timed first-solves;
+//! * [`Tuner`] — builds each surviving candidate's plan (bounded by
+//!   [`TuneBudget`]; candidates with the same schedule identity share one
+//!   schedule through a plan cache private to the run) and ranks modeled
+//!   cycles via the existing simulate paths; `measure=on` refines the
+//!   top-K with real timed first-solves;
 //! * [`verdict`] — the winner persisted in a versioned, checksummed
 //!   on-disk cache keyed by the structure-only
 //!   [`PlanFingerprint`], so the
@@ -63,10 +65,11 @@ pub use features::TuneFeatures;
 
 use sptrsv_core::registry::{resolve_exec_policy, ExecModel, RegistryError, SchedulerSpec};
 use sptrsv_core::serialize::PlanFingerprint;
-use sptrsv_exec::{MachineProfile, PlanBuilder, PlanError};
+use sptrsv_exec::{CacheOutcome, MachineProfile, PlanBuilder, PlanCache, PlanError};
 use sptrsv_sparse::CsrMatrix;
 use std::fmt;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Everything that can go wrong while tuning.
@@ -169,6 +172,11 @@ pub struct TuneEntry {
     pub modeled_cycles: f64,
     /// Supersteps of the candidate's schedule.
     pub n_supersteps: usize,
+    /// The candidate reused the schedule (and its reordering and compiled
+    /// layout) of an earlier candidate with the same
+    /// [`schedule_identity`](sptrsv_core::registry::schedule_identity) in
+    /// this run, instead of scheduling cold.
+    pub reused_schedule: bool,
     /// Measured first-solve wall time (median of three), when the
     /// measured refinement ran for this entry.
     pub measured_ms: Option<f64>,
@@ -418,6 +426,13 @@ impl<'m> Tuner<'m> {
         // pinned `fastmath=off` or `sync=full` changes the model — but
         // `plan_cache` is held back until the winner is known (scoring
         // must not litter the plan cache with losers).
+        //
+        // Candidates that differ only in model or policy (`@barrier` /
+        // `@async` / `@serial`, `fastmath=on`) share one schedule: a plan
+        // cache private to this run schedules, reorders and compiles each
+        // schedule identity once. It is dropped when the run ends, so no
+        // later build sees it.
+        let shared = Arc::new(PlanCache::new(survivors.len().max(1)));
         let mut scored: Vec<(TuneEntry, sptrsv_exec::SolvePlan)> = Vec::new();
         for candidate in survivors {
             let mut spec = candidate;
@@ -426,13 +441,17 @@ impl<'m> Tuner<'m> {
                     spec = spec.with(k.clone(), v.clone());
                 }
             }
-            let plan =
-                PlanBuilder::new(self.matrix).scheduler(spec.to_string()).cores(n_cores).build()?;
+            let plan = PlanBuilder::new(self.matrix)
+                .scheduler(spec.to_string())
+                .cores(n_cores)
+                .cached(&shared)
+                .build()?;
             let report = plan.simulate(&self.profile);
             let entry = TuneEntry {
                 spec,
                 modeled_cycles: report.cycles,
                 n_supersteps: plan.schedule().n_supersteps(),
+                reused_schedule: plan.cache_outcome() == CacheOutcome::MemoryHit,
                 measured_ms: None,
             };
             scored.push((entry, plan));
@@ -583,16 +602,17 @@ pub fn render_table(report: &TuneReport) -> String {
         return out;
     }
     out.push_str(&format!(
-        "{:<34} {:>14} {:>6} {:>10}\n",
-        "candidate", "modeled cycles", "steps", "solve ms"
+        "{:<34} {:>14} {:>6} {:>8} {:>10}\n",
+        "candidate", "modeled cycles", "steps", "schedule", "solve ms"
     ));
     for entry in &report.ranked {
         let measured = entry.measured_ms.map_or("-".to_string(), |ms| format!("{ms:.3}"));
         out.push_str(&format!(
-            "{:<34} {:>14.0} {:>6} {:>10}\n",
+            "{:<34} {:>14.0} {:>6} {:>8} {:>10}\n",
             entry.spec.to_string(),
             entry.modeled_cycles,
             entry.n_supersteps,
+            if entry.reused_schedule { "reused" } else { "built" },
             measured,
         ));
     }
@@ -632,6 +652,58 @@ mod tests {
         let info = registry::info(spec.name()).unwrap();
         let model = registry::resolve_model(&spec).unwrap();
         assert!(info.exec_models.contains(&model));
+    }
+
+    #[test]
+    fn shared_schedules_score_exactly_like_cold_builds() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(5);
+        let operands = [
+            ("grid", grid()),
+            (
+                "narrow band",
+                sptrsv_sparse::gen::narrow_band::narrow_band_lower(300, 0.3, 6.0, &mut rng),
+            ),
+            // Dense blocks: the fastmath variants join the candidate set.
+            (
+                "supernodal",
+                sptrsv_sparse::gen::grid::supernodal_spd(6, 8, 2, 0.5).lower_triangle().unwrap(),
+            ),
+        ];
+        let mut saw_fastmath = false;
+        for (what, l) in &operands {
+            let report = Tuner::new(l).cores(2).run().unwrap();
+            assert!(report.ranked.len() > 1, "{what}: nothing to share");
+            for entry in &report.ranked {
+                let cold =
+                    PlanBuilder::new(l).scheduler(entry.spec.to_string()).cores(2).build().unwrap();
+                let cycles = cold.simulate(&MachineProfile::intel_xeon_22()).cycles;
+                assert_eq!(
+                    entry.modeled_cycles.to_bits(),
+                    cycles.to_bits(),
+                    "{what}: {} scored {} shared, {} cold",
+                    entry.spec,
+                    entry.modeled_cycles,
+                    cycles
+                );
+                assert_eq!(
+                    entry.n_supersteps,
+                    cold.schedule().n_supersteps(),
+                    "{what}: {}",
+                    entry.spec
+                );
+                saw_fastmath |= entry.spec.to_string().contains("fastmath=on");
+            }
+            // Exactly one cold schedule per identity; every other candidate
+            // reused it.
+            let identities: std::collections::HashSet<String> =
+                report.ranked.iter().map(|e| registry::schedule_identity(&e.spec)).collect();
+            let built = report.ranked.iter().filter(|e| !e.reused_schedule).count();
+            assert_eq!(built, identities.len(), "{what}");
+            assert!(built < report.ranked.len(), "{what}: no candidate shared a schedule");
+            assert!(render_table(&report).contains(" reused "), "{what}");
+        }
+        assert!(saw_fastmath, "no operand exercised a fastmath variant");
     }
 
     #[test]
