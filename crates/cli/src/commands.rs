@@ -188,26 +188,39 @@ fn generate(args: &Args) -> Result<(), String> {
     let mut rng = SmallRng::seed_from_u64(seed);
     let matrix = match kind {
         "grid2d" => {
-            let w: usize = args.get_parse("width", 64)?;
-            let h: usize = args.get_parse("height", 64)?;
+            let w = positive_dim(args, "width", 64)?;
+            let h = positive_dim(args, "height", 64)?;
             gen::grid::grid2d_laplacian(w, h, gen::grid::Stencil2D::FivePoint, 0.5)
         }
         "grid3d" => {
-            let w: usize = args.get_parse("width", 16)?;
-            let h: usize = args.get_parse("height", 16)?;
-            let d: usize = args.get_parse("depth", 16)?;
+            let w = positive_dim(args, "width", 16)?;
+            let h = positive_dim(args, "height", 16)?;
+            let d = positive_dim(args, "depth", 16)?;
             gen::grid::grid3d_laplacian(w, h, d, gen::grid::Stencil3D::SevenPoint, 0.5)
         }
         "er" => {
             let n: usize = args.get_parse("n", 10_000)?;
             let rate: f64 = args.get_parse("rate", 10.0)?;
-            let p = (2.0 * rate / (n as f64 - 1.0)).min(1.0);
+            if n == 0 {
+                return Err("bad value for --n: er needs at least one row".into());
+            }
+            if !(rate.is_finite() && rate >= 0.0) {
+                return Err(format!("bad value for --rate: {rate} is not a finite rate >= 0"));
+            }
+            // One row has no strictly-lower entries to draw.
+            let p = if n == 1 { 0.0 } else { (2.0 * rate / (n as f64 - 1.0)).min(1.0) };
             gen::erdos_renyi::erdos_renyi_lower(n, p, &mut rng)
         }
         "nb" => {
             let n: usize = args.get_parse("n", 10_000)?;
             let p: f64 = args.get_parse("prob", 0.14)?;
             let b: f64 = args.get_parse("band", 10.0)?;
+            if !(p > 0.0 && p <= 1.0) {
+                return Err(format!("bad value for --prob: {p} is not a probability in (0, 1]"));
+            }
+            if !(b.is_finite() && b > 0.0) {
+                return Err(format!("bad value for --band: {b} is not a finite bandwidth > 0"));
+            }
             gen::narrow_band::narrow_band_lower(n, p, b, &mut rng)
         }
         other => return Err(format!("unknown generator `{other}`")),
@@ -216,6 +229,14 @@ fn generate(args: &Args) -> Result<(), String> {
     write_matrix_market_file(&matrix, out).map_err(|e| e.to_string())?;
     println!("wrote {} ({} rows, {} non-zeros)", out, matrix.n_rows(), matrix.nnz());
     Ok(())
+}
+
+/// A grid dimension flag, which must be at least 1.
+fn positive_dim(args: &Args, key: &str, default: usize) -> Result<usize, String> {
+    match args.get_parse(key, default)? {
+        0 => Err(format!("bad value for --{key}: grid dimensions must be at least 1")),
+        dim => Ok(dim),
+    }
 }
 
 fn info(args: &Args) -> Result<(), String> {
@@ -741,6 +762,47 @@ mod tests {
     fn dispatch_rejects_unknown_commands() {
         assert!(dispatch(&["frobnicate".to_string()]).is_err());
         assert!(dispatch(&[]).is_err());
+    }
+
+    #[test]
+    fn generate_rejects_bad_generator_parameters() {
+        let out = std::env::temp_dir().join("sptrsv-cli-bad-generate.mtx");
+        let out = out.to_str().unwrap();
+        std::fs::remove_file(out).ok();
+        for (kind, flag, value, expected) in [
+            ("er", "n", "0", "--n"),
+            ("er", "rate", "-5", "--rate"),
+            ("er", "rate", "NaN", "--rate"),
+            ("er", "rate", "inf", "--rate"),
+            ("nb", "prob", "-0.1", "--prob"),
+            ("nb", "prob", "0", "--prob"),
+            ("nb", "prob", "1.5", "--prob"),
+            ("nb", "prob", "NaN", "--prob"),
+            ("nb", "band", "0", "--band"),
+            ("nb", "band", "-3", "--band"),
+            ("nb", "band", "NaN", "--band"),
+            ("nb", "band", "inf", "--band"),
+            ("grid2d", "width", "0", "--width"),
+            ("grid2d", "height", "0", "--height"),
+            ("grid3d", "depth", "0", "--depth"),
+        ] {
+            let argv: Vec<String> = ["generate", kind, &format!("--{flag}"), value, "-o", out]
+                .iter()
+                .map(|s| s.to_string())
+                .collect();
+            let err = dispatch(&argv).expect_err(&format!("{kind} --{flag} {value} accepted"));
+            assert!(err.contains(expected), "{kind} --{flag} {value}: {err}");
+        }
+        assert!(!std::path::Path::new(out).exists(), "a rejected generate wrote {out}");
+        // The boundary values stay accepted: one row, rate 0, prob 1.
+        for argv in [
+            ["generate", "er", "--n", "1", "--rate", "0", "-o", out],
+            ["generate", "nb", "--n", "30", "--prob", "1", "-o", out],
+        ] {
+            let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+            dispatch(&argv).unwrap_or_else(|e| panic!("{argv:?}: {e}"));
+        }
+        std::fs::remove_file(out).ok();
     }
 
     #[test]
