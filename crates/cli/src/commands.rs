@@ -15,8 +15,8 @@ use sptrsv_core::registry::{self, SchedulerSpec};
 use sptrsv_core::CompiledSchedule;
 use sptrsv_dag::{wavefronts, SolveDag};
 use sptrsv_exec::{
-    simulate_model, simulate_serial, CacheOutcome, MachineProfile, Orientation, PlanBuilder,
-    PreOrder,
+    backward_error, simulate_model, simulate_serial, CacheOutcome, MachineProfile, Orientation,
+    PlanBuilder, PreOrder, BACKWARD_ERROR_TOL,
 };
 use sptrsv_serve::{Admission, ServeBuilder, SubmitError};
 use sptrsv_sparse::csr::Triangle;
@@ -403,6 +403,7 @@ fn solve(args: &Args) -> Result<(), String> {
     plan.solve_into(&b, &mut x, &mut workspace);
     let first_elapsed = started.elapsed();
     let residual = relative_residual(&lower, &x, &b);
+    let backward = backward_error(&lower, &x, &b);
     println!("algorithm:         {algo}");
     println!("execution model:   {}", plan.exec_model());
     println!(
@@ -450,8 +451,9 @@ fn solve(args: &Args) -> Result<(), String> {
         );
     }
     println!("relative residual: {residual:.3e}");
-    if residual > 1e-8 {
-        return Err("residual too large — solve failed".into());
+    println!("backward error:    {backward:.3e} (componentwise)");
+    if backward > BACKWARD_ERROR_TOL {
+        return Err("backward error too large — solve failed".into());
     }
     Ok(())
 }
@@ -499,10 +501,10 @@ fn plan_cmd(args: &Args) -> Result<(), String> {
     // and a loaded plan proves here that the revalidated schedule works.
     let b = vec![1.0; lower.n_rows()];
     let x = plan.solve(&b);
-    let residual = relative_residual(&lower, &x, &b);
-    println!("residual:        {residual:.3e} (one verifying solve)");
-    if residual > 1e-8 {
-        return Err("residual too large — refusing a plan that cannot solve".into());
+    let backward = backward_error(&lower, &x, &b);
+    println!("backward error:  {backward:.3e} (one verifying solve)");
+    if backward > BACKWARD_ERROR_TOL {
+        return Err("backward error too large — refusing a plan that cannot solve".into());
     }
     if let Some(out) = args.get("save") {
         plan.save(out).map_err(|e| e.to_string())?;
@@ -670,7 +672,7 @@ fn serve_bench(args: &Args) -> Result<(), String> {
                         let rhs = b.clone();
                         // Bit-identity against a standalone solve holds on
                         // the exact path; fastmath keeps its documented
-                        // 1e-12 agreement, checked through the residual.
+                        // 1e-12 agreement, checked through the backward error.
                         let expected = (!fastmath).then(|| server.plan().solve(&rhs));
                         let mut pending = b;
                         let handle = loop {
@@ -693,10 +695,10 @@ fn serve_bench(args: &Args) -> Result<(), String> {
                                 ));
                             }
                         }
-                        let residual = relative_residual(lower, &response.x, &rhs);
-                        if residual > 1e-8 {
+                        let backward = backward_error(lower, &response.x, &rhs);
+                        if backward > BACKWARD_ERROR_TOL {
                             return Err(format!(
-                                "client {client} round {round}: residual {residual:.3e}"
+                                "client {client} round {round}: backward error {backward:.3e}"
                             ));
                         }
                         samples.push(response.timing.total);

@@ -48,7 +48,7 @@
 //! lease's publish and completion wait, and the generation mutex is held
 //! for the whole solve, so no state is shared between solves.
 
-use crate::engine::{Engine, Flags, Identity, Many, One};
+use crate::engine::{solve_width, Engine, Flags, Identity, One};
 use crate::executor::{Executor, UserOperands};
 use crate::runtime::RuntimeHandle;
 use sptrsv_core::kernel::KernelPlan;
@@ -112,7 +112,7 @@ impl AsyncExecutor {
     /// synchronization: one *done* flag per row, set after all `r` values.
     pub fn solve_multi(&self, l: &CsrMatrix, b: &[f64], x: &mut [f64], r: usize) {
         let (_turn, flags) = self.flags.begin();
-        self.engine.solve(flags, l, Identity(b), x, Many(r));
+        solve_width((&self.engine, flags), l, Identity(b), x, r);
     }
 }
 
@@ -241,17 +241,18 @@ mod tests {
         let a = grid2d_laplacian(12, 10, Stencil2D::FivePoint, 0.5);
         let l = a.lower_triangle().unwrap();
         let n = l.n_rows();
-        let r = 3;
         let dag = SolveDag::from_lower_triangular(&l);
         let schedule = SpMp.schedule(&dag, 4);
         let reduced = SpMp.reduced_dag(&dag);
         let exec = AsyncExecutor::new(&l, &schedule, &reduced).unwrap();
-        let b: Vec<f64> = (0..n * r).map(|i| (i as f64 * 0.23).sin() + 0.5).collect();
-        let mut expected = vec![0.0; n * r];
-        solve_lower_multi_serial(&l, &b, &mut expected, r);
-        let mut x = vec![0.0; n * r];
-        exec.solve_multi(&l, &b, &mut x, r);
-        assert_eq!(x, expected);
+        for r in [3, 10] {
+            let b: Vec<f64> = (0..n * r).map(|i| (i as f64 * 0.23).sin() + 0.5).collect();
+            let mut expected = vec![0.0; n * r];
+            solve_lower_multi_serial(&l, &b, &mut expected, r);
+            let mut x = vec![0.0; n * r];
+            exec.solve_multi(&l, &b, &mut x, r);
+            assert_eq!(x, expected, "r={r}");
+        }
     }
 
     #[test]

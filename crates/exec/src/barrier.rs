@@ -45,7 +45,7 @@
 //!   between the lease's publish and its completion wait, so nothing
 //!   outlives the borrow of `x`.
 
-use crate::engine::{Barrier, Engine, Identity, Many, One};
+use crate::engine::{solve_width, Barrier, Engine, Identity, One};
 use crate::executor::{Executor, UserOperands};
 use crate::runtime::RuntimeHandle;
 use sptrsv_core::kernel::KernelPlan;
@@ -115,7 +115,7 @@ impl Executor for BarrierExecutor {
     }
 
     fn solve_multi(&self, l: &CsrMatrix, b: &[f64], x: &mut [f64], r: usize) {
-        self.engine.solve(Barrier, l, Identity(b), x, Many(r));
+        solve_width((&self.engine, Barrier), l, Identity(b), x, r);
     }
 
     fn solve_user(&self, l: &CsrMatrix, to_internal: &Permutation, user: UserOperands<'_>) {
@@ -272,15 +272,16 @@ mod tests {
     fn parallel_multi_matches_serial_multi() {
         let (l, _) = problem(13, 9);
         let n = l.n_rows();
-        let r = 4;
         let dag = SolveDag::from_lower_triangular(&l);
         let exec = BarrierExecutor::new(&l, &GrowLocal::new().schedule(&dag, 3)).unwrap();
-        let b: Vec<f64> = (0..n * r).map(|i| (i as f64 * 0.31).sin()).collect();
-        let mut expected = vec![0.0; n * r];
-        crate::serial::solve_lower_multi_serial(&l, &b, &mut expected, r);
-        let mut x = vec![0.0; n * r];
-        Executor::solve_multi(&exec, &l, &b, &mut x, r);
-        assert_eq!(x, expected);
+        for r in [4, 11] {
+            let b: Vec<f64> = (0..n * r).map(|i| (i as f64 * 0.31).sin()).collect();
+            let mut expected = vec![0.0; n * r];
+            crate::serial::solve_lower_multi_serial(&l, &b, &mut expected, r);
+            let mut x = vec![0.0; n * r];
+            Executor::solve_multi(&exec, &l, &b, &mut x, r);
+            assert_eq!(x, expected, "r={r}");
+        }
     }
 
     #[test]

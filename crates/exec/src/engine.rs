@@ -9,9 +9,12 @@
 //!
 //! * the sync strategy ([`Hooks`]: [`Barrier`] or the done flags of
 //!   [`FlagSolve`]);
-//! * the RHS shape ([`Rhs`]: the register-accumulating [`One`] kernels or
-//!   the in-place [`Many`] kernels, kept apart because their memory
-//!   patterns differ);
+//! * the RHS shape ([`Rhs`]): the single-RHS [`One`] kernels, the
+//!   register-blocked [`Many<R>`](Many) kernels for a compile-time width
+//!   `R` (each row keeps its `R` values in `[f64; R]` accumulators, reads
+//!   each parent's values as one array and stores its own once), and
+//!   [`Blocked`] rows of several such blocks for wider solves.
+//!   [`solve_width`] is the one place a runtime width picks its shape;
 //! * the numbering ([`Numbering`]): [`Identity`] reads `b` and writes `x`
 //!   in internal order, exactly as the executor's own `solve` is called;
 //!   [`UserNumbered`] fuses the plan's user↔internal permutation into the
@@ -25,7 +28,7 @@
 //! one writer per caller slot, because the permutation is a bijection.
 
 use crate::kernels::{
-    solve_dense, solve_dense_multi, solve_row_fast, solve_row_multi_raw, solve_row_raw,
+    solve_dense, solve_dense_multi, solve_row_block, solve_row_fast, solve_row_raw,
     solve_row_unrolled,
 };
 use crate::runtime::{backoff_wait, CoreLease, RuntimeHandle};
@@ -76,11 +79,21 @@ pub(crate) trait Rhs: Copy + Send + Sync {
 #[derive(Clone, Copy)]
 pub(crate) struct One;
 
-/// `r` right-hand sides: rows accumulate in place in `x`. `Unrolled` ops
-/// run the scalar fastmath row — the inner `r` loop already provides the
+/// Exactly `R` right-hand sides, register-blocked: each row keeps its `R`
+/// values in `[f64; R]` accumulators ([`solve_row_block`]). `Unrolled`
+/// ops run the scalar fastmath row — the `R` columns already provide the
 /// independent accumulation chains lane-unrolling exists to create.
 #[derive(Clone, Copy)]
-pub(crate) struct Many(pub(crate) usize);
+pub(crate) struct Many<const R: usize>;
+
+/// The widest register block: [`solve_width`] solves up to this many
+/// right-hand sides as one [`Many`] shape.
+pub(crate) const MAX_BLOCK: usize = 8;
+
+/// More than [`MAX_BLOCK`] right-hand sides: each row runs register blocks
+/// of 8 columns, then one block of the remaining 1–8, all in one traversal.
+#[derive(Clone, Copy)]
+pub(crate) struct Blocked(pub(crate) usize);
 
 impl Rhs for One {
     fn width(self) -> usize {
@@ -117,14 +130,80 @@ impl Rhs for One {
     }
 }
 
-impl Rhs for Many {
+impl<const R: usize> Rhs for Many<R> {
+    fn width(self) -> usize {
+        R
+    }
+    #[inline]
+    unsafe fn exact<N: Numbering>(self, l: &CsrMatrix, i: usize, num: N, x: *mut f64) {
+        // SAFETY: forwarded trait contract; the block is the whole row.
+        unsafe { solve_row_block::<R, N>(l, i, num, x, None, (0, R)) }
+    }
+    #[inline]
+    unsafe fn fast<N: Numbering>(
+        self,
+        l: &CsrMatrix,
+        i: usize,
+        num: N,
+        x: *mut f64,
+        inv: &[f64],
+        _: u8,
+    ) {
+        // SAFETY: forwarded trait contract; the block is the whole row.
+        unsafe { solve_row_block::<R, N>(l, i, num, x, Some(inv), (0, R)) }
+    }
+    #[inline]
+    unsafe fn dense<N: Numbering>(self, blk: &DenseBlock, inv: &[f64], num: N, x: *mut f64) {
+        // SAFETY: forwarded trait contract.
+        unsafe { solve_dense_multi(blk, inv, num, x, R) }
+    }
+}
+
+impl Blocked {
+    /// Row `i` as consecutive column blocks covering all `r` values.
+    ///
+    /// # Safety
+    /// The contract of [`Rhs::exact`] for all values of row `i`.
+    #[inline(always)]
+    unsafe fn row<N: Numbering>(
+        self,
+        l: &CsrMatrix,
+        i: usize,
+        num: N,
+        x: *mut f64,
+        inv: Option<&[f64]>,
+    ) {
+        let r = self.0;
+        let mut first = 0;
+        // SAFETY (every block): forwarded contract; the blocks tile `0..r`.
+        while r - first > MAX_BLOCK {
+            unsafe { solve_row_block::<MAX_BLOCK, N>(l, i, num, x, inv, (first, r)) };
+            first += MAX_BLOCK;
+        }
+        let rest = (first, r);
+        unsafe {
+            match r - first {
+                1 => solve_row_block::<1, N>(l, i, num, x, inv, rest),
+                2 => solve_row_block::<2, N>(l, i, num, x, inv, rest),
+                3 => solve_row_block::<3, N>(l, i, num, x, inv, rest),
+                4 => solve_row_block::<4, N>(l, i, num, x, inv, rest),
+                5 => solve_row_block::<5, N>(l, i, num, x, inv, rest),
+                6 => solve_row_block::<6, N>(l, i, num, x, inv, rest),
+                7 => solve_row_block::<7, N>(l, i, num, x, inv, rest),
+                _ => solve_row_block::<MAX_BLOCK, N>(l, i, num, x, inv, rest),
+            }
+        }
+    }
+}
+
+impl Rhs for Blocked {
     fn width(self) -> usize {
         self.0
     }
     #[inline]
     unsafe fn exact<N: Numbering>(self, l: &CsrMatrix, i: usize, num: N, x: *mut f64) {
         // SAFETY: forwarded trait contract.
-        unsafe { solve_row_multi_raw(l, i, num, x, self.0, None) }
+        unsafe { self.row(l, i, num, x, None) }
     }
     #[inline]
     unsafe fn fast<N: Numbering>(
@@ -137,12 +216,66 @@ impl Rhs for Many {
         _: u8,
     ) {
         // SAFETY: forwarded trait contract.
-        unsafe { solve_row_multi_raw(l, i, num, x, self.0, Some(inv)) }
+        unsafe { self.row(l, i, num, x, Some(inv)) }
     }
     #[inline]
     unsafe fn dense<N: Numbering>(self, blk: &DenseBlock, inv: &[f64], num: N, x: *mut f64) {
         // SAFETY: forwarded trait contract.
         unsafe { solve_dense_multi(blk, inv, num, x, self.0) }
+    }
+}
+
+/// A traversal of the rows that runs at every RHS shape: the engine
+/// under a sync strategy, or the natural-order serial sweep.
+pub(crate) trait Sweep: Copy {
+    /// Solves `L X = B` at shape `rhs` (`x` row-major in internal order).
+    fn run<R: Rhs, N: Numbering>(self, l: &CsrMatrix, num: N, x: &mut [f64], rhs: R);
+}
+
+impl<H: Hooks> Sweep for (&Engine, H) {
+    fn run<R: Rhs, N: Numbering>(self, l: &CsrMatrix, num: N, x: &mut [f64], rhs: R) {
+        self.0.solve(self.1, l, num, x, rhs);
+    }
+}
+
+/// The natural-order serial sweep over all rows of `l` with the exact
+/// kernels: the `@serial` model's multi-RHS and user-numbered solves.
+#[derive(Clone, Copy)]
+pub(crate) struct NaturalSweep;
+
+impl Sweep for NaturalSweep {
+    fn run<R: Rhs, N: Numbering>(self, l: &CsrMatrix, num: N, x: &mut [f64], rhs: R) {
+        check_lengths(l.n_rows(), rhs, num, x);
+        // SAFETY: lengths checked; single-threaded ascending sweep — every
+        // dependency is program-ordered, and `x` is exclusively borrowed.
+        unsafe { run_cell(l, num, x.as_mut_ptr(), rhs, Barrier, Natural(l.n_rows()), None) };
+    }
+}
+
+/// Solves `r` right-hand sides through `sweep` at the monomorphised shape
+/// for `r`: [`One`] for 1, [`Many`] for 2 to [`MAX_BLOCK`], and
+/// [`Blocked`] rows beyond. Every multi-RHS solve picks its shape here.
+/// Each width up to 8 has a shape of its own because a row split into
+/// blocks (3 as 2 + 1, 7 as 4 + 2 + 1) costs nearly one more solve per
+/// extra block on latency-bound operands, while one `R`-wide block costs
+/// a fraction of one.
+pub(crate) fn solve_width<N: Numbering>(
+    sweep: impl Sweep,
+    l: &CsrMatrix,
+    num: N,
+    x: &mut [f64],
+    r: usize,
+) {
+    match r {
+        1 => sweep.run(l, num, x, One),
+        2 => sweep.run(l, num, x, Many::<2>),
+        3 => sweep.run(l, num, x, Many::<3>),
+        4 => sweep.run(l, num, x, Many::<4>),
+        5 => sweep.run(l, num, x, Many::<5>),
+        6 => sweep.run(l, num, x, Many::<6>),
+        7 => sweep.run(l, num, x, Many::<7>),
+        8 => sweep.run(l, num, x, Many::<8>),
+        r => sweep.run(l, num, x, Blocked(r)),
     }
 }
 
@@ -314,30 +447,33 @@ impl<'a> UserOperands<'a> {
         }
     }
 
-    /// `r` right-hand sides, row-major `n × r`, solved into `x`; `table`
-    /// receives the `2r` column addresses.
+    /// Columns `cols` of `r` right-hand sides, row-major `n × r`, solved
+    /// into the same columns of `x`; `table` receives the `2 * cols.len()`
+    /// column addresses.
     pub(crate) fn rows(
         b: &'a [f64],
         x: &'a mut [f64],
         r: usize,
+        cols: Range<usize>,
         internal: &'a mut [f64],
         table: &'a mut Vec<SharedPtr>,
     ) -> Self {
-        assert!(r > 0, "need at least one right-hand side");
+        assert!(!cols.is_empty() && cols.end <= r, "column range outside the operand");
         assert_eq!(b.len() % r, 0, "right-hand side length");
         assert_eq!(b.len(), x.len(), "solution length");
         let rows = b.len() / r;
         let (b, x) = (b.as_ptr().cast_mut(), x.as_mut_ptr());
         table.clear();
         // `wrapping_add`: an empty operand's column starts are never read.
-        table.extend((0..r).map(|j| SharedPtr(b.wrapping_add(j))));
-        table.extend((0..r).map(|j| SharedPtr(x.wrapping_add(j))));
-        let cols = table.as_ptr();
+        table.extend(cols.clone().map(|j| SharedPtr(b.wrapping_add(j))));
+        table.extend(cols.clone().map(|j| SharedPtr(x.wrapping_add(j))));
+        let (width, table) = (cols.len(), table.as_ptr());
+        let side = |col0: *mut f64, cols| UserSide { col0, cols, stride: r };
         UserOperands {
-            b: UserSide { col0: b, cols, stride: r },
-            x: UserSide { col0: x, cols: cols.wrapping_add(r), stride: r },
+            b: side(b.wrapping_add(cols.start), table),
+            x: side(x.wrapping_add(cols.start), table.wrapping_add(width)),
             rows,
-            width: r,
+            width,
             internal,
             user: PhantomData,
         }
@@ -386,16 +522,6 @@ pub(crate) fn check_lengths(n: usize, rhs: impl Rhs, num: impl Numbering, x: &[f
     assert!(rhs.width() > 0, "need at least one right-hand side");
     num.check(n, rhs.width());
     assert_eq!(x.len(), n * rhs.width(), "solution length");
-}
-
-/// The natural-order serial sweep over all rows of `l` with the exact
-/// kernels: the `@serial` model's user-numbered solves and the serial
-/// multi-RHS reference.
-pub(crate) fn natural_sweep(l: &CsrMatrix, num: impl Numbering, x: &mut [f64], rhs: impl Rhs) {
-    check_lengths(l.n_rows(), rhs, num, x);
-    // SAFETY: lengths checked; single-threaded ascending sweep — every
-    // dependency is program-ordered, and `x` is exclusively borrowed.
-    unsafe { run_cell(l, num, x.as_mut_ptr(), rhs, Barrier, Natural(l.n_rows()), None) };
 }
 
 /// How lease threads are synchronized during one solve: row hooks and
@@ -702,8 +828,8 @@ impl Engine {
         });
     }
 
-    /// [`Engine::solve`] in the user's numbering: the single-RHS kernels
-    /// for one right-hand side, the multi-RHS kernels otherwise.
+    /// [`Engine::solve`] in the user's numbering, at the shape
+    /// [`solve_width`] picks for the operands' width.
     pub(crate) fn solve_user<H: Hooks>(
         &self,
         sync: H,
@@ -712,10 +838,7 @@ impl Engine {
         mut user: UserOperands<'_>,
     ) {
         let (num, x) = user.numbered(to_internal);
-        match num.width() {
-            1 => self.solve(sync, l, num, x, One),
-            r => self.solve(sync, l, num, x, Many(r)),
-        }
+        solve_width((self, sync), l, num, x, num.width());
     }
 }
 

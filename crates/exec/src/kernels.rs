@@ -2,12 +2,14 @@
 //!
 //! Two families share this module:
 //!
-//! * **Exact scalar kernels** — `substitute_row`, `solve_row_raw` and
-//!   `solve_row_multi_raw` (whose reciprocal finish doubles as the
-//!   multi-RHS fastmath row): the reference gather-multiply loop (diagonal
-//!   divide) of every execution model. Every `fastmath=off` path runs
-//!   these, so results stay bit-identical across all execution models
-//!   and lease widths.
+//! * **Exact scalar kernels** — `substitute_row`, `solve_row_raw` and the
+//!   register-blocked `solve_row_block::<R, _>` (whose reciprocal finish
+//!   doubles as the multi-RHS fastmath row): the reference gather-multiply
+//!   loop (diagonal divide) of every execution model. The block kernel
+//!   keeps `R` right-hand sides in registers and runs each column's
+//!   operations in the single-RHS order. Every `fastmath=off` path runs
+//!   these, so results stay bit-identical across all execution models,
+//!   lease widths and batch widths.
 //! * **Fastmath kernels** — the blocked/unrolled implementations of a
 //!   [`KernelPlan`] (see [`sptrsv_core::kernel`]): a packed dense
 //!   triangular block solve, a lane-unrolled (4/8 accumulator) sparse row
@@ -100,60 +102,54 @@ pub(crate) unsafe fn solve_row_raw<N: Numbering>(l: &CsrMatrix, i: usize, num: N
     }
 }
 
-/// Computes row `i` of the multi-RHS substitution through the shared
-/// pointer, accumulating in place (no scratch). `inv_diag` selects the
-/// finish: `None` divides by the diagonal (the exact family), `Some`
-/// multiplies by the precomputed reciprocal (the scalar fastmath row).
+/// Computes right-hand sides `first..first + R` of row `i` through the
+/// shared pointer, where the internal `x` holds `stride` values per row
+/// (`(0, R)` for a batch of exactly `R`). The `R` values accumulate in
+/// registers: the accumulators start from the row's `b` values, each
+/// off-diagonal entry reads its parent's `R` values as one array, and the
+/// finished row is stored as one array before each value is published.
+/// `inv_diag` selects the finish: `None` divides by the diagonal (the
+/// exact family), `Some` multiplies by the precomputed reciprocal (the
+/// scalar fastmath row). Every column runs the operations of the
+/// single-RHS kernel in the same order, so it is bit-identical to a solo
+/// solve.
 ///
 /// # Safety
-/// Same contract as [`solve_row_raw`], for all `r` values of row `i`.
-#[inline]
-pub(crate) unsafe fn solve_row_multi_raw<N: Numbering>(
+/// Same contract as [`solve_row_raw`], for values `first..first + R` of
+/// row `i`; `first + R <= stride`, the width `num` was checked for.
+#[inline(always)]
+pub(crate) unsafe fn solve_row_block<const R: usize, N: Numbering>(
     l: &CsrMatrix,
     i: usize,
     num: N,
     x: *mut f64,
-    r: usize,
     inv_diag: Option<&[f64]>,
+    (first, stride): (usize, usize),
 ) {
+    debug_assert!(first + R <= stride);
     let (cols, vals) = l.row(i);
     let k = cols.len() - 1;
     debug_assert_eq!(cols[k], i);
-    // SAFETY: `i` is a row of the checked solve.
+    // SAFETY: `i` is a row of the checked solve and `first + j < stride`.
     let slot = unsafe { num.slot(i) };
-    for j in 0..r {
-        // SAFETY: exclusive writer of row i (caller contract); `j < r`.
-        unsafe { *x.add(i * r + j) = num.b(slot, j, r) };
-    }
+    let mut acc: [f64; R] = std::array::from_fn(|j| unsafe { num.b(slot, first + j, stride) });
     for (&c, &v) in cols[..k].iter().zip(&vals[..k]) {
-        for j in 0..r {
-            // SAFETY: parent row c is ready (caller contract) and c < i,
-            // so the read never aliases the row-i accumulator.
-            unsafe { *x.add(i * r + j) -= v * *x.add(c * r + j) };
+        // SAFETY: parent row c is ready (caller contract) and the block
+        // lies inside its `stride` values.
+        let xc = unsafe { x.add(c * stride + first).cast::<[f64; R]>().read() };
+        for (a, xc) in acc.iter_mut().zip(xc) {
+            *a -= v * xc;
         }
     }
     match inv_diag {
-        None => {
-            let diag = vals[k];
-            for j in 0..r {
-                // SAFETY: exclusive writer of row i and its caller slot.
-                unsafe {
-                    let xj = *x.add(i * r + j) / diag;
-                    *x.add(i * r + j) = xj;
-                    num.publish(slot, j, xj);
-                }
-            }
-        }
-        Some(inv_diag) => {
-            let inv = inv_diag[i];
-            for j in 0..r {
-                // SAFETY: exclusive writer of row i and its caller slot.
-                unsafe {
-                    let xj = *x.add(i * r + j) * inv;
-                    *x.add(i * r + j) = xj;
-                    num.publish(slot, j, xj);
-                }
-            }
+        None => acc.iter_mut().for_each(|a| *a /= vals[k]),
+        Some(inv_diag) => acc.iter_mut().for_each(|a| *a *= inv_diag[i]),
+    }
+    // SAFETY: exclusive writer of row i's block and of its caller slots.
+    unsafe {
+        x.add(i * stride + first).cast::<[f64; R]>().write(acc);
+        for (j, &v) in acc.iter().enumerate() {
+            num.publish(slot, first + j, v);
         }
     }
 }

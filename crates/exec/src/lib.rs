@@ -95,4 +95,4 @@ pub use sim::{
 };
 pub use sptrsv_core::registry::{Backoff, ExecModel, ExecPolicy, SyncPolicy};
 pub use sptrsv_core::serialize::{PlanCache, PlanFingerprint};
-pub use verify::max_abs_diff;
+pub use verify::{backward_error, max_abs_diff, BACKWARD_ERROR_TOL};

@@ -2,7 +2,7 @@
 //! the [`SerialExecutor`] that exposes the reference kernel through the
 //! [`Executor`] trait (`@serial` in the registry's spec grammar).
 
-use crate::engine::{check_lengths, natural_sweep, Barrier, Engine, Identity, Many, One};
+use crate::engine::{check_lengths, solve_width, Barrier, Engine, Identity, NaturalSweep, One};
 use crate::executor::{Executor, UserOperands};
 use crate::kernels::substitute_row;
 use sptrsv_core::registry::ExecModel;
@@ -44,10 +44,10 @@ pub fn solve_upper_serial(u: &CsrMatrix, b: &[f64], x: &mut [f64]) {
 }
 
 /// Solves `L X = B` serially (SpTRSM); `B` and `X` are row-major `n x r`.
-/// The row kernel accumulates in place in the output row, so no scratch
-/// is allocated.
+/// Each row keeps its `r` values in register accumulators and stores them
+/// once, so no scratch is allocated.
 pub fn solve_lower_multi_serial(l: &CsrMatrix, b: &[f64], x: &mut [f64], r: usize) {
-    natural_sweep(l, Identity(b), x, Many(r));
+    solve_width(NaturalSweep, l, Identity(b), x, r);
 }
 
 /// The reference kernel as an [`Executor`]: rows in natural (vertex) order,
@@ -74,10 +74,7 @@ impl Executor for SerialExecutor {
     /// kernels (the engine's serial sweep over one natural cell).
     fn solve_user(&self, l: &CsrMatrix, to_internal: &Permutation, mut user: UserOperands<'_>) {
         let (num, x) = user.numbered(to_internal);
-        match num.width() {
-            1 => natural_sweep(l, num, x, One),
-            r => natural_sweep(l, num, x, Many(r)),
-        }
+        solve_width(NaturalSweep, l, num, x, num.width());
     }
 }
 
@@ -97,7 +94,7 @@ impl Executor for FastSerialExecutor {
     }
 
     fn solve_multi(&self, l: &CsrMatrix, b: &[f64], x: &mut [f64], r: usize) {
-        self.0.solve(Barrier, l, Identity(b), x, Many(r));
+        solve_width((&self.0, Barrier), l, Identity(b), x, r);
     }
 
     fn solve_user(&self, l: &CsrMatrix, to_internal: &Permutation, user: UserOperands<'_>) {
@@ -166,18 +163,20 @@ mod tests {
 
     #[test]
     fn serial_multi_matches_column_by_column() {
+        // Register blocks (3, 8) and wider rows split into blocks (9, 16)
+        // run each column's operations in the single-RHS order.
         let (l, n) = grid_lower();
-        let r = 3;
-        let b: Vec<f64> = (0..n * r).map(|i| ((i * 17) % 29) as f64 - 14.0).collect();
-        let mut x = vec![0.0; n * r];
-        solve_lower_multi_serial(&l, &b, &mut x, r);
-        // Compare with r independent single-RHS solves.
-        for j in 0..r {
-            let bj: Vec<f64> = (0..n).map(|i| b[i * r + j]).collect();
-            let mut xj = vec![0.0; n];
-            solve_lower_serial(&l, &bj, &mut xj);
-            for i in 0..n {
-                assert!((x[i * r + j] - xj[i]).abs() < 1e-12, "column {j}, row {i}");
+        for r in [3, 8, 9, 16] {
+            let b: Vec<f64> = (0..n * r).map(|i| ((i * 17) % 29) as f64 - 14.0).collect();
+            let mut x = vec![0.0; n * r];
+            solve_lower_multi_serial(&l, &b, &mut x, r);
+            // Compare with r independent single-RHS solves.
+            for j in 0..r {
+                let bj: Vec<f64> = (0..n).map(|i| b[i * r + j]).collect();
+                let mut xj = vec![0.0; n];
+                solve_lower_serial(&l, &bj, &mut xj);
+                let column: Vec<f64> = (0..n).map(|i| x[i * r + j]).collect();
+                assert_eq!(column, xj, "r={r} column {j}");
             }
         }
     }

@@ -113,12 +113,11 @@ fn single_rhs_solves_do_not_allocate() {
 }
 
 fn multi_rhs_solves_do_not_allocate() {
-    // The multi-RHS row kernel accumulates in place (no per-row scratch),
-    // so SpTRSM steady state is allocation-free too.
+    // The multi-RHS row kernels keep each row's values in stack-allocated
+    // register accumulators (no per-row scratch), so SpTRSM steady state
+    // is allocation-free at every register-block width.
     let l = grid2d_laplacian(16, 16, Stencil2D::FivePoint, 0.5).lower_triangle().unwrap();
     let n = l.n_rows();
-    let r = 4;
-    let b: Vec<f64> = (0..n * r).map(|i| (i as f64 * 0.13).sin() + 1.0).collect();
     let runtime = Arc::new(SolverRuntime::new(3));
     for (model, fastmath) in engine_configs() {
         let plan = PlanBuilder::new(&l)
@@ -128,17 +127,20 @@ fn multi_rhs_solves_do_not_allocate() {
             .runtime(Arc::clone(&runtime))
             .build()
             .unwrap();
-        let mut px = vec![0.0; n * r];
-        // Warm-up (solve_multi itself allocates its gather buffers, so
-        // measure the executor path directly through the trait).
-        plan.executor().solve_multi(plan.internal_matrix(), &b, &mut px, r);
-        let before = allocations();
-        for _ in 0..20 {
+        for r in [2, 3, 4, 8] {
+            let b: Vec<f64> = (0..n * r).map(|i| (i as f64 * 0.13).sin() + 1.0).collect();
+            let mut px = vec![0.0; n * r];
+            // Warm-up (solve_multi itself allocates its gather buffers, so
+            // measure the executor path directly through the trait).
             plan.executor().solve_multi(plan.internal_matrix(), &b, &mut px, r);
+            let before = allocations();
+            for _ in 0..20 {
+                plan.executor().solve_multi(plan.internal_matrix(), &b, &mut px, r);
+            }
+            let delta = allocations() - before;
+            let config = format!("{model} fastmath={fastmath} r={r}");
+            assert_eq!(delta, 0, "{config}: {delta} allocations across 20 multi-RHS solves");
         }
-        let delta = allocations() - before;
-        let config = format!("{model} fastmath={fastmath}");
-        assert_eq!(delta, 0, "{config}: {delta} allocations across 20 multi-RHS solves");
     }
 }
 

@@ -239,8 +239,9 @@ fn fastmath_agrees_with_exact_path_on_every_suite_scheduler_and_model() {
 #[test]
 fn fastmath_multi_rhs_agrees_column_by_column() {
     // Every branch of the shared superstep engine, per execution model:
-    // exact and fastmath kernels, one and several right-hand sides, the
-    // degraded serial sweep (capacity 1) and the leased one (capacity 3).
+    // exact and fastmath kernels, every register-block width (1–8) and
+    // wider solves split into blocks (9, 16), the degraded serial sweep
+    // (capacity 1) and the leased one (capacity 3).
     // Each `solve_multi` column must equal that
     // column's `solve_into` bit-for-bit on the exact path, and within the
     // documented 1e-12 under fastmath (the multi-RHS rows run the scalar
@@ -262,7 +263,7 @@ fn fastmath_multi_rhs_agrees_column_by_column() {
                     .build()
                     .unwrap();
                 let mut ws = plan.workspace();
-                for r in [1, 3] {
+                for r in [1, 2, 3, 4, 5, 7, 8, 9, 16] {
                     let config = format!("{model} fastmath={fastmath} capacity={capacity} r={r}");
                     let b: Vec<f64> = (0..n * r).map(|i| (i as f64 * 0.17).cos()).collect();
                     let x = plan.solve_multi(&b, r);
