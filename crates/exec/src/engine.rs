@@ -13,7 +13,8 @@
 //!   register-blocked [`Many<R>`](Many) kernels for a compile-time width
 //!   `R` (each row keeps its `R` values in `[f64; R]` accumulators, reads
 //!   each parent's values as one array and stores its own once), and
-//!   [`Blocked`] rows of several such blocks for wider solves.
+//!   [`Blocked`] rows of several such blocks for wider solves, so every
+//!   batch is one traversal.
 //!   [`solve_width`] is the one place a runtime width picks its shape;
 //! * the numbering ([`Numbering`]): [`Identity`] reads `b` and writes `x`
 //!   in internal order, exactly as the executor's own `solve` is called;
@@ -88,7 +89,7 @@ pub(crate) struct Many<const R: usize>;
 
 /// The widest register block: [`solve_width`] solves up to this many
 /// right-hand sides as one [`Many`] shape.
-pub(crate) const MAX_BLOCK: usize = 8;
+const MAX_BLOCK: usize = 8;
 
 /// More than [`MAX_BLOCK`] right-hand sides: each row runs register blocks
 /// of 8 columns, then one block of the remaining 1–8, all in one traversal.
@@ -258,7 +259,9 @@ impl Sweep for NaturalSweep {
 /// Each width up to 8 has a shape of its own because a row split into
 /// blocks (3 as 2 + 1, 7 as 4 + 2 + 1) costs nearly one more solve per
 /// extra block on latency-bound operands, while one `R`-wide block costs
-/// a fraction of one.
+/// a fraction of one. Past 8 the blocks share one traversal: one
+/// traversal per 8-column window measured slower on internal-numbering
+/// and serial solves, which then read `L` once per window.
 pub(crate) fn solve_width<N: Numbering>(
     sweep: impl Sweep,
     l: &CsrMatrix,
@@ -447,33 +450,30 @@ impl<'a> UserOperands<'a> {
         }
     }
 
-    /// Columns `cols` of `r` right-hand sides, row-major `n × r`, solved
-    /// into the same columns of `x`; `table` receives the `2 * cols.len()`
-    /// column addresses.
+    /// `r` right-hand sides, row-major `n × r`, solved into `x`; `table`
+    /// receives the `2r` column addresses.
     pub(crate) fn rows(
         b: &'a [f64],
         x: &'a mut [f64],
         r: usize,
-        cols: Range<usize>,
         internal: &'a mut [f64],
         table: &'a mut Vec<SharedPtr>,
     ) -> Self {
-        assert!(!cols.is_empty() && cols.end <= r, "column range outside the operand");
+        assert!(r > 0, "need at least one right-hand side");
         assert_eq!(b.len() % r, 0, "right-hand side length");
         assert_eq!(b.len(), x.len(), "solution length");
         let rows = b.len() / r;
         let (b, x) = (b.as_ptr().cast_mut(), x.as_mut_ptr());
         table.clear();
         // `wrapping_add`: an empty operand's column starts are never read.
-        table.extend(cols.clone().map(|j| SharedPtr(b.wrapping_add(j))));
-        table.extend(cols.clone().map(|j| SharedPtr(x.wrapping_add(j))));
-        let (width, table) = (cols.len(), table.as_ptr());
-        let side = |col0: *mut f64, cols| UserSide { col0, cols, stride: r };
+        table.extend((0..r).map(|j| SharedPtr(b.wrapping_add(j))));
+        table.extend((0..r).map(|j| SharedPtr(x.wrapping_add(j))));
+        let cols = table.as_ptr();
         UserOperands {
-            b: side(b.wrapping_add(cols.start), table),
-            x: side(x.wrapping_add(cols.start), table.wrapping_add(width)),
+            b: UserSide { col0: b, cols, stride: r },
+            x: UserSide { col0: x, cols: cols.wrapping_add(r), stride: r },
             rows,
-            width,
+            width: r,
             internal,
             user: PhantomData,
         }

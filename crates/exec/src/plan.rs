@@ -67,7 +67,7 @@
 
 use crate::async_exec::AsyncExecutor;
 use crate::barrier::BarrierExecutor;
-use crate::engine::{Engine, SharedPtr, MAX_BLOCK};
+use crate::engine::{Engine, SharedPtr};
 use crate::executor::{Executor, UserOperands};
 use crate::runtime::{RuntimeHandle, SolverRuntime};
 use crate::serial::{FastSerialExecutor, SerialExecutor};
@@ -482,8 +482,7 @@ pub struct SolveWorkspace {
 
 /// Reusable buffers for [`SolvePlan::solve_batch_in_place`]: the
 /// borrowed-RHS entry point of the multi-RHS executor. Holds the batch's
-/// solution in internal numbering (`n × width` for up to 8 columns at a
-/// time, which later rows read)
+/// solution in internal numbering (`n × width`, which later rows read)
 /// and the addresses of the caller's columns, which each row reads and
 /// overwrites through the permutation. Size it once with
 /// [`SolvePlan::batch_workspace`] for the widest batch the caller fuses;
@@ -1151,24 +1150,18 @@ impl SolvePlan {
 
     /// Solves `r` right-hand sides at once (`b` row-major `n x r`, user
     /// numbering), with the permutation fused into the kernels as in
-    /// [`SolvePlan::solve_into`]. A permuted plan solves up to 8 columns
-    /// per traversal (see [`SolvePlan::solve_batch_in_place`]).
+    /// [`SolvePlan::solve_into`].
     pub fn solve_multi(&self, b: &[f64], r: usize) -> Vec<f64> {
         let n = self.matrix.n_rows();
-        assert!(r > 0, "need at least one right-hand side");
         assert_eq!(b.len(), n * r, "right-hand side length");
         let mut x = vec![0.0; n * r];
         if !self.permuted {
             self.executor.solve_multi(&self.matrix, b, &mut x, r);
             return x;
         }
-        let (mut px, mut table) = (vec![0.0; n * r.min(MAX_BLOCK)], Vec::new());
-        for first in (0..r).step_by(MAX_BLOCK) {
-            let cols = first..r.min(first + MAX_BLOCK);
-            let px = &mut px[..n * cols.len()];
-            let user = UserOperands::rows(b, &mut x, r, cols, px, &mut table);
-            self.executor.solve_user(&self.matrix, &self.to_internal, user);
-        }
+        let (mut px, mut table) = (vec![0.0; n * r], Vec::new());
+        let user = UserOperands::rows(b, &mut x, r, &mut px, &mut table);
+        self.executor.solve_user(&self.matrix, &self.to_internal, user);
         x
     }
 
@@ -1182,10 +1175,8 @@ impl SolvePlan {
     /// Solves every right-hand side in `rhs` as **one** multi-RHS solve,
     /// in place: on entry each `rhs[j]` is a full-length right-hand side in
     /// the user's numbering, on exit it holds the corresponding solution.
-    /// Up to 8 right-hand sides share one traversal of `L`, each row
-    /// holding all of them in register accumulators; a wider batch runs
-    /// one traversal per 8 columns, measured faster than one traversal
-    /// over rows of 9 or more values.
+    /// The batch shares one core lease and one traversal of `L`; each row
+    /// holds up to 8 of its values at a time in register accumulators.
     ///
     /// This is the borrowed-RHS entry point the serving layer's combiner
     /// uses: no copy into a packed caller-owned buffer, no per-request
@@ -1213,15 +1204,12 @@ impl SolvePlan {
         // Every row writes its internal values before any row reads them,
         // so the buffer only grows: shrinking it for a narrower batch would
         // make the next wider one zero-fill the difference.
-        let widest = n * k.min(MAX_BLOCK);
-        if workspace.px.len() < widest {
-            workspace.px.resize(widest, 0.0);
+        if workspace.px.len() < n * k {
+            workspace.px.resize(n * k, 0.0);
         }
-        for chunk in rhs.chunks_mut(MAX_BLOCK) {
-            let px = &mut workspace.px[..n * chunk.len()];
-            let user = UserOperands::in_place(chunk, px, &mut workspace.columns);
-            self.executor.solve_user(&self.matrix, &self.to_internal, user);
-        }
+        let px = &mut workspace.px[..n * k];
+        let user = UserOperands::in_place(rhs, px, &mut workspace.columns);
+        self.executor.solve_user(&self.matrix, &self.to_internal, user);
     }
 
     /// Simulates this plan's execution on a machine profile, under the
