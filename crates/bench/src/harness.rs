@@ -150,7 +150,7 @@ pub fn evaluate(
     let sched_seconds = started.elapsed().as_secs_f64();
 
     let compiled = CompiledSchedule::from_schedule(&schedule);
-    let sim = simulate_model(matrix, &compiled, model, sync_dag.as_ref(), profile, policy);
+    let sim = simulate_model(matrix, &compiled, model, sync_dag.as_ref(), None, profile, policy);
     EvalOutcome {
         algo: pipeline.label.clone(),
         dataset: dataset.name.clone(),

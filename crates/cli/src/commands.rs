@@ -535,7 +535,7 @@ fn simulate(args: &Args) -> Result<(), String> {
     let s = sched.schedule(&dag, cores);
     let compiled = CompiledSchedule::from_schedule(&s);
     let serial = simulate_serial(&lower, &profile);
-    let parallel = simulate_model(&lower, &compiled, model, None, &profile, policy);
+    let parallel = simulate_model(&lower, &compiled, model, None, None, &profile, policy);
     println!("machine:          {}", profile.name);
     println!("algorithm:        {} (spec: {algo})", sched.name());
     println!("execution model:  {model}");

@@ -1,6 +1,6 @@
 //! Per-matrix statistics, reproducing the columns of Appendix A.
 
-use sptrsv_dag::{wavefront::wavefronts, SolveDag};
+use sptrsv_dag::{wavefronts, SolveDag, Wavefronts};
 use sptrsv_sparse::CsrMatrix;
 
 /// The statistics the paper reports per matrix (Tables A.1–A.5), plus the
@@ -39,7 +39,12 @@ impl MatrixStats {
 
     /// Computes the statistics when the DAG is already available.
     pub fn of_dag(lower: &CsrMatrix, dag: &SolveDag) -> MatrixStats {
-        let wf = wavefronts(dag);
+        Self::of_wavefronts(lower, dag, &wavefronts(dag))
+    }
+
+    /// Computes the statistics when the DAG and its wavefronts are already
+    /// available.
+    pub fn of_wavefronts(lower: &CsrMatrix, dag: &SolveDag, wf: &Wavefronts) -> MatrixStats {
         let n = lower.n_rows();
         let mean_len = if n == 0 { 0.0 } else { lower.nnz() as f64 / n as f64 };
         let mut variance = 0.0;

@@ -1214,14 +1214,16 @@ impl SolvePlan {
 
     /// Simulates this plan's execution on a machine profile, under the
     /// plan's execution model and policy, reusing the plan's shared
-    /// compiled layout and (for async plans) the executor's synchronization
-    /// DAG — no per-call re-compilation or re-reduction.
+    /// compiled layout, (for async plans) the executor's synchronization
+    /// DAG and (under `fastmath=on`) the detected kernel plan — no per-call
+    /// re-compilation, re-reduction or re-detection.
     pub fn simulate(&self, profile: &MachineProfile) -> SimReport {
         simulate_model(
             &self.matrix,
             &self.compiled,
             self.model,
             self.sync_dag.as_ref(),
+            self.kernel.as_deref(),
             profile,
             self.policy,
         )
@@ -2087,6 +2089,44 @@ mod tests {
         assert!(areport.cycles > 0.0);
         let serial = PlanBuilder::new(&l).cores(4).execution(ExecModel::Serial).build().unwrap();
         assert_eq!(serial.simulate(&profile).sync_cycles, 0.0);
+    }
+
+    #[test]
+    fn plan_simulation_reuses_its_kernel_plan() {
+        // A supernodal operand detects dense blocks, so the fastmath
+        // discount is non-zero: the plan's own kernel plan must price it
+        // exactly as a fresh detection over the plan's operand does.
+        let l = sptrsv_sparse::gen::supernodal_spd(24, 8, 2, 0.5).lower_triangle().unwrap();
+        let profile = MachineProfile::kunpeng_920_48();
+        let bits = |r: &SimReport| {
+            [
+                r.cycles.to_bits(),
+                r.compute_cycles.to_bits(),
+                r.sync_cycles.to_bits(),
+                r.cache_misses,
+            ]
+        };
+        for model in [ExecModel::Serial, ExecModel::Barrier, ExecModel::Async] {
+            for fastmath in [false, true] {
+                let plan = PlanBuilder::new(&l)
+                    .cores(4)
+                    .execution(model)
+                    .fastmath(fastmath)
+                    .build()
+                    .unwrap();
+                assert_eq!(plan.kernel.as_ref().is_some_and(|k| !k.blocks().is_empty()), fastmath);
+                let fresh = simulate_model(
+                    &plan.matrix,
+                    &plan.compiled,
+                    plan.model,
+                    plan.sync_dag.as_ref(),
+                    None,
+                    &profile,
+                    plan.policy,
+                );
+                assert_eq!(bits(&plan.simulate(&profile)), bits(&fresh), "{model}, {fastmath}");
+            }
+        }
     }
 
     fn temp_dir(name: &str) -> PathBuf {

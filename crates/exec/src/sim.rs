@@ -1,23 +1,27 @@
 //! Calibrated multicore machine model.
 //!
-//! The paper's speed-up numbers come from 22–64-core machines; this
-//! environment has one core, so the speed-up experiments run against a
-//! machine model instead (DESIGN.md, substitution 3). The model charges,
-//! per vertex `v` (row `i` of the matrix):
+//! The paper's speed-up numbers come from 22–64-core machines, an order of
+//! magnitude more cores than the 2-vCPU machines this reproduction is
+//! measured on, so the modeled speed-up experiments run against a machine
+//! model instead; wall-clock speed-ups are measured separately (drift-bench,
+//! `benchmark/`). The model charges, per vertex `v` (row `i` of the matrix):
 //!
 //! * `cycles_per_row` — loop, division and store overhead;
 //! * `cycles_per_nnz · nnz(i)` — multiply-add plus streaming of the row's
 //!   values/indices, scaled by a bandwidth-saturation factor when several
 //!   cores are active;
 //! * `cycles_per_miss` per miss of the per-core data cache, simulated with
-//!   an LRU over 64-byte lines of the `x`/`b` vectors — this is where the §5
-//!   locality reordering and GrowLocal's ID-contiguity pay off;
+//!   an exact LRU over 64-byte lines of the `x`/`b` vectors — this is where
+//!   the §5 locality reordering and GrowLocal's ID-contiguity pay off;
 //!
 //! plus `barrier_cycles` per superstep barrier (the `L` of §3 scaled to a
 //! full `k`-core barrier), or point-to-point wait costs in the asynchronous
 //! (SpMP) mode. Three presets mirror the paper's machines (§6.3). Absolute
-//! numbers are model units; only relative shapes are meaningful, as the
-//! reproduction brief allows.
+//! numbers are model units; only relative shapes are meaningful.
+//!
+//! The cache and coherence state is dense and preallocated per call, so
+//! charging a stored non-zero is a few array reads: the tuner simulates
+//! every candidate, which puts this loop on the `auto` planning path.
 //!
 //! The [`ExecPolicy`] dimensions are modeled too (§8): `sync=full` waits on
 //! every solve-DAG edge instead of the reduction (more point-to-point
@@ -43,7 +47,6 @@ use sptrsv_core::CompiledSchedule;
 use sptrsv_dag::transitive::approximate_transitive_reduction;
 use sptrsv_dag::SolveDag;
 use sptrsv_sparse::CsrMatrix;
-use std::collections::{HashMap, VecDeque};
 
 /// Doubles per 64-byte cache line.
 const LINE: usize = 8;
@@ -89,8 +92,7 @@ impl MachineProfile {
             cycles_per_row: 10.0,
             // 32 KiB modeled per-core cache: the paper's machines pair ~1 MiB
             // private L2 with 4–33 MiB solution vectors; our scaled-down data
-            // sets keep the same vector/cache ratio with a scaled-down cache
-            // (DESIGN.md, substitution 3/4).
+            // sets keep the same vector/cache ratio with a scaled-down cache.
             cache_lines: 512,
             cycles_per_miss: 70.0,
             barrier_cycles: 1800.0,
@@ -163,79 +165,125 @@ impl SimReport {
     }
 }
 
-/// Per-core LRU cache over vector lines, with lazy (timestamped) eviction
-/// and MESI-style invalidation: an entry is stale (and re-touching it is a
-/// coherence miss) when another core has written the line since it was
-/// loaded. Cross-core value transfer therefore always costs a miss — the
-/// physical effect GrowLocal's private regions and the §5 reordering
-/// minimize.
+/// Per-core LRU cache over vector lines, with MESI-style invalidation: an
+/// entry is stale (and re-touching it is a coherence miss) when another
+/// core has written the line since it was loaded. Cross-core value
+/// transfer therefore always costs a miss — the physical effect
+/// GrowLocal's private regions and the §5 reordering minimize.
+///
+/// Exact LRU over dense state: a slot index per line of `x` (4 bytes per
+/// line per core) and at most `capacity` slots on a circular,
+/// doubly-linked recency list, so a touch and an eviction are O(1)
+/// without hashing.
 struct LruCache {
     capacity: usize,
-    stamp: u64,
-    /// line -> (LRU stamp, line version held by this core).
-    entries: HashMap<usize, (u64, u64)>,
-    queue: VecDeque<(usize, u64)>,
+    /// line -> index of the slot holding it in `slots` (0: not cached).
+    slot_of: Vec<u32>,
+    /// Slot 0 is the list's sentinel: its `next` is the most recently
+    /// touched line, its `prev` the least recently touched one.
+    slots: Vec<Slot>,
 }
 
-/// Global coherence directory: the latest version of each written line.
-#[derive(Default)]
+/// One cached line on the recency list.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    line: u32,
+    prev: u32,
+    next: u32,
+    /// The line version this core holds.
+    held: u64,
+}
+
+/// Global coherence directory: the latest version of each line of `x`
+/// (0 if never written).
 struct CoherenceDirectory {
     version_counter: u64,
-    /// line -> (writing core, version).
-    line_version: HashMap<usize, (usize, u64)>,
+    line_version: Vec<u64>,
+}
+
+/// Cache lines spanned by the `x`/`b` vectors of `matrix`.
+fn n_lines(matrix: &CsrMatrix) -> usize {
+    matrix.n_rows().max(matrix.n_cols()).div_ceil(LINE)
 }
 
 impl CoherenceDirectory {
-    /// Registers a write of `line` by `core`; returns the new version.
-    fn record_write(&mut self, line: usize, core: usize) -> u64 {
+    fn new(n_lines: usize) -> Self {
+        CoherenceDirectory { version_counter: 0, line_version: vec![0; n_lines] }
+    }
+
+    /// Registers a write of `line`; returns the new version.
+    fn record_write(&mut self, line: usize) -> u64 {
         self.version_counter += 1;
-        self.line_version.insert(line, (core, self.version_counter));
+        self.line_version[line] = self.version_counter;
         self.version_counter
     }
 
     /// Current version of `line` (0 if never written).
     fn version(&self, line: usize) -> u64 {
-        self.line_version.get(&line).map_or(0, |&(_, v)| v)
+        self.line_version[line]
     }
 }
 
 impl LruCache {
-    fn new(capacity: usize) -> Self {
-        LruCache {
-            capacity: capacity.max(1),
-            stamp: 0,
-            entries: HashMap::with_capacity(capacity * 2),
-            queue: VecDeque::with_capacity(capacity * 2),
-        }
+    /// An empty cache of `capacity` lines over a vector of `n_lines` lines.
+    fn new(capacity: usize, n_lines: usize) -> Self {
+        // No more distinct lines than the vector has can ever be cached.
+        let mut slots = Vec::with_capacity(capacity.min(n_lines) + 1);
+        slots.push(Slot::default());
+        LruCache { capacity: capacity.max(1), slot_of: vec![0; n_lines], slots }
     }
 
     /// Touches a line whose current global version is `version`; returns
     /// `true` on a miss (absent, evicted, or invalidated by a newer write).
     fn touch(&mut self, line: usize, version: u64) -> bool {
-        self.stamp += 1;
-        let miss = match self.entries.insert(line, (self.stamp, version)) {
-            Some((_, held)) => held < version,
-            None => true,
-        };
-        self.queue.push_back((line, self.stamp));
-        while self.entries.len() > self.capacity {
-            let (cand, stamp) = self.queue.pop_front().expect("queue tracks population");
-            if self.entries.get(&cand).is_some_and(|&(s, _)| s == stamp) {
-                self.entries.remove(&cand);
+        let s = self.slot_of[line] as usize;
+        if s != 0 {
+            let slot = &mut self.slots[s];
+            let miss = slot.held < version;
+            slot.held = version;
+            if self.slots[0].next as usize != s {
+                self.unlink(s);
+                self.push_front(s);
             }
+            return miss;
         }
-        miss
+        let s = if self.slots.len() <= self.capacity {
+            self.slots.push(Slot::default());
+            self.slots.len() - 1
+        } else {
+            let lru = self.slots[0].prev as usize;
+            self.slot_of[self.slots[lru].line as usize] = 0;
+            self.unlink(lru);
+            lru
+        };
+        self.slots[s].line = line as u32;
+        self.slots[s].held = version;
+        self.slot_of[line] = s as u32;
+        self.push_front(s);
+        true
+    }
+
+    fn unlink(&mut self, s: usize) {
+        let Slot { prev, next, .. } = self.slots[s];
+        self.slots[prev as usize].next = next;
+        self.slots[next as usize].prev = prev;
+    }
+
+    fn push_front(&mut self, s: usize) {
+        let head = self.slots[0].next;
+        self.slots[s].prev = 0;
+        self.slots[s].next = head;
+        self.slots[head as usize].prev = s as u32;
+        self.slots[0].next = s as u32;
     }
 }
 
-/// Cost of computing row `i` on `core`, charged against the core's cache and
-/// the coherence directory (the final write of `x[i]` invalidates the line
-/// for every other core).
-#[allow(clippy::too_many_arguments)] // the cost model's state is irreducibly wide
+/// Cost of computing row `i` against a core's cache and the coherence
+/// directory (the final write of `x[i]` invalidates the line for every
+/// other core).
 fn row_cost(
     matrix: &CsrMatrix,
     i: usize,
-    core: usize,
     cache: &mut LruCache,
     directory: &mut CoherenceDirectory,
     profile: &MachineProfile,
@@ -258,7 +306,7 @@ fn row_cost(
     }
     // The write of x[i] takes ownership of its line.
     let own = i / LINE;
-    let version = directory.record_write(own, core);
+    let version = directory.record_write(own);
     cache.touch(own, version);
     cost
 }
@@ -274,12 +322,15 @@ fn row_cost(
 /// is built here per `policy.sync`: the full solve DAG, or its approximate
 /// transitive reduction. `policy.backoff` charges OS re-scheduling latency
 /// on blocking waits under `yield` (per-barrier in the barrier model,
-/// per-blocking-wait in the async model).
+/// per-blocking-wait in the async model). Under `policy.fastmath` the
+/// dense-block discount reads `kernel` when given (a plan's own detection
+/// over the same operand and layout); with `None` it detects here.
 pub fn simulate_model(
     matrix: &CsrMatrix,
     compiled: &CompiledSchedule,
     model: ExecModel,
     sync_dag: Option<&SolveDag>,
+    kernel: Option<&KernelPlan>,
     profile: &MachineProfile,
     policy: ExecPolicy,
 ) -> SimReport {
@@ -291,7 +342,14 @@ pub fn simulate_model(
         // credit half the per-row overhead of those fused rows back. The
         // executors run the same kernel plan, so the model detects the
         // same blocks the real solve would.
-        let kernel = KernelPlan::detect(matrix, compiled);
+        let detected;
+        let kernel = match kernel {
+            Some(plan) => plan,
+            None => {
+                detected = KernelPlan::detect(matrix, compiled);
+                &detected
+            }
+        };
         let fused: f64 = kernel.blocks().iter().map(|blk| (blk.rows - 1) as f64).sum();
         let discount = (fused * profile.cycles_per_row * 0.5).min(report.compute_cycles * 0.5);
         report.compute_cycles -= discount;
@@ -341,12 +399,13 @@ fn simulate_model_exact(
 
 /// Simulates a serial execution (one core, no synchronization).
 pub fn simulate_serial(matrix: &CsrMatrix, profile: &MachineProfile) -> SimReport {
-    let mut cache = LruCache::new(profile.cache_lines);
-    let mut directory = CoherenceDirectory::default();
+    let lines = n_lines(matrix);
+    let mut cache = LruCache::new(profile.cache_lines, lines);
+    let mut directory = CoherenceDirectory::new(lines);
     let mut misses = 0u64;
     let mut compute = 0.0;
     for i in 0..matrix.n_rows() {
-        compute += row_cost(matrix, i, 0, &mut cache, &mut directory, profile, 1.0, &mut misses);
+        compute += row_cost(matrix, i, &mut cache, &mut directory, profile, 1.0, &mut misses);
     }
     SimReport { cycles: compute, compute_cycles: compute, sync_cycles: 0.0, cache_misses: misses }
 }
@@ -367,8 +426,10 @@ pub fn simulate_barrier(
     profile: &MachineProfile,
 ) -> SimReport {
     let k = compiled.n_cores().min(profile.max_cores);
-    let mut caches: Vec<LruCache> = (0..k).map(|_| LruCache::new(profile.cache_lines)).collect();
-    let mut directory = CoherenceDirectory::default();
+    let lines = n_lines(matrix);
+    let mut caches: Vec<LruCache> =
+        (0..k).map(|_| LruCache::new(profile.cache_lines, lines)).collect();
+    let mut directory = CoherenceDirectory::new(lines);
     let mut misses = 0u64;
     let mut compute = 0.0;
     let mut thread_time = vec![0.0f64; k];
@@ -382,7 +443,6 @@ pub fn simulate_barrier(
                 thread_time[t] += row_cost(
                     matrix,
                     v as usize,
-                    t,
                     &mut caches[t],
                     &mut directory,
                     profile,
@@ -420,8 +480,10 @@ pub fn simulate_async(
 ) -> SimReport {
     let n = matrix.n_rows();
     let k = compiled.n_cores().min(profile.max_cores);
-    let mut caches: Vec<LruCache> = (0..k).map(|_| LruCache::new(profile.cache_lines)).collect();
-    let mut directory = CoherenceDirectory::default();
+    let lines = n_lines(matrix);
+    let mut caches: Vec<LruCache> =
+        (0..k).map(|_| LruCache::new(profile.cache_lines, lines)).collect();
+    let mut directory = CoherenceDirectory::new(lines);
     let mut finish = vec![0.0f64; n];
     let mut core_time = vec![0.0f64; k];
     let mut misses = 0u64;
@@ -457,16 +519,8 @@ pub fn simulate_async(
                         }
                     }
                 }
-                let cost = row_cost(
-                    matrix,
-                    v,
-                    p,
-                    &mut caches[p],
-                    &mut directory,
-                    profile,
-                    bw,
-                    &mut misses,
-                );
+                let cost =
+                    row_cost(matrix, v, &mut caches[p], &mut directory, profile, bw, &mut misses);
                 finish[v] = start + cost;
                 core_time[p] = finish[v];
             }
@@ -479,6 +533,7 @@ pub fn simulate_async(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use sptrsv_core::{GrowLocal, Scheduler, SpMp, WavefrontScheduler};
     use sptrsv_sparse::gen::grid::{grid2d_laplacian, Stencil2D};
 
@@ -496,7 +551,7 @@ mod tests {
 
     #[test]
     fn lru_cache_behaviour() {
-        let mut c = LruCache::new(2);
+        let mut c = LruCache::new(2, 4);
         assert!(c.touch(1, 0));
         assert!(c.touch(2, 0));
         assert!(!c.touch(1, 0)); // hit
@@ -507,13 +562,13 @@ mod tests {
 
     #[test]
     fn coherence_invalidation_forces_miss() {
-        let mut dir = CoherenceDirectory::default();
-        let mut c0 = LruCache::new(8);
-        let mut c1 = LruCache::new(8);
+        let mut dir = CoherenceDirectory::new(8);
+        let mut c0 = LruCache::new(8, 8);
+        let mut c1 = LruCache::new(8, 8);
         // Core 0 loads line 5, then core 1 writes it: core 0 must miss.
         assert!(c0.touch(5, dir.version(5)));
         assert!(!c0.touch(5, dir.version(5)));
-        let v = dir.record_write(5, 1);
+        let v = dir.record_write(5);
         c1.touch(5, v);
         assert!(c0.touch(5, dir.version(5)), "stale line must be a coherence miss");
         assert!(!c1.touch(5, dir.version(5)), "the writer keeps ownership");
@@ -592,8 +647,8 @@ mod tests {
         // The barrier model charges re-scheduling per barrier.
         let policy_spin = ExecPolicy { backoff: Backoff::Spin, ..ExecPolicy::default() };
         let policy_yield = ExecPolicy { backoff: Backoff::Yield, ..ExecPolicy::default() };
-        let b_spin = simulate_model(&l, &s, ExecModel::Barrier, None, &p, policy_spin);
-        let b_yield = simulate_model(&l, &s, ExecModel::Barrier, None, &p, policy_yield);
+        let b_spin = simulate_model(&l, &s, ExecModel::Barrier, None, None, &p, policy_spin);
+        let b_yield = simulate_model(&l, &s, ExecModel::Barrier, None, None, &p, policy_yield);
         assert_eq!(b_yield.cycles - b_spin.cycles, p.yield_resume_cycles * s.n_barriers() as f64);
     }
 
@@ -604,8 +659,8 @@ mod tests {
         let s = CompiledSchedule::from_schedule(&SpMp.schedule(&dag, 8));
         let full = ExecPolicy { sync: SyncPolicy::Full, ..ExecPolicy::default() };
         let reduced = ExecPolicy { sync: SyncPolicy::Reduced, ..ExecPolicy::default() };
-        let r_full = simulate_model(&l, &s, ExecModel::Async, None, &p, full);
-        let r_reduced = simulate_model(&l, &s, ExecModel::Async, None, &p, reduced);
+        let r_full = simulate_model(&l, &s, ExecModel::Async, None, None, &p, full);
+        let r_reduced = simulate_model(&l, &s, ExecModel::Async, None, None, &p, reduced);
         // Fewer awaited edges ⇒ no more synchronization overhead; both are
         // deterministic and distinct policies produce distinct wait DAGs.
         assert!(
@@ -614,7 +669,7 @@ mod tests {
             r_reduced.sync_cycles,
             r_full.sync_cycles
         );
-        assert_eq!(r_full, simulate_model(&l, &s, ExecModel::Async, None, &p, full));
+        assert_eq!(r_full, simulate_model(&l, &s, ExecModel::Async, None, None, &p, full));
     }
 
     #[test]
@@ -628,18 +683,18 @@ mod tests {
         let exact = ExecPolicy::default();
         let fast = ExecPolicy { fastmath: true, ..ExecPolicy::default() };
         for model in [ExecModel::Serial, ExecModel::Barrier, ExecModel::Async] {
-            let base = simulate_model(&l, &s, model, None, &p, exact);
-            let fm = simulate_model(&l, &s, model, None, &p, fast);
+            let base = simulate_model(&l, &s, model, None, None, &p, exact);
+            let fm = simulate_model(&l, &s, model, None, None, &p, fast);
             assert!(fm.cycles < base.cycles, "{model}: {} !< {}", fm.cycles, base.cycles);
             assert_eq!(fm.sync_cycles, base.sync_cycles, "{model}: discount is compute-only");
             // Deterministic, like every other report.
-            assert_eq!(fm, simulate_model(&l, &s, model, None, &p, fast));
+            assert_eq!(fm, simulate_model(&l, &s, model, None, None, &p, fast));
         }
         // The discount never increases cycles, whatever is detected.
         let (grid, gdag) = grid_problem(12, 12);
         let gs = CompiledSchedule::from_schedule(&GrowLocal::new().schedule(&gdag, 4));
-        let base = simulate_model(&grid, &gs, ExecModel::Barrier, None, &p, exact);
-        let fm = simulate_model(&grid, &gs, ExecModel::Barrier, None, &p, fast);
+        let base = simulate_model(&grid, &gs, ExecModel::Barrier, None, None, &p, exact);
+        let fm = simulate_model(&grid, &gs, ExecModel::Barrier, None, None, &p, fast);
         assert!(fm.cycles <= base.cycles);
     }
 
@@ -650,4 +705,490 @@ mod tests {
         let s = CompiledSchedule::from_schedule(&GrowLocal::new().schedule(&dag, 4));
         assert_eq!(simulate_barrier(&l, &s, &p), simulate_barrier(&l, &s, &p));
     }
+
+    /// The hash-map implementation: a `HashMap` LRU with lazily evicted
+    /// `VecDeque` stamps and a `HashMap` coherence directory, with the
+    /// serial, barrier and asynchronous simulations over them. The dense
+    /// state must reproduce it bit for bit.
+    mod oracle {
+        use super::*;
+        use std::collections::{HashMap, VecDeque};
+
+        pub struct LruCache {
+            capacity: usize,
+            stamp: u64,
+            /// line -> (LRU stamp, line version held by this core).
+            entries: HashMap<usize, (u64, u64)>,
+            queue: VecDeque<(usize, u64)>,
+        }
+
+        impl LruCache {
+            pub fn new(capacity: usize) -> Self {
+                LruCache {
+                    capacity: capacity.max(1),
+                    stamp: 0,
+                    entries: HashMap::new(),
+                    queue: VecDeque::new(),
+                }
+            }
+
+            pub fn touch(&mut self, line: usize, version: u64) -> bool {
+                self.stamp += 1;
+                let miss = match self.entries.insert(line, (self.stamp, version)) {
+                    Some((_, held)) => held < version,
+                    None => true,
+                };
+                self.queue.push_back((line, self.stamp));
+                while self.entries.len() > self.capacity {
+                    let (cand, stamp) = self.queue.pop_front().expect("queue tracks population");
+                    if self.entries.get(&cand).is_some_and(|&(s, _)| s == stamp) {
+                        self.entries.remove(&cand);
+                    }
+                }
+                miss
+            }
+        }
+
+        #[derive(Default)]
+        pub struct CoherenceDirectory {
+            version_counter: u64,
+            /// line -> (writing core, version).
+            line_version: HashMap<usize, (usize, u64)>,
+        }
+
+        impl CoherenceDirectory {
+            pub fn record_write(&mut self, line: usize, core: usize) -> u64 {
+                self.version_counter += 1;
+                self.line_version.insert(line, (core, self.version_counter));
+                self.version_counter
+            }
+
+            pub fn version(&self, line: usize) -> u64 {
+                self.line_version.get(&line).map_or(0, |&(_, v)| v)
+            }
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        fn row_cost(
+            matrix: &CsrMatrix,
+            i: usize,
+            core: usize,
+            cache: &mut LruCache,
+            directory: &mut CoherenceDirectory,
+            profile: &MachineProfile,
+            bandwidth_factor: f64,
+            misses: &mut u64,
+        ) -> f64 {
+            let (cols, _) = matrix.row(i);
+            let mut cost = profile.cycles_per_row
+                + profile.cycles_per_nnz * bandwidth_factor * cols.len() as f64;
+            for &c in cols {
+                let line = c / LINE;
+                if cache.touch(line, directory.version(line)) {
+                    cost += profile.cycles_per_miss * bandwidth_factor;
+                    *misses += 1;
+                }
+            }
+            let own = i / LINE;
+            let version = directory.record_write(own, core);
+            cache.touch(own, version);
+            cost
+        }
+
+        pub fn simulate_serial(matrix: &CsrMatrix, profile: &MachineProfile) -> SimReport {
+            let mut cache = LruCache::new(profile.cache_lines);
+            let mut directory = CoherenceDirectory::default();
+            let mut misses = 0u64;
+            let mut compute = 0.0;
+            for i in 0..matrix.n_rows() {
+                compute +=
+                    row_cost(matrix, i, 0, &mut cache, &mut directory, profile, 1.0, &mut misses);
+            }
+            SimReport {
+                cycles: compute,
+                compute_cycles: compute,
+                sync_cycles: 0.0,
+                cache_misses: misses,
+            }
+        }
+
+        pub fn simulate_barrier(
+            matrix: &CsrMatrix,
+            compiled: &CompiledSchedule,
+            profile: &MachineProfile,
+        ) -> SimReport {
+            let k = compiled.n_cores().min(profile.max_cores);
+            let mut caches: Vec<LruCache> =
+                (0..k).map(|_| LruCache::new(profile.cache_lines)).collect();
+            let mut directory = CoherenceDirectory::default();
+            let mut misses = 0u64;
+            let mut compute = 0.0;
+            let mut thread_time = vec![0.0f64; k];
+            for step in 0..compiled.n_supersteps() {
+                let active =
+                    k.min(compiled.step_cells(step).filter(|cell| !cell.is_empty()).count());
+                let bw = profile.bandwidth_factor(active.max(1));
+                thread_time.fill(0.0);
+                for (c, cell) in compiled.step_cells(step).enumerate() {
+                    let t = c % k;
+                    for &v in cell {
+                        thread_time[t] += row_cost(
+                            matrix,
+                            v as usize,
+                            t,
+                            &mut caches[t],
+                            &mut directory,
+                            profile,
+                            bw,
+                            &mut misses,
+                        );
+                    }
+                }
+                compute += thread_time.iter().copied().fold(0.0f64, f64::max);
+            }
+            let sync = profile.barrier_cycles * compiled.n_barriers() as f64;
+            SimReport {
+                cycles: compute + sync,
+                compute_cycles: compute,
+                sync_cycles: sync,
+                cache_misses: misses,
+            }
+        }
+
+        pub fn simulate_async(
+            matrix: &CsrMatrix,
+            compiled: &CompiledSchedule,
+            sync_dag: &SolveDag,
+            profile: &MachineProfile,
+            backoff: Backoff,
+        ) -> SimReport {
+            let n = matrix.n_rows();
+            let k = compiled.n_cores().min(profile.max_cores);
+            let mut caches: Vec<LruCache> =
+                (0..k).map(|_| LruCache::new(profile.cache_lines)).collect();
+            let mut directory = CoherenceDirectory::default();
+            let mut finish = vec![0.0f64; n];
+            let mut core_time = vec![0.0f64; k];
+            let mut misses = 0u64;
+            let mut sync = 0.0;
+            let bw = profile.bandwidth_factor(k);
+            let core_of = compiled.core_assignment();
+            for step in 0..compiled.n_supersteps() {
+                for (p, cell) in compiled.step_cells(step).enumerate() {
+                    let p = p.min(k - 1);
+                    for &v in cell {
+                        let v = v as usize;
+                        let mut start = core_time[p];
+                        for &u in sync_dag.parents(v) {
+                            if (core_of[u] as usize).min(k - 1) != p {
+                                if finish[u] > start {
+                                    let resume = match backoff {
+                                        Backoff::Spin => 0.0,
+                                        Backoff::Yield => profile.yield_resume_cycles,
+                                    };
+                                    sync += (finish[u] - start) + profile.p2p_check_cycles + resume;
+                                    start = finish[u] + profile.p2p_check_cycles + resume;
+                                } else {
+                                    start += CHECK_HIT_CYCLES;
+                                    sync += CHECK_HIT_CYCLES;
+                                }
+                            }
+                        }
+                        let cost = row_cost(
+                            matrix,
+                            v,
+                            p,
+                            &mut caches[p],
+                            &mut directory,
+                            profile,
+                            bw,
+                            &mut misses,
+                        );
+                        finish[v] = start + cost;
+                        core_time[p] = finish[v];
+                    }
+                }
+            }
+            let cycles = core_time.iter().copied().fold(0.0f64, f64::max);
+            SimReport {
+                cycles,
+                compute_cycles: cycles - sync,
+                sync_cycles: sync,
+                cache_misses: misses,
+            }
+        }
+    }
+
+    /// Runs every model on `l` under `s` and requires the oracle's report,
+    /// bit for bit (`SimReport`'s `PartialEq` would equate `0.0` and
+    /// `-0.0`).
+    fn assert_matches_oracle(l: &CsrMatrix, s: &CompiledSchedule, p: &MachineProfile, what: &str) {
+        let bits = |r: &SimReport| {
+            [
+                r.cycles.to_bits(),
+                r.compute_cycles.to_bits(),
+                r.sync_cycles.to_bits(),
+                r.cache_misses,
+            ]
+        };
+        let full = SolveDag::from_lower_triangular(l);
+        let reduced = approximate_transitive_reduction(&full);
+        assert_eq!(
+            bits(&simulate_serial(l, p)),
+            bits(&oracle::simulate_serial(l, p)),
+            "{what}: serial"
+        );
+        assert_eq!(
+            bits(&simulate_barrier(l, s, p)),
+            bits(&oracle::simulate_barrier(l, s, p)),
+            "{what}: barrier"
+        );
+        for dag in [&full, &reduced] {
+            for backoff in [Backoff::Spin, Backoff::Yield] {
+                assert_eq!(
+                    bits(&simulate_async(l, s, dag, p, backoff)),
+                    bits(&oracle::simulate_async(l, s, dag, p, backoff)),
+                    "{what}: async, {backoff:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn edge_cases_match_the_oracle() {
+        use sptrsv_core::Schedule;
+        let intel = MachineProfile::intel_xeon_22();
+        // n = 0 and n = 1, on one core and on more cores than rows.
+        for n in [0, 1] {
+            let mut coo = sptrsv_sparse::CooMatrix::new(n, n);
+            for i in 0..n {
+                coo.push(i, i, 2.0).unwrap();
+            }
+            let l = coo.to_csr();
+            for k in [1, 4] {
+                let s = CompiledSchedule::from_schedule(&Schedule::new(k, vec![0; n], vec![0; n]));
+                assert_matches_oracle(&l, &s, &intel, &format!("n={n}, {k} cores"));
+            }
+        }
+        let (grid, dag) = grid_problem(24, 24);
+        let s = CompiledSchedule::from_schedule(&GrowLocal::new().schedule(&dag, 4));
+        // A one-line cache: every line change evicts.
+        let one_line = MachineProfile { cache_lines: 1, ..MachineProfile::intel_xeon_22() };
+        assert_matches_oracle(&grid, &s, &one_line, "cache_lines = 1");
+        // More schedule cores than the profile has: barrier cells wrap
+        // (`c % k`), async cells clamp onto the last core.
+        let wide = CompiledSchedule::from_schedule(&GrowLocal::new().schedule(&dag, 30));
+        assert!(wide.n_cores() > intel.max_cores);
+        assert_matches_oracle(&grid, &wide, &intel, "30 cores on a 22-core profile");
+        let three = MachineProfile { max_cores: 3, cache_lines: 16, ..intel };
+        assert_matches_oracle(&grid, &s, &three, "4 cores on a 3-core profile");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // Random reads and writes by two cores: the dense caches and
+        // directory report the oracle's miss sequence touch for touch.
+        #[test]
+        fn dense_lru_matches_the_hash_map_oracle(
+            seed in any::<u64>(),
+            n_lines in 1usize..160,
+            n_ops in 0usize..600,
+        ) {
+            use rand::{Rng, SeedableRng};
+            for capacity in [1, 2, 3, 64] {
+                let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+                let mut dense =
+                    [LruCache::new(capacity, n_lines), LruCache::new(capacity, n_lines)];
+                let mut dir = CoherenceDirectory::new(n_lines);
+                let mut hashed = [oracle::LruCache::new(capacity), oracle::LruCache::new(capacity)];
+                let mut odir = oracle::CoherenceDirectory::default();
+                for step in 0..n_ops {
+                    let core = rng.gen_range(0usize..2);
+                    let line = rng.gen_range(0..n_lines);
+                    let (miss, expected) = if rng.gen_bool(0.3) {
+                        let v = dir.record_write(line);
+                        let ov = odir.record_write(line, core);
+                        prop_assert_eq!(v, ov);
+                        (dense[core].touch(line, v), hashed[core].touch(line, ov))
+                    } else {
+                        (
+                            dense[core].touch(line, dir.version(line)),
+                            hashed[core].touch(line, odir.version(line)),
+                        )
+                    };
+                    prop_assert_eq!(
+                        miss,
+                        expected,
+                        "capacity {}, touch {} of core {} on line {}",
+                        capacity,
+                        step,
+                        core,
+                        line
+                    );
+                }
+            }
+        }
+
+        // Whole simulations on small random operands and schedules,
+        // against the oracle, with caches far smaller than the vectors.
+        #[test]
+        fn simulations_match_the_oracle_on_random_operands(
+            n in 1usize..300,
+            density in 0.0f64..0.05,
+            seed in any::<u64>(),
+            n_cores in 1usize..7,
+            cache_lines in 1usize..12,
+        ) {
+            use rand::SeedableRng;
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            let l = sptrsv_sparse::gen::erdos_renyi::erdos_renyi_lower(n, density, &mut rng);
+            let dag = SolveDag::from_lower_triangular(&l);
+            let s = CompiledSchedule::from_schedule(&GrowLocal::new().schedule(&dag, n_cores));
+            let p = MachineProfile { cache_lines, max_cores: 4, ..MachineProfile::amd_epyc_64() };
+            assert_matches_oracle(&l, &s, &p, &format!("n={n} p={density} seed={seed}"));
+        }
+    }
+
+    /// The golden operands: a block-shuffled grid, a narrow band, an
+    /// Erdős–Rényi and a supernodal operand, each larger than every
+    /// profile's cache so LRU eviction and coherence misses both occur.
+    fn golden_operands() -> Vec<(&'static str, CsrMatrix)> {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
+        vec![
+            ("grid", grid_problem(72, 72).0),
+            (
+                "narrow-band",
+                sptrsv_sparse::gen::narrow_band::narrow_band_lower(5000, 0.5, 8.0, &mut rng),
+            ),
+            (
+                "erdos-renyi",
+                sptrsv_sparse::gen::erdos_renyi::erdos_renyi_lower(5000, 6.0 / 5000.0, &mut rng),
+            ),
+            (
+                "supernodal",
+                sptrsv_sparse::gen::supernodal_spd(600, 8, 2, 0.5).lower_triangle().unwrap(),
+            ),
+        ]
+    }
+
+    /// Every report of serial/barrier/async × the three profiles ×
+    /// `fastmath` off/on over the golden operands, labelled, as raw bits.
+    fn golden_reports() -> Vec<(String, [u64; 4])> {
+        let mut out = Vec::new();
+        for (name, l) in golden_operands() {
+            let dag = SolveDag::from_lower_triangular(&l);
+            let s = CompiledSchedule::from_schedule(&GrowLocal::new().schedule(&dag, 4));
+            for p in MachineProfile::all() {
+                for model in [ExecModel::Serial, ExecModel::Barrier, ExecModel::Async] {
+                    for fastmath in [false, true] {
+                        let policy = ExecPolicy { fastmath, ..ExecPolicy::default() };
+                        let r = simulate_model(&l, &s, model, None, None, &p, policy);
+                        out.push((
+                            format!("{name}/{}/{model}/fastmath={fastmath}", p.name),
+                            [
+                                r.cycles.to_bits(),
+                                r.compute_cycles.to_bits(),
+                                r.sync_cycles.to_bits(),
+                                r.cache_misses,
+                            ],
+                        ));
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn reports_match_the_golden_bits() {
+        let actual = golden_reports();
+        let table: String = actual
+            .iter()
+            .map(|(_, b)| format!("[{:#x}, {:#x}, {:#x}, {}],\n", b[0], b[1], b[2], b[3]))
+            .collect();
+        assert_eq!(actual.len(), GOLDEN.len(), "golden table:\n{table}");
+        for ((label, bits), golden) in actual.iter().zip(GOLDEN.iter()) {
+            assert_eq!(bits, golden, "{label}; golden table:\n{table}");
+        }
+    }
+
+    /// `SimReport` bits (`cycles`, `compute_cycles`, `sync_cycles`,
+    /// `cache_misses`) of [`golden_reports`], recorded with the hash-map
+    /// LRU and coherence directory that [`oracle`] keeps.
+    const GOLDEN: [[u64; 4]; 72] = [
+        [0x41002a5000000000, 0x41002a5000000000, 0x0, 711],
+        [0x41002a5000000000, 0x41002a5000000000, 0x0, 711],
+        [0x40e8558000000000, 0x40e4d18000000000, 0x40bc200000000000, 1004],
+        [0x40e8558000000000, 0x40e4d18000000000, 0x40bc200000000000, 1004],
+        [0x40e4590000000000, 0x40e0f10000000000, 0x40bb400000000000, 1004],
+        [0x40e4590000000000, 0x40e0f10000000000, 0x40bb400000000000, 1004],
+        [0x4102b65800000000, 0x4102b65800000000, 0x0, 831],
+        [0x4102b65800000000, 0x4102b65800000000, 0x0, 831],
+        [0x40ed3e6000000000, 0x40e6fe6000000000, 0x40c9000000000000, 1004],
+        [0x40ed3e6000000000, 0x40e6fe6000000000, 0x40c9000000000000, 1004],
+        [0x40e65c0000000000, 0x40e2b3a000000000, 0x40bd430000000000, 1004],
+        [0x40e65c0000000000, 0x40e2b3a000000000, 0x40bd430000000000, 1004],
+        [0x410209dccccccd2f, 0x410209dccccccd2f, 0x0, 758],
+        [0x410209dccccccd2f, 0x410209dccccccd2f, 0x0, 758],
+        [0x40eae8333333332b, 0x40e69c333333332b, 0x40c1300000000000, 1004],
+        [0x40eae8333333332b, 0x40e69c333333332b, 0x40c1300000000000, 1004],
+        [0x40e60d1333333335, 0x40e294accccccce7, 0x40bbc33333333272, 1004],
+        [0x40e60d1333333335, 0x40e294accccccce7, 0x40bbc33333333272, 1004],
+        [0x4101e73000000000, 0x4101e73000000000, 0x0, 625],
+        [0x4101e73000000000, 0x4101e73000000000, 0x0, 625],
+        [0x4101e73000000000, 0x4101e73000000000, 0x0, 625],
+        [0x4101e73000000000, 0x4101e73000000000, 0x0, 625],
+        [0x4101e73000000000, 0x4101e73000000000, 0x0, 625],
+        [0x4101e73000000000, 0x4101e73000000000, 0x0, 625],
+        [0x41030c2800000000, 0x41030c2800000000, 0x0, 625],
+        [0x41030c2800000000, 0x41030c2800000000, 0x0, 625],
+        [0x41030c2800000000, 0x41030c2800000000, 0x0, 625],
+        [0x41030c2800000000, 0x41030c2800000000, 0x0, 625],
+        [0x41030c2800000000, 0x41030c2800000000, 0x0, 625],
+        [0x41030c2800000000, 0x41030c2800000000, 0x0, 625],
+        [0x41038a7199999992, 0x41038a7199999992, 0x0, 625],
+        [0x41038a7199999992, 0x41038a7199999992, 0x0, 625],
+        [0x41038a7199999992, 0x41038a7199999992, 0x0, 625],
+        [0x41038a7199999992, 0x41038a7199999992, 0x0, 625],
+        [0x41038a7199999992, 0x41038a7199999992, 0x0, 625],
+        [0x41038a7199999992, 0x41038a7199999992, 0x0, 625],
+        [0x4104c60000000000, 0x4104c60000000000, 0x0, 1144],
+        [0x4104c60000000000, 0x4104c60000000000, 0x0, 1144],
+        [0x4100c3c000000000, 0x40ff550000000000, 0x40c1940000000000, 5047],
+        [0x4100c3c000000000, 0x40ff550000000000, 0x40c1940000000000, 5047],
+        [0x40fe27c000000000, 0x40f84b0000000000, 0x40d7730000000000, 5047],
+        [0x40fe27c000000000, 0x40f84b0000000000, 0x40d7730000000000, 5047],
+        [0x4114b08000000000, 0x4114b08000000000, 0x0, 2928],
+        [0x4114b08000000000, 0x4114b08000000000, 0x0, 2928],
+        [0x4108121800000000, 0x41061e1800000000, 0x40cf400000000000, 6364],
+        [0x4108121800000000, 0x41061e1800000000, 0x40cf400000000000, 6364],
+        [0x4105185800000000, 0x41012fd000000000, 0x40df444000000000, 6364],
+        [0x4105185800000000, 0x41012fd000000000, 0x40df444000000000, 6364],
+        [0x410d4844ccccccfe, 0x410d4844ccccccfe, 0x0, 1877],
+        [0x410d4844ccccccfe, 0x410d4844ccccccfe, 0x0, 1877],
+        [0x410394bb33333332, 0x41023cfb33333332, 0x40c57c0000000000, 5636],
+        [0x410394bb33333332, 0x41023cfb33333332, 0x40c57c0000000000, 5636],
+        [0x4101979000000007, 0x40fc90b9999999a8, 0x40da799999999998, 5636],
+        [0x4101979000000007, 0x40fc90b9999999a8, 0x40da799999999998, 5636],
+        [0x4102998000000000, 0x4102998000000000, 0x0, 600],
+        [0x4100094000000000, 0x4100094000000000, 0x0, 600],
+        [0x4102998000000000, 0x4102998000000000, 0x0, 600],
+        [0x4100094000000000, 0x4100094000000000, 0x0, 600],
+        [0x4102998000000000, 0x4102998000000000, 0x0, 600],
+        [0x4100094000000000, 0x4100094000000000, 0x0, 600],
+        [0x4103b2c000000000, 0x4103b2c000000000, 0x0, 600],
+        [0x4101228000000000, 0x4101228000000000, 0x0, 600],
+        [0x4103b2c000000000, 0x4103b2c000000000, 0x0, 600],
+        [0x4101228000000000, 0x4101228000000000, 0x0, 600],
+        [0x4103b2c000000000, 0x4103b2c000000000, 0x0, 600],
+        [0x4101228000000000, 0x4101228000000000, 0x0, 600],
+        [0x4104502666666695, 0x4104502666666695, 0x0, 600],
+        [0x41017e4666666695, 0x41017e4666666695, 0x0, 600],
+        [0x4104502666666695, 0x4104502666666695, 0x0, 600],
+        [0x41017e4666666695, 0x41017e4666666695, 0x0, 600],
+        [0x4104502666666695, 0x4104502666666695, 0x0, 600],
+        [0x41017e4666666695, 0x41017e4666666695, 0x0, 600],
+    ];
 }

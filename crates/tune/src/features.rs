@@ -46,8 +46,8 @@ impl TuneFeatures {
 
     /// Extracts the features when the solve DAG is already available.
     pub fn extract_with_dag(lower: &CsrMatrix, dag: &SolveDag) -> TuneFeatures {
-        let stats = MatrixStats::of_dag(lower, dag);
         let wf = wavefronts(dag);
+        let stats = MatrixStats::of_wavefronts(lower, dag, &wf);
         let mut widths: Vec<usize> = wf.fronts.iter().map(|f| f.len()).collect();
         widths.sort_unstable();
         let q = |p: f64| -> usize {
@@ -120,5 +120,21 @@ mod tests {
     fn extraction_is_deterministic() {
         let l = chain(32);
         assert_eq!(TuneFeatures::extract(&l), TuneFeatures::extract(&l));
+    }
+
+    #[test]
+    fn stats_match_matrix_stats_of_dag() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(3);
+        let operands = [
+            chain(32),
+            sptrsv_sparse::gen::narrow_band::narrow_band_lower(400, 0.5, 6.0, &mut rng),
+            sptrsv_sparse::gen::erdos_renyi::erdos_renyi_lower(400, 0.01, &mut rng),
+            CooMatrix::new(0, 0).to_csr(),
+        ];
+        for l in &operands {
+            let dag = SolveDag::from_lower_triangular(l);
+            assert_eq!(TuneFeatures::extract_with_dag(l, &dag).stats, MatrixStats::of_dag(l, &dag));
+        }
     }
 }

@@ -31,7 +31,7 @@ fn run_spec(spec: &str, dag: &SolveDag, matrix: &CsrMatrix, k: usize) {
     let profile = MachineProfile::intel_xeon_22();
     let serial = simulate_serial(matrix, &profile);
     let compiled = CompiledSchedule::from_schedule(&s);
-    let par = sptrsv::exec::simulate_model(matrix, &compiled, model, None, &profile, policy);
+    let par = sptrsv::exec::simulate_model(matrix, &compiled, model, None, None, &profile, policy);
     println!(
         "{spec:<38} supersteps {:>6}  imbalance {:>5.2}  modeled speed-up {:>5.2}x",
         s.n_supersteps(),
