@@ -97,6 +97,18 @@
 //! mutex when the `sleepers` counter says someone is actually parked, so a
 //! hot solve loop never blocks on it.
 //!
+//! # Placement
+//!
+//! The kernel may wake a parked worker on its leaseholder's own CPU while
+//! another CPU sits idle (seen on a 2-vCPU VM after a long stretch of
+//! single-threaded work). The two threads then time-share one CPU, so
+//! every barrier costs a context switch, until the load balancer moves
+//! one of them, which took up to seconds. The leaseholder therefore
+//! publishes its CPU with each job, and a worker that starts a job on
+//! that CPU moves itself: it narrows its affinity to its other allowed
+//! CPUs, which makes the kernel migrate it at once, and then restores the
+//! affinity so later wake-ups stay free to place it.
+//!
 //! # Safety argument
 //!
 //! A job is a raw `(fn, *const ())` pair pointing at a caller-stack
@@ -318,6 +330,8 @@ struct WorkerJob {
     /// The lease-thread index this worker plays (1-based; the leaseholder
     /// is thread 0).
     thread: usize,
+    /// The CPU the leaseholder ran on when it published the job, if known.
+    leader_cpu: Option<usize>,
 }
 
 /// One worker's private dispatch slot.
@@ -535,6 +549,8 @@ impl Drop for SolverRuntime {
 fn worker_loop(shared: &RuntimeShared, index: usize) {
     let slot = &shared.slots[index];
     let park_after = if shared.oversubscribed { 1 << 5 } else { PARK_AFTER_SPINS };
+    // Oversubscribed, lease threads must share CPUs anyway.
+    let allowed = if shared.oversubscribed { None } else { placement::allowed() };
     let mut seen = 0usize;
     loop {
         let mut spins = 0u32;
@@ -571,6 +587,11 @@ fn worker_loop(shared: &RuntimeShared, index: usize) {
         // the leaseholder's job write (Release); the slot is always Some
         // once an epoch has been published.
         let job = unsafe { (*slot.job.get()).expect("published epoch carries a job") };
+        if let (Some(allowed), Some(leader)) = (&allowed, job.leader_cpu) {
+            if placement::current_cpu() == Some(leader) {
+                placement::avoid(allowed, leader);
+            }
+        }
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             // SAFETY: per the module-level argument, the context outlives
             // this call.
@@ -596,11 +617,11 @@ unsafe fn job_entry<F: Fn(usize)>(ctx: *const (), thread: usize) {
 /// prior job on the slot has retired (the previous dispatch waited), so
 /// the epoch cannot move under us and nothing reads the slot while the
 /// job is written; the epoch store publishes it.
-fn publish_job(slot: &WorkerSlot, call: JobFn, ctx: *const (), thread: usize) {
+fn publish_job(slot: &WorkerSlot, job: WorkerJob) {
     let epoch = slot.epoch.load(Ordering::Relaxed) + 1;
     // SAFETY: exclusive ownership, see above.
     unsafe {
-        *slot.job.get() = Some(WorkerJob { call, ctx, thread });
+        *slot.job.get() = Some(job);
     }
     slot.epoch.store(epoch, Ordering::SeqCst);
     slot.wake_sleepers();
@@ -668,8 +689,10 @@ impl CoreLease<'_> {
         }
         let slots = &self.runtime.shared.slots;
         let ctx = f as *const F as *const ();
+        let leader_cpu = placement::current_cpu();
         for (i, &w) in self.workers.iter().enumerate() {
-            publish_job(&slots[w], job_entry::<F>, ctx, i + 1);
+            let job = WorkerJob { call: job_entry::<F>, ctx, thread: i + 1, leader_cpu };
+            publish_job(&slots[w], job);
         }
         // The leaseholder's own share must not unwind past the completion
         // wait: workers still hold the raw pointer to `f` (and through it
@@ -826,9 +849,176 @@ pub fn install_rayon_bridge() {
     });
 }
 
+/// Which CPU a thread runs on, and moving a worker off its leaseholder's
+/// CPU (module docs, "Placement"). Linux only; elsewhere the CPU is
+/// unknown and nothing moves.
+mod placement {
+    /// A `cpu_set_t`: one bit per CPU, 1024 CPUs.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    #[repr(C)]
+    #[cfg_attr(not(target_os = "linux"), allow(dead_code))]
+    pub(super) struct CpuSet([u64; 16]);
+
+    impl CpuSet {
+        /// Whether `cpu` is in the set.
+        #[cfg(test)]
+        pub(super) fn contains(&self, cpu: usize) -> bool {
+            cpu < 1024 && self.0[cpu / 64] & (1 << (cpu % 64)) != 0
+        }
+
+        /// The set without `cpu`.
+        #[cfg(target_os = "linux")]
+        fn without(mut self, cpu: usize) -> CpuSet {
+            if cpu < 1024 {
+                self.0[cpu / 64] &= !(1 << (cpu % 64));
+            }
+            self
+        }
+    }
+
+    #[cfg(target_os = "linux")]
+    mod sys {
+        use super::CpuSet;
+
+        extern "C" {
+            pub(super) fn sched_getcpu() -> i32;
+            pub(super) fn sched_getaffinity(pid: i32, size: usize, mask: *mut CpuSet) -> i32;
+            pub(super) fn sched_setaffinity(pid: i32, size: usize, mask: *const CpuSet) -> i32;
+        }
+    }
+
+    /// The CPU the calling thread is running on.
+    #[cfg(target_os = "linux")]
+    pub(super) fn current_cpu() -> Option<usize> {
+        // SAFETY: no arguments; returns -1 on failure.
+        usize::try_from(unsafe { sys::sched_getcpu() }).ok()
+    }
+
+    /// The CPUs the calling thread may run on.
+    #[cfg(target_os = "linux")]
+    pub(super) fn allowed() -> Option<CpuSet> {
+        let mut set = CpuSet([0; 16]);
+        // SAFETY: `set` is a writable `cpu_set_t` of the size passed; pid 0
+        // is the calling thread.
+        let rc = unsafe { sys::sched_getaffinity(0, std::mem::size_of::<CpuSet>(), &mut set) };
+        (rc == 0).then_some(set)
+    }
+
+    /// Moves the calling thread off `cpu` to another CPU of `allowed`,
+    /// then restores `allowed` as its affinity. Does nothing when `cpu` is
+    /// the only one.
+    #[cfg(target_os = "linux")]
+    pub(super) fn avoid(allowed: &CpuSet, cpu: usize) {
+        let set = allowed.without(cpu);
+        if set.0.iter().all(|&word| word == 0) {
+            return;
+        }
+        let size = std::mem::size_of::<CpuSet>();
+        // SAFETY: both sets are readable `cpu_set_t`s of the size passed;
+        // pid 0 is the calling thread. The kernel migrates the thread
+        // before the first call returns, and the second leaves it where it
+        // is. A failure leaves the thread where it was, which is safe.
+        unsafe {
+            if sys::sched_setaffinity(0, size, &set) == 0 {
+                sys::sched_setaffinity(0, size, allowed);
+            }
+        }
+    }
+
+    /// Restricts the calling thread to `cpu` alone.
+    #[cfg(all(test, target_os = "linux"))]
+    pub(super) fn pin(cpu: usize) {
+        let mut set = CpuSet([0; 16]);
+        set.0[cpu / 64] |= 1 << (cpu % 64);
+        // SAFETY: as in `avoid`.
+        let rc = unsafe { sys::sched_setaffinity(0, std::mem::size_of::<CpuSet>(), &set) };
+        assert_eq!(rc, 0, "pin to cpu {cpu}");
+    }
+
+    #[cfg(not(target_os = "linux"))]
+    pub(super) fn current_cpu() -> Option<usize> {
+        None
+    }
+
+    #[cfg(not(target_os = "linux"))]
+    pub(super) fn allowed() -> Option<CpuSet> {
+        None
+    }
+
+    #[cfg(not(target_os = "linux"))]
+    pub(super) fn avoid(_allowed: &CpuSet, _cpu: usize) {}
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_thread_that_avoids_its_cpu_leaves_it_and_keeps_its_affinity() {
+        // On a thread of its own, so the pin dies with it.
+        std::thread::spawn(|| {
+            let allowed = placement::allowed().expect("affinity readable");
+            let Some(here) = (0..1024).find(|&c| allowed.contains(c)) else { return };
+            // Pinned, so nothing but `avoid` can move it off `here`.
+            placement::pin(here);
+            assert_eq!(placement::current_cpu(), Some(here));
+            let pinned = placement::allowed().unwrap();
+            placement::avoid(&allowed, here);
+            let moved = placement::current_cpu().unwrap();
+            assert_eq!(placement::allowed(), Some(allowed));
+            if (0..1024).filter(|&c| allowed.contains(c)).count() == 1 {
+                // The only CPU: staying put beats having none.
+                assert_eq!(moved, here);
+            } else {
+                assert_ne!(moved, here);
+            }
+            // Only `cpu` allowed: nothing to move to, nothing changes.
+            placement::avoid(&pinned, here);
+            assert_eq!(placement::allowed(), Some(allowed));
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn workers_run_jobs_off_the_leaseholders_cpu() {
+        let allowed = placement::allowed().expect("affinity readable");
+        let Some(leader_cpu) = (0..1024).find(|&c| allowed.contains(c)) else { return };
+        if (0..1024).filter(|&c| allowed.contains(c)).count() < 2 {
+            return; // one CPU: every thread shares it
+        }
+        // The leaseholder pinned to one CPU on a thread of its own, so its
+        // worker has somewhere else to go and the pin dies with the thread.
+        std::thread::spawn(move || {
+            // Workers inherit their creator's affinity: spawn them first.
+            let runtime = SolverRuntime::new(2);
+            if runtime.shared.oversubscribed {
+                return;
+            }
+            placement::pin(leader_cpu);
+            let mut lease = runtime.lease(2);
+            // Put the worker on the leaseholder's CPU, as a wake-up can.
+            lease.run(Backoff::Spin, &|thread| {
+                if thread == 1 {
+                    placement::pin(leader_cpu);
+                }
+            });
+            for _ in 0..20 {
+                let worker_cpu = AtomicUsize::new(usize::MAX);
+                lease.run(Backoff::Spin, &|thread| {
+                    if thread == 1 {
+                        worker_cpu.store(placement::current_cpu().unwrap(), Ordering::Relaxed);
+                    }
+                });
+                assert_eq!(placement::current_cpu(), Some(leader_cpu));
+                assert_ne!(worker_cpu.load(Ordering::Relaxed), leader_cpu);
+            }
+        })
+        .join()
+        .unwrap();
+    }
 
     #[test]
     fn every_lease_thread_runs_exactly_once_per_dispatch() {
