@@ -344,8 +344,8 @@ pub fn table7_6(cfg: &Config) -> String {
 /// Table 7.7: block-parallel scheduling trade-offs.
 ///
 /// Scheduling-time speed-up is modeled as `total / max-block` of measured
-/// per-block wall times (the machine has one physical core, so rayon cannot
-/// show a wall-clock speed-up; the per-block maximum is what `t` scheduling
+/// per-block wall times (the machines this runs on have fewer cores than
+/// the table has threads; the per-block maximum is what `t` scheduling
 /// threads would achieve).
 pub fn table7_7(cfg: &Config) -> String {
     let profile = MachineProfile::intel_xeon_22();

@@ -1,5 +1,4 @@
-//! Experiment harness shared by the `experiments` binary, the Criterion
-//! benches and the integration tests.
+//! Experiment harness behind the `experiments` binary.
 //!
 //! * [`harness`] — runs one (dataset, algorithm) pair end to end: schedule
 //!   (timed), optional locality reordering, machine-model simulation;

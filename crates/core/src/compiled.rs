@@ -16,8 +16,7 @@
 //! of the seed's `usize` cells), and the build reads the schedule's
 //! assignment arrays exactly once: a single fused pass computes each
 //! vertex's cell key and the cell histogram together, and the scatter pass
-//! then consumes the cached keys — closing the single-materialization gap
-//! `benches/compiled.rs` guards.
+//! then consumes the cached keys.
 
 use crate::schedule::Schedule;
 

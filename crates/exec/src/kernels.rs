@@ -368,7 +368,10 @@ pub fn solve_lower_serial_fast(l: &CsrMatrix, plan: &KernelPlan, b: &[f64], x: &
 mod tests {
     use super::*;
     use crate::serial::solve_lower_serial;
-    use sptrsv_sparse::gen::{block_diagonal_spd, grid2d_laplacian, supernodal_spd, Stencil2D};
+    use sptrsv_sparse::gen::{
+        block_diagonal_spd, grid2d_laplacian, grid3d_laplacian, supernodal_spd, Stencil2D,
+        Stencil3D,
+    };
 
     fn rel_tol(x: &[f64], reference: &[f64]) -> f64 {
         let scale = reference.iter().fold(1.0f64, |m, v| m.max(v.abs()));
@@ -379,6 +382,8 @@ mod tests {
     fn fastmath_serial_matches_scalar_to_tolerance() {
         for l in [
             grid2d_laplacian(25, 19, Stencil2D::NinePoint, 0.5).lower_triangle().unwrap(),
+            grid2d_laplacian(25, 19, Stencil2D::FivePoint, 0.5).lower_triangle().unwrap(),
+            grid3d_laplacian(9, 9, 9, Stencil3D::TwentySevenPoint, 0.5).lower_triangle().unwrap(),
             block_diagonal_spd(40, 8, 0.5).lower_triangle().unwrap(),
             supernodal_spd(40, 8, 2, 0.5).lower_triangle().unwrap(),
         ] {

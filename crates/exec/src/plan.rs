@@ -562,10 +562,6 @@ impl SolvePlan {
     }
 
     fn from_builder(builder: PlanBuilder<'_>) -> Result<SolvePlan, PlanError> {
-        // Compat-only (see `runtime::install_rayon_bridge`): give the
-        // rayon stand-in its runtime bridge before any scheduler (block-gl)
-        // parallel-iterates.
-        crate::runtime::install_rayon_bridge();
         let mut spec: SchedulerSpec = builder.spec.parse()?;
         if let Some(model) = builder.execution {
             spec = spec.with_model(model);

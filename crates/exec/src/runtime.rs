@@ -425,7 +425,6 @@ impl SolverRuntime {
     /// parked until leased work arrives.
     pub fn new(capacity: usize) -> SolverRuntime {
         assert!(capacity > 0, "a runtime needs at least one core");
-        crate::runtime::install_rayon_bridge();
         let n_workers = capacity - 1;
         let shared = Arc::new(RuntimeShared {
             slots: (0..n_workers).map(|_| WorkerSlot::new()).collect(),
@@ -461,7 +460,13 @@ impl SolverRuntime {
     /// leases from it.
     pub fn global() -> &'static Arc<SolverRuntime> {
         static GLOBAL: OnceLock<Arc<SolverRuntime>> = OnceLock::new();
-        GLOBAL.get_or_init(|| Arc::new(SolverRuntime::new(hardware_threads())))
+        GLOBAL.get_or_init(|| {
+            // The bridge leases from this runtime, so it is installed only
+            // once the runtime exists: a process that solves on explicit
+            // runtimes alone never starts a second pool for scheduling.
+            install_rayon_bridge();
+            Arc::new(SolverRuntime::new(hardware_threads()))
+        })
     }
 
     /// Total cores this runtime serves (leaseholder threads included).
@@ -811,12 +816,17 @@ impl RuntimeHandle {
     }
 }
 
-/// Routes the `rayon` stand-in's `join`/`par_iter` through the shared
+/// Routes the `rayon` stand-in's `join`/`par_iter` through the global
 /// runtime, so schedule-time parallelism (`block-gl`'s per-block
 /// scheduling) gets real threads without a second thread pool. Tasks are
 /// leased **non-blockingly** ([`SolverRuntime::try_lease`]): when the
 /// runtime is busy solving, scheduling degrades to sequential instead of
 /// deadlocking or oversubscribing.
+///
+/// [`SolverRuntime::global`] installs it when it creates the global
+/// runtime, and the CLI at start-up. A process that solves only on
+/// explicit runtimes never installs it, so it schedules sequentially
+/// (bit-identical: `par_iter` collects in order) on one pool.
 ///
 /// NOTE (compat-only): this bridge exists because `crates/compat/rayon`
 /// is an offline stand-in. When the workspace swaps back to crates.io

@@ -152,7 +152,8 @@ pub struct SimReport {
     pub cycles: f64,
     /// Cycles spent in row compute + streaming (critical path share).
     pub compute_cycles: f64,
-    /// Cycles spent in barriers / point-to-point waiting overhead.
+    /// Cycles spent in barriers / point-to-point waiting overhead
+    /// (critical path share, so never more than `cycles`).
     pub sync_cycles: f64,
     /// Total cache misses across all cores.
     pub cache_misses: u64,
@@ -486,8 +487,9 @@ pub fn simulate_async(
     let mut directory = CoherenceDirectory::new(lines);
     let mut finish = vec![0.0f64; n];
     let mut core_time = vec![0.0f64; k];
+    // Per core: the part of its clock spent waiting.
+    let mut core_sync = vec![0.0f64; k];
     let mut misses = 0u64;
-    let mut sync = 0.0;
     let bw = profile.bandwidth_factor(k);
     let core_of = compiled.core_assignment();
     // Processing cells in (superstep, core) order is consistent with each
@@ -510,12 +512,12 @@ pub fn simulate_async(
                                 Backoff::Spin => 0.0,
                                 Backoff::Yield => profile.yield_resume_cycles,
                             };
-                            sync += (finish[u] - start) + profile.p2p_check_cycles + resume;
+                            core_sync[p] += (finish[u] - start) + profile.p2p_check_cycles + resume;
                             start = finish[u] + profile.p2p_check_cycles + resume;
                         } else {
                             // Flag already set: one cheap acquire load.
                             start += CHECK_HIT_CYCLES;
-                            sync += CHECK_HIT_CYCLES;
+                            core_sync[p] += CHECK_HIT_CYCLES;
                         }
                     }
                 }
@@ -526,7 +528,13 @@ pub fn simulate_async(
             }
         }
     }
-    let cycles = core_time.iter().copied().fold(0.0f64, f64::max);
+    // As in `simulate_barrier`, sync is the critical path's share: the
+    // waiting of the core that finishes last (the first such core on a
+    // tie), not the sum over cores.
+    let (cycles, sync) = core_time
+        .iter()
+        .zip(&core_sync)
+        .fold((0.0f64, 0.0f64), |last, (&t, &w)| if t > last.0 { (t, w) } else { last });
     SimReport { cycles, compute_cycles: cycles - sync, sync_cycles: sync, cache_misses: misses }
 }
 
@@ -869,8 +877,8 @@ mod tests {
             let mut directory = CoherenceDirectory::default();
             let mut finish = vec![0.0f64; n];
             let mut core_time = vec![0.0f64; k];
+            let mut core_sync = vec![0.0f64; k];
             let mut misses = 0u64;
-            let mut sync = 0.0;
             let bw = profile.bandwidth_factor(k);
             let core_of = compiled.core_assignment();
             for step in 0..compiled.n_supersteps() {
@@ -886,11 +894,12 @@ mod tests {
                                         Backoff::Spin => 0.0,
                                         Backoff::Yield => profile.yield_resume_cycles,
                                     };
-                                    sync += (finish[u] - start) + profile.p2p_check_cycles + resume;
+                                    core_sync[p] +=
+                                        (finish[u] - start) + profile.p2p_check_cycles + resume;
                                     start = finish[u] + profile.p2p_check_cycles + resume;
                                 } else {
                                     start += CHECK_HIT_CYCLES;
-                                    sync += CHECK_HIT_CYCLES;
+                                    core_sync[p] += CHECK_HIT_CYCLES;
                                 }
                             }
                         }
@@ -909,7 +918,9 @@ mod tests {
                     }
                 }
             }
+            // The waiting of the first core to reach the makespan.
             let cycles = core_time.iter().copied().fold(0.0f64, f64::max);
+            let sync = core_time.iter().position(|&t| t == cycles).map_or(0.0, |p| core_sync[p]);
             SimReport {
                 cycles,
                 compute_cycles: cycles - sync,
@@ -1102,6 +1113,33 @@ mod tests {
     }
 
     #[test]
+    fn sync_stays_within_the_makespan_on_many_cores() {
+        // With 64 simulated cores most of them wait at any time; the
+        // reported sync is the makespan core's, so it never exceeds the
+        // cycles and the fastmath discount never adds cycles.
+        let amd = MachineProfile::amd_epyc_64();
+        for (name, l) in golden_operands() {
+            let dag = SolveDag::from_lower_triangular(&l);
+            let s = CompiledSchedule::from_schedule(&GrowLocal::new().schedule(&dag, 64));
+            for model in [ExecModel::Serial, ExecModel::Barrier, ExecModel::Async] {
+                let [off, on] = [false, true].map(|fastmath| {
+                    let policy = ExecPolicy { fastmath, ..ExecPolicy::default() };
+                    simulate_model(&l, &s, model, None, None, &amd, policy)
+                });
+                for r in [&off, &on] {
+                    assert!(
+                        0.0 <= r.sync_cycles && r.sync_cycles <= r.cycles,
+                        "{name}/{model}: sync {} of {} cycles",
+                        r.sync_cycles,
+                        r.cycles
+                    );
+                }
+                assert!(on.cycles <= off.cycles, "{name}/{model}: fastmath added cycles");
+            }
+        }
+    }
+
+    #[test]
     fn reports_match_the_golden_bits() {
         let actual = golden_reports();
         let table: String = actual
@@ -1122,20 +1160,20 @@ mod tests {
         [0x41002a5000000000, 0x41002a5000000000, 0x0, 711],
         [0x40e8558000000000, 0x40e4d18000000000, 0x40bc200000000000, 1004],
         [0x40e8558000000000, 0x40e4d18000000000, 0x40bc200000000000, 1004],
-        [0x40e4590000000000, 0x40e0f10000000000, 0x40bb400000000000, 1004],
-        [0x40e4590000000000, 0x40e0f10000000000, 0x40bb400000000000, 1004],
+        [0x40e4590000000000, 0x40e3088000000000, 0x40a5080000000000, 1004],
+        [0x40e4590000000000, 0x40e3088000000000, 0x40a5080000000000, 1004],
         [0x4102b65800000000, 0x4102b65800000000, 0x0, 831],
         [0x4102b65800000000, 0x4102b65800000000, 0x0, 831],
         [0x40ed3e6000000000, 0x40e6fe6000000000, 0x40c9000000000000, 1004],
         [0x40ed3e6000000000, 0x40e6fe6000000000, 0x40c9000000000000, 1004],
-        [0x40e65c0000000000, 0x40e2b3a000000000, 0x40bd430000000000, 1004],
-        [0x40e65c0000000000, 0x40e2b3a000000000, 0x40bd430000000000, 1004],
+        [0x40e65c0000000000, 0x40e4d5c000000000, 0x40a8640000000000, 1004],
+        [0x40e65c0000000000, 0x40e4d5c000000000, 0x40a8640000000000, 1004],
         [0x410209dccccccd2f, 0x410209dccccccd2f, 0x0, 758],
         [0x410209dccccccd2f, 0x410209dccccccd2f, 0x0, 758],
         [0x40eae8333333332b, 0x40e69c333333332b, 0x40c1300000000000, 1004],
         [0x40eae8333333332b, 0x40e69c333333332b, 0x40c1300000000000, 1004],
-        [0x40e60d1333333335, 0x40e294accccccce7, 0x40bbc33333333272, 1004],
-        [0x40e60d1333333335, 0x40e294accccccce7, 0x40bbc33333333272, 1004],
+        [0x40e60d1333333335, 0x40e4b24000000019, 0x40a5ad33333331c0, 1004],
+        [0x40e60d1333333335, 0x40e4b24000000019, 0x40a5ad33333331c0, 1004],
         [0x4101e73000000000, 0x4101e73000000000, 0x0, 625],
         [0x4101e73000000000, 0x4101e73000000000, 0x0, 625],
         [0x4101e73000000000, 0x4101e73000000000, 0x0, 625],
@@ -1158,20 +1196,20 @@ mod tests {
         [0x4104c60000000000, 0x4104c60000000000, 0x0, 1144],
         [0x4100c3c000000000, 0x40ff550000000000, 0x40c1940000000000, 5047],
         [0x4100c3c000000000, 0x40ff550000000000, 0x40c1940000000000, 5047],
-        [0x40fe27c000000000, 0x40f84b0000000000, 0x40d7730000000000, 5047],
-        [0x40fe27c000000000, 0x40f84b0000000000, 0x40d7730000000000, 5047],
+        [0x40fe27c000000000, 0x40fd114000000000, 0x40b1680000000000, 5047],
+        [0x40fe27c000000000, 0x40fd114000000000, 0x40b1680000000000, 5047],
         [0x4114b08000000000, 0x4114b08000000000, 0x0, 2928],
         [0x4114b08000000000, 0x4114b08000000000, 0x0, 2928],
         [0x4108121800000000, 0x41061e1800000000, 0x40cf400000000000, 6364],
         [0x4108121800000000, 0x41061e1800000000, 0x40cf400000000000, 6364],
-        [0x4105185800000000, 0x41012fd000000000, 0x40df444000000000, 6364],
-        [0x4105185800000000, 0x41012fd000000000, 0x40df444000000000, 6364],
+        [0x4105185800000000, 0x41048d1800000000, 0x40b1680000000000, 6364],
+        [0x4105185800000000, 0x41048d1800000000, 0x40b1680000000000, 6364],
         [0x410d4844ccccccfe, 0x410d4844ccccccfe, 0x0, 1877],
         [0x410d4844ccccccfe, 0x410d4844ccccccfe, 0x0, 1877],
         [0x410394bb33333332, 0x41023cfb33333332, 0x40c57c0000000000, 5636],
         [0x410394bb33333332, 0x41023cfb33333332, 0x40c57c0000000000, 5636],
-        [0x4101979000000007, 0x40fc90b9999999a8, 0x40da799999999998, 5636],
-        [0x4101979000000007, 0x40fc90b9999999a8, 0x40da799999999998, 5636],
+        [0x4101979000000007, 0x41010c5000000007, 0x40b1680000000000, 5636],
+        [0x4101979000000007, 0x41010c5000000007, 0x40b1680000000000, 5636],
         [0x4102998000000000, 0x4102998000000000, 0x0, 600],
         [0x4100094000000000, 0x4100094000000000, 0x0, 600],
         [0x4102998000000000, 0x4102998000000000, 0x0, 600],

@@ -32,8 +32,8 @@
 //! `auto`, `auto:budget=8`, `auto:measure=on,cache=DIR`, `auto@barrier`
 //! (restrict the search to one model), and any execution-policy key
 //! (`auto:cores=4,fastmath=off`) passes through to the winning spec.
-//! [`resolve_spec`] is the single entry point consumers (CLI, serve,
-//! benches) call: non-auto specs pass through untouched.
+//! [`resolve_spec`] is the single entry point consumers (the CLI) call:
+//! non-auto specs pass through untouched.
 //!
 //! # Examples
 //!
@@ -577,8 +577,7 @@ impl<'m> AutoPlanBuilder<'m> for PlanBuilder<'m> {
     }
 }
 
-/// Renders the ranked table the CLI prints (kept here so the bench and
-/// CLI agree on one format).
+/// Renders the ranked table the CLI prints.
 pub fn render_table(report: &TuneReport) -> String {
     let mut out = String::new();
     let f = &report.features;
@@ -715,6 +714,17 @@ mod tests {
             assert!(entry.modeled_cycles >= best);
         }
         assert_eq!(report.winner.to_string(), report.ranked[0].spec.to_string());
+        // The fixed-spec ablation set — every scheduler under its default
+        // model — never has a worse member than the winner.
+        let worst_fixed = registry::list()
+            .iter()
+            .map(|info| {
+                let spec = format!("{}@{}", info.name, info.default_model());
+                let plan = PlanBuilder::new(&l).scheduler(&spec).cores(4).build().unwrap();
+                plan.simulate(&MachineProfile::intel_xeon_22()).cycles
+            })
+            .fold(f64::MIN, f64::max);
+        assert!(best <= worst_fixed, "auto ({best}) lost to the worst fixed spec");
     }
 
     #[test]

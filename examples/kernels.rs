@@ -11,9 +11,7 @@
 //! kernel — plus the block count and mean block size. The cost guard is
 //! deliberately conservative (see `sptrsv_core::kernel`): supernodal
 //! operands should be almost fully blocked, chained bundles and stencils
-//! should stay scalar, and wide random rows should go unrolled. The
-//! `kernels` Criterion bench measures that each of these outcomes is the
-//! profitable one.
+//! should stay scalar, and wide random rows should go unrolled.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;

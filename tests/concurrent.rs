@@ -10,8 +10,8 @@
 //!   use never exceed the runtime's capacity, and everything is returned
 //!   when the storm is over;
 //! * `block-gl` scheduling (whose per-block scheduling runs through the
-//!   shared runtime via the `rayon` bridge) composes with concurrent
-//!   execution.
+//!   global runtime via the `rayon` bridge, installed by the test)
+//!   composes with concurrent execution.
 //!
 //! The runtime capacities exercised default to {2, 4, 8}; the CI
 //! thread-correctness job pins single capacities via the
@@ -60,6 +60,10 @@ const SPECS: [&str; 7] = [
 
 #[test]
 fn concurrent_plans_are_bit_identical_to_serial() {
+    // Plans on explicit runtimes do not install the rayon bridge; install
+    // it here so `block-gl`'s per-block scheduling leases threads while
+    // the other tenants solve.
+    sptrsv::exec::runtime::install_rayon_bridge();
     let (l, b, reference) = problem();
     for capacity in stress_capacities() {
         let runtime = Arc::new(SolverRuntime::new(capacity));

@@ -66,6 +66,7 @@ fn save_load_solve_is_bit_identical_for_every_scheduler_and_model() {
                 .execution(model)
                 .build()
                 .unwrap();
+            assert_eq!(cold.cache_outcome(), CacheOutcome::Uncached, "{}@{model}", info.name);
             cold.save(&path).unwrap();
             let loaded = PlanBuilder::new(&l)
                 .scheduler(info.name)
