@@ -7,7 +7,8 @@
 //! execution model resolved from the spec routes the simulation (barrier /
 //! async / serial machine model).
 
-use sptrsv_core::registry::{self, ExecModel, SchedulerSpec, SyncPolicy};
+use crate::statistics::quartiles;
+use sptrsv_core::registry::{self, ExecModel, ExecPolicy, SchedulerSpec, SyncPolicy};
 use sptrsv_core::{reorder_for_locality, CompiledSchedule, Schedule};
 use sptrsv_dag::transitive::approximate_transitive_reduction;
 use sptrsv_dag::SolveDag;
@@ -95,7 +96,8 @@ impl EvalOutcome {
     }
 }
 
-/// Runs `pipeline` on `dataset` for `n_cores` cores of `profile`.
+/// Runs `pipeline` on `dataset` for `n_cores` cores of `profile`, timing
+/// the scheduling phase once (see [`evaluate_timed`]).
 ///
 /// `n_cores` is an explicit caller setting, so — matching the precedence
 /// everywhere else in the workspace (typed `PlanBuilder::cores`, explicit
@@ -108,18 +110,71 @@ pub fn evaluate(
     profile: &MachineProfile,
     n_cores: usize,
 ) -> EvalOutcome {
+    evaluate_timed(dataset, pipeline, profile, n_cores, 1)
+}
+
+/// [`evaluate`] with the scheduling phase run `timing_repeats` times (at
+/// least once): `sched_seconds` is the median, so one slow timing does not
+/// set a printed cell. Schedulers are deterministic, so every repeat yields
+/// the same schedule; the first one is simulated.
+pub fn evaluate_timed(
+    dataset: &Dataset,
+    pipeline: &Pipeline,
+    profile: &MachineProfile,
+    n_cores: usize,
+    timing_repeats: usize,
+) -> EvalOutcome {
     let dag = dataset.dag();
     let serial = simulate_serial(&dataset.lower, profile);
 
-    let started = Instant::now();
+    let mut seconds = Vec::with_capacity(timing_repeats.max(1));
+    let mut prepared = None;
+    for _ in 0..timing_repeats.max(1) {
+        let started = Instant::now();
+        let p = prepare(dataset, &dag, pipeline, n_cores);
+        seconds.push(started.elapsed().as_secs_f64());
+        prepared.get_or_insert(p);
+    }
+    let (_, sched_seconds, _) = quartiles(&seconds);
+    let Prepared { schedule, reordered_matrix, sync_dag, model, policy } =
+        prepared.expect("the scheduling phase runs at least once");
+
+    let matrix = reordered_matrix.as_ref().unwrap_or(&dataset.lower);
+    let compiled = CompiledSchedule::from_schedule(&schedule);
+    let sim = simulate_model(matrix, &compiled, model, sync_dag.as_ref(), None, profile, policy);
+    EvalOutcome {
+        algo: pipeline.label.clone(),
+        dataset: dataset.name.clone(),
+        speedup: serial.cycles / sim.cycles,
+        n_supersteps: schedule.n_supersteps(),
+        n_wavefronts: dataset.stats.n_wavefronts,
+        sched_seconds,
+        parallel_cycles: sim.cycles,
+        serial_cycles: serial.cycles,
+        sim,
+    }
+}
+
+/// What the timed scheduling phase of one evaluation produces.
+struct Prepared {
+    schedule: Schedule,
+    reordered_matrix: Option<CsrMatrix>,
+    sync_dag: Option<SolveDag>,
+    model: ExecModel,
+    policy: ExecPolicy,
+}
+
+/// The scheduling phase: resolve the spec, schedule, reorder (when part of
+/// the pipeline) and build the async model's sync DAG.
+fn prepare(dataset: &Dataset, dag: &SolveDag, pipeline: &Pipeline, n_cores: usize) -> Prepared {
     let spec: SchedulerSpec =
         pipeline.spec.parse().expect("harness specs follow the registry grammar");
     let model = registry::resolve_model(&spec).expect("harness specs name supported models");
     let policy =
         registry::resolve_exec_policy(&spec).expect("harness specs carry valid policy keys");
     let scheduler =
-        registry::build(&spec, &dag, n_cores).expect("harness specs name registered schedulers");
-    let schedule: Schedule = scheduler.schedule(&dag, n_cores);
+        registry::build(&spec, dag, n_cores).expect("harness specs name registered schedulers");
+    let schedule: Schedule = scheduler.schedule(dag, n_cores);
 
     // Reordering (when part of the pipeline) produces a permuted problem,
     // simulated as-is (the permuted system is equivalent, §5).
@@ -147,21 +202,7 @@ pub fn evaluate(
         }
         ExecModel::Barrier | ExecModel::Serial => None,
     };
-    let sched_seconds = started.elapsed().as_secs_f64();
-
-    let compiled = CompiledSchedule::from_schedule(&schedule);
-    let sim = simulate_model(matrix, &compiled, model, sync_dag.as_ref(), None, profile, policy);
-    EvalOutcome {
-        algo: pipeline.label.clone(),
-        dataset: dataset.name.clone(),
-        speedup: serial.cycles / sim.cycles,
-        n_supersteps: schedule.n_supersteps(),
-        n_wavefronts: dataset.stats.n_wavefronts,
-        sched_seconds,
-        parallel_cycles: sim.cycles,
-        serial_cycles: serial.cycles,
-        sim,
-    }
+    Prepared { schedule, reordered_matrix, sync_dag, model, policy }
 }
 
 #[cfg(test)]

@@ -677,7 +677,8 @@ pub fn list() -> &'static [SchedulerInfo] {
                 ParamInfo {
                     key: "tr",
                     default: "true",
-                    help: "run approximate transitive reduction first",
+                    help: "approximate transitive reduction first when it costs \
+                           ≤ 10 probes per vertex+edge; false never reduces",
                 },
                 GL_SCOPED_PARAMS[0],
                 GL_SCOPED_PARAMS[1],

@@ -27,6 +27,14 @@ pub fn reduction_invocations() -> usize {
     INVOCATIONS.with(|c| c.get())
 }
 
+/// Mark probes [`approximate_transitive_reduction`] makes on `dag`:
+/// Σ_v `in_degree(v) · out_degree(v)`, one probe per parent of `v` for each
+/// child of `v`. Costs O(n) over the degree arrays, so a caller can price
+/// the reduction before paying for it.
+pub fn reduction_probes(dag: &SolveDag) -> u64 {
+    (0..dag.n()).map(|v| dag.in_degree(v) as u64 * dag.out_degree(v) as u64).sum()
+}
+
 /// Removes every edge `(u, w)` for which a two-edge path `u → v → w` exists.
 ///
 /// Weights are preserved: transitive reduction changes the precedence
@@ -117,6 +125,21 @@ mod tests {
         assert!(is_acyclic(&r));
         assert_eq!(wavefronts(&g).level, wavefronts(&r).level);
         assert!(r.n_edges() < g.n_edges());
+    }
+
+    #[test]
+    fn probes_count_parent_scans_per_child() {
+        // 0 -> 1 -> 2 with 0 -> 2: only vertex 1 has both a parent and a
+        // child; a chain of n probes n - 2; a dense triangle Σ v(n-1-v).
+        let g = SolveDag::from_edges(3, &[(0, 1), (1, 2), (0, 2)], vec![1; 3]);
+        assert_eq!(reduction_probes(&g), 1);
+        let chain: Vec<(usize, usize)> = (1..10).map(|v| (v - 1, v)).collect();
+        assert_eq!(reduction_probes(&SolveDag::from_edges(10, &chain, vec![1; 10])), 8);
+        let n = 8;
+        let dense: Vec<(usize, usize)> = (0..n).flat_map(|w| (0..w).map(move |u| (u, w))).collect();
+        let g = SolveDag::from_edges(n, &dense, vec![1; n]);
+        assert_eq!(reduction_probes(&g), (0..n as u64).map(|v| v * (n as u64 - 1 - v)).sum());
+        assert_eq!(reduction_probes(&SolveDag::from_edges(0, &[], vec![])), 0);
     }
 
     #[test]

@@ -72,7 +72,11 @@ fn cases() -> Vec<(&'static str, CsrMatrix)> {
         ("n = 1", diagonal(1)),
         ("diagonal only", diagonal(64)),
         ("one chain", chain(300)),
+        // Dense triangles probe about n/3 times per vertex-plus-edge (18.7
+        // at n = 60), over funnel coarsening's bound of 10: it skips the
+        // transitive reduction and partitions the solve DAG itself.
         ("fully dense", dense(60)),
+        ("fully dense, n = 64", dense(64)),
         ("disconnected blocks", disconnected_blocks()),
         ("short chain", chain(5)),
         ("small dense", dense(4)),
@@ -138,7 +142,8 @@ fn all_zero_weights_schedule_validly() {
                 s.validate(&dag).unwrap_or_else(|e| panic!("{spec} on {what}: {e}"));
             }
             // The `PlanBuilder::coarsen(true)` path: automatic cap, in-funnels,
-            // transitive reduction, GrowLocal on the coarse DAG.
+            // transitive reduction within its cost bound, GrowLocal on the
+            // coarse DAG.
             let options = FunnelOptions {
                 direction: FunnelDirection::In,
                 max_part_weight: auto_part_weight_cap(&dag, cores),
