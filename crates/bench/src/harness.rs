@@ -188,16 +188,14 @@ fn prepare(dataset: &Dataset, dag: &SolveDag, pipeline: &Pipeline, n_cores: usiz
     let matrix = reordered_matrix.as_ref().unwrap_or(&dataset.lower);
     // Async execution waits on the policy's DAG of the simulated operand —
     // building it is scheduling-preparation work, so it counts toward the
-    // amortization threshold like the schedule itself. Like the plan layer,
-    // ask the scheduler's sync-DAG hook before reducing here.
+    // amortization threshold like the schedule itself. As in the plan
+    // layer, `sync=reduced` waits on the approximate transitive reduction.
     let sync_dag = match model {
         ExecModel::Async => {
             let full = SolveDag::from_lower_triangular(matrix);
             Some(match policy.sync {
                 SyncPolicy::Full => full,
-                SyncPolicy::Reduced => scheduler
-                    .sync_dag(&full)
-                    .unwrap_or_else(|| approximate_transitive_reduction(&full)),
+                SyncPolicy::Reduced => approximate_transitive_reduction(&full),
             })
         }
         ExecModel::Barrier | ExecModel::Serial => None,

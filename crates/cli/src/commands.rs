@@ -492,9 +492,7 @@ fn plan_cmd(args: &Args) -> Result<(), String> {
     println!("execution model: {}", plan.exec_model());
     println!("cores:           {}", plan.compiled().n_cores());
     println!("supersteps:      {}", plan.schedule().n_supersteps());
-    if let Some(fp) = plan.fingerprint() {
-        println!("fingerprint:     {fp}");
-    }
+    println!("fingerprint:     {}", plan.fingerprint());
     println!("plan cache:      {}", plan.cache_outcome());
     println!("build time:      {:.3} ms", built.as_secs_f64() * 1e3);
     // One verifying solve: a plan that cannot solve is not worth saving,

@@ -84,19 +84,4 @@ pub trait Scheduler {
     /// [`Schedule::validate`] for any acyclic input whose natural vertex
     /// order is topological (true for all matrix-derived DAGs).
     fn schedule(&self, dag: &SolveDag, n_cores: usize) -> Schedule;
-
-    /// The synchronization DAG the scheduler recommends for *asynchronous*
-    /// execution of its schedules on `dag`, or `None` to let the planner
-    /// derive one itself.
-    ///
-    /// Schedulers whose algorithm is built around a sparsified dependency
-    /// graph override this so the planning layer asks them instead of
-    /// re-deriving it — [`SpMp`] returns its approximate transitive
-    /// reduction here, which is how an `spmp@async` plan reduces the DAG
-    /// exactly once. Any returned DAG must preserve the reachability of
-    /// `dag` (the asynchronous executor's safety argument rests on it).
-    fn sync_dag(&self, dag: &SolveDag) -> Option<SolveDag> {
-        let _ = dag;
-        None
-    }
 }

@@ -17,8 +17,7 @@
 //!   reordering and validation entirely and shares the same
 //!   `Arc<CompiledSchedule>` the executors already consume.
 //! * **Versioned on-disk plan files** ([`SavedPlan`], [`write_plan`],
-//!   [`read_plan`]) — the v3 format below (v2 files are still read),
-//!   carrying a format version, the fingerprint, the final schedule, the
+//!   [`read_plan`]) — the v3 format below, carrying a format version, the fingerprint, the final schedule, the
 //!   reorder permutation, and optionally the kernel-layer verdict and the
 //!   reduced wait DAG's removed-edge set, guarded by a body checksum.
 //!   Corrupt, truncated, version-mismatched or wrong-matrix files are
@@ -42,7 +41,7 @@
 //!
 //! with one `core superstep` pair per vertex, in vertex order.
 //!
-//! # v3: plan files (v2 still read)
+//! # v3: plan files
 //!
 //! ```text
 //! sptrsv-plan v3
@@ -81,9 +80,8 @@
 //!
 //! The trailing checksum is a digest of every parsed value — sections
 //! included — so silent bit rot anywhere in the body is detected even
-//! when the damaged line still parses. v2 files (no sections, the v2
-//! checksum) are still accepted; missing sections simply mean the load
-//! path recomputes those artifacts as before.
+//! when the damaged line still parses. Missing sections simply mean the
+//! load path recomputes those artifacts.
 
 use crate::compiled::CompiledSchedule;
 use crate::kernel::{KernelPlan, VerdictOp};
@@ -504,12 +502,10 @@ pub fn read_schedule_file<P: AsRef<Path>>(path: P) -> Result<Schedule, Serialize
 }
 
 // ---------------------------------------------------------------------------
-// v3: plan files (v2 read for compatibility)
+// v3: plan files
 // ---------------------------------------------------------------------------
 
 const PLAN_HEADER: &str = "sptrsv-plan v3";
-/// The previous plan format: no optional sections, section-less checksum.
-const LEGACY_PLAN_HEADER: &str = "sptrsv-plan v2";
 
 /// The on-disk scheduling artifact: the final schedule, the §5 reorder
 /// permutation that produced its operand, and the fingerprint + build key
@@ -538,14 +534,18 @@ pub struct SavedPlan {
     pub removed_sync_edges: Option<Vec<(usize, usize)>>,
 }
 
-/// Hashes the fields both format versions share (cores, vertex count,
-/// assignments, permutation) into a fresh hasher.
-fn plan_body_hasher(
+/// Digest of a plan file's parsed body: cores, vertex count, assignments
+/// and permutation, plus the optional kernel-verdict and removed-sync-edge
+/// sections (presence flags included, so a stripped section cannot
+/// masquerade as "never written").
+fn plan_body_checksum(
     n_cores: usize,
     core_of: &[usize],
     step_of: &[usize],
     perm: Option<&[usize]>,
-) -> FingerprintHasher {
+    kernel: Option<&[VerdictOp]>,
+    removed: Option<&[(usize, usize)]>,
+) -> u64 {
     let mut h = FingerprintHasher::new();
     h.write_u64(n_cores as u64);
     h.write_u64(core_of.len() as u64);
@@ -558,32 +558,6 @@ fn plan_body_hasher(
         }
         None => h.write_u64(0),
     }
-    h
-}
-
-/// Digest of a legacy (v2) plan file's parsed body, re-verified when reading
-/// old files.
-fn plan_body_checksum(
-    n_cores: usize,
-    core_of: &[usize],
-    step_of: &[usize],
-    perm: Option<&[usize]>,
-) -> u64 {
-    plan_body_hasher(n_cores, core_of, step_of, perm).finish64()
-}
-
-/// Digest of a v3 plan file's parsed body: the shared fields plus the
-/// optional kernel-verdict and removed-sync-edge sections (presence flags
-/// included, so a stripped section cannot masquerade as "never written").
-fn plan_body_checksum_v3(
-    n_cores: usize,
-    core_of: &[usize],
-    step_of: &[usize],
-    perm: Option<&[usize]>,
-    kernel: Option<&[VerdictOp]>,
-    removed: Option<&[(usize, usize)]>,
-) -> u64 {
-    let mut h = plan_body_hasher(n_cores, core_of, step_of, perm);
     match kernel {
         Some(ops) => {
             h.write_u64(1);
@@ -676,7 +650,7 @@ pub fn write_plan<W: Write>(plan: &SavedPlan, writer: W) -> Result<(), Serialize
             writeln!(w, "{u} {v}")?;
         }
     }
-    let checksum = plan_body_checksum_v3(
+    let checksum = plan_body_checksum(
         plan.schedule.n_cores(),
         plan.schedule.cores(),
         plan.schedule.steps(),
@@ -689,9 +663,8 @@ pub fn write_plan<W: Write>(plan: &SavedPlan, writer: W) -> Result<(), Serialize
     Ok(())
 }
 
-/// Reads a plan artifact in the v3 format (v2 files are still accepted,
-/// with both optional sections absent), verifying the version header and
-/// the body checksum. Fingerprint verification against the *current* matrix
+/// Reads a plan artifact in the v3 format, verifying the version header
+/// and the body checksum. Fingerprint verification against the *current* matrix
 /// and build key is the caller's job (the planner compares
 /// [`SavedPlan::fingerprint`] against a freshly computed
 /// [`PlanFingerprint`]).
@@ -706,11 +679,9 @@ pub fn read_plan<R: Read>(reader: R) -> Result<SavedPlan, SerializeError> {
             .map_err(SerializeError::from)
     };
     let header = next("header")?;
-    let legacy = match header.trim() {
-        h if h == PLAN_HEADER => false,
-        h if h == LEGACY_PLAN_HEADER => true,
-        h => return Err(SerializeError::Version { found: h.to_string() }),
-    };
+    if header.trim() != PLAN_HEADER {
+        return Err(SerializeError::Version { found: header.trim().to_string() });
+    }
     let fp_line = next("fingerprint")?;
     let fingerprint = fp_line
         .strip_prefix("fingerprint ")
@@ -760,71 +731,55 @@ pub fn read_plan<R: Read>(reader: R) -> Result<SavedPlan, SerializeError> {
     // section header from the checksum line.
     let mut kernel: Option<Vec<VerdictOp>> = None;
     let mut removed: Option<Vec<(usize, usize)>> = None;
-    let mut pending: Option<String> = None;
-    if !legacy {
-        let line = next("kernel/syncdag/checksum")?;
-        if let Some(count) = line.strip_prefix("kernel ") {
-            let n_ops: usize = count
-                .trim()
-                .parse()
-                .map_err(|e| SerializeError::Parse(format!("bad kernel count: {e}")))?;
-            let mut ops = Vec::with_capacity(n_ops);
-            for i in 0..n_ops {
-                ops.push(parse_verdict_op(&next("kernel op")?, i)?);
-            }
-            kernel = Some(ops);
-        } else {
-            pending = Some(line);
+    let mut line = next("kernel/syncdag/checksum")?;
+    if let Some(count) = line.strip_prefix("kernel ") {
+        let n_ops: usize = count
+            .trim()
+            .parse()
+            .map_err(|e| SerializeError::Parse(format!("bad kernel count: {e}")))?;
+        let mut ops = Vec::with_capacity(n_ops);
+        for i in 0..n_ops {
+            ops.push(parse_verdict_op(&next("kernel op")?, i)?);
         }
-        let line = match pending.take() {
-            Some(l) => l,
-            None => next("syncdag/checksum")?,
-        };
-        if let Some(count) = line.strip_prefix("syncdag ") {
-            let n_edges: usize = count
-                .trim()
-                .parse()
-                .map_err(|e| SerializeError::Parse(format!("bad syncdag count: {e}")))?;
-            let mut edges = Vec::with_capacity(n_edges);
-            for i in 0..n_edges {
-                let line = next("syncdag edge")?;
-                let mut it = line.split_whitespace();
-                let mut field = |what: &str| -> Result<usize, SerializeError> {
-                    it.next()
-                        .ok_or_else(|| {
-                            SerializeError::Parse(format!("syncdag edge {i}: missing {what}"))
-                        })?
-                        .parse()
-                        .map_err(|e| SerializeError::Parse(format!("syncdag edge {i} {what}: {e}")))
-                };
-                edges.push((field("source")?, field("target")?));
-            }
-            removed = Some(edges);
-        } else {
-            pending = Some(line);
-        }
+        kernel = Some(ops);
+        line = next("syncdag/checksum")?;
     }
-    let checksum_line = match pending.take() {
-        Some(l) => l,
-        None => next("checksum")?,
-    };
+    if let Some(count) = line.strip_prefix("syncdag ") {
+        let n_edges: usize = count
+            .trim()
+            .parse()
+            .map_err(|e| SerializeError::Parse(format!("bad syncdag count: {e}")))?;
+        let mut edges = Vec::with_capacity(n_edges);
+        for i in 0..n_edges {
+            let line = next("syncdag edge")?;
+            let mut it = line.split_whitespace();
+            let mut field = |what: &str| -> Result<usize, SerializeError> {
+                it.next()
+                    .ok_or_else(|| {
+                        SerializeError::Parse(format!("syncdag edge {i}: missing {what}"))
+                    })?
+                    .parse()
+                    .map_err(|e| SerializeError::Parse(format!("syncdag edge {i} {what}: {e}")))
+            };
+            edges.push((field("source")?, field("target")?));
+        }
+        removed = Some(edges);
+        line = next("checksum")?;
+    }
+    let checksum_line = line;
     let stored = checksum_line
         .strip_prefix("checksum ")
         .and_then(|s| u64::from_str_radix(s.trim(), 16).ok())
         .ok_or_else(|| SerializeError::Parse(format!("bad checksum line: {checksum_line}")))?;
     let perm_slice = reorder.then_some(old_of_new.as_slice());
-    let computed = if legacy {
-        plan_body_checksum(n_cores, &core_of, &step_of, perm_slice)
-    } else {
-        plan_body_checksum_v3(
-            n_cores,
-            &core_of,
-            &step_of,
-            perm_slice,
-            kernel.as_deref(),
-            removed.as_deref(),
-        )
-    };
+    let computed = plan_body_checksum(
+        n_cores,
+        &core_of,
+        &step_of,
+        perm_slice,
+        kernel.as_deref(),
+        removed.as_deref(),
+    );
     if stored != computed {
         return Err(SerializeError::Checksum { stored, computed });
     }
@@ -1014,10 +969,14 @@ mod tests {
         let plan = saved(6, 2, false);
         let mut buf = Vec::new();
         write_plan(&plan, &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap().replacen("v3", "v9", 1);
-        match read_plan(text.as_bytes()) {
-            Err(SerializeError::Version { found }) => assert!(found.contains("v9")),
-            other => panic!("expected Version error, got {other:?}"),
+        let text = String::from_utf8(buf).unwrap();
+        // A foreign version, and the retired v2 format, fail by version.
+        for version in ["v9", "v2"] {
+            let text = text.replacen("v3", version, 1);
+            match read_plan(text.as_bytes()) {
+                Err(SerializeError::Version { found }) => assert!(found.contains(version)),
+                other => panic!("expected Version error for {version}, got {other:?}"),
+            }
         }
         // A v1 schedule file is not a plan file either.
         let s = Schedule::new(2, vec![0, 1], vec![0, 0]);
@@ -1105,39 +1064,13 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v2_plan_still_reads() {
-        let plan = saved(12, 3, true);
-        // Hand-build a v2 file: v3 layout minus the sections, with the
-        // legacy (section-less) checksum.
-        let mut buf = Vec::new();
-        write_plan(&plan, &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap().replacen("v3", "v2", 1);
-        let legacy_sum = plan_body_checksum(
-            plan.schedule.n_cores(),
-            plan.schedule.cores(),
-            plan.schedule.steps(),
-            plan.reorder_perm.as_ref().map(|p| p.old_of_new()),
-        );
-        let mut lines: Vec<String> = text.lines().map(String::from).collect();
-        let last = lines.len() - 1;
-        lines[last] = format!("checksum {legacy_sum:016x}");
-        let v2 = lines.join("\n");
-        let back = read_plan(v2.as_bytes()).unwrap();
-        assert_eq!(back, plan);
-        assert!(back.kernel.is_none() && back.removed_sync_edges.is_none());
-        // A v2 file must use the v2 checksum — the v3 one is rejected.
-        let stale = text;
-        assert!(matches!(read_plan(stale.as_bytes()), Err(SerializeError::Checksum { .. })));
-    }
-
-    #[test]
     fn non_permutation_reorder_column_rejected() {
         // A duplicated `old` entry parses and can be checksummed, so forge a
         // consistent file and verify the bijection check still rejects it.
         let core_of = vec![0, 1];
         let step_of = vec![0, 0];
         let bad_perm = vec![0usize, 0usize];
-        let checksum = plan_body_checksum_v3(2, &core_of, &step_of, Some(&bad_perm), None, None);
+        let checksum = plan_body_checksum(2, &core_of, &step_of, Some(&bad_perm), None, None);
         let fp = PlanFingerprint::compute(&ident(2), "k");
         let text = format!(
             "{PLAN_HEADER}\nfingerprint {fp}\nkey k\ncores 2\nvertices 2\nreorder 1\n\

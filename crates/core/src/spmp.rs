@@ -9,36 +9,26 @@
 //!
 //! In this workspace the produced [`Schedule`] carries the level structure
 //! and chunk assignment; the asynchronous semantics live in the executor and
-//! machine model (`sptrsv-exec`), which consume the [`Scheduler::sync_dag`]
-//! hook (backed by [`SpMp::reduced_dag`]) to resolve the point-to-point
-//! waits. When executed with plain barriers the schedule degenerates to the
-//! wavefront baseline, which is exactly the relationship the paper
-//! describes.
+//! machine model (`sptrsv-exec`), which wait on the approximate transitive
+//! reduction of the final operand's DAG under the `sync=reduced` policy
+//! (the planner derives it for every scheduler alike). When executed with
+//! plain barriers the schedule degenerates to the wavefront baseline, which
+//! is exactly the relationship the paper describes.
 //!
-//! The reduction is computed **once per plan**: transitive reduction never
-//! changes reachability, so the level structure of the reduced DAG equals
-//! the original's and [`SpMp::schedule`] levels the *full* DAG directly —
-//! the only reduction happens in [`Scheduler::sync_dag`], and only when a
-//! consumer actually asks for it (asynchronous planning).
+//! Transitive reduction never changes reachability, so the level structure
+//! of the reduced DAG equals the original's and [`SpMp::schedule`] levels
+//! the *full* DAG directly: the only reduction of an `spmp@async` plan is
+//! the planner's, once per plan.
 
 use crate::schedule::Schedule;
 use crate::wavefront::assign_contiguous_by_weight;
 use crate::Scheduler;
-use sptrsv_dag::transitive::approximate_transitive_reduction;
 use sptrsv_dag::wavefront::wavefronts;
 use sptrsv_dag::SolveDag;
 
 /// The SpMP-style scheduler.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SpMp;
-
-impl SpMp {
-    /// The dependency DAG after approximate transitive reduction — the graph
-    /// the asynchronous executor synchronizes on.
-    pub fn reduced_dag(&self, dag: &SolveDag) -> SolveDag {
-        approximate_transitive_reduction(dag)
-    }
-}
 
 impl Scheduler for SpMp {
     fn name(&self) -> &'static str {
@@ -49,9 +39,9 @@ impl Scheduler for SpMp {
         assert!(n_cores > 0);
         // Levels are computed on the full DAG: transitive reduction never
         // changes reachability, so the level structure of the reduced DAG is
-        // identical and nothing is gained by reducing here — the reduction
-        // is deferred to the `sync_dag` hook, where asynchronous planning
-        // consumes it (and barrier/serial plans skip it entirely).
+        // identical and nothing is gained by reducing here — asynchronous
+        // planning reduces the final operand's DAG for its waits (and
+        // barrier/serial plans skip the reduction entirely).
         let wf = wavefronts(dag);
         let mut core_of = vec![0usize; dag.n()];
         for front in &wf.fronts {
@@ -59,15 +49,12 @@ impl Scheduler for SpMp {
         }
         Schedule::new(n_cores, core_of, wf.level)
     }
-
-    fn sync_dag(&self, dag: &SolveDag) -> Option<SolveDag> {
-        Some(self.reduced_dag(dag))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sptrsv_dag::transitive::approximate_transitive_reduction;
 
     #[test]
     fn same_levels_as_wavefront() {
@@ -88,7 +75,7 @@ mod tests {
             &[(0, 1), (1, 2), (0, 2), (2, 3), (2, 4), (0, 4), (3, 5), (1, 5)],
             vec![1; 6],
         );
-        let reduced = SpMp.reduced_dag(&g);
+        let reduced = approximate_transitive_reduction(&g);
         assert_eq!(wavefronts(&g).level, wavefronts(&reduced).level);
         let s = SpMp.schedule(&g, 3);
         assert!(s.validate(&g).is_ok());
@@ -96,20 +83,9 @@ mod tests {
     }
 
     #[test]
-    fn sync_dag_hook_returns_the_reduction() {
-        let g = SolveDag::from_edges(3, &[(0, 1), (1, 2), (0, 2)], vec![1; 3]);
-        let hooked = Scheduler::sync_dag(&SpMp, &g).expect("spmp provides a sync DAG");
-        assert_eq!(hooked.n_edges(), 2);
-        assert!(!hooked.has_edge(0, 2));
-        // Schedulers without a sparsified DAG decline.
-        assert!(crate::GrowLocal::new().sync_dag(&g).is_none());
-        assert!(crate::WavefrontScheduler.sync_dag(&g).is_none());
-    }
-
-    #[test]
     fn reduced_dag_has_fewer_edges() {
         let g = SolveDag::from_edges(3, &[(0, 1), (1, 2), (0, 2)], vec![1; 3]);
-        let r = SpMp.reduced_dag(&g);
+        let r = approximate_transitive_reduction(&g);
         assert_eq!(r.n_edges(), 2);
     }
 

@@ -21,7 +21,7 @@ thread_local! {
 /// Instrumentation for reuse guarantees: plan construction is
 /// single-threaded, so a test can take the count before and after building a
 /// plan and assert how many reductions the build performed (e.g. exactly one
-/// for an `spmp@async` plan, via the `Scheduler::sync_dag` hook). Being
+/// for an `spmp@async` plan: the planner's reduction of its wait DAG). Being
 /// thread-local, concurrent tests cannot disturb each other's deltas.
 pub fn reduction_invocations() -> usize {
     INVOCATIONS.with(|c| c.get())

@@ -4,7 +4,8 @@
 //! cells in schedule order and waits on per-vertex *done* flags of
 //! the parents it needs — exactly SpMP's "move on as soon as your inputs are
 //! ready" execution \[PSSD14\]. The synchronization DAG may be the transitive
-//! reduction of the solve DAG ([`sptrsv_core::SpMp::reduced_dag`], the
+//! reduction of the solve DAG
+//! ([`sptrsv_dag::transitive::approximate_transitive_reduction`], the
 //! planner's `sync=reduced` policy): waiting on fewer edges is the second
 //! half of SpMP's trick. The wait loop itself runs under the executor's
 //! [`Backoff`](sptrsv_core::registry::Backoff) policy (`spin` or `yield`,
@@ -142,6 +143,7 @@ mod tests {
     use crate::runtime::SolverRuntime;
     use crate::serial::{solve_lower_multi_serial, solve_lower_serial};
     use sptrsv_core::{Scheduler, SpMp};
+    use sptrsv_dag::transitive::approximate_transitive_reduction;
     use sptrsv_sparse::gen::grid::{grid2d_laplacian, Stencil2D};
     use std::sync::atomic::Ordering;
 
@@ -152,7 +154,7 @@ mod tests {
         let n = l.n_rows();
         let dag = SolveDag::from_lower_triangular(&l);
         let schedule = SpMp.schedule(&dag, 4);
-        let reduced = SpMp.reduced_dag(&dag);
+        let reduced = approximate_transitive_reduction(&dag);
         let exec = AsyncExecutor::new(&l, &schedule, &reduced).unwrap();
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).cos()).collect();
         let mut expected = vec![0.0; n];
@@ -174,7 +176,7 @@ mod tests {
         let n = l.n_rows();
         let dag = SolveDag::from_lower_triangular(&l);
         let schedule = SpMp.schedule(&dag, 3);
-        let reduced = SpMp.reduced_dag(&dag);
+        let reduced = approximate_transitive_reduction(&dag);
         let exec = AsyncExecutor::new(&l, &schedule, &reduced).unwrap();
         let b1: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64).collect();
         let b2: Vec<f64> = (0..n).map(|i| ((i * 3) % 7) as f64 - 2.0).collect();
@@ -216,7 +218,7 @@ mod tests {
         let n = l.n_rows();
         let dag = SolveDag::from_lower_triangular(&l);
         let schedule = SpMp.schedule(&dag, 4);
-        let reduced = SpMp.reduced_dag(&dag);
+        let reduced = approximate_transitive_reduction(&dag);
         let compiled = Arc::new(CompiledSchedule::from_schedule(&schedule));
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).sin() + 0.25).collect();
         let mut expected = vec![0.0; n];
@@ -243,7 +245,7 @@ mod tests {
         let n = l.n_rows();
         let dag = SolveDag::from_lower_triangular(&l);
         let schedule = SpMp.schedule(&dag, 4);
-        let reduced = SpMp.reduced_dag(&dag);
+        let reduced = approximate_transitive_reduction(&dag);
         let exec = AsyncExecutor::new(&l, &schedule, &reduced).unwrap();
         for r in [3, 10] {
             let b: Vec<f64> = (0..n * r).map(|i| (i as f64 * 0.23).sin() + 0.5).collect();

@@ -450,35 +450,6 @@ impl<'a> UserOperands<'a> {
         }
     }
 
-    /// `r` right-hand sides, row-major `n × r`, solved into `x`; `table`
-    /// receives the `2r` column addresses.
-    pub(crate) fn rows(
-        b: &'a [f64],
-        x: &'a mut [f64],
-        r: usize,
-        internal: &'a mut [f64],
-        table: &'a mut Vec<SharedPtr>,
-    ) -> Self {
-        assert!(r > 0, "need at least one right-hand side");
-        assert_eq!(b.len() % r, 0, "right-hand side length");
-        assert_eq!(b.len(), x.len(), "solution length");
-        let rows = b.len() / r;
-        let (b, x) = (b.as_ptr().cast_mut(), x.as_mut_ptr());
-        table.clear();
-        // `wrapping_add`: an empty operand's column starts are never read.
-        table.extend((0..r).map(|j| SharedPtr(b.wrapping_add(j))));
-        table.extend((0..r).map(|j| SharedPtr(x.wrapping_add(j))));
-        let cols = table.as_ptr();
-        UserOperands {
-            b: UserSide { col0: b, cols, stride: r },
-            x: UserSide { col0: x, cols: cols.wrapping_add(r), stride: r },
-            rows,
-            width: r,
-            internal,
-            user: PhantomData,
-        }
-    }
-
     /// Columns solved in place: on entry each `columns[j]` is a right-hand
     /// side, on exit its solution. `table` receives the column
     /// addresses. Row `i` is the only reader of its slot `old_of_new[i]`

@@ -5,7 +5,7 @@
 //! BSP ([`crate::barrier::BarrierExecutor`]), point-to-point asynchronous
 //! ([`crate::async_exec::AsyncExecutor`]) or serial
 //! ([`crate::serial::SerialExecutor`]). All three implement this trait, so
-//! `solve_into`/`solve_multi` dispatch through
+//! `solve_into`/`solve_batch_in_place` dispatch through
 //! [`SolvePlan::executor()`](crate::plan::SolvePlan::executor) instead of
 //! hardcoding a concrete executor per call site, and the execution model is
 //! selectable per plan (builder knob or spec `@model` suffix).

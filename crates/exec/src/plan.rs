@@ -11,14 +11,14 @@
 //! The execution model is a first-class dimension: pick it with the typed
 //! [`PlanBuilder::execution`] knob or the spec's `@model` suffix
 //! (`"growlocal:alpha=8@async"`); with neither, the scheduler's registry
-//! default applies. The resulting plan dispatches `solve_into`/`solve_multi`
-//! through the [`Executor`] trait, so barrier, asynchronous and serial
-//! execution are interchangeable behind one API.
+//! default applies. The resulting plan dispatches `solve_into` and
+//! `solve_batch_in_place` through the [`Executor`] trait, so barrier,
+//! asynchronous and serial execution are interchangeable behind one API.
 //!
 //! The **execution policy** is equally first-class: `sync=full|reduced`
-//! selects the wait DAG of asynchronous execution (the planner asks the
-//! scheduler's [`Scheduler::sync_dag`] hook before reducing itself, so
-//! `spmp@async` reduces exactly once per plan), `backoff=spin|yield` the
+//! selects the wait DAG of asynchronous execution (the final operand's
+//! solve DAG or its approximate transitive reduction, whatever the
+//! scheduler, so an async plan reduces at most once), `backoff=spin|yield` the
 //! behavior of every threaded wait loop, `cores=N` the core count the
 //! schedule targets, `fastmath=on|off` whether the executor runs
 //! the blocked/unrolled kernel layer over a detected
@@ -49,6 +49,12 @@
 //! Steady-state solves go through [`SolvePlan::solve_into`] with a
 //! [`SolveWorkspace`]: after the first call, repeated solves perform no heap
 //! allocation — the amortization regime (§7.7) the paper targets.
+//!
+//! A plan's schedule comes from one of four sources — a cold build, the
+//! in-process [`PlanCache`], a plan file, or [`SolvePlan::with_new_values`]
+//! on an existing plan — and every source hands its artifacts to one
+//! assembly point, which derives whatever the source lacks (kernel plan,
+//! wait DAG) and builds the executor.
 //!
 //! ```
 //! use sptrsv_sparse::gen::grid::{grid2d_laplacian, Stencil2D};
@@ -520,11 +526,10 @@ pub struct SolvePlan {
     /// The §5 reorder permutation alone (also folded into `to_internal`);
     /// kept so the plan can be saved to disk and re-applied to new values.
     reorder_perm: Option<Permutation>,
-    /// Warm-start identity of spec-built plans (`None` for plans built from
-    /// an explicit scheduler instance, which have no spec to fingerprint).
-    fingerprint: Option<PlanFingerprint>,
+    /// Warm-start identity: the operand's structure plus `schedule_key`.
+    fingerprint: PlanFingerprint,
     /// The schedule-relevant build key behind `fingerprint`.
-    schedule_key: Option<String>,
+    schedule_key: String,
     /// How the schedule was obtained (cache hit vs computed).
     cache_outcome: CacheOutcome,
     /// The runtime the executor leases threads from; kept so value rebinds
@@ -533,34 +538,207 @@ pub struct SolvePlan {
     executor: Box<dyn Executor>,
 }
 
-impl SolvePlan {
-    /// Plans a parallel solve with an explicit scheduler instance and the
-    /// default pipeline (no pre-ordering, no extra coarsening, barrier
-    /// execution, default policy). Prefer [`PlanBuilder`] with a registry
-    /// spec for new code.
-    pub fn new(
-        matrix: &CsrMatrix,
-        orientation: Orientation,
-        scheduler: &dyn Scheduler,
+/// What a plan's source hands [`SolvePlan::assemble`]: the artifacts that
+/// depend on where the schedule came from (a cold build, the in-process
+/// cache, a plan file or a value rebind).
+struct Parts {
+    /// The final internal operand.
+    matrix: Arc<CsrMatrix>,
+    to_internal: Permutation,
+    schedule: Schedule,
+    compiled: Arc<CompiledSchedule>,
+    reorder_perm: Option<Permutation>,
+    /// A kernel plan for `matrix`'s values, reused under `fastmath=on`
+    /// instead of detecting one.
+    kernel: Option<Arc<KernelPlan>>,
+    /// The wait DAG, when the source already has the one the plan's model
+    /// and policy call for; otherwise derived from `matrix`.
+    sync_dag: Option<SolveDag>,
+}
+
+/// What every plan of one build shares whatever its source: how it runs
+/// and what it is keyed by. Value rebinds carry it over unchanged.
+struct Settings {
+    model: ExecModel,
+    policy: ExecPolicy,
+    runtime: RuntimeHandle,
+    fingerprint: PlanFingerprint,
+    schedule_key: String,
+}
+
+impl Settings {
+    /// Whether the plan waits on a reduced DAG (`sync=reduced` under the
+    /// asynchronous model), the one wait DAG worth caching and saving.
+    fn waits_reduced(&self) -> bool {
+        self.model == ExecModel::Async && self.policy.sync == SyncPolicy::Reduced
+    }
+}
+
+impl Parts {
+    /// Cold: schedule the operand's DAG, apply the §5 reordering and
+    /// validate the result against the final operand.
+    fn scheduled(
+        lower: CsrMatrix,
+        base_perm: Permutation,
+        builder: &PlanBuilder<'_>,
+        spec: &SchedulerSpec,
         n_cores: usize,
-        reorder: bool,
-    ) -> Result<SolvePlan, PlanError> {
-        let (lower, base_perm) = orient(matrix, orientation)?;
+        settings: &Settings,
+    ) -> Result<Parts, PlanError> {
         let dag = SolveDag::from_lower_triangular(&lower);
-        Self::assemble_oriented(
-            lower,
-            base_perm,
-            dag,
-            false,
-            scheduler,
-            n_cores,
-            reorder,
-            ExecModel::Barrier,
-            ExecPolicy::default(),
-            RuntimeHandle::default(),
-        )
+        let scheduler = registry::build(spec, &dag, n_cores)?;
+        let schedule = if builder.coarsen {
+            schedule_coarsened(&dag, scheduler.as_ref(), n_cores)
+        } else {
+            scheduler.schedule(&dag, n_cores)
+        };
+        // Without reordering the operand is unchanged, so the DAG built for
+        // scheduling doubles as the validation DAG.
+        let (matrix, schedule, to_internal, reorder_perm, final_dag) = if builder.reorder {
+            let reordered = reorder_for_locality(&lower, &schedule)
+                .expect("schedule order of a valid schedule is topological");
+            let total = reordered.permutation.compose(&base_perm);
+            let final_dag = SolveDag::from_lower_triangular(&reordered.matrix);
+            (reordered.matrix, reordered.schedule, total, Some(reordered.permutation), final_dag)
+        } else {
+            (lower, schedule, base_perm, None, dag)
+        };
+        // Validate once against the final operand; the executor then shares
+        // the one compiled plan.
+        schedule.validate(&final_dag).map_err(PlanError::Schedule)?;
+        Ok(Parts {
+            matrix: Arc::new(matrix),
+            to_internal,
+            compiled: Arc::new(CompiledSchedule::from_schedule(&schedule)),
+            schedule,
+            reorder_perm,
+            kernel: None,
+            sync_dag: wait_dag(settings.model, settings.policy.sync, || final_dag),
+        })
     }
 
+    /// From an in-process cache entry: reuse the schedule, the compiled
+    /// layout, the reduced wait DAG and — when the candidate's values match
+    /// the entry's digest bit-for-bit — the operand and kernel plan too.
+    /// The structure is not re-validated (the entry was validated by the
+    /// build that inserted it, and the fingerprint ties it to this
+    /// structure and build key); only the value-dependent
+    /// non-singular-diagonal invariant is re-checked, and only when the
+    /// values changed. The borrowed operand is never cloned on the
+    /// same-values path.
+    fn cached(
+        entry: &CachedPlan,
+        lower: &CsrMatrix,
+        base_perm: Permutation,
+        same_values: bool,
+        waits_reduced: bool,
+    ) -> Result<Parts, PlanError> {
+        let matrix = if same_values {
+            Arc::clone(&entry.matrix)
+        } else {
+            check_diagonal(lower)?;
+            // Re-apply the cached reorder permutation — an O(nnz) gather,
+            // no scheduling.
+            Arc::new(match &entry.reorder_perm {
+                Some(perm) => lower.symmetric_permute(perm).map_err(PlanError::Matrix)?,
+                None => lower.clone(),
+            })
+        };
+        let to_internal = match &entry.reorder_perm {
+            Some(perm) => perm.compose(&base_perm),
+            None => base_perm,
+        };
+        Ok(Parts {
+            matrix,
+            to_internal,
+            schedule: entry.schedule.clone(),
+            compiled: Arc::clone(&entry.compiled),
+            reorder_perm: entry.reorder_perm.clone(),
+            // The kernel plan packs values, so it is only reusable when the
+            // values match bit-for-bit.
+            kernel: entry.kernel.clone().filter(|_| same_values),
+            sync_dag: entry.reduced_sync_dag.as_ref().filter(|_| waits_reduced).cloned(),
+        })
+    }
+
+    /// From a plan file: skip scheduling and reordering, but check that
+    /// the file belongs to this build, re-validate its schedule against
+    /// the operand's DAG and re-compile it — disk content is untrusted, and
+    /// a damaged or foreign file must fail, never mis-solve.
+    fn saved(
+        saved: SavedPlan,
+        lower: CsrMatrix,
+        base_perm: Permutation,
+        settings: &Settings,
+    ) -> Result<Parts, PlanError> {
+        if saved.fingerprint != settings.fingerprint {
+            return Err(PlanError::Cache(SerializeError::FingerprintMismatch {
+                expected: settings.fingerprint,
+                found: saved.fingerprint,
+            }));
+        }
+        let n = lower.n_rows();
+        if saved.schedule.n_vertices() != n {
+            return Err(PlanError::Cache(SerializeError::Parse(format!(
+                "plan file covers {} vertices, operand has {n} rows",
+                saved.schedule.n_vertices()
+            ))));
+        }
+        let (matrix, to_internal) = match &saved.reorder_perm {
+            Some(perm) => {
+                if perm.len() != n {
+                    return Err(PlanError::Cache(SerializeError::Parse(format!(
+                        "plan file reorder permutation covers {} vertices, operand has {n} rows",
+                        perm.len()
+                    ))));
+                }
+                let permuted = lower.symmetric_permute(perm).map_err(PlanError::Matrix)?;
+                (permuted, perm.compose(&base_perm))
+            }
+            None => (lower, base_perm),
+        };
+        let final_dag = SolveDag::from_lower_triangular(&matrix);
+        // The load-bearing safety check: any schedule that validates
+        // against the operand's DAG solves it correctly, so a forged or
+        // stale-but-well-formed file is either rejected here or harmless.
+        saved.schedule.validate(&final_dag).map_err(PlanError::Schedule)?;
+        let compiled = Arc::new(CompiledSchedule::from_schedule(&saved.schedule));
+        // Replay the saved kernel verdict when the file carries one —
+        // `from_verdict` re-validates every op against the compiled cells,
+        // so a damaged section errors instead of mis-planning. Files
+        // without the section re-detect at assembly.
+        let kernel = match (&saved.kernel, settings.policy.fastmath) {
+            (Some(ops), true) => {
+                Some(Arc::new(KernelPlan::from_verdict(&matrix, &compiled, ops).map_err(|e| {
+                    PlanError::Cache(SerializeError::Parse(format!("kernel section: {e}")))
+                })?))
+            }
+            _ => None,
+        };
+        let sync_dag = match &saved.removed_sync_edges {
+            // Reconstruct reduced = full − removed, after checking every
+            // removed edge keeps a two-path witness in the full DAG (the
+            // asynchronous executor's safety argument); a file that fails
+            // the check errors out.
+            Some(removed) if settings.waits_reduced() => Some(
+                reconstruct_reduced_dag(&final_dag, removed)
+                    .map_err(|e| PlanError::Cache(SerializeError::Parse(e)))?,
+            ),
+            _ => wait_dag(settings.model, settings.policy.sync, || final_dag),
+        };
+        Ok(Parts {
+            matrix: Arc::new(matrix),
+            to_internal,
+            schedule: saved.schedule,
+            compiled,
+            reorder_perm: saved.reorder_perm,
+            kernel,
+            sync_dag,
+        })
+    }
+}
+
+impl SolvePlan {
     fn from_builder(builder: PlanBuilder<'_>) -> Result<SolvePlan, PlanError> {
         let mut spec: SchedulerSpec = builder.spec.parse()?;
         if let Some(model) = builder.execution {
@@ -591,8 +769,8 @@ impl SolvePlan {
         // (`policy.cores` keeps the spec's value — the effective count is
         // `SolvePlan::compiled().n_cores()`.)
         let n_cores = builder.n_cores.or(policy.cores).unwrap_or(DEFAULT_PLAN_CORES);
-        let runtime = match builder.runtime {
-            Some(rt) => RuntimeHandle::explicit(rt),
+        let runtime = match &builder.runtime {
+            Some(rt) => RuntimeHandle::explicit(Arc::clone(rt)),
             None => RuntimeHandle::default(),
         };
         // Warm-start identity: the canonical schedule-relevant spec (policy
@@ -609,148 +787,141 @@ impl SolvePlan {
             builder.reorder,
         );
 
-        // 1a. Zero-copy in-process hit: when no renumbering applies (the
-        //     stored triangle is already lower, natural pre-order), the
-        //     fingerprint can be computed on the borrowed input and a hit
-        //     assembled without ever cloning or re-validating the matrix —
-        //     the warm path a solver restarting on the same operand takes.
-        if builder.orientation == Orientation::Lower
-            && builder.pre_order == PreOrder::Natural
-            && builder.load_plan.is_none()
-        {
-            if let Some(cache) = &builder.memory_cache {
-                let fingerprint = PlanFingerprint::compute(builder.matrix, &schedule_key);
-                if let Some(entry) = cache.get(&fingerprint) {
-                    // Vertex-count guard: a 128-bit collision or a corrupted
-                    // entry must not reach the executor; treat as a miss.
-                    if entry.schedule.n_vertices() == builder.matrix.n_rows() {
-                        return Self::assemble_from_memory(
-                            &entry,
-                            builder.matrix,
-                            Permutation::identity(builder.matrix.n_rows()),
-                            &spec,
-                            n_cores,
-                            model,
-                            policy,
-                            runtime,
-                            fingerprint,
-                            schedule_key,
-                            builder.memory_cache.as_ref(),
-                        );
-                    }
-                }
-            }
-        }
-
         // Orientation/pre-ordering are pure renumberings, so resolving the
-        // spec against the oriented lower triangle below is equivalent to
+        // spec against the oriented lower triangle is equivalent to
         // resolving against the input; self-sizing schedulers
-        // (funnel-gl:cap=auto) see the DAG they will schedule.
-        let (lower, base_perm) = orient(builder.matrix, builder.orientation)?;
-        let (lower, base_perm) = apply_pre_order(lower, base_perm, builder.pre_order);
-        let fingerprint = PlanFingerprint::compute(&lower, &schedule_key);
+        // (funnel-gl:cap=auto) see the DAG they will schedule. A stored
+        // lower triangle in natural order needs neither, so it stays
+        // borrowed: a memory hit on it never clones or re-validates the
+        // matrix — the warm path a solver restarting on the same operand,
+        // and every tuner candidate, takes.
+        let renumbered = if builder.orientation == Orientation::Lower
+            && builder.pre_order == PreOrder::Natural
+        {
+            None
+        } else {
+            let (lower, base_perm) = orient(builder.matrix, builder.orientation)?;
+            Some(apply_pre_order(lower, base_perm, builder.pre_order))
+        };
+        let (owned, base_perm) = renumbered.unzip();
+        let lower = owned.as_ref().unwrap_or(builder.matrix);
+        let fingerprint = PlanFingerprint::compute(lower, &schedule_key);
+        // Digest of the (pre-reorder) values: decides operand/kernel reuse
+        // on a memory hit, and tags the entry this build publishes (lookups
+        // always compare against the pre-reorder digest).
+        let values_digest = value_digest(lower.values());
         // Disk cache directory: typed knob over the spec's `plan_cache=`.
         let cache_dir =
             builder.plan_cache_dir.clone().or_else(|| registry::resolve_plan_cache(&spec));
-        let any_cache =
-            cache_dir.is_some() || builder.memory_cache.is_some() || builder.load_plan.is_some();
+        let cached_path = cache_dir.as_ref().map(|dir| plan_cache_path(dir, &fingerprint));
+        let settings = Settings { model, policy, runtime, fingerprint, schedule_key };
+        let waits_reduced = settings.waits_reduced();
 
-        // 1b. In-process cache behind a renumbering (upper-stored or
-        //     pre-ordered operands): same sharing, after the one-time
-        //     transform. An explicit `load_plan` file bypasses it: the
-        //     caller asked for that file's contents, and loading must
-        //     surface its errors.
-        if builder.load_plan.is_none() {
-            if let Some(cache) = &builder.memory_cache {
-                if let Some(entry) = cache.get(&fingerprint) {
-                    if entry.schedule.n_vertices() == lower.n_rows() {
-                        return Self::assemble_from_memory(
-                            &entry,
-                            &lower,
-                            base_perm,
-                            &spec,
-                            n_cores,
-                            model,
-                            policy,
-                            runtime,
-                            fingerprint,
-                            schedule_key,
-                            builder.memory_cache.as_ref(),
-                        );
-                    }
-                }
+        // 1. The in-process cache. An explicit `load_plan` file bypasses
+        //    it: the caller asked for that file's contents, and loading
+        //    must surface its errors. Vertex-count guard: a 128-bit
+        //    collision or a corrupted entry must not reach the executor;
+        //    treat it as a miss.
+        let hit = match (&builder.memory_cache, &builder.load_plan) {
+            (Some(cache), None) => cache
+                .get(&fingerprint)
+                .filter(|entry| entry.schedule.n_vertices() == lower.n_rows())
+                .map(|entry| (cache, entry)),
+            _ => None,
+        };
+        if let Some((cache, entry)) = hit {
+            let same_values = values_digest == entry.values_digest;
+            let base_perm = base_perm.unwrap_or_else(|| Permutation::identity(lower.n_rows()));
+            let parts = Parts::cached(&entry, lower, base_perm, same_values, waits_reduced)?;
+            let plan = Self::assemble(parts, settings, CacheOutcome::MemoryHit);
+            // Publish improvements back: a value rebind or a newly derived
+            // reduced wait DAG makes the entry more reusable.
+            if !same_values || (waits_reduced && entry.reduced_sync_dag.is_none()) {
+                cache.insert(fingerprint, Arc::new(plan.cache_entry(values_digest)));
             }
+            return Ok(plan);
         }
 
+        // Past the memory cache every path owns a validated operand.
+        let (lower, base_perm) = match owned.zip(base_perm) {
+            Some(renumbered) => renumbered,
+            None => orient(builder.matrix, Orientation::Lower)?,
+        };
         // 2. On-disk plans: an explicit `--load` file, or
-        //    `DIR/<fingerprint>.plan` under the cache directory. Loaded
-        //    schedules skip scheduling and reordering but are re-validated
-        //    against the operand's DAG — disk content is untrusted.
-        let cached_path = cache_dir.as_ref().map(|dir| plan_cache_path(dir, &fingerprint));
+        //    `DIR/<fingerprint>.plan` under the cache directory.
+        // 3. Cold: run the full scheduling pipeline.
         let load_path = builder
             .load_plan
             .clone()
             .or_else(|| cached_path.as_ref().filter(|p| p.exists()).cloned());
-        if let Some(path) = load_path {
-            let saved = read_plan_file(&path)?;
-            if saved.fingerprint != fingerprint {
-                return Err(PlanError::Cache(SerializeError::FingerprintMismatch {
-                    expected: fingerprint,
-                    found: saved.fingerprint,
-                }));
+        let (parts, outcome) = match load_path {
+            Some(path) => {
+                let saved = read_plan_file(&path)?;
+                (Parts::saved(saved, lower, base_perm, &settings)?, CacheOutcome::DiskHit)
             }
-            if saved.schedule.n_vertices() != lower.n_rows() {
-                return Err(PlanError::Cache(SerializeError::Parse(format!(
-                    "plan file covers {} vertices, operand has {} rows",
-                    saved.schedule.n_vertices(),
-                    lower.n_rows()
-                ))));
+            None => {
+                let parts =
+                    Parts::scheduled(lower, base_perm, &builder, &spec, n_cores, &settings)?;
+                let cached = cache_dir.is_some() || builder.memory_cache.is_some();
+                (parts, if cached { CacheOutcome::Miss } else { CacheOutcome::Uncached })
             }
-            return Self::assemble_from_disk(
-                saved,
-                lower,
-                base_perm,
-                &spec,
-                n_cores,
-                model,
-                policy,
-                runtime,
-                fingerprint,
-                schedule_key,
-                builder.memory_cache.as_ref(),
-            );
-        }
-
-        // 3. Cold: run the full scheduling pipeline, then publish the
-        //    result to whichever caches are configured.
-        let dag = SolveDag::from_lower_triangular(&lower);
-        let values_digest = value_digest(lower.values());
-        let scheduler = registry::build(&spec, &dag, n_cores)?;
-        let mut plan = Self::assemble_oriented(
-            lower,
-            base_perm,
-            dag,
-            builder.coarsen,
-            scheduler.as_ref(),
-            n_cores,
-            builder.reorder,
-            model,
-            policy,
-            runtime,
-        )?;
-        plan.fingerprint = Some(fingerprint);
-        plan.schedule_key = Some(schedule_key);
-        plan.cache_outcome = if any_cache { CacheOutcome::Miss } else { CacheOutcome::Uncached };
+        };
+        let plan = Self::assemble(parts, settings, outcome);
         if let Some(cache) = &builder.memory_cache {
             cache.insert(fingerprint, Arc::new(plan.cache_entry(values_digest)));
         }
-        if let Some(path) = cached_path {
+        // A cold build under a cache directory stores its plan there for
+        // the next process.
+        if let (Some(path), CacheOutcome::Miss) = (&cached_path, outcome) {
             if let Some(dir) = path.parent() {
                 std::fs::create_dir_all(dir).map_err(SerializeError::Io)?;
             }
-            plan.save(&path)?;
+            plan.save(path)?;
         }
         Ok(plan)
+    }
+
+    /// The one assembly point of every plan, whatever its source. Fills in
+    /// what the source did not hand over — the kernel plan under
+    /// `fastmath=on`, detected against the FINAL operand (the matrix the
+    /// executor actually solves, after any reordering) so its row ranges
+    /// line up with the compiled cells, and the wait DAG of asynchronous
+    /// plans — then builds the executor.
+    fn assemble(parts: Parts, settings: Settings, cache_outcome: CacheOutcome) -> SolvePlan {
+        let Parts { matrix, to_internal, schedule, compiled, reorder_perm, kernel, sync_dag } =
+            parts;
+        let Settings { model, policy, runtime, fingerprint, schedule_key } = settings;
+        debug_assert!(sync_dag.is_none() || model == ExecModel::Async);
+        let kernel = policy
+            .fastmath
+            .then(|| kernel.unwrap_or_else(|| Arc::new(KernelPlan::detect(&matrix, &compiled))));
+        let sync_dag = sync_dag
+            .or_else(|| wait_dag(model, policy.sync, || SolveDag::from_lower_triangular(&matrix)));
+        let executor = make_executor(
+            &compiled,
+            kernel.as_ref(),
+            model,
+            policy,
+            runtime.clone(),
+            sync_dag.as_ref(),
+        );
+        SolvePlan {
+            matrix,
+            permuted: !to_internal.is_identity(),
+            to_internal,
+            schedule,
+            compiled,
+            model,
+            policy,
+            sync_dag,
+            kernel,
+            reorder_perm,
+            fingerprint,
+            schedule_key,
+            cache_outcome,
+            runtime,
+            executor,
+        }
     }
 
     /// The [`CachedPlan`] entry publishing this plan's artifacts, tagged
@@ -763,315 +934,13 @@ impl SolvePlan {
             matrix: Arc::clone(&self.matrix),
             values_digest,
             kernel: self.kernel.clone(),
-            reduced_sync_dag: (self.model == ExecModel::Async
-                && self.policy.sync == SyncPolicy::Reduced)
-                .then(|| self.sync_dag.clone())
-                .flatten(),
+            reduced_sync_dag: self.reduced_sync_dag().cloned(),
         }
     }
 
-    /// Warm path from an in-process cache entry: reuse the schedule, the
-    /// compiled layout, and — when the candidate's values match the entry's
-    /// digest bit-for-bit — the operand and kernel plan too. The structure
-    /// is not re-validated (the entry was validated by the build that
-    /// inserted it, and the fingerprint ties it to this structure and build
-    /// key); only the value-dependent non-singular-diagonal invariant is
-    /// re-checked, and only when the values changed. The borrowed operand
-    /// is never cloned on the bit-identical-values path.
-    #[allow(clippy::too_many_arguments)] // private assembly point
-    fn assemble_from_memory(
-        entry: &CachedPlan,
-        lower: &CsrMatrix,
-        base_perm: Permutation,
-        spec: &SchedulerSpec,
-        n_cores: usize,
-        model: ExecModel,
-        policy: ExecPolicy,
-        runtime: RuntimeHandle,
-        fingerprint: PlanFingerprint,
-        schedule_key: String,
-        cache: Option<&Arc<PlanCache>>,
-    ) -> Result<SolvePlan, PlanError> {
-        // Digest of the candidate's (pre-reorder) values: decides operand/
-        // kernel reuse now, and tags any refreshed entry below (lookups
-        // always compare against the pre-reorder digest).
-        let incoming_digest = value_digest(lower.values());
-        let same_values = incoming_digest == entry.values_digest;
-        let matrix = if same_values {
-            Arc::clone(&entry.matrix)
-        } else {
-            // New values on a fingerprint-matched structure: the diagonal is
-            // still the last entry of every row (a structural fact), but its
-            // values must be re-checked — the entry's validation covered the
-            // values the inserting build saw, not these.
-            let (row_ptr, values) = (lower.row_ptr(), lower.values());
-            for row in 0..lower.n_rows() {
-                if values[row_ptr[row + 1] - 1] == 0.0 {
-                    return Err(PlanError::Matrix(SparseError::SingularDiagonal { row }));
-                }
-            }
-            // Re-apply the cached reorder permutation — an O(nnz) gather,
-            // no scheduling.
-            match &entry.reorder_perm {
-                Some(perm) => Arc::new(lower.symmetric_permute(perm).map_err(PlanError::Matrix)?),
-                None => Arc::new(lower.clone()),
-            }
-        };
-        let to_internal = match &entry.reorder_perm {
-            Some(perm) => perm.compose(&base_perm),
-            None => base_perm,
-        };
-        let kernel = if policy.fastmath {
-            match (&entry.kernel, same_values) {
-                // The kernel plan packs values, so it is only reusable when
-                // the values match bit-for-bit.
-                (Some(k), true) => Some(Arc::clone(k)),
-                _ => Some(Arc::new(KernelPlan::detect(&matrix, &entry.compiled))),
-            }
-        } else {
-            None
-        };
-        let sync_dag = match model {
-            ExecModel::Async => Some(match policy.sync {
-                SyncPolicy::Full => SolveDag::from_lower_triangular(&matrix),
-                SyncPolicy::Reduced => match &entry.reduced_sync_dag {
-                    Some(dag) => dag.clone(),
-                    // First async consumer of this entry: derive the reduced
-                    // DAG once (scheduler hook first, as in the cold path).
-                    None => {
-                        let final_dag = SolveDag::from_lower_triangular(&matrix);
-                        let scheduler = registry::build(spec, &final_dag, n_cores)?;
-                        scheduler
-                            .sync_dag(&final_dag)
-                            .unwrap_or_else(|| approximate_transitive_reduction(&final_dag))
-                    }
-                },
-            }),
-            ExecModel::Barrier | ExecModel::Serial => None,
-        };
-        let executor = make_executor(
-            &entry.compiled,
-            kernel.as_ref(),
-            model,
-            policy,
-            runtime.clone(),
-            sync_dag.as_ref(),
-        );
-        let plan = SolvePlan {
-            matrix,
-            permuted: !to_internal.is_identity(),
-            to_internal,
-            schedule: entry.schedule.clone(),
-            compiled: Arc::clone(&entry.compiled),
-            model,
-            policy,
-            sync_dag,
-            kernel,
-            reorder_perm: entry.reorder_perm.clone(),
-            fingerprint: Some(fingerprint),
-            schedule_key: Some(schedule_key),
-            cache_outcome: CacheOutcome::MemoryHit,
-            runtime,
-            executor,
-        };
-        // Publish improvements back: a value rebind or a newly derived
-        // reduced sync DAG makes the entry strictly more reusable.
-        if let Some(cache) = cache {
-            let richer_dag = plan.model == ExecModel::Async
-                && plan.policy.sync == SyncPolicy::Reduced
-                && entry.reduced_sync_dag.is_none();
-            if !same_values || richer_dag {
-                cache.insert(fingerprint, Arc::new(plan.cache_entry(incoming_digest)));
-            }
-        }
-        Ok(plan)
-    }
-
-    /// Warm path from an on-disk [`SavedPlan`]: skip scheduling and
-    /// reordering, but re-validate the loaded schedule against the
-    /// operand's DAG and re-compile it — disk content is untrusted, and a
-    /// damaged or foreign file must fail, never mis-solve.
-    #[allow(clippy::too_many_arguments)] // private assembly point
-    fn assemble_from_disk(
-        saved: SavedPlan,
-        lower: CsrMatrix,
-        base_perm: Permutation,
-        spec: &SchedulerSpec,
-        n_cores: usize,
-        model: ExecModel,
-        policy: ExecPolicy,
-        runtime: RuntimeHandle,
-        fingerprint: PlanFingerprint,
-        schedule_key: String,
-        cache: Option<&Arc<PlanCache>>,
-    ) -> Result<SolvePlan, PlanError> {
-        let values_digest = value_digest(lower.values());
-        let (matrix, to_internal) = match &saved.reorder_perm {
-            Some(perm) => {
-                if perm.len() != lower.n_rows() {
-                    return Err(PlanError::Cache(SerializeError::Parse(format!(
-                        "plan file reorder permutation covers {} vertices, operand has {} rows",
-                        perm.len(),
-                        lower.n_rows()
-                    ))));
-                }
-                let permuted = lower.symmetric_permute(perm).map_err(PlanError::Matrix)?;
-                (Arc::new(permuted), perm.compose(&base_perm))
-            }
-            None => (Arc::new(lower), base_perm),
-        };
-        let final_dag = SolveDag::from_lower_triangular(&matrix);
-        // The load-bearing safety check: any schedule that validates
-        // against the operand's DAG solves it correctly, so a forged or
-        // stale-but-well-formed file is either rejected here or harmless.
-        saved.schedule.validate(&final_dag).map_err(PlanError::Schedule)?;
-        let compiled = Arc::new(CompiledSchedule::from_schedule(&saved.schedule));
-        let kernel = if policy.fastmath {
-            // Replay the saved kernel verdict when the file carries one —
-            // `from_verdict` re-validates every op against the compiled
-            // cells, so a damaged section errors instead of mis-planning.
-            // Files without the section (or v2 files) re-detect as before.
-            let plan = match &saved.kernel {
-                Some(ops) => KernelPlan::from_verdict(&matrix, &compiled, ops).map_err(|e| {
-                    PlanError::Cache(SerializeError::Parse(format!("kernel section: {e}")))
-                })?,
-                None => KernelPlan::detect(&matrix, &compiled),
-            };
-            Some(Arc::new(plan))
-        } else {
-            None
-        };
-        let sync_dag = match model {
-            ExecModel::Async => Some(match policy.sync {
-                SyncPolicy::Full => final_dag,
-                SyncPolicy::Reduced => match &saved.removed_sync_edges {
-                    // Reconstruct reduced = full − removed, after checking
-                    // every removed edge keeps a two-path witness in the
-                    // full DAG (the asynchronous executor's safety
-                    // argument); a file that fails the check errors out.
-                    Some(removed) => reconstruct_reduced_dag(&final_dag, removed)
-                        .map_err(|e| PlanError::Cache(SerializeError::Parse(e)))?,
-                    None => {
-                        let scheduler = registry::build(spec, &final_dag, n_cores)?;
-                        scheduler
-                            .sync_dag(&final_dag)
-                            .unwrap_or_else(|| approximate_transitive_reduction(&final_dag))
-                    }
-                },
-            }),
-            ExecModel::Barrier | ExecModel::Serial => None,
-        };
-        let executor = make_executor(
-            &compiled,
-            kernel.as_ref(),
-            model,
-            policy,
-            runtime.clone(),
-            sync_dag.as_ref(),
-        );
-        let plan = SolvePlan {
-            matrix,
-            permuted: !to_internal.is_identity(),
-            to_internal,
-            schedule: saved.schedule,
-            compiled,
-            model,
-            policy,
-            sync_dag,
-            kernel,
-            reorder_perm: saved.reorder_perm,
-            fingerprint: Some(fingerprint),
-            schedule_key: Some(schedule_key),
-            cache_outcome: CacheOutcome::DiskHit,
-            runtime,
-            executor,
-        };
-        if let Some(cache) = cache {
-            cache.insert(fingerprint, Arc::new(plan.cache_entry(values_digest)));
-        }
-        Ok(plan)
-    }
-
-    /// Shared pipeline behind [`SolvePlan::new`] and [`PlanBuilder::build`].
-    #[allow(clippy::too_many_arguments)] // private assembly point of the whole pipeline
-    fn assemble_oriented(
-        lower: CsrMatrix,
-        base_perm: Permutation,
-        dag: SolveDag,
-        coarsen: bool,
-        scheduler: &dyn Scheduler,
-        n_cores: usize,
-        reorder: bool,
-        model: ExecModel,
-        policy: ExecPolicy,
-        runtime: RuntimeHandle,
-    ) -> Result<SolvePlan, PlanError> {
-        let schedule = if coarsen {
-            schedule_coarsened(&dag, scheduler, n_cores)
-        } else {
-            scheduler.schedule(&dag, n_cores)
-        };
-        // Without reordering the operand is unchanged, so the DAG built for
-        // scheduling doubles as the validation DAG.
-        let (matrix, schedule, to_internal, reorder_perm, final_dag) = if reorder {
-            let reordered = reorder_for_locality(&lower, &schedule)
-                .expect("schedule order of a valid schedule is topological");
-            let total = reordered.permutation.compose(&base_perm);
-            let final_dag = SolveDag::from_lower_triangular(&reordered.matrix);
-            (reordered.matrix, reordered.schedule, total, Some(reordered.permutation), final_dag)
-        } else {
-            (lower, schedule, base_perm, None, dag)
-        };
-        let matrix = Arc::new(matrix);
-        // Validate once against the final operand; the executor then shares
-        // the one compiled plan.
-        schedule.validate(&final_dag).map_err(PlanError::Schedule)?;
-        let compiled = Arc::new(CompiledSchedule::from_schedule(&schedule));
-        // Under `fastmath=on`, detect supernodes/dense blocks against the
-        // FINAL operand (the matrix the executor actually solves, after any
-        // reordering) so the kernel plan's row ranges line up with the
-        // compiled cells.
-        let kernel = policy.fastmath.then(|| Arc::new(KernelPlan::detect(&matrix, &compiled)));
-        // The synchronization DAG of asynchronous plans, per policy: the
-        // full final DAG, or a sparsified one — scheduler-provided when the
-        // scheduler already derives one (the `Scheduler::sync_dag` hook;
-        // SpMp hands over its approximate transitive reduction, so
-        // `spmp@async` reduces exactly once per plan), otherwise the
-        // planner reduces here. Kept on the plan for simulation reuse.
-        let sync_dag = match model {
-            ExecModel::Async => Some(match policy.sync {
-                SyncPolicy::Full => final_dag,
-                SyncPolicy::Reduced => scheduler
-                    .sync_dag(&final_dag)
-                    .unwrap_or_else(|| approximate_transitive_reduction(&final_dag)),
-            }),
-            ExecModel::Barrier | ExecModel::Serial => None,
-        };
-        let executor = make_executor(
-            &compiled,
-            kernel.as_ref(),
-            model,
-            policy,
-            runtime.clone(),
-            sync_dag.as_ref(),
-        );
-        Ok(SolvePlan {
-            matrix,
-            permuted: !to_internal.is_identity(),
-            to_internal,
-            schedule,
-            compiled,
-            model,
-            policy,
-            sync_dag,
-            kernel,
-            reorder_perm,
-            fingerprint: None,
-            schedule_key: None,
-            cache_outcome: CacheOutcome::Uncached,
-            runtime,
-            executor,
-        })
+    /// The wait DAG of an asynchronous plan under `sync=reduced`.
+    fn reduced_sync_dag(&self) -> Option<&SolveDag> {
+        self.sync_dag.as_ref().filter(|_| self.policy.sync == SyncPolicy::Reduced)
     }
 
     /// The schedule driving the executor (internal numbering).
@@ -1101,7 +970,8 @@ impl SolvePlan {
         self.sync_dag.as_ref()
     }
 
-    /// The execution engine `solve_into`/`solve_multi` dispatch through.
+    /// The execution engine `solve_into`/`solve_batch_in_place` dispatch
+    /// through.
     pub fn executor(&self) -> &dyn Executor {
         self.executor.as_ref()
     }
@@ -1141,23 +1011,6 @@ impl SolvePlan {
         let mut x = vec![0.0; b.len()];
         let mut workspace = self.workspace();
         self.solve_into(b, &mut x, &mut workspace);
-        x
-    }
-
-    /// Solves `r` right-hand sides at once (`b` row-major `n x r`, user
-    /// numbering), with the permutation fused into the kernels as in
-    /// [`SolvePlan::solve_into`].
-    pub fn solve_multi(&self, b: &[f64], r: usize) -> Vec<f64> {
-        let n = self.matrix.n_rows();
-        assert_eq!(b.len(), n * r, "right-hand side length");
-        let mut x = vec![0.0; n * r];
-        if !self.permuted {
-            self.executor.solve_multi(&self.matrix, b, &mut x, r);
-            return x;
-        }
-        let (mut px, mut table) = (vec![0.0; n * r], Vec::new());
-        let user = UserOperands::rows(b, &mut x, r, &mut px, &mut table);
-        self.executor.solve_user(&self.matrix, &self.to_internal, user);
         x
     }
 
@@ -1226,10 +1079,8 @@ impl SolvePlan {
     }
 
     /// The warm-start fingerprint of this plan: a stable content hash over
-    /// the operand's structure and the schedule-relevant build key. `None`
-    /// for plans built from an explicit scheduler instance
-    /// ([`SolvePlan::new`]), which have no spec to fingerprint.
-    pub fn fingerprint(&self) -> Option<PlanFingerprint> {
+    /// the operand's structure and the schedule-relevant build key.
+    pub fn fingerprint(&self) -> PlanFingerprint {
         self.fingerprint
     }
 
@@ -1242,34 +1093,19 @@ impl SolvePlan {
     /// Saves this plan's scheduling artifact (schedule + reorder
     /// permutation, under its fingerprint) to `path` in the versioned plan
     /// format, for [`PlanBuilder::load_plan`] or a
-    /// [`PlanBuilder::plan_cache`] directory to pick up later. Errors for
-    /// plans built without a registry spec (no fingerprint to save under).
+    /// [`PlanBuilder::plan_cache`] directory to pick up later.
     pub fn save<P: AsRef<Path>>(&self, path: P) -> Result<(), PlanError> {
-        let (fingerprint, key) = match (self.fingerprint, &self.schedule_key) {
-            (Some(fp), Some(key)) => (fp, key.clone()),
-            _ => {
-                return Err(PlanError::Cache(SerializeError::Parse(
-                    "plan was built from an explicit scheduler instance; \
-                     only spec-built plans carry a fingerprint to save under"
-                        .into(),
-                )))
-            }
-        };
         // Persist the derived artifacts too: the kernel verdict (replayed
         // on load instead of re-detecting) and, for reduced-sync async
         // plans, the edges the transitive reduction removed (so a warm
         // load reconstructs the reduced DAG without re-reducing).
-        let removed_sync_edges = (self.model == ExecModel::Async
-            && self.policy.sync == SyncPolicy::Reduced)
-            .then_some(self.sync_dag.as_ref())
-            .flatten()
-            .map(|reduced| {
-                let full = SolveDag::from_lower_triangular(&self.matrix);
-                removed_edges(&full, reduced)
-            });
+        let removed_sync_edges = self.reduced_sync_dag().map(|reduced| {
+            let full = SolveDag::from_lower_triangular(&self.matrix);
+            removed_edges(&full, reduced)
+        });
         let saved = SavedPlan {
-            fingerprint,
-            key,
+            fingerprint: self.fingerprint,
+            key: self.schedule_key.clone(),
             schedule: self.schedule.clone(),
             reorder_perm: self.reorder_perm.clone(),
             kernel: self.kernel.as_ref().map(|k| k.verdict()),
@@ -1295,59 +1131,42 @@ impl SolvePlan {
         // One gather reproduces the whole internal pipeline (orientation
         // conjugation, pre-order, §5 reorder): `to_internal` is their
         // composition, and symmetric permutation composes contravariantly.
+        let mismatch = || PlanError::StructureMismatch {
+            expected: (self.matrix.n_rows(), self.matrix.nnz()),
+            found: (matrix.n_rows(), matrix.nnz()),
+        };
         if matrix.n_rows() != self.matrix.n_rows() {
-            return Err(PlanError::StructureMismatch {
-                expected: (self.matrix.n_rows(), self.matrix.nnz()),
-                found: (matrix.n_rows(), matrix.nnz()),
-            });
+            return Err(mismatch());
         }
         let permuted = matrix.symmetric_permute(&self.to_internal).map_err(PlanError::Matrix)?;
         if permuted.row_ptr() != self.matrix.row_ptr()
             || permuted.col_idx() != self.matrix.col_idx()
         {
-            return Err(PlanError::StructureMismatch {
-                expected: (self.matrix.n_rows(), self.matrix.nnz()),
-                found: (matrix.n_rows(), matrix.nnz()),
-            });
+            return Err(mismatch());
         }
         // Structure matched, so triangularity is inherited — but the new
         // values must still carry a non-singular diagonal.
-        for r in 0..permuted.n_rows() {
-            if !permuted.get(r, r).is_some_and(|v| v != 0.0) {
-                return Err(PlanError::Matrix(SparseError::SingularDiagonal { row: r }));
-            }
-        }
-        let internal = Arc::new(permuted);
-        // The kernel plan packs values (dense panels, diagonal
-        // reciprocals), so it is the one artifact that must be re-detected.
-        let kernel =
-            self.policy.fastmath.then(|| Arc::new(KernelPlan::detect(&internal, &self.compiled)));
-        let sync_dag = self.sync_dag.clone();
-        let executor = make_executor(
-            &self.compiled,
-            kernel.as_ref(),
-            self.model,
-            self.policy,
-            self.runtime.clone(),
-            sync_dag.as_ref(),
-        );
-        Ok(SolvePlan {
-            matrix: internal,
+        check_diagonal(&permuted)?;
+        let parts = Parts {
+            matrix: Arc::new(permuted),
             to_internal: self.to_internal.clone(),
-            permuted: self.permuted,
             schedule: self.schedule.clone(),
             compiled: Arc::clone(&self.compiled),
+            reorder_perm: self.reorder_perm.clone(),
+            // The kernel plan packs values (dense panels, diagonal
+            // reciprocals), so it is the one artifact that must be
+            // re-detected.
+            kernel: None,
+            sync_dag: self.sync_dag.clone(),
+        };
+        let settings = Settings {
             model: self.model,
             policy: self.policy,
-            sync_dag,
-            kernel,
-            reorder_perm: self.reorder_perm.clone(),
+            runtime: self.runtime.clone(),
             fingerprint: self.fingerprint,
             schedule_key: self.schedule_key.clone(),
-            cache_outcome: self.cache_outcome,
-            runtime: self.runtime.clone(),
-            executor,
-        })
+        };
+        Ok(Self::assemble(parts, settings, self.cache_outcome))
     }
 }
 
@@ -1355,6 +1174,32 @@ impl SolvePlan {
 /// directory.
 fn plan_cache_path(dir: &Path, fingerprint: &PlanFingerprint) -> PathBuf {
     dir.join(format!("{fingerprint}.plan"))
+}
+
+/// The wait DAG of a plan, from `full`, the final operand's solve DAG
+/// (built only when needed): `None` unless `model` is asynchronous, `full`
+/// itself under `sync=full`, and its approximate transitive reduction under
+/// `sync=reduced`, which keeps reachability and so the executor's safety.
+fn wait_dag(
+    model: ExecModel,
+    sync: SyncPolicy,
+    full: impl FnOnce() -> SolveDag,
+) -> Option<SolveDag> {
+    (model == ExecModel::Async).then(|| match sync {
+        SyncPolicy::Full => full(),
+        SyncPolicy::Reduced => approximate_transitive_reduction(&full()),
+    })
+}
+
+/// Re-checks the diagonal of new values on a structure validated before
+/// (fingerprint-matched, or equal to a plan's): the diagonal is still the
+/// last entry of every row, a structural fact, but it must be non-zero.
+fn check_diagonal(lower: &CsrMatrix) -> Result<(), PlanError> {
+    let (row_ptr, values) = (lower.row_ptr(), lower.values());
+    match (0..lower.n_rows()).find(|&row| values[row_ptr[row + 1] - 1] == 0.0) {
+        Some(row) => Err(PlanError::Matrix(SparseError::SingularDiagonal { row })),
+        None => Ok(()),
+    }
 }
 
 /// The edges present in `full` but absent from `reduced` — what a
@@ -1418,9 +1263,8 @@ fn reconstruct_reduced_dag(
     Ok(SolveDag::from_edges(n, &edges, full.weights().to_vec()))
 }
 
-/// Executor construction shared by the cold, warm and rebind paths. `sync`
-/// must be `Some` for asynchronous plans (the planner computes it per
-/// policy before calling).
+/// Executor construction for [`SolvePlan::assemble`]. `sync` must be
+/// `Some` for asynchronous plans.
 fn make_executor(
     compiled: &Arc<CompiledSchedule>,
     kernel: Option<&Arc<KernelPlan>>,
@@ -1492,7 +1336,6 @@ fn apply_pre_order(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sptrsv_core::GrowLocal;
     use sptrsv_sparse::gen::grid::{grid2d_laplacian, Stencil2D};
     use sptrsv_sparse::linalg::relative_residual;
 
@@ -1505,8 +1348,12 @@ mod tests {
         let l = lower();
         let n = l.n_rows();
         for reorder in [false, true] {
-            let plan =
-                SolvePlan::new(&l, Orientation::Lower, &GrowLocal::new(), 3, reorder).unwrap();
+            let plan = PlanBuilder::new(&l)
+                .scheduler("growlocal")
+                .cores(3)
+                .reorder(reorder)
+                .build()
+                .unwrap();
             let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 4) as f64).collect();
             let x = plan.solve(&b);
             assert!(relative_residual(&l, &x, &b) < 1e-12, "reorder={reorder}");
@@ -1532,12 +1379,12 @@ mod tests {
     fn orientation_mismatch_rejected() {
         let l = lower();
         assert!(matches!(
-            SolvePlan::new(&l, Orientation::Upper, &GrowLocal::new(), 2, true),
+            PlanBuilder::new(&l).orientation(Orientation::Upper).cores(2).build(),
             Err(PlanError::Matrix(_))
         ));
         let u = l.transpose();
         assert!(matches!(
-            SolvePlan::new(&u, Orientation::Lower, &GrowLocal::new(), 2, true),
+            PlanBuilder::new(&u).orientation(Orientation::Lower).cores(2).build(),
             Err(PlanError::Matrix(_))
         ));
     }
@@ -1950,14 +1797,16 @@ mod tests {
         let r = 3;
         for model in ExecModel::ALL {
             let plan = PlanBuilder::new(&l).cores(2).execution(model).build().unwrap();
-            let b: Vec<f64> = (0..n * r).map(|i| (i as f64 * 0.17).cos()).collect();
-            let x = plan.solve_multi(&b, r);
+            let b: Vec<Vec<f64>> = (0..r)
+                .map(|j| (0..n).map(|i| ((i * r + j) as f64 * 0.17).cos()).collect())
+                .collect();
+            let mut x = b.clone();
+            plan.solve_batch_in_place(&mut x, &mut plan.batch_workspace(r));
             // Check each column against the single-RHS path.
-            for j in 0..r {
-                let bj: Vec<f64> = (0..n).map(|i| b[i * r + j]).collect();
-                let xj = plan.solve(&bj);
+            for (j, (bj, x)) in b.iter().zip(&x).enumerate() {
+                let xj = plan.solve(bj);
                 for i in 0..n {
-                    assert!((x[i * r + j] - xj[i]).abs() < 1e-12, "{model} col {j} row {i}");
+                    assert!((x[i] - xj[i]).abs() < 1e-12, "{model} col {j} row {i}");
                 }
             }
         }
@@ -2147,7 +1996,10 @@ mod tests {
         // Without any cache configured: uncached, but still fingerprinted.
         let plain = PlanBuilder::new(&l).cores(2).build().unwrap();
         assert_eq!(plain.cache_outcome(), CacheOutcome::Uncached);
-        assert!(plain.fingerprint().is_some());
+        assert_eq!(
+            plain.fingerprint(),
+            PlanBuilder::new(&l).cores(2).build().unwrap().fingerprint()
+        );
         // A blank directory is a registry error like any bad policy value.
         assert!(matches!(
             PlanBuilder::new(&l).scheduler("growlocal:plan_cache= ").build(),
@@ -2264,7 +2116,7 @@ mod tests {
         // A tampered syncdag section (an edge whose removal loses a
         // dependency) must error, never under-wait. Rewrite the saved file
         // with a forged removed-edge list.
-        let path = dir.join(format!("{}.plan", cold.fingerprint().unwrap()));
+        let path = dir.join(format!("{}.plan", cold.fingerprint()));
         let mut saved = sptrsv_core::serialize::read_plan_file(&path).unwrap();
         // Claim an edge with no two-path witness was removed: any source
         // edge of the full DAG whose parent has out-degree reaching only
@@ -2491,21 +2343,13 @@ mod tests {
                         // Every register-block width, and wider batches
                         // split into blocks of 8.
                         for k in [1, 2, 3, 4, 5, 7, 8, 9, 16] {
-                            let b: Vec<f64> = (0..n * k).map(|p| columns[p % k][p / k]).collect();
-                            let multi = plan.solve_multi(&b, k);
                             let mut batch = columns[..k].to_vec();
                             plan.solve_batch_in_place(&mut batch, &mut batch_ws);
                             for (j, single) in singles[..k].iter().enumerate() {
-                                let multi_j: Vec<f64> = (0..n).map(|i| multi[i * k + j]).collect();
                                 if fastmath {
-                                    let (dm, db) = (
-                                        scaled_deviation(&multi_j, single),
-                                        scaled_deviation(&batch[j], single),
-                                    );
-                                    assert!(dm < 1e-12, "{config}: solve_multi k={k} col {j}");
+                                    let db = scaled_deviation(&batch[j], single);
                                     assert!(db < 1e-12, "{config}: batch k={k} col {j}");
                                 } else {
-                                    assert_eq!(&multi_j, single, "{config}: solve_multi k={k}");
                                     assert_eq!(&batch[j], single, "{config}: batch k={k} col {j}");
                                 }
                             }
@@ -2520,8 +2364,8 @@ mod tests {
 
     #[test]
     fn degenerate_operands_solve_through_every_entry_point() {
-        // Empty, 1 × 1 and diagonal-only operands through `solve_into`,
-        // `solve_multi` and `solve_batch_in_place`, under every spec the
+        // Empty, 1 × 1 and diagonal-only operands through `solve_into` and
+        // `solve_batch_in_place`, under every spec the
         // benchmark drives plus the serial and fastmath variants.
         let diagonal = |d: &[f64]| {
             let mut coo = sptrsv_sparse::CooMatrix::new(d.len(), d.len());
@@ -2571,13 +2415,9 @@ mod tests {
                     close(&x, &column(0), "solve_into");
                     let mut ws = plan.batch_workspace(3);
                     for k in 1..=3 {
-                        let b: Vec<f64> = (0..n * k).map(|p| column(p % k)[p / k]).collect();
-                        let multi = plan.solve_multi(&b, k);
                         let mut batch: Vec<Vec<f64>> = (0..k).map(column).collect();
                         plan.solve_batch_in_place(&mut batch, &mut ws);
                         for (j, x) in batch.iter().enumerate() {
-                            let multi_j: Vec<f64> = (0..n).map(|i| multi[i * k + j]).collect();
-                            close(&multi_j, &column(j), "solve_multi");
                             close(x, &column(j), "solve_batch_in_place");
                         }
                     }

@@ -627,7 +627,7 @@ mod tests {
         let (l, dag) = grid_problem(30, 30);
         let p = MachineProfile::intel_xeon_22();
         let s = CompiledSchedule::from_schedule(&SpMp.schedule(&dag, 8));
-        let reduced = SpMp.reduced_dag(&dag);
+        let reduced = approximate_transitive_reduction(&dag);
         let barrier = simulate_barrier(&l, &s, &p);
         let asynchronous = simulate_async(&l, &s, &reduced, &p, Backoff::Spin);
         assert!(
@@ -643,7 +643,7 @@ mod tests {
         let (l, dag) = grid_problem(30, 30);
         let p = MachineProfile::intel_xeon_22();
         let s = CompiledSchedule::from_schedule(&SpMp.schedule(&dag, 8));
-        let reduced = SpMp.reduced_dag(&dag);
+        let reduced = approximate_transitive_reduction(&dag);
         let spin = simulate_async(&l, &s, &reduced, &p, Backoff::Spin);
         let yielded = simulate_async(&l, &s, &reduced, &p, Backoff::Yield);
         assert!(

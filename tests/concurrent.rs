@@ -268,11 +268,11 @@ fn degraded_widths_upper_and_multi_rhs_stay_exact() {
             .build()
             .unwrap();
         solutions.push(plan.solve(&b));
-        let bm: Vec<f64> = b.iter().flat_map(|&v| [v, 0.5 * v]).collect();
-        let xm = plan.solve_multi(&bm, 2);
+        let mut xm = vec![b.clone(), b.iter().map(|&v| 0.5 * v).collect()];
+        plan.solve_batch_in_place(&mut xm, &mut plan.batch_workspace(2));
         let x = solutions.last().unwrap();
         for i in 0..n {
-            assert_eq!(xm[2 * i], x[i], "multi-RHS column 0 diverged at row {i}");
+            assert_eq!(xm[0][i], x[i], "multi-RHS column 0 diverged at row {i}");
         }
     }
     assert_eq!(solutions[0], solutions[1], "lease width changed the bits");

@@ -8,7 +8,7 @@
 
 use sptrsv::core::registry;
 use sptrsv::core::CompiledSchedule;
-use sptrsv::dag::transitive::reduction_invocations;
+use sptrsv::dag::transitive::{approximate_transitive_reduction, reduction_invocations};
 use sptrsv::exec::async_exec::AsyncExecutor;
 use sptrsv::exec::verify::deviation_from_serial;
 use sptrsv::exec::{solve_lower_serial, BarrierExecutor, ExecModel, Executor, PlanBuilder};
@@ -101,10 +101,10 @@ fn every_scheduler_model_pair_is_one_spec_string_and_all_models_agree() {
                 "`{spec}` diverged from serial"
             );
             // Multi-RHS goes through the same trait object.
-            let bm: Vec<f64> = b.iter().flat_map(|&v| [v, -v]).collect();
-            let xm = plan.solve_multi(&bm, 2);
+            let mut xm = vec![b.clone(), b.iter().map(|&v| -v).collect()];
+            plan.solve_batch_in_place(&mut xm, &mut plan.batch_workspace(2));
             for i in 0..n {
-                assert_eq!(xm[2 * i], x[i], "`{spec}` multi-RHS column 0 differs at {i}");
+                assert_eq!(xm[0][i], x[i], "`{spec}` multi-RHS column 0 differs at {i}");
             }
             match &reference {
                 None => reference = Some(x),
@@ -168,10 +168,10 @@ fn repeated_pooled_solves_are_bit_identical_to_serial() {
 
 #[test]
 fn async_plans_build_their_sync_dag_exactly_once() {
-    // Acceptance check for the `Scheduler::sync_dag` hook: an `spmp@async`
-    // plan performs exactly one approximate transitive reduction (the hook
-    // hands the executor the DAG the scheduler family is defined by),
-    // schedulers without a hook leave the single reduction to the planner,
+    // Acceptance check for the planner's wait-DAG derivation: an async
+    // plan under `sync=reduced` performs exactly one approximate transitive
+    // reduction, whichever scheduler built its schedule (`spmp` levels the
+    // full DAG and leaves the reduction to the planner like every other),
     // and `sync=full` plans never reduce at all. The invocation counter is
     // thread-local, so concurrently running tests cannot disturb the deltas.
     let suite = load_suite(SuiteKind::SuiteSparse, Scale::Test, 22);
@@ -185,7 +185,7 @@ fn async_plans_build_their_sync_dag_exactly_once() {
 
     let before = reduction_invocations();
     let plan = PlanBuilder::new(&ds.lower).scheduler("growlocal@async").cores(4).build().unwrap();
-    assert_eq!(reduction_invocations() - before, 1, "hookless async plans reduce exactly once");
+    assert_eq!(reduction_invocations() - before, 1, "growlocal@async must reduce exactly once");
     assert!(plan.sync_dag().is_some());
 
     let before = reduction_invocations();
@@ -312,7 +312,7 @@ fn async_executor_correct_on_hard_instance() {
     let ds = &suite[0];
     let dag = ds.dag();
     let schedule = SpMp.schedule(&dag, 4);
-    let reduced = SpMp.reduced_dag(&dag);
+    let reduced = approximate_transitive_reduction(&dag);
     let exec = AsyncExecutor::new(&ds.lower, &schedule, &reduced).expect("valid");
     let n = ds.lower.n_rows();
     let b: Vec<f64> = (0..n).map(|i| ((i % 23) as f64) - 11.0).collect();

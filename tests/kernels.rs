@@ -242,7 +242,7 @@ fn fastmath_multi_rhs_agrees_column_by_column() {
     // exact and fastmath kernels, every register-block width (1–8) and
     // wider solves split into blocks (9, 16), the degraded serial sweep
     // (capacity 1) and the leased one (capacity 3).
-    // Each `solve_multi` column must equal that
+    // Each column of a `solve_batch_in_place` batch must equal that
     // column's `solve_into` bit-for-bit on the exact path, and within the
     // documented 1e-12 under fastmath (the multi-RHS rows run the scalar
     // fastmath kernel where a single RHS runs the lane-unrolled one).
@@ -263,17 +263,19 @@ fn fastmath_multi_rhs_agrees_column_by_column() {
                     .build()
                     .unwrap();
                 let mut ws = plan.workspace();
+                let mut batch_ws = plan.batch_workspace(16);
                 for r in [1, 2, 3, 4, 5, 7, 8, 9, 16] {
                     let config = format!("{model} fastmath={fastmath} capacity={capacity} r={r}");
-                    let b: Vec<f64> = (0..n * r).map(|i| (i as f64 * 0.17).cos()).collect();
-                    let x = plan.solve_multi(&b, r);
-                    for j in 0..r {
-                        let bj: Vec<f64> = (0..n).map(|i| b[i * r + j]).collect();
+                    let b: Vec<Vec<f64>> = (0..r)
+                        .map(|j| (0..n).map(|i| ((i * r + j) as f64 * 0.17).cos()).collect())
+                        .collect();
+                    let mut x = b.clone();
+                    plan.solve_batch_in_place(&mut x, &mut batch_ws);
+                    for (j, (bj, column)) in b.iter().zip(&x).enumerate() {
                         let mut xj = vec![f64::NAN; n];
-                        plan.solve_into(&bj, &mut xj, &mut ws);
-                        let column: Vec<f64> = (0..n).map(|i| x[i * r + j]).collect();
+                        plan.solve_into(bj, &mut xj, &mut ws);
                         if !fastmath {
-                            assert_eq!(column, xj, "{config} col {j} not bit-identical");
+                            assert_eq!(column, &xj, "{config} col {j} not bit-identical");
                             continue;
                         }
                         let scale = xj.iter().fold(1.0f64, |m, v| m.max(v.abs()));

@@ -8,6 +8,8 @@
 //!   own plan (fingerprints never collide across specs in practice);
 //! * `SolvePlan::with_new_values` matches a cold build of the new matrix
 //!   bit-for-bit for every scheduler;
+//! * a cold build, a memory hit, a disk hit and a value rebind assemble
+//!   the same plan: schedule, model, policy, wait DAG and kernel verdict;
 //! * every way a plan file can rot — truncation at each line, corruption
 //!   of each line, version skew, wrong matrix, wrong flags, empty or
 //!   garbage bytes — surfaces as an **error**, never as a solution.
@@ -16,8 +18,10 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sptrsv::core::registry;
-use sptrsv::core::{PlanCache, SerializeError};
-use sptrsv::exec::{CacheOutcome, PlanBuilder, PlanError};
+use sptrsv::core::{read_plan_file, PlanCache, SavedPlan, SerializeError};
+use sptrsv::exec::{
+    CacheOutcome, ExecModel, Orientation, PlanBuilder, PlanError, PreOrder, SolvePlan,
+};
 use sptrsv::prelude::*;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -147,6 +151,111 @@ fn with_new_values_matches_a_cold_build_for_every_scheduler() {
             info.name
         );
     }
+}
+
+/// The edges of `dag` as sorted `(parent, child)` pairs.
+fn edge_set(dag: &SolveDag) -> Vec<(usize, usize)> {
+    let mut edges: Vec<(usize, usize)> =
+        (0..dag.n()).flat_map(|w| dag.parents(w).iter().map(move |&u| (u, w))).collect();
+    edges.sort_unstable();
+    edges
+}
+
+/// What `plan.save` persists: schedule, reorder permutation, kernel
+/// verdict and the reduced wait DAG's removed edges.
+fn persisted(plan: &SolvePlan, path: &std::path::Path) -> SavedPlan {
+    plan.save(path).unwrap();
+    read_plan_file(path).unwrap()
+}
+
+#[test]
+fn every_plan_source_assembles_the_same_plan() {
+    // A plan comes from a cold build, an in-process cache hit, a plan file
+    // or `with_new_values`. Whatever the source, it must carry the same
+    // schedule, model, policy, wait DAG and kernel verdict. Comparing
+    // solves alone would not show this: an asynchronous plan solves
+    // bit-identically whatever DAG it waits on.
+    let lower = sptrsv::sparse::gen::supernodal_spd(12, 8, 2, 0.5).lower_triangle().unwrap();
+    let operands = [
+        (Orientation::Lower, PreOrder::Natural, lower.clone()),
+        (Orientation::Upper, PreOrder::Rcm, lower.transpose()),
+    ];
+    let dir = scratch("assembly-parity");
+    let mut config_id = 0;
+    for (orientation, pre_order, m) in &operands {
+        let b = rhs(m.n_rows());
+        for scheduler in ["spmp", "growlocal"] {
+            for suffix in ["@barrier", "@serial", ":sync=reduced@async", ":sync=full@async"] {
+                for fastmath in [false, true] {
+                    let spec = format!("{scheduler}{suffix}");
+                    let config =
+                        format!("{orientation:?} {pre_order:?} {spec} fastmath={fastmath}");
+                    let build = || {
+                        PlanBuilder::new(m)
+                            .orientation(*orientation)
+                            .pre_order(*pre_order)
+                            .scheduler(&spec)
+                            .fastmath(fastmath)
+                            .cores(3)
+                    };
+                    config_id += 1;
+                    let cache_dir = dir.join(format!("config-{config_id}"));
+                    std::fs::remove_dir_all(&cache_dir).ok();
+                    let cache = Arc::new(PlanCache::new(1));
+                    let cold = build().cached(&cache).plan_cache(&cache_dir).build().unwrap();
+                    assert_eq!(cold.cache_outcome(), CacheOutcome::Miss, "{config}");
+                    let memory = build().cached(&cache).build().unwrap();
+                    assert_eq!(memory.cache_outcome(), CacheOutcome::MemoryHit, "{config}");
+                    let disk = build().plan_cache(&cache_dir).build().unwrap();
+                    assert_eq!(disk.cache_outcome(), CacheOutcome::DiskHit, "{config}");
+                    let rebound = cold.with_new_values(m).unwrap();
+                    // A memory hit on an entry a barrier build published
+                    // carries no wait DAG, so assembly derives it.
+                    let barrier_cache = Arc::new(PlanCache::new(1));
+                    build().execution(ExecModel::Barrier).cached(&barrier_cache).build().unwrap();
+                    let derived = build().cached(&barrier_cache).build().unwrap();
+                    assert_eq!(derived.cache_outcome(), CacheOutcome::MemoryHit, "{config}");
+
+                    let expected = persisted(&cold, &cache_dir.join("cold.plan"));
+                    assert_eq!(expected.kernel.is_some(), fastmath, "{config}: kernel verdict");
+                    assert_eq!(
+                        cold.sync_dag().is_some(),
+                        cold.exec_model() == ExecModel::Async,
+                        "{config}: wait DAG"
+                    );
+                    let x = cold.solve(&b);
+                    let scale = x.iter().fold(1.0f64, |m, v| m.max(v.abs()));
+                    for (way, plan) in [
+                        ("memory hit", &memory),
+                        ("disk hit", &disk),
+                        ("with_new_values", &rebound),
+                        ("memory hit on a barrier entry", &derived),
+                    ] {
+                        let what = format!("{config}: {way}");
+                        assert_eq!(plan.schedule(), cold.schedule(), "{what}: schedule");
+                        assert_eq!(plan.exec_model(), cold.exec_model(), "{what}: model");
+                        assert_eq!(plan.exec_policy(), cold.exec_policy(), "{what}: policy");
+                        assert_eq!(
+                            plan.sync_dag().map(edge_set),
+                            cold.sync_dag().map(edge_set),
+                            "{what}: wait DAG"
+                        );
+                        let path = cache_dir.join(format!("{way}.plan"));
+                        assert_eq!(persisted(plan, &path), expected, "{what}: persisted plan");
+                        let y = plan.solve(&b);
+                        if fastmath {
+                            let dev =
+                                x.iter().zip(&y).map(|(a, e)| (a - e).abs()).fold(0.0, f64::max);
+                            assert!(dev / scale < 1e-12, "{what}: solve deviates by {dev}");
+                        } else {
+                            assert_eq!(y, x, "{what}: solve");
+                        }
+                    }
+                }
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
