@@ -15,8 +15,8 @@ use sptrsv_core::registry::{self, SchedulerSpec};
 use sptrsv_core::CompiledSchedule;
 use sptrsv_dag::{wavefronts, SolveDag};
 use sptrsv_exec::{
-    backward_error, simulate_model, simulate_serial, CacheOutcome, MachineProfile, Orientation,
-    PlanBuilder, PreOrder, BACKWARD_ERROR_TOL,
+    backward_error, simulate_model, simulate_serial, CacheOutcome, MachineProfile, PlanBuilder,
+    PreOrder, BACKWARD_ERROR_TOL,
 };
 use sptrsv_serve::{Admission, ServeBuilder, SubmitError};
 use sptrsv_sparse::csr::Triangle;
@@ -37,32 +37,31 @@ commands:
   schedule <file.mtx> [--algo SPEC] [--cores K] [-o <file.sched>]
   solve    <file.mtx> [--algo SPEC] [--cores K] [--no-reorder true]
            [--pre-order rcm|min-degree|nested-dissection] [--coarsen true]
-           [--repeat N] [--fastmath on|off] [--plan-cache DIR]
+           [--repeat N] [--plan-cache DIR]
   plan     <file.mtx> [--algo SPEC] [--cores K] [--no-reorder true]
            [--pre-order rcm|min-degree|nested-dissection] [--coarsen true]
            [--save <file.plan>] [--load <file.plan>] [--plan-cache DIR]
   simulate <file.mtx> [--algo SPEC] [--cores K] [--machine intel|amd|arm]
-           [--fastmath on|off]
   tune     <file.mtx> [--algo auto[:key=...][@model]] [--cores K]
            [--budget N] [--measure on|off] [--cache DIR]
   serve-bench <file.mtx> [--algo SPEC] [--cores K] [--batch N]
            [--batch-wait-us U] [--clients C] [--requests R] [--depth D]
-           [--admission block|shed] [--fastmath on|off] [--plan-cache DIR]
+           [--admission block|shed] [--plan-cache DIR]
 
 --algo takes a scheduler spec in the grammar name[:key=value,...][@model]:
 a name from `sptrsv algos`, optional parameters (scoped keys like gl.alpha
-reach a composite scheduler's inner GrowLocal; sync=full|reduced,
-backoff=spin|yield, cores=N, fastmath=on|off, batch=N and
-batch_wait_us=U address the execution policy on any scheduler) and an
-optional execution model, e.g. growlocal:alpha=8,sync=2000,
-funnel-gl:gl.alpha=8,cap=auto, growlocal:sync=full@async or
-spmp:backoff=yield. Explicit --cores/--fastmath flags override the spec's
-keys. A command rejects any flag it does not take.
+reach a composite scheduler's inner GrowLocal; the execution-policy keys
+sync=full|reduced, backoff=spin|yield, cores=N and fastmath=on|off are
+valid on any scheduler, see `sptrsv algos`) and an optional execution
+model, e.g. growlocal:alpha=8,sync=2000, funnel-gl:gl.alpha=8,cap=auto,
+growlocal:sync=full@async or spmp:backoff=yield. --cores K (a positive
+integer) overrides the spec's cores= key. A command rejects any flag it
+does not take.
 Parallel solves lease their threads per solve from the process-wide solver
 runtime (sized to the hardware), so concurrent solves never oversubscribe
 the machine — a solve wider than the free capacity degrades gracefully to
 fewer cores and keeps that width until it finishes.
---fastmath on routes the solve through detected dense-block / lane-unrolled
+fastmath=on routes the solve through detected dense-block / lane-unrolled
 row kernels with precomputed diagonal reciprocals: the one policy that can
 change results (agreement with the exact path to 1e-12 relative tolerance
 instead of bit-for-bit).
@@ -71,23 +70,22 @@ already-running runtime workers without re-spawning threads) and checks
 they are bit-identical.
 serve-bench starts a batching solve server over the plan (the sptrsv-serve
 front-end): C closed-loop clients each submit R single right-hand sides,
-a waiting client fuses up to batch=N queued requests into one multi-RHS
-solve on its own thread (the batch_wait_us linger only delays requests
-nobody waits on), and admission control engages at queue depth D (block stalls submitters, shed bounces
-them). Every response is verified against the standalone solve, then the
-achieved batch widths, latency percentiles and goodput are printed.
---batch/--batch-wait-us override the spec's batch keys.
+a waiting client fuses up to --batch N queued requests (default 8) into
+one multi-RHS solve on its own thread (the --batch-wait-us linger, default
+100, only delays requests nobody waits on), and admission control engages
+at queue depth D (block stalls submitters, shed bounces them). Every
+response is verified against the standalone solve, then the achieved
+batch widths, latency percentiles and goodput are printed.
 --plan-cache DIR enables warm starts: a cold build saves its compiled
 schedule to DIR under a content fingerprint of (matrix structure,
 scheduler spec, cores, coarsen, reorder); later runs with the same key
 load the file and skip scheduling entirely. A stale, truncated or
 mismatched file is rejected with an error, never silently mis-solved.
-plan_cache=DIR is the equivalent spec key on any scheduler. solve,
-plan and serve-bench print the outcome as a `plan cache:` line (one of
-uncached, miss (stored), memory hit, disk hit). `plan` builds and
-verifies one plan without the full solve report; --save writes its
-scheduling artifact to an explicit file and --load builds from one
-(the file must match the matrix and build flags, enforced by the
+solve, plan and serve-bench print the outcome as a `plan cache:` line
+(one of uncached, miss (stored), memory hit, disk hit). `plan` builds
+and verifies one plan without the full solve report; --save writes its
+scheduling artifact to an explicit file and --load builds from one (the
+file must match the matrix and build flags, enforced by the
 fingerprint).
 --algo auto turns scheduler selection over to the tuner on any command
 that takes a spec: features of the matrix prune the registry's
@@ -137,20 +135,11 @@ fn known_flags(command: &str) -> Option<&'static [&'static str]> {
         "generate" => &["seed", "width", "height", "depth", "n", "rate", "prob", "band", "output"],
         "info" | "algos" | "help" | "--help" | "-h" => &[],
         "schedule" => &["algo", "cores", "output"],
-        "solve" => &[
-            "algo",
-            "cores",
-            "no-reorder",
-            "pre-order",
-            "coarsen",
-            "repeat",
-            "fastmath",
-            "plan-cache",
-        ],
+        "solve" => &["algo", "cores", "no-reorder", "pre-order", "coarsen", "repeat", "plan-cache"],
         "plan" => {
             &["algo", "cores", "no-reorder", "pre-order", "coarsen", "plan-cache", "save", "load"]
         }
-        "simulate" => &["algo", "cores", "machine", "fastmath"],
+        "simulate" => &["algo", "cores", "machine"],
         "tune" => &["algo", "cores", "budget", "measure", "cache"],
         "serve-bench" => &[
             "algo",
@@ -159,7 +148,6 @@ fn known_flags(command: &str) -> Option<&'static [&'static str]> {
             "requests",
             "depth",
             "admission",
-            "fastmath",
             "batch",
             "batch-wait-us",
             "plan-cache",
@@ -283,43 +271,71 @@ fn algos() -> Result<(), String> {
     Ok(())
 }
 
-/// Resolves an `--algo` value that may be `auto[:…][@model]`: runs the
-/// tuner against the loaded operand and returns the concrete winning spec
-/// (printing the greppable `auto picked:` line), or passes a non-auto
-/// spec through untouched. Every spec-taking command funnels through
-/// here, so `--algo auto` works uniformly on solve, plan, simulate and
-/// serve-bench.
-fn resolve_algo(args: &Args, algo: &str, lower: &CsrMatrix) -> Result<String, String> {
-    if !sptrsv_tune::is_auto_spec(algo) {
-        return Ok(algo.to_string());
+/// The `--algo` spec of a command and its core count. An
+/// `auto[:…][@model]` spec runs the tuner against the loaded operand and
+/// becomes the concrete winning spec (printing the greppable `auto
+/// picked:` line), so `--algo auto` works uniformly on every spec-taking
+/// command. The core count is `--cores` (a positive integer), else the
+/// spec's `cores=` execution-policy key, else `default`.
+fn algo_and_cores(
+    args: &Args,
+    lower: &CsrMatrix,
+    default: usize,
+) -> Result<(String, usize), String> {
+    let flag = positive_flag(args, "cores")?;
+    let mut algo = args.get("algo").unwrap_or("growlocal").to_string();
+    if sptrsv_tune::is_auto_spec(&algo) {
+        let resolved = sptrsv_tune::resolve_spec(lower, &algo, flag).map_err(|e| e.to_string())?;
+        if let Some(report) = &resolved.report {
+            println!("verdict cache:     {}", report.cache.as_str());
+            println!("tuning time:       {:.1} ms", report.tuning_seconds * 1e3);
+        }
+        println!("auto picked:       {}", resolved.spec);
+        algo = resolved.spec;
     }
-    let cores: Option<usize> = args
-        .get("cores")
-        .map(|v| v.parse().map_err(|e| format!("bad --cores: {e}")))
-        .transpose()?;
-    let resolved = sptrsv_tune::resolve_spec(lower, algo, cores).map_err(|e| e.to_string())?;
-    if let Some(report) = &resolved.report {
-        println!("verdict cache:     {}", report.cache.as_str());
-        println!("tuning time:       {:.1} ms", report.tuning_seconds * 1e3);
-    }
-    println!("auto picked:       {}", resolved.spec);
-    Ok(resolved.spec)
+    let cores = match flag {
+        Some(cores) => cores,
+        None => {
+            let spec: SchedulerSpec =
+                algo.parse().map_err(|e: registry::RegistryError| e.to_string())?;
+            let policy = registry::resolve_exec_policy(&spec).map_err(|e| e.to_string())?;
+            policy.cores.unwrap_or(default)
+        }
+    };
+    Ok((algo, cores))
 }
 
-/// The effective core count of a command: the explicit `--cores` flag,
-/// else the spec's `cores=` execution-policy key, else `default`.
-fn effective_cores(args: &Args, algo: &str, default: usize) -> Result<usize, String> {
-    if args.get("cores").is_some() {
-        return args.get_parse("cores", default);
+/// The plan `solve`, `plan` and `serve-bench` build: `algo` at `cores`
+/// cores, shaped by whichever of `--pre-order`, `--no-reorder`,
+/// `--coarsen`, `--plan-cache` and `--load` the command takes.
+fn plan_builder<'m>(
+    args: &Args,
+    lower: &'m CsrMatrix,
+    algo: &str,
+    cores: usize,
+) -> Result<PlanBuilder<'m>, String> {
+    let pre_order = match args.get("pre-order") {
+        None | Some("natural") => PreOrder::Natural,
+        Some("rcm") => PreOrder::Rcm,
+        Some("min-degree") => PreOrder::MinDegree,
+        Some("nested-dissection") => PreOrder::NestedDissection,
+        Some(other) => return Err(format!("unknown pre-order `{other}`")),
+    };
+    // Every flag takes a value (see `Args::parse`), so parse the booleans —
+    // `--coarsen false` must not silently enable coarsening.
+    let mut builder = PlanBuilder::new(lower)
+        .scheduler(algo)
+        .cores(cores)
+        .pre_order(pre_order)
+        .coarsen(args.get_parse("coarsen", false)?)
+        .reorder(!args.get_parse("no-reorder", false)?);
+    if let Some(dir) = args.get("plan-cache") {
+        builder = builder.plan_cache(dir);
     }
-    let spec: SchedulerSpec = algo.parse().map_err(|e: registry::RegistryError| e.to_string())?;
-    let policy = registry::resolve_exec_policy(&spec).map_err(|e| e.to_string())?;
-    Ok(policy.cores.unwrap_or(default))
-}
-
-/// The `--fastmath` flag, if given (`on` or `off`).
-fn fastmath_flag(args: &Args) -> Result<Option<bool>, String> {
-    on_off_flag(args, "fastmath")
+    if let Some(load) = args.get("load") {
+        builder = builder.load_plan(load);
+    }
+    Ok(builder)
 }
 
 /// A shared `on`/`off` boolean flag parser.
@@ -334,11 +350,10 @@ fn on_off_flag(args: &Args, name: &str) -> Result<Option<bool>, String> {
 
 fn schedule(args: &Args) -> Result<(), String> {
     let path = args.require_positional(0, "matrix file")?;
-    let algo = args.get("algo").unwrap_or("growlocal");
-    let cores = effective_cores(args, algo, 8)?;
     let lower = load_lower(path)?;
+    let (algo, cores) = algo_and_cores(args, &lower, 8)?;
     let dag = SolveDag::from_lower_triangular(&lower);
-    let sched = registry::resolve(algo, &dag, cores).map_err(|e| e.to_string())?;
+    let sched = registry::resolve(&algo, &dag, cores).map_err(|e| e.to_string())?;
     let started = std::time::Instant::now();
     let s = sched.schedule(&dag, cores);
     let elapsed = started.elapsed();
@@ -365,37 +380,12 @@ fn schedule(args: &Args) -> Result<(), String> {
 fn solve(args: &Args) -> Result<(), String> {
     let path = args.require_positional(0, "matrix file")?;
     let lower = load_lower(path)?;
-    let algo = &resolve_algo(args, args.get("algo").unwrap_or("growlocal"), &lower)?;
-    let cores = effective_cores(args, algo, 8)?;
-    // Every flag takes a value (see `Args::parse`), so parse the booleans —
-    // `--coarsen false` must not silently enable coarsening.
-    let reorder = !args.get_parse("no-reorder", false)?;
-    let coarsen = args.get_parse("coarsen", false)?;
+    let (algo, cores) = algo_and_cores(args, &lower, 8)?;
     let repeat: usize = args.get_parse("repeat", 1)?;
     if repeat == 0 {
         return Err("--repeat needs at least one solve".into());
     }
-    let pre_order = match args.get("pre-order") {
-        None | Some("natural") => PreOrder::Natural,
-        Some("rcm") => PreOrder::Rcm,
-        Some("min-degree") => PreOrder::MinDegree,
-        Some("nested-dissection") => PreOrder::NestedDissection,
-        Some(other) => return Err(format!("unknown pre-order `{other}`")),
-    };
-    let mut builder = PlanBuilder::new(&lower)
-        .orientation(Orientation::Lower)
-        .scheduler(algo)
-        .cores(cores)
-        .pre_order(pre_order)
-        .coarsen(coarsen)
-        .reorder(reorder);
-    if let Some(fastmath) = fastmath_flag(args)? {
-        builder = builder.fastmath(fastmath);
-    }
-    if let Some(dir) = args.get("plan-cache") {
-        builder = builder.plan_cache(dir);
-    }
-    let plan = builder.build().map_err(|e| e.to_string())?;
+    let plan = plan_builder(args, &lower, &algo, cores)?.build().map_err(|e| e.to_string())?;
     let b = vec![1.0; lower.n_rows()];
     let mut x = vec![0.0; lower.n_rows()];
     let mut workspace = plan.workspace();
@@ -461,30 +451,8 @@ fn solve(args: &Args) -> Result<(), String> {
 fn plan_cmd(args: &Args) -> Result<(), String> {
     let path = args.require_positional(0, "matrix file")?;
     let lower = load_lower(path)?;
-    let algo = &resolve_algo(args, args.get("algo").unwrap_or("growlocal"), &lower)?;
-    let cores = effective_cores(args, algo, 8)?;
-    let reorder = !args.get_parse("no-reorder", false)?;
-    let coarsen = args.get_parse("coarsen", false)?;
-    let pre_order = match args.get("pre-order") {
-        None | Some("natural") => PreOrder::Natural,
-        Some("rcm") => PreOrder::Rcm,
-        Some("min-degree") => PreOrder::MinDegree,
-        Some("nested-dissection") => PreOrder::NestedDissection,
-        Some(other) => return Err(format!("unknown pre-order `{other}`")),
-    };
-    let mut builder = PlanBuilder::new(&lower)
-        .orientation(Orientation::Lower)
-        .scheduler(algo)
-        .cores(cores)
-        .pre_order(pre_order)
-        .coarsen(coarsen)
-        .reorder(reorder);
-    if let Some(dir) = args.get("plan-cache") {
-        builder = builder.plan_cache(dir);
-    }
-    if let Some(load) = args.get("load") {
-        builder = builder.load_plan(load);
-    }
+    let (algo, cores) = algo_and_cores(args, &lower, 8)?;
+    let builder = plan_builder(args, &lower, &algo, cores)?;
     let started = Instant::now();
     let plan = builder.build().map_err(|e| e.to_string())?;
     let built = started.elapsed();
@@ -514,8 +482,7 @@ fn plan_cmd(args: &Args) -> Result<(), String> {
 fn simulate(args: &Args) -> Result<(), String> {
     let path = args.require_positional(0, "matrix file")?;
     let lower = load_lower(path)?;
-    let algo = &resolve_algo(args, args.get("algo").unwrap_or("growlocal"), &lower)?;
-    let cores = effective_cores(args, algo, 22)?;
+    let (algo, cores) = algo_and_cores(args, &lower, 22)?;
     let profile = match args.get("machine").unwrap_or("intel") {
         "intel" => MachineProfile::intel_xeon_22(),
         "amd" => MachineProfile::amd_epyc_64(),
@@ -525,10 +492,7 @@ fn simulate(args: &Args) -> Result<(), String> {
     let dag = SolveDag::from_lower_triangular(&lower);
     let spec: SchedulerSpec = algo.parse().map_err(|e: registry::RegistryError| e.to_string())?;
     let model = registry::resolve_model(&spec).map_err(|e| e.to_string())?;
-    let mut policy = registry::resolve_exec_policy(&spec).map_err(|e| e.to_string())?;
-    if let Some(fastmath) = fastmath_flag(args)? {
-        policy.fastmath = fastmath;
-    }
+    let policy = registry::resolve_exec_policy(&spec).map_err(|e| e.to_string())?;
     let sched = registry::build(&spec, &dag, cores).map_err(|e| e.to_string())?;
     let s = sched.schedule(&dag, cores);
     let compiled = CompiledSchedule::from_schedule(&s);
@@ -598,8 +562,7 @@ fn percentile(sorted: &[Duration], q: f64) -> Duration {
 fn serve_bench(args: &Args) -> Result<(), String> {
     let path = args.require_positional(0, "matrix file")?;
     let lower = load_lower(path)?;
-    let algo = &resolve_algo(args, args.get("algo").unwrap_or("growlocal"), &lower)?;
-    let cores = effective_cores(args, algo, 8)?;
+    let (algo, cores) = algo_and_cores(args, &lower, 8)?;
     let clients: usize = args.get_parse("clients", 4)?;
     let requests: usize = args.get_parse("requests", 32)?;
     if clients == 0 || requests == 0 {
@@ -613,27 +576,14 @@ fn serve_bench(args: &Args) -> Result<(), String> {
             return Err(format!("bad value for --admission: `{other}` (expected block or shed)"))
         }
     };
-    let mut builder =
-        PlanBuilder::new(&lower).orientation(Orientation::Lower).scheduler(algo).cores(cores);
-    if let Some(fastmath) = fastmath_flag(args)? {
-        builder = builder.fastmath(fastmath);
-    }
-    // The serving knobs are ordinary execution-policy keys: the typed
-    // builder knobs below override the spec's batch= / batch_wait_us=,
-    // and the ServeBuilder reads whichever won out of the plan's policy.
-    if let Some(batch) = positive_flag(args, "batch")? {
-        builder = builder.batch(batch);
-    }
-    if let Some(us) = args.get("batch-wait-us") {
-        let us: u64 = us.parse().map_err(|_| {
+    let batch = positive_flag(args, "batch")?;
+    let batch_wait_us = match args.get("batch-wait-us") {
+        None => None,
+        Some(us) => Some(us.parse::<u64>().map_err(|_| {
             format!("bad value for --batch-wait-us: `{us}` (expected microseconds)")
-        })?;
-        builder = builder.batch_wait_us(us);
-    }
-    if let Some(dir) = args.get("plan-cache") {
-        builder = builder.plan_cache(dir);
-    }
-    let plan = builder.build().map_err(|e| e.to_string())?;
+        })?),
+    };
+    let plan = plan_builder(args, &lower, &algo, cores)?.build().map_err(|e| e.to_string())?;
     let fastmath = plan.exec_policy().fastmath;
     println!("algorithm:         {algo}");
     println!("execution model:   {}", plan.exec_model());
@@ -641,6 +591,12 @@ fn serve_bench(args: &Args) -> Result<(), String> {
         println!("plan cache:        {}", plan.cache_outcome());
     }
     let mut serve = ServeBuilder::new(plan).admission(admission);
+    if let Some(batch) = batch {
+        serve = serve.max_batch(batch);
+    }
+    if let Some(us) = batch_wait_us {
+        serve = serve.batch_wait(Duration::from_micros(us));
+    }
     if let Some(depth) = depth {
         serve = serve.queue_depth(depth);
     }
@@ -928,26 +884,30 @@ mod tests {
                 assert!(err.contains(&format!("takes no flag --{key}")), "{command} {flag}: {err}");
             }
         }
-        // Fastmath: spec key and flag forms on every execution model, and
-        // bad values rejected (flag and spec key alike).
-        for spec in ["growlocal:fastmath=on@barrier", "growlocal:fastmath=on@serial"] {
+        // Fastmath is a spec key on every execution model; bad values and
+        // a `--fastmath` flag are rejected.
+        for spec in [
+            "growlocal:fastmath=on@barrier",
+            "growlocal:fastmath=on@serial",
+            "spmp:fastmath=on@async",
+        ] {
             dispatch(&sv(&["solve", mtx.to_str().unwrap(), "--cores", "2", "--algo", spec]))
                 .unwrap_or_else(|e| panic!("solve --algo {spec}: {e}"));
         }
         dispatch(&sv(&[
-            "solve",
+            "simulate",
             mtx.to_str().unwrap(),
             "--cores",
-            "2",
+            "4",
             "--algo",
-            "spmp@async",
-            "--fastmath",
-            "on",
+            "growlocal:fastmath=on",
         ]))
         .unwrap();
-        dispatch(&sv(&["simulate", mtx.to_str().unwrap(), "--cores", "4", "--fastmath", "on"]))
-            .unwrap();
-        assert!(dispatch(&sv(&["solve", mtx.to_str().unwrap(), "--fastmath", "fast"])).is_err());
+        for command in ["solve", "simulate", "serve-bench"] {
+            let err =
+                dispatch(&sv(&[command, mtx.to_str().unwrap(), "--fastmath", "on"])).unwrap_err();
+            assert!(err.contains("takes no flag --fastmath"), "{command}: {err}");
+        }
         assert!(dispatch(&sv(&["solve", mtx.to_str().unwrap(), "--algo", "growlocal:fastmath=1"]))
             .is_err());
         // …and repeated pooled solves are bit-stable.
@@ -983,14 +943,16 @@ mod tests {
         let sv = |items: &[&str]| -> Vec<String> { items.iter().map(|s| s.to_string()).collect() };
         dispatch(&sv(&["generate", "grid2d", "--width", "10", "--height", "10", "-o", mtx]))
             .unwrap();
-        // Spec-key form: batch= / batch_wait_us= ride the --algo spec.
+        // The batch width and linger are server flags.
         dispatch(&sv(&[
             "serve-bench",
             mtx,
             "--cores",
             "2",
-            "--algo",
-            "growlocal:batch=4,batch_wait_us=200",
+            "--batch",
+            "4",
+            "--batch-wait-us",
+            "200",
             "--clients",
             "3",
             "--requests",
@@ -1024,13 +986,11 @@ mod tests {
             "--cores",
             "2",
             "--algo",
-            "spmp@async",
+            "spmp:fastmath=on@async",
             "--clients",
             "2",
             "--requests",
             "3",
-            "--fastmath",
-            "on",
         ]))
         .unwrap();
         // Bad values bounce with errors, not panics.
@@ -1042,7 +1002,8 @@ mod tests {
             ["--depth", "0"],
             ["--clients", "0"],
             ["--requests", "0"],
-            ["--algo", "growlocal:batch=0"],
+            ["--algo", "growlocal:batch=4"],
+            ["--algo", "growlocal:batch_wait_us=0"],
         ] {
             assert!(
                 dispatch(&sv(&["serve-bench", mtx, bad[0], bad[1]])).is_err(),
@@ -1076,9 +1037,11 @@ mod tests {
             "one plan file under the cache directory"
         );
         dispatch(&sv(&["solve", mtx, "--cores", "2", "--plan-cache", cache])).unwrap();
-        // The spec-key spelling reaches the same machinery.
+        // The directory is a flag, not a spec key.
         let spec = format!("growlocal:plan_cache={cache}");
-        dispatch(&sv(&["solve", mtx, "--cores", "2", "--algo", &spec])).unwrap();
+        let err = dispatch(&sv(&["solve", mtx, "--cores", "2", "--algo", &spec])).unwrap_err();
+        assert!(err.contains("no parameter `plan_cache`"), "{err}");
+        assert!(dispatch(&sv(&["solve", mtx, "--algo", "growlocal:plan_cache="])).is_err());
         // plan --save writes an explicit file; --load builds from it, and
         // serve-bench warms from the populated cache directory.
         dispatch(&sv(&["plan", mtx, "--cores", "2", "--save", plan_file])).unwrap();
@@ -1111,8 +1074,30 @@ mod tests {
             plan_file
         ]))
         .is_err());
-        // A blank spec value is a registry error, not a silent no-op.
-        assert!(dispatch(&sv(&["solve", mtx, "--algo", "growlocal:plan_cache="])).is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn zero_cores_is_an_error_naming_the_flag() {
+        let dir = std::env::temp_dir().join("sptrsv-cli-zero-cores");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mtx = dir.join("m.mtx");
+        let mtx = mtx.to_str().unwrap();
+        let sv = |items: &[&str]| -> Vec<String> { items.iter().map(|s| s.to_string()).collect() };
+        dispatch(&sv(&["generate", "grid2d", "--width", "6", "--height", "6", "-o", mtx])).unwrap();
+        for argv in [
+            &["solve", mtx][..],
+            &["plan", mtx],
+            &["schedule", mtx],
+            &["simulate", mtx],
+            &["serve-bench", mtx],
+            &["solve", mtx, "--algo", "auto"],
+        ] {
+            let mut argv = sv(argv);
+            argv.extend(sv(&["--cores", "0"]));
+            let err = dispatch(&argv).expect_err(&format!("{argv:?} accepted --cores 0"));
+            assert!(err.contains("--cores"), "{argv:?}: {err}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -22,26 +22,15 @@
 //! omitting it picks the scheduler's default (the first entry of
 //! [`SchedulerInfo::exec_models`]).
 //!
-//! Seven keys address the **execution policy** rather than the scheduler,
-//! and are accepted on every spec: `sync=full|reduced`
-//! selects the wait DAG of asynchronous execution, `backoff=spin|yield`
-//! the behavior of every threaded wait loop, `cores=N` the core count
-//! the schedule targets (and hence the width the executor leases from the
-//! shared runtime, and the parallelism the simulator models),
-//! `fastmath=on|off` whether executors run the planned blocked/unrolled
-//! kernels (tolerance-equal, not bit-identical — see
-//! [`ExecPolicy::fastmath`]), and `batch=N` / `batch_wait_us=U` how a
-//! serving front-end coalesces concurrent single-RHS requests on the plan
-//! into one multi-RHS solve (maximum fused width and the linger bound
-//! before a partial batch is dispatched; ignored by direct solves), and
-//! `plan_cache=DIR` the on-disk warm-start cache directory the planner
-//! saves to and loads from (resolved by [`resolve_plan_cache`]; the other
-//! six land in [`ExecPolicy`]) —
-//! `growlocal:sync=full@async`, `spmp:backoff=yield`,
-//! `hdagg:cores=16@barrier`, `growlocal:fastmath=on`. They are
-//! resolved by [`resolve_exec_policy`] and stripped before scheduler
-//! parameters are checked; `growlocal`'s own numeric `sync` parameter is
-//! unaffected because the value domains are disjoint.
+//! Four keys address the **execution policy** rather than the scheduler,
+//! and are accepted on every spec: `sync`, `backoff`, `cores` and
+//! `fastmath` (`growlocal:sync=full@async`, `spmp:backoff=yield`,
+//! `hdagg:cores=16@barrier`, `growlocal:fastmath=on`). They are declared
+//! once, in [`exec_policy_keys`], and that table drives
+//! [`resolve_exec_policy`], the split of a spec into policy and scheduler
+//! parameters behind [`validate`] and [`schedule_identity`], and
+//! [`help_text`]. `growlocal`'s own numeric `sync` parameter is unaffected
+//! because the value domains are disjoint.
 //!
 //! [`list`] enumerates every registered scheduler with its parameters,
 //! defaults, supported execution models and description; [`build`]
@@ -143,12 +132,7 @@ impl FromStr for SyncPolicy {
         match text {
             "full" => Ok(SyncPolicy::Full),
             "reduced" => Ok(SyncPolicy::Reduced),
-            other => Err(RegistryError::BadValue {
-                scheduler: "exec",
-                key: "sync",
-                value: other.to_string(),
-                expected: "full or reduced",
-            }),
+            other => Err(bad_policy_value("sync", other)),
         }
     }
 }
@@ -189,32 +173,14 @@ impl FromStr for Backoff {
         match text {
             "spin" => Ok(Backoff::Spin),
             "yield" => Ok(Backoff::Yield),
-            other => Err(RegistryError::BadValue {
-                scheduler: "exec",
-                key: "backoff",
-                value: other.to_string(),
-                expected: "spin or yield",
-            }),
+            other => Err(bad_policy_value("backoff", other)),
         }
     }
 }
 
-/// Parses an `on`/`off` execution-policy value (the `fastmath=` key).
-fn parse_on_off(key: &'static str, text: &str) -> Result<bool, RegistryError> {
-    match text {
-        "on" => Ok(true),
-        "off" => Ok(false),
-        other => Err(RegistryError::BadValue {
-            scheduler: "exec",
-            key,
-            value: other.to_string(),
-            expected: "on or off",
-        }),
-    }
-}
-
 /// The execution policy of a spec: dimensions of *how* a schedule executes
-/// that are orthogonal to both the scheduler and the [`ExecModel`].
+/// that are orthogonal to both the scheduler and the [`ExecModel`] — one
+/// field per row of [`exec_policy_keys`].
 ///
 /// The keys are accepted on **every** scheduler (they configure the
 /// executor, not the scheduler) and stripped before scheduler parameters are
@@ -260,101 +226,107 @@ pub struct ExecPolicy {
     /// reference to a documented `1e-12` relative tolerance instead of
     /// bit-identically. Default `off` keeps the bit-identical scalar path.
     pub fastmath: bool,
-    /// Serving batch width (the `batch=N` key): the maximum number of
-    /// queued single-RHS requests a serving front-end may coalesce into
-    /// one multi-RHS solve of this plan. Batching changes grouping, never
-    /// per-column arithmetic, so batched results stay bit-identical to
-    /// per-request solves. `None` defers to the serving layer's default;
-    /// direct (non-served) solves ignore the key.
-    pub batch: Option<usize>,
-    /// Serving linger bound in microseconds (the `batch_wait_us=U` key):
-    /// how long a serving front-end may hold the oldest queued request
-    /// while waiting for the batch to fill before dispatching a partial
-    /// batch (`0` = dispatch immediately, never wait for company).
-    /// `None` defers to the serving layer's default; direct solves ignore
-    /// the key.
-    pub batch_wait_us: Option<u64>,
+}
+
+/// One execution-policy key: a row of [`exec_policy_keys`].
+#[derive(Debug, Clone, Copy)]
+pub struct PolicyKey {
+    /// Spec key.
+    pub key: &'static str,
+    /// The accepted values, as help text and error messages show them.
+    pub values: &'static str,
+    /// What applies when a spec omits the key.
+    pub default: &'static str,
+    /// One-line description.
+    pub help: &'static str,
+    /// Whether a value outside `values` is left to the scheduler as a
+    /// parameter of its own (`growlocal`'s numeric `sync`) instead of
+    /// being rejected.
+    shared: bool,
+    /// Stores a value in the policy; false when it is outside `values`.
+    parse: fn(&str, &mut ExecPolicy) -> bool,
+}
+
+/// Every execution-policy key, in presentation order.
+///
+/// This is the **only** list of policy keys in the workspace: spec
+/// parsing, the policy/scheduler-parameter split, the help text and the
+/// tuner's `auto:` passthrough all read it.
+pub fn exec_policy_keys() -> &'static [PolicyKey] {
+    const KEYS: &[PolicyKey] = &[
+        PolicyKey {
+            key: "sync",
+            values: "full | reduced",
+            default: "reduced",
+            help: "wait DAG of @async execution: every solve-DAG edge or its SpMP \
+                   (approximate transitive) reduction",
+            shared: true,
+            parse: |v, p| v.parse().map(|sync| p.sync = sync).is_ok(),
+        },
+        PolicyKey {
+            key: "backoff",
+            values: "spin | yield",
+            default: "spin",
+            help: "every threaded wait loop: busy-wait, or yield the core after a short spin",
+            shared: false,
+            parse: |v, p| v.parse().map(|backoff| p.backoff = backoff).is_ok(),
+        },
+        PolicyKey {
+            key: "cores",
+            values: "a positive integer",
+            default: "the caller's core count",
+            help: "core count the schedule targets, and the width each solve leases",
+            shared: false,
+            parse: |v, p| {
+                p.cores = v.parse().ok().filter(|&cores| cores > 0);
+                p.cores.is_some()
+            },
+        },
+        PolicyKey {
+            key: "fastmath",
+            values: "on | off",
+            default: "off",
+            help: "blocked/unrolled kernels with reciprocal diagonals: within 1e-12 \
+                   relative of the exact path, not bit-identical",
+            shared: false,
+            parse: |v, p| {
+                p.fastmath = v == "on";
+                v == "on" || v == "off"
+            },
+        },
+    ];
+    KEYS
+}
+
+/// The policy row `key=value` addresses, or `None` when the pair is a
+/// scheduler parameter (see [`ExecPolicy`] for the disambiguation rule).
+fn policy_row(key: &str, value: &str) -> Option<&'static PolicyKey> {
+    exec_policy_keys().iter().find(|row| {
+        row.key == key && (!row.shared || (row.parse)(value, &mut ExecPolicy::default()))
+    })
+}
+
+/// The error for `value`, which is outside policy key `key`'s domain.
+fn bad_policy_value(key: &'static str, value: &str) -> RegistryError {
+    let expected =
+        exec_policy_keys().iter().find(|row| row.key == key).map_or("", |row| row.values);
+    RegistryError::BadValue { scheduler: "exec", key, value: value.to_string(), expected }
 }
 
 /// True when `key=value` addresses the execution policy rather than a
-/// scheduler parameter (see [`ExecPolicy`] for the disambiguation rule).
-fn is_exec_policy_param(key: &str, value: &str) -> bool {
-    match key {
-        "backoff" | "cores" | "fastmath" | "batch" | "batch_wait_us" | "plan_cache" => true,
-        "sync" => value.parse::<SyncPolicy>().is_ok(),
-        _ => false,
-    }
+/// scheduler parameter.
+pub fn is_exec_policy_param(key: &str, value: &str) -> bool {
+    policy_row(key, value).is_some()
 }
 
-/// The execution policy a spec selects: its
-/// `sync=`/`backoff=`/`cores=`/`fastmath=`/`batch=`/`batch_wait_us=` keys
-/// (last occurrence wins), with defaults for the absent ones. The seventh
-/// policy key, `plan_cache=DIR`, is
-/// validated here but carried separately — see [`resolve_plan_cache`].
+/// The execution policy a spec selects: its policy keys (last occurrence
+/// wins), with defaults for the absent ones.
 pub fn resolve_exec_policy(spec: &SchedulerSpec) -> Result<ExecPolicy, RegistryError> {
     let mut policy = ExecPolicy::default();
     for (key, value) in spec.params() {
-        match key.as_str() {
-            "backoff" => policy.backoff = value.parse()?,
-            "fastmath" => policy.fastmath = parse_on_off("fastmath", value)?,
-            "cores" => {
-                policy.cores = match value.parse::<usize>() {
-                    Ok(cores) if cores > 0 => Some(cores),
-                    _ => {
-                        return Err(RegistryError::BadValue {
-                            scheduler: "exec",
-                            key: "cores",
-                            value: value.clone(),
-                            expected: "a positive integer",
-                        })
-                    }
-                };
-            }
-            "batch" => {
-                policy.batch = match value.parse::<usize>() {
-                    Ok(width) if width > 0 => Some(width),
-                    _ => {
-                        return Err(RegistryError::BadValue {
-                            scheduler: "exec",
-                            key: "batch",
-                            value: value.clone(),
-                            expected: "a positive integer",
-                        })
-                    }
-                };
-            }
-            "batch_wait_us" => {
-                policy.batch_wait_us = match value.parse::<u64>() {
-                    Ok(us) => Some(us),
-                    _ => {
-                        return Err(RegistryError::BadValue {
-                            scheduler: "exec",
-                            key: "batch_wait_us",
-                            value: value.clone(),
-                            expected: "a non-negative integer (microseconds)",
-                        })
-                    }
-                };
-            }
-            "sync" => {
-                if let Ok(sync) = value.parse() {
-                    policy.sync = sync;
-                }
-            }
-            // `plan_cache=DIR` is an exec-policy key (stripped before
-            // scheduler parameters are checked) but its value is a
-            // directory path, not execution state — [`resolve_plan_cache`]
-            // extracts it so `ExecPolicy` stays `Copy`. Validate here so a
-            // blank directory fails at resolve time like every other key.
-            "plan_cache" if value.trim().is_empty() => {
-                return Err(RegistryError::BadValue {
-                    scheduler: "exec",
-                    key: "plan_cache",
-                    value: value.clone(),
-                    expected: "a directory path",
-                });
-            }
-            _ => {}
+        let Some(row) = policy_row(key, value) else { continue };
+        if !(row.parse)(value, &mut policy) {
+            return Err(bad_policy_value(row.key, value));
         }
     }
     Ok(policy)
@@ -368,17 +340,6 @@ fn strip_exec_policy(spec: &SchedulerSpec) -> SchedulerSpec {
         params: spec.params.iter().filter(|(k, v)| !is_exec_policy_param(k, v)).cloned().collect(),
         model: spec.model,
     }
-}
-
-/// The on-disk plan-cache directory a spec selects (the `plan_cache=DIR`
-/// key, last occurrence wins), or `None` when the key is absent.
-///
-/// The directory deliberately lives outside [`ExecPolicy`]: it configures
-/// *where schedules are found*, not how a solve executes, and keeping it
-/// out preserves `ExecPolicy: Copy`. Planners resolve it alongside the
-/// policy.
-pub fn resolve_plan_cache(spec: &SchedulerSpec) -> Option<std::path::PathBuf> {
-    spec.get("plan_cache").map(std::path::PathBuf::from)
 }
 
 /// The schedule identity of a spec: the scheduler name plus its *scheduler*
@@ -765,19 +726,11 @@ pub fn help_text() -> String {
     out.push_str("address a composite scheduler's inner GrowLocal; @model selects the\n");
     out.push_str("execution model (the scheduler's default is marked with *).\n\n");
     out.push_str("execution policy (valid on every scheduler, applied by the executor):\n");
-    out.push_str("    sync         async wait DAG: full | reduced (default reduced)\n");
-    out.push_str("    backoff      wait loops: spin | yield (default spin)\n");
-    out.push_str("    cores        schedule core count / runtime lease width: a positive\n");
-    out.push_str("                 integer (default: the consumer's --cores setting)\n");
-    out.push_str("    fastmath     on | off (default off): blocked/unrolled kernels with\n");
-    out.push_str("                 reciprocal diagonals; results match the scalar path to\n");
-    out.push_str("                 1e-12 relative tolerance instead of bit-identically\n");
-    out.push_str("    batch        serving batch width: a positive integer (default: the\n");
-    out.push_str("                 serving layer's default; direct solves ignore the key)\n");
-    out.push_str("    batch_wait_us  serving linger bound in microseconds before a partial\n");
-    out.push_str("                 batch dispatches (0 = never wait; served solves only)\n");
-    out.push_str("    plan_cache   warm-start directory: save compiled schedules to DIR and\n");
-    out.push_str("                 load them on later runs, skipping scheduling entirely\n\n");
+    for row in exec_policy_keys() {
+        out.push_str(&format!("    {:<12} {} (default {})\n", row.key, row.values, row.default));
+        out.push_str(&format!("    {:<12} {}\n", "", row.help));
+    }
+    out.push('\n');
     for entry in list() {
         out.push_str(&format!("  {:<10} {}\n", entry.name, entry.summary));
         let models: Vec<String> = ExecModel::ALL
@@ -1331,57 +1284,33 @@ mod tests {
     #[test]
     fn help_text_documents_exec_policy() {
         let help = help_text();
-        for needle in [
-            "sync",
-            "backoff",
-            "cores",
-            "fastmath",
-            "full | reduced",
-            "spin | yield",
-            "on | off",
-            "batch",
-            "batch_wait_us",
-            "linger",
-            "plan_cache",
-            "warm-start",
-        ] {
-            assert!(help.contains(needle), "`{needle}` missing from help");
+        for row in exec_policy_keys() {
+            let line = format!("{:<12} {} (default {})", row.key, row.values, row.default);
+            assert!(help.contains(&line), "`{line}` missing from help");
+            assert!(help.contains(row.help), "`{}` help missing", row.key);
+        }
+        for gone in ["batch", "plan_cache", "linger", "warm-start"] {
+            assert!(!help.contains(gone), "help still documents `{gone}`");
         }
     }
 
     #[test]
-    fn plan_cache_key_parses_on_every_scheduler() {
-        let g = dag();
-        for entry in list() {
-            let spec = format!("{}:plan_cache=/tmp/plans", entry.name);
-            let parsed: SchedulerSpec = spec.parse().unwrap();
-            // The key is a policy key (not a scheduler parameter), so the
-            // scheduler still builds and the directory resolves.
-            assert!(resolve_exec_policy(&parsed).is_ok());
-            assert_eq!(
-                resolve_plan_cache(&parsed),
-                Some(std::path::PathBuf::from("/tmp/plans")),
-                "`{spec}` did not resolve a cache directory"
-            );
-            assert!(resolve(&spec, &g, 2).is_ok(), "`{spec}` failed to build");
+    fn policy_key_defaults_are_the_exec_policy_default() {
+        // Every row whose default is a value resolves to the default
+        // policy; `cores` defers to the caller and has no value default.
+        for row in exec_policy_keys() {
+            let spec = SchedulerSpec::new("growlocal").with(row.key, row.default);
+            match resolve_exec_policy(&spec) {
+                Ok(policy) => assert_eq!(policy, ExecPolicy::default(), "{}", row.key),
+                Err(_) => assert_eq!(row.key, "cores"),
+            }
         }
-        // Absent: no on-disk cache.
-        assert_eq!(resolve_plan_cache(&SchedulerSpec::new("growlocal")), None);
-        // The directory never lands in the (Copy) policy struct.
-        let spec: SchedulerSpec = "growlocal:plan_cache=/tmp/plans".parse().unwrap();
-        assert_eq!(resolve_exec_policy(&spec).unwrap(), ExecPolicy::default());
-        // Blank directories are rejected like every other bad policy value.
-        let blank = SchedulerSpec::new("growlocal").with("plan_cache", " ");
-        assert!(matches!(
-            resolve_exec_policy(&blank),
-            Err(RegistryError::BadValue { key: "plan_cache", .. })
-        ));
+        assert_eq!(ExecPolicy::default().cores, None);
     }
 
     #[test]
     fn schedule_identity_strips_policy_and_model() {
-        let spec: SchedulerSpec =
-            "growlocal:alpha=8,fastmath=on,cores=4,plan_cache=/tmp/p@async".parse().unwrap();
+        let spec: SchedulerSpec = "growlocal:alpha=8,fastmath=on,cores=4@async".parse().unwrap();
         assert_eq!(schedule_identity(&spec), "growlocal:alpha=8");
         // Identity is invariant under policy/model changes...
         let other: SchedulerSpec = "growlocal:alpha=8,backoff=yield@serial".parse().unwrap();
@@ -1393,53 +1322,6 @@ mod tests {
         // `sync=full|reduced` does not (disjoint value domains).
         let gl: SchedulerSpec = "growlocal:sync=2000,sync=full".parse().unwrap();
         assert_eq!(schedule_identity(&gl), "growlocal:sync=2000");
-    }
-
-    #[test]
-    fn exec_policy_batch_keys_parse_on_every_scheduler() {
-        let g = dag();
-        for entry in list() {
-            let spec = format!("{}:batch=8,batch_wait_us=150", entry.name);
-            let parsed: SchedulerSpec = spec.parse().unwrap();
-            let policy = resolve_exec_policy(&parsed).unwrap();
-            assert_eq!(policy.batch, Some(8));
-            assert_eq!(policy.batch_wait_us, Some(150));
-            assert!(resolve(&spec, &g, 2).is_ok(), "`{spec}` failed to build");
-        }
-        // Absent: defers to the serving layer's defaults.
-        let policy = resolve_exec_policy(&SchedulerSpec::new("growlocal")).unwrap();
-        assert_eq!(policy.batch, None);
-        assert_eq!(policy.batch_wait_us, None);
-        // `batch_wait_us=0` is valid (dispatch immediately, never linger).
-        let spec: SchedulerSpec = "spmp:batch_wait_us=0".parse().unwrap();
-        assert_eq!(resolve_exec_policy(&spec).unwrap().batch_wait_us, Some(0));
-        // Composes with every other policy dimension.
-        let spec: SchedulerSpec =
-            "growlocal:alpha=8,batch=4,fastmath=on,cores=4,batch_wait_us=50@barrier"
-                .parse()
-                .unwrap();
-        let policy = resolve_exec_policy(&spec).unwrap();
-        assert_eq!(policy.batch, Some(4));
-        assert_eq!(policy.batch_wait_us, Some(50));
-        assert!(policy.fastmath);
-        assert_eq!(policy.cores, Some(4));
-        // Bad values are policy errors (there is no scheduler fallback).
-        assert!(matches!(
-            resolve("growlocal:batch=0", &g, 2),
-            Err(RegistryError::BadValue { key: "batch", .. })
-        ));
-        assert!(matches!(
-            resolve("growlocal:batch=lots", &g, 2),
-            Err(RegistryError::BadValue { key: "batch", .. })
-        ));
-        assert!(matches!(
-            resolve("spmp:batch_wait_us=-3", &g, 2),
-            Err(RegistryError::BadValue { key: "batch_wait_us", .. })
-        ));
-        assert!(matches!(
-            resolve("spmp:batch_wait_us=soon", &g, 2),
-            Err(RegistryError::BadValue { key: "batch_wait_us", .. })
-        ));
     }
 
     #[test]
@@ -1462,12 +1344,20 @@ mod tests {
     #[test]
     fn removed_policy_keys_are_unknown_params_on_every_scheduler() {
         // `grant=`, `elastic=` and `shrink=` are not execution-policy
-        // keys: on any scheduler they are parameters the scheduler does
-        // not declare, rejected by name — never ignored.
+        // keys, nor are the serving keys `batch=` / `batch_wait_us=` or the
+        // warm-start `plan_cache=`: on any scheduler they are parameters
+        // the scheduler does not declare, rejected by name — never ignored.
         let g = dag();
         for entry in list() {
-            for key in ["grant", "elastic", "shrink"] {
-                let spec = format!("{}:{key}=on", entry.name);
+            for (key, value) in [
+                ("grant", "on"),
+                ("elastic", "on"),
+                ("shrink", "on"),
+                ("batch", "8"),
+                ("batch_wait_us", "0"),
+                ("plan_cache", "/tmp/x"),
+            ] {
+                let spec = format!("{}:{key}={value}", entry.name);
                 let parsed: SchedulerSpec = spec.parse().unwrap();
                 let named = |e: RegistryError| matches!(e, RegistryError::UnknownParam { key: ref k, .. } if k == key);
                 assert!(validate(&parsed).err().is_some_and(named), "`{spec}` validated");
@@ -1475,13 +1365,12 @@ mod tests {
             }
         }
         assert!(!help_text().contains("grant"));
-        // The policy key set is exactly these seven: a schedule identity
-        // strips all of them and nothing else.
+        // The policy key set is exactly the table's four rows: a schedule
+        // identity strips all of them and nothing else.
+        let keys: Vec<&str> = exec_policy_keys().iter().map(|row| row.key).collect();
+        assert_eq!(keys, ["sync", "backoff", "cores", "fastmath"]);
         let spec: SchedulerSpec =
-            "growlocal:sync=full,backoff=yield,cores=2,fastmath=on,batch=2,batch_wait_us=0,\
-             plan_cache=dir,alpha=8"
-                .parse()
-                .unwrap();
+            "growlocal:sync=full,backoff=yield,cores=2,fastmath=on,alpha=8".parse().unwrap();
         assert_eq!(schedule_identity(&spec), "growlocal:alpha=8");
     }
 

@@ -30,8 +30,8 @@
 //! * [`plan`] — the high-level [`PlanBuilder`]/[`SolvePlan`] API: matrix →
 //!   validated, pre-ordered, scheduled (via registry spec), reordered,
 //!   compiled, reusable parallel solve (lower or upper) under a selectable
-//!   execution model, [`ExecPolicy`] (`sync=`/`backoff=`/`cores=` spec
-//!   keys) and runtime ([`PlanBuilder::runtime`]), with an
+//!   execution model, [`ExecPolicy`] (the `sync=`/`backoff=`/`cores=`/
+//!   `fastmath=` spec keys) and runtime ([`PlanBuilder::runtime`]), with an
 //!   allocation-free [`SolvePlan::solve_into`] steady-state path and a
 //!   borrowed-RHS [`SolvePlan::solve_batch_in_place`] entry point the
 //!   `sptrsv-serve` combiner fuses queued requests through;

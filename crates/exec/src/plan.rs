@@ -15,20 +15,18 @@
 //! `solve_batch_in_place` through the [`Executor`] trait, so barrier,
 //! asynchronous and serial execution are interchangeable behind one API.
 //!
-//! The **execution policy** is equally first-class: `sync=full|reduced`
+//! The **execution policy** rides the spec too: `sync=full|reduced`
 //! selects the wait DAG of asynchronous execution (the final operand's
 //! solve DAG or its approximate transitive reduction, whatever the
-//! scheduler, so an async plan reduces at most once), `backoff=spin|yield` the
-//! behavior of every threaded wait loop, `cores=N` the core count the
-//! schedule targets, `fastmath=on|off` whether the executor runs
-//! the blocked/unrolled kernel layer over a detected
+//! scheduler, so an async plan reduces at most once), `backoff=spin|yield`
+//! the behavior of every threaded wait loop, `cores=N` the core count the
+//! schedule targets and `fastmath=on|off` whether the executor runs the
+//! blocked/unrolled kernel layer over a detected
 //! [`sptrsv_core::kernel::KernelPlan`] (the only key that can change
-//! results — to a documented `1e-12` relative tolerance), and
-//! `batch=N`/`batch_wait_us=U` how a serving front-end
-//! (`sptrsv-serve`) coalesces queued requests on the plan — as spec keys
-//! or the typed [`PlanBuilder::sync_policy`]/[`PlanBuilder::backoff`]/
-//! [`PlanBuilder::cores`]/[`PlanBuilder::fastmath`]/[`PlanBuilder::batch`]/
-//! [`PlanBuilder::batch_wait_us`] knobs (typed knobs win).
+//! results — to a documented `1e-12` relative tolerance). The keys are
+//! listed once, in [`sptrsv_core::registry::exec_policy_keys`]. Only the
+//! core count also has a typed setter, [`PlanBuilder::cores`], which wins
+//! over the spec's `cores=`.
 //!
 //! Parallel plans execute on the **process-wide
 //! `SolverRuntime`** ([`crate::runtime::SolverRuntime`]): each solve leases
@@ -80,7 +78,7 @@ use crate::serial::{FastSerialExecutor, SerialExecutor};
 use crate::sim::{simulate_model, MachineProfile, SimReport};
 use sptrsv_core::kernel::KernelPlan;
 use sptrsv_core::registry::{
-    self, Backoff, ExecModel, ExecPolicy, RegistryError, SchedulerSpec, SyncPolicy,
+    self, ExecModel, ExecPolicy, RegistryError, SchedulerSpec, SyncPolicy,
 };
 use sptrsv_core::serialize::{
     read_plan_file, value_digest, write_plan_file, CachedPlan, PlanCache, PlanFingerprint,
@@ -230,11 +228,6 @@ pub struct PlanBuilder<'m> {
     coarsen: bool,
     reorder: bool,
     execution: Option<ExecModel>,
-    sync_policy: Option<SyncPolicy>,
-    backoff: Option<Backoff>,
-    fastmath: Option<bool>,
-    batch: Option<usize>,
-    batch_wait_us: Option<u64>,
     plan_cache_dir: Option<PathBuf>,
     memory_cache: Option<Arc<PlanCache>>,
     load_plan: Option<PathBuf>,
@@ -260,11 +253,6 @@ impl<'m> PlanBuilder<'m> {
             coarsen: false,
             reorder: true,
             execution: None,
-            sync_policy: None,
-            backoff: None,
-            fastmath: None,
-            batch: None,
-            batch_wait_us: None,
             plan_cache_dir: None,
             memory_cache: None,
             load_plan: None,
@@ -331,67 +319,15 @@ impl<'m> PlanBuilder<'m> {
         self
     }
 
-    /// Wait DAG of asynchronous execution: the full solve DAG or its
-    /// approximate transitive reduction. Overrides the spec's `sync=` key;
-    /// with neither, `reduced` applies. Ignored by barrier/serial plans.
-    pub fn sync_policy(mut self, sync: SyncPolicy) -> Self {
-        self.sync_policy = Some(sync);
-        self
-    }
-
-    /// Wait-loop behavior of the plan's threaded waits (done flags, pool
-    /// barriers, dispatch). Overrides the spec's `backoff=` key; with
-    /// neither, `spin` applies.
-    pub fn backoff(mut self, backoff: Backoff) -> Self {
-        self.backoff = Some(backoff);
-        self
-    }
-
-    /// Fast-math kernels: when enabled, the planner runs supernode/dense-
-    /// block detection ([`sptrsv_core::kernel::KernelPlan`]) over the final
-    /// operand and the executor routes rows through blocked, lane-unrolled
-    /// and reciprocal-multiply kernels. **The only knob that can change
-    /// results**: solutions agree with the exact path to a `1e-12` relative
-    /// tolerance instead of bit-for-bit. Overrides the spec's `fastmath=`
-    /// key; with neither, off (the bit-identical scalar kernels).
-    pub fn fastmath(mut self, fastmath: bool) -> Self {
-        self.fastmath = Some(fastmath);
-        self
-    }
-
-    /// Serving batch width: the maximum number of queued single-RHS
-    /// requests a serving front-end (`sptrsv-serve`) may coalesce into one
-    /// multi-RHS solve of this plan. Batching changes grouping, never
-    /// per-column arithmetic, so batched results are bit-identical to
-    /// per-request solves. Overrides the spec's `batch=` key; with
-    /// neither, the serving layer's default applies. Direct solves ignore
-    /// the knob.
-    pub fn batch(mut self, batch: usize) -> Self {
-        assert!(batch > 0, "a batch fuses at least one request");
-        self.batch = Some(batch);
-        self
-    }
-
-    /// Serving linger bound in microseconds: how long a serving front-end
-    /// may hold the oldest queued request while waiting for the batch to
-    /// fill before dispatching a partial batch (`0` = dispatch
-    /// immediately). Overrides the spec's `batch_wait_us=` key; with
-    /// neither, the serving layer's default applies. Direct solves ignore
-    /// the knob.
-    pub fn batch_wait_us(mut self, batch_wait_us: u64) -> Self {
-        self.batch_wait_us = Some(batch_wait_us);
-        self
-    }
-
     /// On-disk plan cache: before scheduling, look for
     /// `DIR/<fingerprint>.plan` (the [`PlanFingerprint`] of the operand's
     /// structure plus the schedule-relevant build key) and load it instead
     /// of scheduling; on a miss, schedule and save the result there for the
-    /// next process. Overrides the spec's `plan_cache=DIR` key. Corrupt,
-    /// truncated, version-mismatched or wrong-fingerprint files are
-    /// rejected with [`PlanError::Cache`] — a bad cache can never change
-    /// what is solved. Loaded schedules are re-validated against the
-    /// operand's DAG before use.
+    /// next process. Corrupt, truncated, version-mismatched or
+    /// wrong-fingerprint files are rejected with [`PlanError::Cache`] — a
+    /// bad cache can never change what is solved. Loaded schedules are
+    /// re-validated against the operand's DAG before use. The directory is
+    /// a deployment path, not execution policy, so no spec key sets it.
     pub fn plan_cache(mut self, dir: impl Into<PathBuf>) -> Self {
         self.plan_cache_dir = Some(dir.into());
         self
@@ -514,7 +450,7 @@ pub struct SolvePlan {
     compiled: Arc<CompiledSchedule>,
     /// The execution model [`SolvePlan::executor`] implements.
     model: ExecModel,
-    /// The execution policy (wait DAG + backoff) the executor runs under.
+    /// The execution policy the executor runs under.
     policy: ExecPolicy,
     /// Async plans keep the synchronization DAG built for the executor
     /// (reduced or full, per policy), so repeated [`SolvePlan::simulate`]
@@ -748,23 +684,7 @@ impl SolvePlan {
         // scheduler build that would otherwise reject an unknown one.
         registry::validate(&spec)?;
         let model = registry::resolve_model(&spec)?;
-        // Execution policy: spec keys, overridden by the typed knobs.
-        let mut policy = registry::resolve_exec_policy(&spec)?;
-        if let Some(sync) = builder.sync_policy {
-            policy.sync = sync;
-        }
-        if let Some(backoff) = builder.backoff {
-            policy.backoff = backoff;
-        }
-        if let Some(fastmath) = builder.fastmath {
-            policy.fastmath = fastmath;
-        }
-        if let Some(batch) = builder.batch {
-            policy.batch = Some(batch);
-        }
-        if let Some(batch_wait_us) = builder.batch_wait_us {
-            policy.batch_wait_us = Some(batch_wait_us);
-        }
+        let policy = registry::resolve_exec_policy(&spec)?;
         // Core count: typed knob over spec `cores=` key over the default.
         // (`policy.cores` keeps the spec's value — the effective count is
         // `SolvePlan::compiled().n_cores()`.)
@@ -810,10 +730,8 @@ impl SolvePlan {
         // on a memory hit, and tags the entry this build publishes (lookups
         // always compare against the pre-reorder digest).
         let values_digest = value_digest(lower.values());
-        // Disk cache directory: typed knob over the spec's `plan_cache=`.
-        let cache_dir =
-            builder.plan_cache_dir.clone().or_else(|| registry::resolve_plan_cache(&spec));
-        let cached_path = cache_dir.as_ref().map(|dir| plan_cache_path(dir, &fingerprint));
+        let cache_dir = builder.plan_cache_dir.as_ref();
+        let cached_path = cache_dir.map(|dir| plan_cache_path(dir, &fingerprint));
         let settings = Settings { model, policy, runtime, fingerprint, schedule_key };
         let waits_reduced = settings.waits_reduced();
 
@@ -958,7 +876,8 @@ impl SolvePlan {
         self.model
     }
 
-    /// The execution policy (wait DAG choice + backoff) the plan runs under.
+    /// The execution policy (the spec's `sync=`/`backoff=`/`cores=`/
+    /// `fastmath=` keys) the plan runs under.
     pub fn exec_policy(&self) -> ExecPolicy {
         self.policy
     }
@@ -1336,11 +1255,21 @@ fn apply_pre_order(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sptrsv_core::registry::Backoff;
     use sptrsv_sparse::gen::grid::{grid2d_laplacian, Stencil2D};
     use sptrsv_sparse::linalg::relative_residual;
 
     fn lower() -> CsrMatrix {
         grid2d_laplacian(12, 10, Stencil2D::NinePoint, 0.5).lower_triangle().unwrap()
+    }
+
+    /// The default scheduler with the `fastmath=` policy key set.
+    fn fastmath_spec(fastmath: bool) -> &'static str {
+        if fastmath {
+            "growlocal:fastmath=on"
+        } else {
+            "growlocal:fastmath=off"
+        }
     }
 
     #[test]
@@ -1443,11 +1372,9 @@ mod tests {
             .unwrap();
         assert_eq!(plan.exec_policy().sync, SyncPolicy::Full);
         assert_eq!(plan.exec_policy().backoff, Backoff::Yield);
-        // The typed knobs override the spec keys.
+        // A later occurrence of a key overrides an earlier one.
         let plan = PlanBuilder::new(&l)
-            .scheduler("growlocal:sync=full,backoff=yield@async")
-            .sync_policy(SyncPolicy::Reduced)
-            .backoff(Backoff::Spin)
+            .scheduler("growlocal:sync=full,backoff=yield,sync=reduced,backoff=spin@async")
             .cores(2)
             .build()
             .unwrap();
@@ -1459,12 +1386,20 @@ mod tests {
 
     #[test]
     fn removed_policy_keys_are_rejected_by_name() {
-        // `grant=`, `elastic=` and `shrink=` are not policy keys: a spec
-        // carrying one fails with a registry error naming the key, never
-        // a plan that silently ignores it.
+        // `grant=`, `elastic=` and `shrink=` are not policy keys, nor are
+        // the serving keys `batch=` / `batch_wait_us=` (set on the server)
+        // or `plan_cache=` (set with `PlanBuilder::plan_cache`): a spec
+        // carrying one fails with a registry error naming the key, never a
+        // plan that silently ignores it.
         let l = lower();
-        for spec in ["growlocal:grant=fair", "growlocal:elastic=on", "growlocal:shrink=on@barrier"]
-        {
+        for spec in [
+            "growlocal:grant=fair",
+            "growlocal:elastic=on",
+            "growlocal:shrink=on@barrier",
+            "growlocal:batch=8",
+            "growlocal:batch_wait_us=0",
+            "growlocal:plan_cache=/tmp/x",
+        ] {
             let key = spec["growlocal:".len()..].split('=').next().unwrap();
             let err = PlanBuilder::new(&l).scheduler(spec).cores(2).build().err();
             assert!(
@@ -1485,13 +1420,12 @@ mod tests {
         // Default: off, bit-identical scalar kernels.
         let plan = PlanBuilder::new(&l).cores(2).build().unwrap();
         assert!(!plan.exec_policy().fastmath);
-        // Spec key and typed knob (knob wins).
+        // The spec key, and a later occurrence overriding it.
         let plan =
             PlanBuilder::new(&l).scheduler("growlocal:fastmath=on").cores(2).build().unwrap();
         assert!(plan.exec_policy().fastmath);
         let plan = PlanBuilder::new(&l)
-            .scheduler("growlocal:fastmath=on")
-            .fastmath(false)
+            .scheduler("growlocal:fastmath=on,fastmath=off")
             .cores(2)
             .build()
             .unwrap();
@@ -1506,50 +1440,18 @@ mod tests {
         let reference = PlanBuilder::new(&l).cores(3).build().unwrap().solve(&b);
         let scale = reference.iter().fold(1.0f64, |m, v| m.max(v.abs()));
         for model in ExecModel::ALL {
-            let plan =
-                PlanBuilder::new(&l).cores(3).execution(model).fastmath(true).build().unwrap();
+            let plan = PlanBuilder::new(&l)
+                .scheduler(fastmath_spec(true))
+                .cores(3)
+                .execution(model)
+                .build()
+                .unwrap();
             assert!(plan.exec_policy().fastmath);
             let x = plan.solve(&b);
             let err = x.iter().zip(&reference).fold(0.0f64, |m, (a, e)| m.max((a - e).abs()));
             assert!(err / scale < 1e-12, "{model} fastmath deviated: rel {}", err / scale);
             assert!(relative_residual(&l, &x, &b) < 1e-12, "{model} fastmath residual");
         }
-    }
-
-    #[test]
-    fn batch_keys_and_knobs_resolve() {
-        let l = lower();
-        // Defaults: defer to the serving layer.
-        let plan = PlanBuilder::new(&l).cores(2).build().unwrap();
-        assert_eq!(plan.exec_policy().batch, None);
-        assert_eq!(plan.exec_policy().batch_wait_us, None);
-        // Spec keys select the policy.
-        let plan = PlanBuilder::new(&l)
-            .scheduler("growlocal:batch=8,batch_wait_us=150")
-            .cores(2)
-            .build()
-            .unwrap();
-        assert_eq!(plan.exec_policy().batch, Some(8));
-        assert_eq!(plan.exec_policy().batch_wait_us, Some(150));
-        // Typed knobs override the spec keys.
-        let plan = PlanBuilder::new(&l)
-            .scheduler("growlocal:batch=8,batch_wait_us=150")
-            .batch(4)
-            .batch_wait_us(0)
-            .cores(2)
-            .build()
-            .unwrap();
-        assert_eq!(plan.exec_policy().batch, Some(4));
-        assert_eq!(plan.exec_policy().batch_wait_us, Some(0));
-        // Bad values are registry errors.
-        assert!(matches!(
-            PlanBuilder::new(&l).scheduler("growlocal:batch=0").build(),
-            Err(PlanError::Registry(_))
-        ));
-        assert!(matches!(
-            PlanBuilder::new(&l).scheduler("growlocal:batch_wait_us=soon").build(),
-            Err(PlanError::Registry(_))
-        ));
     }
 
     #[test]
@@ -1673,18 +1575,8 @@ mod tests {
         let l = lower();
         let n = l.n_rows();
         let b: Vec<f64> = (0..n).map(|i| ((i * 3) % 7) as f64 - 2.0).collect();
-        let full = PlanBuilder::new(&l)
-            .scheduler("spmp")
-            .sync_policy(SyncPolicy::Full)
-            .cores(3)
-            .build()
-            .unwrap();
-        let reduced = PlanBuilder::new(&l)
-            .scheduler("spmp")
-            .sync_policy(SyncPolicy::Reduced)
-            .cores(3)
-            .build()
-            .unwrap();
+        let full = PlanBuilder::new(&l).scheduler("spmp:sync=full").cores(3).build().unwrap();
+        let reduced = PlanBuilder::new(&l).scheduler("spmp:sync=reduced").cores(3).build().unwrap();
         // The full policy waits on the final operand's DAG; the reduced one
         // on a strictly sparser DAG with identical reachability.
         let full_dag = full.sync_dag().expect("async plan has a sync DAG");
@@ -1709,10 +1601,9 @@ mod tests {
             for sync in [SyncPolicy::Full, SyncPolicy::Reduced] {
                 for backoff in [Backoff::Spin, Backoff::Yield] {
                     let plan = PlanBuilder::new(&l)
+                        .scheduler(format!("growlocal:sync={sync},backoff={backoff}"))
                         .cores(3)
                         .execution(model)
-                        .sync_policy(sync)
-                        .backoff(backoff)
                         .build()
                         .unwrap();
                     assert_eq!(plan.solve(&b), reference, "{model}/{sync}/{backoff} diverged");
@@ -1731,9 +1622,9 @@ mod tests {
         for backoff in [Backoff::Spin, Backoff::Yield] {
             for model in [ExecModel::Barrier, ExecModel::Async] {
                 let plan = PlanBuilder::new(&l)
+                    .scheduler(format!("growlocal:backoff={backoff}"))
                     .cores(4)
                     .execution(model)
-                    .backoff(backoff)
                     .build()
                     .unwrap();
                 let mut ws = plan.workspace();
@@ -1824,7 +1715,7 @@ mod tests {
                 let plan = PlanBuilder::new(&l)
                     .cores(2)
                     .execution(model)
-                    .fastmath(fastmath)
+                    .scheduler(fastmath_spec(fastmath))
                     .build()
                     .unwrap();
                 let exec = plan.executor();
@@ -1956,7 +1847,7 @@ mod tests {
                 let plan = PlanBuilder::new(&l)
                     .cores(4)
                     .execution(model)
-                    .fastmath(fastmath)
+                    .scheduler(fastmath_spec(fastmath))
                     .build()
                     .unwrap();
                 assert_eq!(plan.kernel.as_ref().is_some_and(|k| !k.blocks().is_empty()), fastmath);
@@ -1981,16 +1872,12 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_spec_key_and_typed_knob_resolve() {
+    fn plan_cache_is_a_builder_setting() {
         let l = lower();
         let dir = temp_dir("sptrsv-plan-key-test");
-        // The spec key drives the disk cache; the policy struct is
-        // untouched (the seventh key carries a path, not execution state).
-        let plan = PlanBuilder::new(&l)
-            .scheduler(format!("growlocal:plan_cache={}", dir.display()))
-            .cores(2)
-            .build()
-            .unwrap();
+        // The setter drives the disk cache; the policy struct is untouched
+        // (the directory is a deployment path, not execution state).
+        let plan = PlanBuilder::new(&l).plan_cache(&dir).cores(2).build().unwrap();
         assert_eq!(plan.exec_policy(), ExecPolicy::default());
         assert_ne!(plan.cache_outcome(), CacheOutcome::Uncached);
         // Without any cache configured: uncached, but still fingerprinted.
@@ -2000,10 +1887,12 @@ mod tests {
             plain.fingerprint(),
             PlanBuilder::new(&l).cores(2).build().unwrap().fingerprint()
         );
-        // A blank directory is a registry error like any bad policy value.
+        // The spec cannot name a directory: `plan_cache=` is a registry error.
         assert!(matches!(
-            PlanBuilder::new(&l).scheduler("growlocal:plan_cache= ").build(),
-            Err(PlanError::Registry(_))
+            PlanBuilder::new(&l)
+                .scheduler(format!("growlocal:plan_cache={}", dir.display()))
+                .build(),
+            Err(PlanError::Registry(RegistryError::UnknownParam { .. }))
         ));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -2202,7 +2091,7 @@ mod tests {
                 let plan = PlanBuilder::new(&l)
                     .cores(3)
                     .execution(model)
-                    .fastmath(fastmath)
+                    .scheduler(fastmath_spec(fastmath))
                     .pre_order(PreOrder::Rcm)
                     .build()
                     .unwrap();
@@ -2308,7 +2197,7 @@ mod tests {
                             .orientation(orientation)
                             .cores(3)
                             .execution(model)
-                            .fastmath(fastmath)
+                            .scheduler(fastmath_spec(fastmath))
                             .reorder(reorder)
                             .runtime(Arc::clone(runtime))
                             .build()

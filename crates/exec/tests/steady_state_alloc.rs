@@ -88,7 +88,7 @@ fn single_rhs_solves_do_not_allocate() {
         let plan = PlanBuilder::new(&l)
             .cores(3)
             .execution(model)
-            .fastmath(fastmath)
+            .scheduler(if fastmath { "growlocal:fastmath=on" } else { "growlocal" })
             .runtime(Arc::clone(&runtime))
             .build()
             .unwrap();
@@ -123,7 +123,7 @@ fn multi_rhs_solves_do_not_allocate() {
         let plan = PlanBuilder::new(&l)
             .cores(3)
             .execution(model)
-            .fastmath(fastmath)
+            .scheduler(if fastmath { "growlocal:fastmath=on" } else { "growlocal" })
             .runtime(Arc::clone(&runtime))
             .build()
             .unwrap();

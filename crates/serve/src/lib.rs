@@ -15,15 +15,16 @@
 //! * **Coalescing combiner** — queued requests are fused into one
 //!   multi-RHS solve through the plan's borrowed-RHS entry point
 //!   ([`SolvePlan::solve_batch_in_place`]): one dispatch, one lease and
-//!   one matrix traversal serve up to `batch=N` requests. Whoever needs a
-//!   result runs the batch (flat combining, Hendler et al., SPAA 2010): a
-//!   [`SolveHandle::wait`] that finds the combiner free drains the queue
-//!   and solves on its own thread, with no linger and no thread handoff,
-//!   completing every request it fused. A background batcher thread is
-//!   only the fallback for requests nobody waits on (async submitters,
-//!   [`SolveHandle::is_ready`] pollers, dropped handles, the shutdown
-//!   drain); for those the `batch_wait_us` linger bounds how long a
-//!   request waits for company before a partial batch dispatches;
+//!   one matrix traversal serve up to [`ServeBuilder::max_batch`]
+//!   requests. Whoever needs a result runs the batch (flat combining,
+//!   Hendler et al., SPAA 2010): a [`SolveHandle::wait`] that finds the
+//!   combiner free drains the queue and solves on its own thread, with no
+//!   linger and no thread handoff, completing every request it fused. A
+//!   background batcher thread is only the fallback for requests nobody
+//!   waits on (async submitters, [`SolveHandle::is_ready`] pollers,
+//!   dropped handles, the shutdown drain); for those the
+//!   [`ServeBuilder::batch_wait`] linger bounds how long a request waits
+//!   for company before a partial batch dispatches;
 //! * **Admission control** — when the queue is full (depth implies the
 //!   latency budget is blown) a submit either blocks
 //!   ([`Admission::Block`]) or is shed with its buffer returned
@@ -45,13 +46,17 @@
 //!
 //! ```
 //! use sptrsv_exec::PlanBuilder;
-//! use sptrsv_serve::SolveServer;
+//! use sptrsv_serve::ServeBuilder;
 //! use sptrsv_sparse::gen::grid::{grid2d_laplacian, Stencil2D};
+//! use std::time::Duration;
 //!
 //! let l = grid2d_laplacian(16, 16, Stencil2D::FivePoint, 0.5).lower_triangle().unwrap();
-//! // `batch=` / `batch_wait_us=` are execution-policy keys like any other.
-//! let plan = PlanBuilder::new(&l).scheduler("growlocal:batch=8,batch_wait_us=100").build()?;
-//! let server = SolveServer::start(plan);
+//! let plan = PlanBuilder::new(&l).scheduler("growlocal").build()?;
+//! // The batch width and linger are the server's own settings.
+//! let server = ServeBuilder::new(plan)
+//!     .max_batch(8)
+//!     .batch_wait(Duration::from_micros(100))
+//!     .start();
 //! let handle = server.submit(vec![1.0; l.n_rows()]).unwrap();
 //! let response = handle.wait();
 //! assert!(sptrsv_sparse::linalg::relative_residual(&l, &response.x, &vec![1.0; l.n_rows()]) < 1e-12);
@@ -69,12 +74,10 @@ use std::sync::{Arc, Barrier, Condvar, Mutex, MutexGuard, TryLockError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Batch width applied when neither [`ServeBuilder::max_batch`] nor the
-/// plan's `batch=` policy key is given.
+/// Batch width applied when [`ServeBuilder::max_batch`] is not called.
 pub const DEFAULT_MAX_BATCH: usize = 8;
 
-/// Linger bound applied when neither [`ServeBuilder::batch_wait`] nor the
-/// plan's `batch_wait_us=` policy key is given.
+/// Linger bound applied when [`ServeBuilder::batch_wait`] is not called.
 pub const DEFAULT_BATCH_WAIT: Duration = Duration::from_micros(100);
 
 /// Largest queue depth [`ServeBuilder::latency_budget`] derives. A budget
@@ -298,22 +301,19 @@ impl ServerStats {
 
 /// Configures and starts a [`SolveServer`]; see the module docs.
 ///
-/// Defaults come from the plan's execution policy (`batch=` /
-/// `batch_wait_us=` spec keys or the typed `PlanBuilder` knobs), then the
-/// crate defaults; the builder's own setters win over both.
+/// The batch width and linger are set here and nowhere else; unset, they
+/// are [`DEFAULT_MAX_BATCH`] and [`DEFAULT_BATCH_WAIT`].
 pub struct ServeBuilder {
     plan: Arc<SolvePlan>,
-    max_batch: Option<usize>,
-    batch_wait: Option<Duration>,
+    max_batch: usize,
+    batch_wait: Duration,
     queue_depth: Option<usize>,
     admission: Admission,
 }
 
 impl ServeBuilder {
-    /// A builder serving `plan` with the policy-resolved defaults: batch
-    /// width from the plan's `batch=` key (else 8), linger from
-    /// `batch_wait_us=` (else 100 µs), queue depth `4 × batch width`,
-    /// blocking admission.
+    /// A builder serving `plan` with the defaults: batch width 8, linger
+    /// 100 µs, queue depth `4 × batch width`, blocking admission.
     pub fn new(plan: SolvePlan) -> ServeBuilder {
         ServeBuilder::from_arc(Arc::new(plan))
     }
@@ -326,28 +326,28 @@ impl ServeBuilder {
     pub fn from_arc(plan: Arc<SolvePlan>) -> ServeBuilder {
         ServeBuilder {
             plan,
-            max_batch: None,
-            batch_wait: None,
+            max_batch: DEFAULT_MAX_BATCH,
+            batch_wait: DEFAULT_BATCH_WAIT,
             queue_depth: None,
             admission: Admission::default(),
         }
     }
 
-    /// Maximum requests fused into one multi-RHS solve. Overrides the
-    /// plan's `batch=` policy key.
+    /// Maximum requests fused into one multi-RHS solve. Batching changes
+    /// grouping, never per-column arithmetic, so fused results stay
+    /// bit-identical to per-request solves.
     pub fn max_batch(mut self, max_batch: usize) -> ServeBuilder {
         assert!(max_batch > 0, "a batch fuses at least one request");
-        self.max_batch = Some(max_batch);
+        self.max_batch = max_batch;
         self
     }
 
     /// How long a request nobody waits on lingers for company before the
     /// batcher dispatches it in a partial batch (zero = dispatch
     /// immediately). A request whose handle is in [`SolveHandle::wait`]
-    /// never pays it: the waiter solves the batch itself. Overrides the
-    /// plan's `batch_wait_us=` policy key.
+    /// never pays it: the waiter solves the batch itself.
     pub fn batch_wait(mut self, batch_wait: Duration) -> ServeBuilder {
-        self.batch_wait = Some(batch_wait);
+        self.batch_wait = batch_wait;
         self
     }
 
@@ -377,28 +377,17 @@ impl ServeBuilder {
             !est_batch_solve.is_zero(),
             "a batch solve takes time: the estimate must be nonzero"
         );
-        let width = self.effective_max_batch();
+        let width = self.max_batch;
         let batches_in_budget =
             usize::try_from(budget.as_nanos() / est_batch_solve.as_nanos()).unwrap_or(usize::MAX);
         let depth = batches_in_budget.saturating_mul(width).clamp(1, MAX_BUDGET_DEPTH);
         self.queue_depth(depth)
     }
 
-    fn effective_max_batch(&self) -> usize {
-        self.max_batch.or(self.plan.exec_policy().batch).unwrap_or(DEFAULT_MAX_BATCH)
-    }
-
     /// Starts the fallback batcher thread and returns the running server
     /// once that thread runs.
     pub fn start(self) -> SolveServer {
-        let max_batch = self.effective_max_batch();
-        let batch_wait = self.batch_wait.unwrap_or_else(|| {
-            self.plan
-                .exec_policy()
-                .batch_wait_us
-                .map(Duration::from_micros)
-                .unwrap_or(DEFAULT_BATCH_WAIT)
-        });
+        let (max_batch, batch_wait) = (self.max_batch, self.batch_wait);
         let queue_depth = self.queue_depth.unwrap_or(4 * max_batch);
         // Warm slots cycle queue -> batch -> pool: depth + one full batch
         // in flight bounds the live population, headroom absorbs handles
@@ -461,8 +450,8 @@ pub struct SolveServer {
 }
 
 impl SolveServer {
-    /// Starts a server over `plan` with policy-resolved defaults
-    /// (equivalent to `SolveServer::builder(plan).start()`).
+    /// Starts a server over `plan` with the default batch width, linger,
+    /// depth and admission (equivalent to `SolveServer::builder(plan).start()`).
     pub fn start(plan: SolvePlan) -> SolveServer {
         ServeBuilder::new(plan).start()
     }
@@ -474,7 +463,7 @@ impl SolveServer {
     }
 
     /// The plan this server solves with (e.g. to compute reference
-    /// solutions or inspect the resolved policy).
+    /// solutions or inspect its execution policy).
     pub fn plan(&self) -> &SolvePlan {
         &self.shared.plan
     }

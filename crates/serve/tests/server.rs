@@ -1,5 +1,5 @@
 //! Serving semantics: linger expiry for un-awaited requests, caller-runs
-//! combining for awaited ones, `batch=N` capping, backpressure, clean
+//! combining for awaited ones, `max_batch` capping, backpressure, clean
 //! shutdown, builder validation, in-place buffers — plus the
 //! bit-identity property test (any interleaving of submissions matches
 //! serial per-request solves bit-for-bit).
@@ -176,6 +176,17 @@ fn shutdown_while_a_waiter_combines_drains_every_request() {
     for (i, handle) in handles.into_iter().enumerate().skip(1) {
         assert_eq!(handle.unwrap().wait().x, expected[i], "request {i}");
     }
+}
+
+#[test]
+fn an_unconfigured_server_batches_eight_and_lingers_100_us() {
+    // Drift-bench serves through `ServeBuilder::from_arc(plan).start()`
+    // and relies on these defaults.
+    let server = ServeBuilder::new(plan()).start();
+    assert_eq!(server.max_batch(), 8);
+    assert_eq!(server.batch_wait(), Duration::from_micros(100));
+    assert_eq!(server.queue_depth(), 4 * 8);
+    server.shutdown();
 }
 
 #[test]

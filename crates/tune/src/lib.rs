@@ -1,6 +1,6 @@
 //! # sptrsv-tune — the `spec=auto` decision layer
 //!
-//! The registry enumerates 7 schedulers × 3 execution models × 9 policy
+//! The registry enumerates 7 schedulers × 3 execution models × 4 policy
 //! keys, and the calibrated simulator can rank them — this crate is the
 //! piece that *chooses*. It sits between `sptrsv-datasets`'
 //! [`MatrixStats`](sptrsv_datasets::MatrixStats) and
@@ -63,7 +63,9 @@ pub mod verdict;
 pub use candidates::{CandidateSet, Pruned};
 pub use features::TuneFeatures;
 
-use sptrsv_core::registry::{resolve_exec_policy, ExecModel, RegistryError, SchedulerSpec};
+use sptrsv_core::registry::{
+    is_exec_policy_param, resolve_exec_policy, ExecModel, RegistryError, SchedulerSpec,
+};
 use sptrsv_core::serialize::PlanFingerprint;
 use sptrsv_exec::{CacheOutcome, MachineProfile, PlanBuilder, PlanCache, PlanError};
 use sptrsv_sparse::CsrMatrix;
@@ -213,12 +215,6 @@ pub struct Tuner<'m> {
     passthrough: Vec<(String, String)>,
 }
 
-/// Execution-policy keys `auto:` passes through to the winner: the
-/// registry's seven policy keys except `sync=`, which is matched by value
-/// (pinned by `passthrough_keys_mirror_the_registry_policy_keys`).
-const POLICY_KEYS: &[&str] =
-    &["backoff", "cores", "fastmath", "batch", "batch_wait_us", "plan_cache"];
-
 impl<'m> Tuner<'m> {
     /// A tuner for `matrix` (the lower-triangular operand) with default
     /// budget, profile and no verdict cache.
@@ -273,10 +269,7 @@ impl<'m> Tuner<'m> {
                     }
                     tuner.cache_dir = Some(PathBuf::from(value));
                 }
-                "sync" if value == "full" || value == "reduced" => {
-                    tuner.passthrough.push((key.clone(), value.clone()));
-                }
-                k if POLICY_KEYS.contains(&k) => {
+                k if is_exec_policy_param(k, value) => {
                     tuner.passthrough.push((key.clone(), value.clone()));
                 }
                 _ => {
@@ -423,9 +416,7 @@ impl<'m> Tuner<'m> {
 
         // Score: build each candidate's schedule and rank modeled cycles.
         // Passthrough policy keys are applied *before* scoring so a
-        // pinned `fastmath=off` or `sync=full` changes the model — but
-        // `plan_cache` is held back until the winner is known (scoring
-        // must not litter the plan cache with losers).
+        // pinned `fastmath=off` or `sync=full` changes the model.
         //
         // Candidates that differ only in model or policy (`@barrier` /
         // `@async` / `@serial`, `fastmath=on`) share one schedule: a plan
@@ -437,9 +428,7 @@ impl<'m> Tuner<'m> {
         for candidate in survivors {
             let mut spec = candidate;
             for (k, v) in &self.passthrough {
-                if k != "plan_cache" {
-                    spec = spec.with(k.clone(), v.clone());
-                }
+                spec = spec.with(k.clone(), v.clone());
             }
             let plan = PlanBuilder::new(self.matrix)
                 .scheduler(spec.to_string())
@@ -488,10 +477,7 @@ impl<'m> Tuner<'m> {
         }
 
         let ranked: Vec<TuneEntry> = scored.into_iter().map(|(e, _)| e).collect();
-        let mut winner = ranked[winner_idx].spec.clone();
-        if let Some((k, v)) = self.passthrough.iter().rev().find(|(k, _)| k == "plan_cache") {
-            winner = winner.with(k.clone(), v.clone());
-        }
+        let winner = ranked[winner_idx].spec.clone();
 
         let mut cache = CacheStatus::Off;
         if let Some(dir) = &self.cache_dir {
@@ -828,18 +814,26 @@ mod tests {
 
     #[test]
     fn passthrough_keys_mirror_the_registry_policy_keys() {
-        // The registry strips exactly its policy keys from a schedule
-        // identity: every passthrough key (plus `sync=`) must be one of
-        // them, and `grant=`/`elastic=`/`shrink=` are not.
-        let mut spec = SchedulerSpec::new("growlocal").with("sync", "full");
-        for key in POLICY_KEYS {
-            let value = if *key == "backoff" { "yield" } else { "1" };
-            spec = spec.with(*key, value);
-        }
-        assert_eq!(sptrsv_core::registry::schedule_identity(&spec), "growlocal");
+        // `auto:` passes every row of the registry's policy table through
+        // to the winner, and nothing else: removed keys, and `growlocal`'s
+        // numeric `sync`, are unknown auto keys named in the error.
         let l = grid();
-        for key in ["grant", "elastic", "shrink"] {
-            let err = Tuner::from_spec(&l, &format!("auto:{key}=on")).unwrap_err();
+        for row in registry::exec_policy_keys() {
+            let value = if row.key == "cores" { "2" } else { row.default };
+            let tuner = Tuner::from_spec(&l, &format!("auto:{}={value}", row.key)).unwrap();
+            let passthrough = tuner.unwrap().passthrough;
+            assert_eq!(passthrough, [(row.key.to_string(), value.to_string())]);
+        }
+        for (key, value) in [
+            ("grant", "on"),
+            ("elastic", "on"),
+            ("shrink", "on"),
+            ("batch", "8"),
+            ("batch_wait_us", "0"),
+            ("plan_cache", "/tmp/x"),
+            ("sync", "2000"),
+        ] {
+            let err = Tuner::from_spec(&l, &format!("auto:{key}={value}")).unwrap_err();
             assert!(matches!(&err, TuneError::Spec(m) if m.contains(key)), "{key}: {err}");
         }
     }

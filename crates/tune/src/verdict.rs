@@ -159,11 +159,15 @@ mod tests {
 
     #[test]
     fn a_checksummed_winner_with_an_unknown_key_is_a_cache_error() {
-        // `elastic=` is not a policy key: a verdict naming it is
-        // corruption at read time, whatever its checksum says.
-        let spec: SchedulerSpec = "growlocal:elastic=on@barrier".parse().unwrap();
-        let text = write_verdict(&fp(), &spec);
-        let err = read_verdict(&text, &fp()).unwrap_err();
-        assert!(matches!(&err, TuneError::Cache(m) if m.contains("elastic")), "got: {err}");
+        // `elastic=` and `batch=` are not policy keys: a verdict naming one
+        // is corruption at read time, whatever its checksum says.
+        for (text, key) in
+            [("growlocal:elastic=on@barrier", "elastic"), ("growlocal:batch=8@barrier", "batch")]
+        {
+            let spec: SchedulerSpec = text.parse().unwrap();
+            let verdict = write_verdict(&fp(), &spec);
+            let err = read_verdict(&verdict, &fp()).unwrap_err();
+            assert!(matches!(&err, TuneError::Cache(m) if m.contains(key)), "{text}: {err}");
+        }
     }
 }

@@ -9,9 +9,9 @@
 //! system and many request threads submit single right-hand sides. Each
 //! plan's [`SolveServer`] queues the submissions, and whichever client
 //! reaches `wait` while its request is still queued takes the combiner
-//! role and fuses up to `batch=N` of them into **one** multi-RHS solve on
-//! its own thread (a fallback batcher thread only serves requests nobody
-//! waits on, after the `batch_wait_us` linger) — one dispatch, one core
+//! role and fuses up to `max_batch` of them into **one** multi-RHS solve
+//! on its own thread (a fallback batcher thread only serves requests
+//! nobody waits on, after the `batch_wait` linger) — one dispatch, one core
 //! lease and one matrix traversal serve a whole batch, so per-request
 //! overhead is amortized exactly like the paper amortizes scheduling
 //! cost across repeated solves. Fusion changes grouping, never
@@ -25,6 +25,7 @@
 use sptrsv::exec::{PlanBuilder, SolverRuntime};
 use sptrsv::prelude::*;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// `q`-th percentile (0..=1) of an unsorted latency sample, in ms.
 fn percentile(samples: &mut [f64], q: f64) -> f64 {
@@ -39,23 +40,17 @@ fn main() {
     let runtime = Arc::new(SolverRuntime::new(4));
 
     // Two tenants: a 2D FEM plate and a 3D reservoir, each behind its own
-    // server. `batch=` / `batch_wait_us=` are ordinary execution-policy
-    // keys, so the serving shape rides the scheduler spec.
-    let systems: Vec<(&str, CsrMatrix, &str)> = vec![
-        (
-            "fem-plate",
-            grid2d_laplacian(60, 60, Stencil2D::NinePoint, 0.5),
-            "growlocal:batch=8,batch_wait_us=150",
-        ),
-        (
-            "reservoir",
-            grid3d_laplacian(12, 12, 12, Stencil3D::SevenPoint, 0.5),
-            "spmp:batch=4,batch_wait_us=150@async",
-        ),
+    // server. The spec says how a plan solves; the server's builder says
+    // how many requests it fuses (`max_batch`) and how long a request
+    // nobody waits on lingers for company (`batch_wait`).
+    let linger = Duration::from_micros(150);
+    let systems: Vec<(&str, CsrMatrix, &str, usize)> = vec![
+        ("fem-plate", grid2d_laplacian(60, 60, Stencil2D::NinePoint, 0.5), "growlocal", 8),
+        ("reservoir", grid3d_laplacian(12, 12, 12, Stencil3D::SevenPoint, 0.5), "spmp@async", 4),
     ];
     let servers: Vec<(&str, Arc<SolveServer>)> = systems
         .iter()
-        .map(|(name, a, spec)| {
+        .map(|(name, a, spec, batch)| {
             let l = a.lower_triangle().expect("square SPD operand");
             let plan = PlanBuilder::new(&l)
                 .scheduler(*spec)
@@ -63,7 +58,11 @@ fn main() {
                 .runtime(Arc::clone(&runtime))
                 .build()
                 .expect("valid plan");
-            let server = SolveServer::builder(plan).admission(Admission::Block).start();
+            let server = SolveServer::builder(plan)
+                .max_batch(*batch)
+                .batch_wait(linger)
+                .admission(Admission::Block)
+                .start();
             println!(
                 "{name:>10}: serving {} rows under {spec} (batch={}, linger {} us, depth {})",
                 l.n_rows(),

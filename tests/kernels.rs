@@ -208,9 +208,8 @@ fn fastmath_agrees_with_exact_path_on_every_suite_scheduler_and_model() {
                     .unwrap_or_else(|e| panic!("`{spec}`: {e}"))
                     .solve(&b);
                 let plan = PlanBuilder::new(&ds.lower)
-                    .scheduler(&spec)
+                    .scheduler(format!("{}:fastmath=on@{model}", info.name))
                     .cores(4)
-                    .fastmath(true)
                     .build()
                     .unwrap_or_else(|e| panic!("`{spec}` fastmath: {e}"));
                 assert!(plan.exec_policy().fastmath);
@@ -258,7 +257,7 @@ fn fastmath_multi_rhs_agrees_column_by_column() {
                 let plan = PlanBuilder::new(&ds.lower)
                     .cores(4)
                     .execution(model)
-                    .fastmath(fastmath)
+                    .scheduler(if fastmath { "growlocal:fastmath=on" } else { "growlocal" })
                     .runtime(Arc::clone(&runtime))
                     .build()
                     .unwrap();

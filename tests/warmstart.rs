@@ -17,7 +17,7 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use sptrsv::core::registry;
+use sptrsv::core::registry::{self, SchedulerSpec};
 use sptrsv::core::{read_plan_file, PlanCache, SavedPlan, SerializeError};
 use sptrsv::exec::{
     CacheOutcome, ExecModel, Orientation, PlanBuilder, PlanError, PreOrder, SolvePlan,
@@ -187,15 +187,15 @@ fn every_plan_source_assembles_the_same_plan() {
         for scheduler in ["spmp", "growlocal"] {
             for suffix in ["@barrier", "@serial", ":sync=reduced@async", ":sync=full@async"] {
                 for fastmath in [false, true] {
-                    let spec = format!("{scheduler}{suffix}");
-                    let config =
-                        format!("{orientation:?} {pre_order:?} {spec} fastmath={fastmath}");
+                    let spec: SchedulerSpec = format!("{scheduler}{suffix}").parse().unwrap();
+                    let spec = spec.with("fastmath", if fastmath { "on" } else { "off" });
+                    let spec = spec.to_string();
+                    let config = format!("{orientation:?} {pre_order:?} {spec}");
                     let build = || {
                         PlanBuilder::new(m)
                             .orientation(*orientation)
                             .pre_order(*pre_order)
                             .scheduler(&spec)
-                            .fastmath(fastmath)
                             .cores(3)
                     };
                     config_id += 1;
