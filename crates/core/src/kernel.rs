@@ -245,6 +245,12 @@ impl KernelPlan {
         &self.ops[self.op_ptr[cell] as usize..self.op_ptr[cell + 1] as usize]
     }
 
+    /// Number of `(step, core)` cells the plan covers (one for
+    /// [`KernelPlan::detect_serial`]).
+    pub fn n_cells(&self) -> usize {
+        self.op_ptr.len() - 1
+    }
+
     /// The packed dense blocks referenced by [`KernelOp::Dense`].
     pub fn blocks(&self) -> &[DenseBlock] {
         &self.blocks

@@ -1,32 +1,29 @@
-//! Asynchronous (point-to-point synchronized) executor, SpMP-style.
+//! The done-flag strategy: point-to-point synchronization, SpMP-style.
 //!
 //! Instead of a global barrier per superstep, every thread walks its own
 //! cells in schedule order and waits on per-vertex *done* flags of
 //! the parents it needs — exactly SpMP's "move on as soon as your inputs are
-//! ready" execution \[PSSD14\]. The synchronization DAG may be the transitive
-//! reduction of the solve DAG
-//! ([`sptrsv_dag::transitive::approximate_transitive_reduction`], the
-//! planner's `sync=reduced` policy): waiting on fewer edges is the second
-//! half of SpMP's trick. The wait loop itself runs under the executor's
-//! [`Backoff`](sptrsv_core::registry::Backoff) policy (`spin` or `yield`,
-//! the §8 backoff exploration).
+//! ready" execution \[PSSD14\]. The wait DAG is the solve DAG itself or,
+//! under a plan's `sync=reduced` policy, its approximate transitive
+//! reduction ([`sptrsv_dag::transitive::approximate_transitive_reduction`]):
+//! waiting on fewer edges is the second half of SpMP's trick. Only the
+//! crate picks the wait DAG — [`Executor::new`](crate::Executor::new)
+//! waits on the full solve DAG it validated the schedule against, and a
+//! reduction comes only from the plan layer, which derives it or checks a
+//! saved one against its two-path witnesses. The wait loop itself runs
+//! under the executor's [`Backoff`](sptrsv_core::registry::Backoff)
+//! policy (`spin` or `yield`, the §8 backoff exploration).
 //!
-//! Threads are **leased per solve** from the executor's
-//! [`SolverRuntime`](crate::runtime::SolverRuntime): a lease of width `k`
-//! runs a schedule compiled for `n ≥ k` cores by striding (lease thread
-//! `t` owns schedule cores `t, t+k, …`), so concurrent plans share the
-//! machine and a contended solve degrades gracefully down to serial. Like
-//! its siblings, the executor runs the crate's one superstep engine over
-//! the shared [`CompiledSchedule`] layout; only the synchronization (the
-//! engine's done-flag strategy) differs from [`crate::barrier`].
+//! Threads are leased per solve and stride the schedule's cores exactly
+//! as under the [barrier strategy](crate::barrier); only the
+//! synchronization differs.
 //!
 //! The done flags are a **generation-counted array owned by the executor**
 //! (`done[v] == generation` means "v is solved in the current solve"), so
 //! steady-state solves allocate nothing — bumping the generation resets
 //! every flag at once, and the array is only zeroed on the (once per 2³²
 //! solves) wrap-around. A mutex around the generation state serializes
-//! concurrent solves on one shared executor, which the per-executor pool's
-//! run lock previously did implicitly.
+//! concurrent solves on one shared executor.
 //!
 //! # Safety argument
 //!
@@ -49,113 +46,180 @@
 //! lease's publish and completion wait, and the generation mutex is held
 //! for the whole solve, so no state is shared between solves.
 
-use crate::engine::{solve_width, Engine, Flags, Identity, One};
-use crate::executor::{Executor, UserOperands};
-use crate::runtime::RuntimeHandle;
-use sptrsv_core::kernel::KernelPlan;
-use sptrsv_core::registry::{ExecModel, ExecPolicy};
-use sptrsv_core::{CompiledSchedule, Schedule, ScheduleError};
+use crate::engine::{Engine, Hooks, StepFn};
+use crate::runtime::{backoff_wait, CoreLease};
+use sptrsv_core::registry::Backoff;
+use sptrsv_core::CompiledSchedule;
 use sptrsv_dag::SolveDag;
-use sptrsv_sparse::{CsrMatrix, Permutation};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
-/// Pre-planned asynchronous executor.
-pub struct AsyncExecutor {
-    /// The compiled cells, kernel plan and runtime. The policy's backoff
-    /// drives the done-flag spins.
-    engine: Engine,
-    /// Cross-core wait lists and the generation-counted done flags (see
-    /// the module docs).
-    flags: Flags,
+/// The executor-owned done-flag array: `flags[v] == generation` marks `v`
+/// solved in the current solve. Reused across solves (allocation-free
+/// steady state); the generation's mutex also serializes concurrent
+/// solves on one shared executor.
+struct DoneFlags {
+    flags: Vec<AtomicU32>,
+    generation: Mutex<u32>,
 }
 
-impl AsyncExecutor {
-    /// Builds the executor. `sync_dag` is the dependency graph to wait on —
-    /// pass the solve DAG itself, or its transitive reduction for
-    /// SpMP-style sparsified synchronization (reachability, and hence
-    /// correctness, is identical). Solves lease from the process-wide
-    /// [`SolverRuntime::global`](crate::runtime::SolverRuntime::global)
-    /// runtime.
-    pub fn new(
-        matrix: &CsrMatrix,
-        schedule: &Schedule,
-        sync_dag: &SolveDag,
-    ) -> Result<AsyncExecutor, ScheduleError> {
-        let full_dag = SolveDag::from_lower_triangular(matrix);
-        schedule.validate(&full_dag)?;
-        let compiled = Arc::new(CompiledSchedule::from_schedule(schedule));
-        let (runtime, policy) = (RuntimeHandle::default(), ExecPolicy::default());
-        Ok(Self::from_compiled(compiled, None, sync_dag, runtime, policy))
+impl DoneFlags {
+    fn new(n: usize) -> DoneFlags {
+        DoneFlags { flags: (0..n).map(|_| AtomicU32::new(0)).collect(), generation: Mutex::new(0) }
     }
 
-    /// Wraps an already-validated compiled schedule (shared with sibling
-    /// executors by [`crate::plan::SolvePlan`]) and its optional fastmath
-    /// kernel plan; crate-private for the same reason as
-    /// [`crate::barrier::BarrierExecutor::from_compiled`].
-    pub(crate) fn from_compiled(
-        compiled: Arc<CompiledSchedule>,
-        kernel: Option<Arc<KernelPlan>>,
-        sync_dag: &SolveDag,
-        runtime: RuntimeHandle,
-        policy: ExecPolicy,
-    ) -> AsyncExecutor {
-        let flags = Flags::new(&compiled, sync_dag, policy.backoff);
-        AsyncExecutor { engine: Engine::new(compiled, kernel, Some(runtime), policy), flags }
-    }
-
-    /// Solves `L x = b` with point-to-point synchronization.
-    pub fn solve(&self, l: &CsrMatrix, b: &[f64], x: &mut [f64]) {
-        let (_turn, flags) = self.flags.begin();
-        self.engine.solve(flags, l, Identity(b), x, One);
-    }
-
-    /// Solves `L X = B` (`r` right-hand sides, row-major) with point-to-point
-    /// synchronization: one *done* flag per row, set after all `r` values.
-    pub fn solve_multi(&self, l: &CsrMatrix, b: &[f64], x: &mut [f64], r: usize) {
-        let (_turn, flags) = self.flags.begin();
-        solve_width((&self.engine, flags), l, Identity(b), x, r);
+    /// Starts a new solve: bumps the generation so every flag reads
+    /// "not done", zeroing the array only when the counter wraps. The
+    /// returned guard holds the new generation for the whole solve; the
+    /// lease's dispatch publishes the zeroing to the solve's threads.
+    fn begin_solve(&self) -> MutexGuard<'_, u32> {
+        let mut generation =
+            self.generation.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        *generation = generation.wrapping_add(1);
+        if *generation == 0 {
+            for flag in &self.flags {
+                flag.store(0, Ordering::Relaxed);
+            }
+            *generation = 1;
+        }
+        generation
     }
 }
 
-impl Executor for AsyncExecutor {
-    fn model(&self) -> ExecModel {
-        ExecModel::Async
+/// Point-to-point synchronization through per-row done flags.
+pub(crate) struct Flags {
+    /// For every vertex, the parents on *other* schedule cores that must
+    /// be awaited (same-core dependencies are ordered by the cell walk).
+    waits: Vec<Vec<u32>>,
+    done: DoneFlags,
+    backoff: Backoff,
+    /// Raised by a panicking thread so siblings spinning on its flags
+    /// unwind too (the runtime re-raises on the leaseholder).
+    abort: AtomicBool,
+}
+
+impl Flags {
+    /// Wait lists of `compiled` against `sync_dag` (the solve DAG or a
+    /// reduction with the same reachability); waits spin under `backoff`.
+    pub(crate) fn new(compiled: &CompiledSchedule, sync_dag: &SolveDag, backoff: Backoff) -> Flags {
+        let n = compiled.n_vertices();
+        assert_eq!(sync_dag.n(), n, "sync DAG size mismatch");
+        let core_of = compiled.core_assignment();
+        let waits = (0..n)
+            .map(|v| {
+                let cross = sync_dag.parents(v).iter().filter(|&&u| core_of[u] != core_of[v]);
+                cross.map(|&u| u as u32).collect()
+            })
+            .collect();
+        Flags { waits, done: DoneFlags::new(n), backoff, abort: AtomicBool::new(false) }
     }
 
-    fn solve(&self, l: &CsrMatrix, b: &[f64], x: &mut [f64]) {
-        AsyncExecutor::solve(self, l, b, x);
+    /// Starts one solve under a fresh generation; the returned guard
+    /// serializes solves on this executor and must outlive the solve.
+    pub(crate) fn begin(&self) -> (MutexGuard<'_, u32>, FlagSolve<'_>) {
+        let turn = self.done.begin_solve();
+        // Relaxed: the lease's job dispatch publishes it, as the zeroing.
+        self.abort.store(false, Ordering::Relaxed);
+        let solve = FlagSolve {
+            waits: &self.waits,
+            done: &self.done.flags,
+            generation: *turn,
+            backoff: self.backoff,
+            abort: &self.abort,
+        };
+        (turn, solve)
+    }
+}
+
+/// One solve under [`Flags`], passed by value so its fields stay in
+/// registers across the flag spins.
+#[derive(Clone, Copy)]
+pub(crate) struct FlagSolve<'a> {
+    waits: &'a [Vec<u32>],
+    done: &'a [AtomicU32],
+    generation: u32,
+    backoff: Backoff,
+    abort: &'a AtomicBool,
+}
+
+impl Hooks for FlagSolve<'_> {
+    /// Waits (under the policy's backoff) until every cross-core parent of
+    /// `i` carries the solve's generation; panics if a sibling aborted.
+    /// A dense block awaits all its rows first — deadlock-free, since a
+    /// cross-core parent always lies in a strictly earlier superstep
+    /// (Definition 2.1), so waits only point backwards in superstep order.
+    #[inline]
+    fn before(&self, i: usize) {
+        for &u in &self.waits[i] {
+            let mut spins = 0;
+            while self.done[u as usize].load(Ordering::Acquire) != self.generation {
+                if self.abort.load(Ordering::Relaxed) {
+                    panic!("parallel solve aborted: a sibling core panicked");
+                }
+                backoff_wait(self.backoff, &mut spins);
+            }
+        }
     }
 
-    fn solve_multi(&self, l: &CsrMatrix, b: &[f64], x: &mut [f64], r: usize) {
-        AsyncExecutor::solve_multi(self, l, b, x, r);
+    #[inline]
+    fn after(&self, i: usize) {
+        self.done[i].store(self.generation, Ordering::Release);
     }
 
-    fn solve_user(&self, l: &CsrMatrix, to_internal: &Permutation, user: UserOperands<'_>) {
-        let (_turn, flags) = self.flags.begin();
-        self.engine.solve_user(flags, l, to_internal, user);
+    fn drive(&self, lease: &mut CoreLease<'_>, engine: &Engine, body: &StepFn<'_>) {
+        let (width, n_steps) = (lease.size(), engine.compiled.n_supersteps());
+        lease.run(engine.policy.backoff, &|thread| {
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                body(thread, width, 0..n_steps);
+            }));
+            if let Err(panic) = result {
+                self.abort.store(true, Ordering::Release);
+                std::panic::resume_unwind(panic);
+            }
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::DoneFlags;
-    use crate::runtime::SolverRuntime;
+    use crate::executor::{Executor, Strategy};
+    use crate::runtime::{RuntimeHandle, SolverRuntime};
     use crate::serial::{solve_lower_multi_serial, solve_lower_serial};
+    use sptrsv_core::registry::{ExecModel, ExecPolicy};
     use sptrsv_core::{Scheduler, SpMp};
     use sptrsv_dag::transitive::approximate_transitive_reduction;
     use sptrsv_sparse::gen::grid::{grid2d_laplacian, Stencil2D};
-    use std::sync::atomic::Ordering;
+    use sptrsv_sparse::CsrMatrix;
+    use std::sync::Arc;
+
+    /// An SpMP executor for `cores` cores on a `w × h` five-point grid,
+    /// waiting on the reduced DAG, on `runtime` (the global one if `None`).
+    fn reduced(
+        w: usize,
+        h: usize,
+        cores: usize,
+        runtime: Option<Arc<SolverRuntime>>,
+    ) -> (CsrMatrix, Executor) {
+        let l = grid2d_laplacian(w, h, Stencil2D::FivePoint, 0.5).lower_triangle().unwrap();
+        let dag = SolveDag::from_lower_triangular(&l);
+        let compiled = Arc::new(CompiledSchedule::from_schedule(&SpMp.schedule(&dag, cores)));
+        let exec = Executor::planned(
+            Arc::new(l.clone()),
+            compiled,
+            None,
+            ExecModel::Async,
+            ExecPolicy::default(),
+            runtime.map_or_else(RuntimeHandle::default, RuntimeHandle::explicit),
+            Some(&approximate_transitive_reduction(&dag)),
+        );
+        (l, exec)
+    }
 
     #[test]
     fn async_matches_serial_with_reduced_sync_dag() {
-        let a = grid2d_laplacian(15, 11, Stencil2D::FivePoint, 0.5);
-        let l = a.lower_triangle().unwrap();
+        let (l, exec) = reduced(15, 11, 4, None);
         let n = l.n_rows();
-        let dag = SolveDag::from_lower_triangular(&l);
-        let schedule = SpMp.schedule(&dag, 4);
-        let reduced = approximate_transitive_reduction(&dag);
-        let exec = AsyncExecutor::new(&l, &schedule, &reduced).unwrap();
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).cos()).collect();
         let mut expected = vec![0.0; n];
         solve_lower_serial(&l, &b, &mut expected);
@@ -171,13 +235,8 @@ mod tests {
         // The executor-owned flag array must never leak "done" state from
         // one solve into the next: interleave two different right-hand
         // sides and check both stay bit-stable.
-        let a = grid2d_laplacian(12, 9, Stencil2D::FivePoint, 0.5);
-        let l = a.lower_triangle().unwrap();
+        let (l, exec) = reduced(12, 9, 3, None);
         let n = l.n_rows();
-        let dag = SolveDag::from_lower_triangular(&l);
-        let schedule = SpMp.schedule(&dag, 3);
-        let reduced = approximate_transitive_reduction(&dag);
-        let exec = AsyncExecutor::new(&l, &schedule, &reduced).unwrap();
         let b1: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64).collect();
         let b2: Vec<f64> = (0..n).map(|i| ((i * 3) % 7) as f64 - 2.0).collect();
         let mut r1 = vec![0.0; n];
@@ -213,25 +272,13 @@ mod tests {
 
     #[test]
     fn degraded_lease_widths_match_full_width() {
-        let a = grid2d_laplacian(13, 8, Stencil2D::FivePoint, 0.5);
-        let l = a.lower_triangle().unwrap();
-        let n = l.n_rows();
-        let dag = SolveDag::from_lower_triangular(&l);
-        let schedule = SpMp.schedule(&dag, 4);
-        let reduced = approximate_transitive_reduction(&dag);
-        let compiled = Arc::new(CompiledSchedule::from_schedule(&schedule));
-        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).sin() + 0.25).collect();
-        let mut expected = vec![0.0; n];
-        solve_lower_serial(&l, &b, &mut expected);
         for capacity in 1..=4 {
             let runtime = Arc::new(SolverRuntime::new(capacity));
-            let exec = AsyncExecutor::from_compiled(
-                Arc::clone(&compiled),
-                None,
-                &reduced,
-                RuntimeHandle::explicit(runtime),
-                ExecPolicy::default(),
-            );
+            let (l, exec) = reduced(13, 8, 4, Some(runtime));
+            let n = l.n_rows();
+            let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).sin() + 0.25).collect();
+            let mut expected = vec![0.0; n];
+            solve_lower_serial(&l, &b, &mut expected);
             let mut x = vec![f64::NAN; n];
             exec.solve(&l, &b, &mut x);
             assert_eq!(x, expected, "width {capacity} diverged");
@@ -240,13 +287,8 @@ mod tests {
 
     #[test]
     fn async_multi_rhs_matches_serial_multi() {
-        let a = grid2d_laplacian(12, 10, Stencil2D::FivePoint, 0.5);
-        let l = a.lower_triangle().unwrap();
+        let (l, exec) = reduced(12, 10, 4, None);
         let n = l.n_rows();
-        let dag = SolveDag::from_lower_triangular(&l);
-        let schedule = SpMp.schedule(&dag, 4);
-        let reduced = approximate_transitive_reduction(&dag);
-        let exec = AsyncExecutor::new(&l, &schedule, &reduced).unwrap();
         for r in [3, 10] {
             let b: Vec<f64> = (0..n * r).map(|i| (i as f64 * 0.23).sin() + 0.5).collect();
             let mut expected = vec![0.0; n * r];
@@ -259,12 +301,14 @@ mod tests {
 
     #[test]
     fn wait_lists_only_cross_core() {
-        let a = grid2d_laplacian(8, 8, Stencil2D::FivePoint, 0.5);
-        let l = a.lower_triangle().unwrap();
+        let l = grid2d_laplacian(8, 8, Stencil2D::FivePoint, 0.5).lower_triangle().unwrap();
         let dag = SolveDag::from_lower_triangular(&l);
         let schedule = SpMp.schedule(&dag, 2);
-        let exec = AsyncExecutor::new(&l, &schedule, &dag).unwrap();
-        for (v, waits) in exec.flags.waits.iter().enumerate() {
+        let exec = Executor::new(&l, &schedule, ExecModel::Async).unwrap();
+        let Strategy::Flags(flags) = &exec.strategy else {
+            panic!("async executor waits on flags")
+        };
+        for (v, waits) in flags.waits.iter().enumerate() {
             for &u in waits {
                 assert_ne!(schedule.core_of(u as usize), schedule.core_of(v));
             }

@@ -1,10 +1,9 @@
-//! Multi-threaded barrier executor.
+//! The barrier strategy: one synchronization barrier per superstep.
 //!
 //! Runs a BSP schedule exactly as the paper's kernel does (§6.1): threads
-//! processing their `(superstep, core)` cells in vertex order, with a
+//! process their `(superstep, core)` cells in vertex order, with a
 //! synchronization barrier between supersteps. The threads are **leased
-//! per solve** from the executor's [`SolverRuntime`](crate::runtime::SolverRuntime) (the process-wide
-//! core-leasing runtime, see [`crate::runtime`]): a lease of width `k`
+//! per solve** from the executor's [`SolverRuntime`](crate::runtime::SolverRuntime): a lease of width `k`
 //! runs a schedule compiled for `n ≥ k` cores by striding — lease thread
 //! `t` executes schedule cores `t, t+k, t+2k, …` of each superstep — so
 //! concurrent plans share the machine without oversubscription and a
@@ -17,17 +16,12 @@
 //! for the whole solve, so the safety argument below and the bit-identity
 //! of results hold at every granted width.
 //!
-//! The execution plan is a [`CompiledSchedule`] — the flat CSR-style cell
-//! layout compiled once at construction. Per solve, a thread's walk of its
-//! cells is pure pointer arithmetic over two shared arrays; nothing is
-//! allocated and no nested vectors are chased. The walk is the crate's one
-//! superstep engine under its barrier strategy, shared with every executor.
-//!
 //! # Safety argument
 //!
 //! The solution vector is shared mutably across threads through a raw
 //! pointer. This is sound because a valid schedule (Definition 2.1,
-//! enforced here by a [`Schedule::validate`] call) guarantees:
+//! enforced by a [`Schedule::validate`](sptrsv_core::Schedule::validate)
+//! call before any executor is built) guarantees:
 //!
 //! * each `x[v]` is written by exactly one thread (the one owning `v`'s
 //!   schedule core — core-to-thread striding is a function, so one thread
@@ -45,104 +39,33 @@
 //!   between the lease's publish and its completion wait, so nothing
 //!   outlives the borrow of `x`.
 
-use crate::engine::{solve_width, Barrier, Engine, Identity, One};
-use crate::executor::{Executor, UserOperands};
-use crate::runtime::RuntimeHandle;
-use sptrsv_core::kernel::KernelPlan;
-use sptrsv_core::registry::{ExecModel, ExecPolicy};
-use sptrsv_core::{CompiledSchedule, Schedule, ScheduleError};
-use sptrsv_sparse::{CsrMatrix, Permutation};
-use std::sync::Arc;
+use crate::engine::{Engine, Hooks, StepFn};
+use crate::runtime::CoreLease;
 
-/// Pre-planned executor: a reusable compiled schedule leasing cores from a
-/// [`SolverRuntime`](crate::runtime::SolverRuntime) per solve (the
-/// paper's amortization setting, §7.7,
-/// without owning threads).
-pub struct BarrierExecutor {
-    engine: Engine,
-}
+/// Barrier synchronization between supersteps; rows need no hooks. The
+/// serial sweeps run under it too.
+#[derive(Clone, Copy)]
+pub(crate) struct Barrier;
 
-impl BarrierExecutor {
-    /// Builds the executor after validating the schedule against the DAG
-    /// of the matrix; solves lease from the process-wide
-    /// [`SolverRuntime::global`](crate::runtime::SolverRuntime::global)
-    /// runtime.
-    pub fn new(matrix: &CsrMatrix, schedule: &Schedule) -> Result<BarrierExecutor, ScheduleError> {
-        let dag = sptrsv_dag::SolveDag::from_lower_triangular(matrix);
-        schedule.validate(&dag)?;
-        Ok(Self::from_compiled(
-            Arc::new(CompiledSchedule::from_schedule(schedule)),
-            None,
-            RuntimeHandle::default(),
-            ExecPolicy::default(),
-        ))
+impl Hooks for Barrier {
+    fn drive(&self, lease: &mut CoreLease<'_>, engine: &Engine, body: &StepFn<'_>) {
+        let one_step = |thread, width, step| body(thread, width, step..step + 1);
+        let n_steps = engine.compiled.n_supersteps();
+        lease.run_supersteps(engine.policy.backoff, n_steps, None, &one_step);
     }
-
-    /// Wraps an already-validated compiled schedule (shared with sibling
-    /// executors by [`crate::plan::SolvePlan`]). Callers must have validated
-    /// the source schedule against the matrix — the solve loop's safety rests
-    /// on it, which is why this is crate-private. A fastmath `kernel` plan
-    /// (detected from the same compiled schedule) replaces the exact scalar
-    /// loop with the planned blocked/unrolled kernels.
-    pub(crate) fn from_compiled(
-        compiled: Arc<CompiledSchedule>,
-        kernel: Option<Arc<KernelPlan>>,
-        runtime: RuntimeHandle,
-        policy: ExecPolicy,
-    ) -> BarrierExecutor {
-        BarrierExecutor { engine: Engine::new(compiled, kernel, Some(runtime), policy) }
-    }
-
-    /// The compiled execution plan.
-    pub fn compiled(&self) -> &CompiledSchedule {
-        &self.engine.compiled
-    }
-
-    /// Solves `L x = b` following the schedule, on cores leased from the
-    /// runtime.
-    pub fn solve(&self, l: &CsrMatrix, b: &[f64], x: &mut [f64]) {
-        self.engine.solve(Barrier, l, Identity(b), x, One);
-    }
-}
-
-impl Executor for BarrierExecutor {
-    fn model(&self) -> ExecModel {
-        ExecModel::Barrier
-    }
-
-    fn solve(&self, l: &CsrMatrix, b: &[f64], x: &mut [f64]) {
-        BarrierExecutor::solve(self, l, b, x);
-    }
-
-    fn solve_multi(&self, l: &CsrMatrix, b: &[f64], x: &mut [f64], r: usize) {
-        solve_width((&self.engine, Barrier), l, Identity(b), x, r);
-    }
-
-    fn solve_user(&self, l: &CsrMatrix, to_internal: &Permutation, user: UserOperands<'_>) {
-        self.engine.solve_user(Barrier, l, to_internal, user);
-    }
-}
-
-/// One-shot convenience: validate, plan and solve in one call.
-pub fn solve_with_barriers(
-    l: &CsrMatrix,
-    schedule: &Schedule,
-    b: &[f64],
-    x: &mut [f64],
-) -> Result<(), ScheduleError> {
-    let executor = BarrierExecutor::new(l, schedule)?;
-    executor.solve(l, b, x);
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::runtime::SolverRuntime;
+    use crate::executor::{solve_with_barriers, Executor};
+    use crate::runtime::{RuntimeHandle, SolverRuntime};
     use crate::serial::solve_lower_serial;
-    use sptrsv_core::{registry, GrowLocal, Scheduler};
+    use sptrsv_core::registry::{ExecModel, ExecPolicy};
+    use sptrsv_core::{registry, CompiledSchedule, GrowLocal, Schedule, Scheduler};
     use sptrsv_dag::SolveDag;
     use sptrsv_sparse::gen::grid::{grid2d_laplacian, Stencil2D};
+    use sptrsv_sparse::CsrMatrix;
+    use std::sync::Arc;
 
     fn problem(w: usize, h: usize) -> (CsrMatrix, Vec<f64>) {
         let a = grid2d_laplacian(w, h, Stencil2D::FivePoint, 0.5);
@@ -189,11 +112,14 @@ mod tests {
         solve_lower_serial(&l, &b, &mut reference);
         for capacity in 1..=4 {
             let runtime = Arc::new(SolverRuntime::new(capacity));
-            let exec = BarrierExecutor::from_compiled(
+            let exec = Executor::planned(
+                Arc::new(l.clone()),
                 Arc::clone(&compiled),
                 None,
-                RuntimeHandle::explicit(runtime),
+                ExecModel::Barrier,
                 ExecPolicy::default(),
+                RuntimeHandle::explicit(runtime),
+                None,
             );
             let mut x = vec![f64::NAN; n];
             exec.solve(&l, &b, &mut x);
@@ -203,7 +129,6 @@ mod tests {
 
     #[test]
     fn contended_solves_are_bit_identical_at_every_granted_width() {
-        use crate::runtime::SolverRuntime;
         // A 4-core schedule on a capacity-4 runtime whose cores are partly
         // held by another lessee that releases them while the solve runs:
         // the solve keeps whatever width it was granted, and the bits
@@ -218,11 +143,14 @@ mod tests {
         for round in 0..10 {
             let runtime = Arc::new(SolverRuntime::new(4));
             let blocker = runtime.lease(1 + round % 3);
-            let exec = BarrierExecutor::from_compiled(
+            let exec = Executor::planned(
+                Arc::new(l.clone()),
                 Arc::clone(&compiled),
                 None,
-                RuntimeHandle::explicit(Arc::clone(&runtime)),
+                ExecModel::Barrier,
                 ExecPolicy::default(),
+                RuntimeHandle::explicit(Arc::clone(&runtime)),
+                None,
             );
             let mut x = vec![f64::NAN; n];
             std::thread::scope(|scope| {
@@ -243,7 +171,7 @@ mod tests {
         // Everything in superstep 0 spread over 2 cores: cross-core edges
         // inside one superstep.
         let s = Schedule::new(2, (0..16).map(|v| v % 2).collect(), vec![0; 16]);
-        assert!(BarrierExecutor::new(&l, &s).is_err());
+        assert!(Executor::new(&l, &s, ExecModel::Barrier).is_err());
     }
 
     #[test]
@@ -251,7 +179,7 @@ mod tests {
         let (l, b) = problem(10, 10);
         let dag = SolveDag::from_lower_triangular(&l);
         let s = GrowLocal::new().schedule(&dag, 3);
-        let exec = BarrierExecutor::new(&l, &s).unwrap();
+        let exec = Executor::new(&l, &s, ExecModel::Barrier).unwrap();
         let mut x1 = vec![0.0; 100];
         let mut x2 = vec![1.0; 100]; // dirty start
         exec.solve(&l, &b, &mut x1);
@@ -264,8 +192,8 @@ mod tests {
         let (l, _) = problem(9, 9);
         let dag = SolveDag::from_lower_triangular(&l);
         let s = GrowLocal::new().schedule(&dag, 3);
-        let exec = BarrierExecutor::new(&l, &s).unwrap();
-        assert_eq!(exec.compiled().to_cells(), s.cells());
+        let exec = Executor::new(&l, &s, ExecModel::Barrier).unwrap();
+        assert_eq!(exec.engine.compiled.to_cells(), s.cells());
     }
 
     #[test]
@@ -273,13 +201,14 @@ mod tests {
         let (l, _) = problem(13, 9);
         let n = l.n_rows();
         let dag = SolveDag::from_lower_triangular(&l);
-        let exec = BarrierExecutor::new(&l, &GrowLocal::new().schedule(&dag, 3)).unwrap();
+        let s = GrowLocal::new().schedule(&dag, 3);
+        let exec = Executor::new(&l, &s, ExecModel::Barrier).unwrap();
         for r in [4, 11] {
             let b: Vec<f64> = (0..n * r).map(|i| (i as f64 * 0.31).sin()).collect();
             let mut expected = vec![0.0; n * r];
             crate::serial::solve_lower_multi_serial(&l, &b, &mut expected, r);
             let mut x = vec![0.0; n * r];
-            Executor::solve_multi(&exec, &l, &b, &mut x, r);
+            exec.solve_multi(&l, &b, &mut x, r);
             assert_eq!(x, expected, "r={r}");
         }
     }
@@ -290,8 +219,7 @@ mod tests {
         let n = l.n_rows();
         let dag = SolveDag::from_lower_triangular(&l);
         let s = GrowLocal::new().schedule(&dag, 3);
-        let exec = BarrierExecutor::new(&l, &s).unwrap();
-        let exec: &dyn Executor = &exec;
+        let exec = Executor::new(&l, &s, ExecModel::Barrier).unwrap();
         assert_eq!(exec.model(), ExecModel::Barrier);
         let mut x = vec![0.0; n];
         exec.solve(&l, &b, &mut x);

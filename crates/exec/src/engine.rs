@@ -7,8 +7,8 @@
 //! striding and the single [`KernelOp`] dispatch — monomorphised
 //! over three axes:
 //!
-//! * the sync strategy ([`Hooks`]: [`Barrier`] or the done flags of
-//!   [`FlagSolve`]);
+//! * the sync strategy ([`Hooks`]: the [`Barrier`] of [`crate::barrier`]
+//!   or the done flags of [`crate::async_exec`]);
 //! * the RHS shape ([`Rhs`]): the single-RHS [`One`] kernels, the
 //!   register-blocked [`Many<R>`](Many) kernels for a compile-time width
 //!   `R` (each row keeps its `R` values in `[f64; R]` accumulators, reads
@@ -17,31 +17,31 @@
 //!   batch is one traversal.
 //!   [`solve_width`] is the one place a runtime width picks its shape;
 //! * the numbering ([`Numbering`]): [`Identity`] reads `b` and writes `x`
-//!   in internal order, exactly as the executor's own `solve` is called;
-//!   [`UserNumbered`] fuses the plan's user↔internal permutation into the
-//!   row kernels — each row reads its right-hand side from the caller's
-//!   buffer at `old_of_new[i]` and, besides the internal `x` later rows
-//!   read, stores its solution to the caller's slot `old_of_new[i]`. No
-//!   solve runs a separate gather or scatter pass.
+//!   in internal order, exactly as [`Executor::solve`](crate::Executor::solve)
+//!   is called; [`UserNumbered`] fuses the plan's user↔internal permutation
+//!   into the row kernels — each row reads its right-hand side from the
+//!   caller's buffer at `old_of_new[i]` and, besides the internal `x` later
+//!   rows read, stores its solution to the caller's slot `old_of_new[i]`.
+//!   No solve runs a separate gather or scatter pass.
 //!
+//! The [`Executor`](crate::Executor) picks the strategy once per solve.
 //! The strategies' safety arguments are the module docs of
 //! [`crate::barrier`] and [`crate::async_exec`]; [`UserNumbered`] adds
 //! one writer per caller slot, because the permutation is a bijection.
 
+use crate::barrier::Barrier;
 use crate::kernels::{
     solve_dense, solve_dense_multi, solve_row_block, solve_row_fast, solve_row_raw,
     solve_row_unrolled,
 };
-use crate::runtime::{backoff_wait, CoreLease, RuntimeHandle};
+use crate::runtime::{CoreLease, RuntimeHandle};
 use sptrsv_core::kernel::{DenseBlock, KernelOp, KernelPlan};
-use sptrsv_core::registry::{Backoff, ExecPolicy};
+use sptrsv_core::registry::ExecPolicy;
 use sptrsv_core::CompiledSchedule;
-use sptrsv_dag::SolveDag;
 use sptrsv_sparse::{CsrMatrix, Permutation};
 use std::marker::PhantomData;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 /// Shared mutable pointer into one solve's operand (the internal solution,
 /// or a caller-side column).
@@ -417,13 +417,12 @@ impl Numbering for UserNumbered<'_> {
     }
 }
 
-/// The caller's side of a user-numbered solve
-/// ([`Executor::solve_user`](crate::executor::Executor::solve_user)):
-/// right-hand sides and solutions in the user's numbering, plus the
-/// internal-order solution buffer (`n × width`) later rows read. Built by
+/// The caller's side of a user-numbered solve: right-hand sides and
+/// solutions in the user's numbering, plus the internal-order solution
+/// buffer (`n × width`) later rows read. Built by
 /// the [`SolvePlan`](crate::plan::SolvePlan) solve entry points, which
 /// also own the buffers it borrows.
-pub struct UserOperands<'a> {
+pub(crate) struct UserOperands<'a> {
     b: UserSide,
     x: UserSide,
     /// Rows of every caller-side operand.
@@ -511,147 +510,7 @@ pub(crate) trait Hooks: Copy + Sync {
 }
 
 /// A lease thread's share of some supersteps: `(thread, width, steps)`.
-type StepFn<'a> = dyn Fn(usize, usize, Range<usize>) + Sync + 'a;
-
-/// Barrier synchronization between supersteps (see [`crate::barrier`]);
-/// rows need no hooks. The serial sweep runs under it too.
-#[derive(Clone, Copy)]
-pub(crate) struct Barrier;
-
-impl Hooks for Barrier {
-    fn drive(&self, lease: &mut CoreLease<'_>, engine: &Engine, body: &StepFn<'_>) {
-        let one_step = |thread, width, step| body(thread, width, step..step + 1);
-        let n_steps = engine.compiled.n_supersteps();
-        lease.run_supersteps(engine.policy.backoff, n_steps, None, &one_step);
-    }
-}
-
-/// The executor-owned done-flag array: `flags[v] == generation` marks `v`
-/// solved in the current solve. Reused across solves (allocation-free
-/// steady state); the generation's mutex also serializes concurrent
-/// solves on one shared executor.
-pub(crate) struct DoneFlags {
-    pub(crate) flags: Vec<AtomicU32>,
-    pub(crate) generation: Mutex<u32>,
-}
-
-impl DoneFlags {
-    pub(crate) fn new(n: usize) -> DoneFlags {
-        DoneFlags { flags: (0..n).map(|_| AtomicU32::new(0)).collect(), generation: Mutex::new(0) }
-    }
-
-    /// Starts a new solve: bumps the generation so every flag reads
-    /// "not done", zeroing the array only when the counter wraps. The
-    /// returned guard holds the new generation for the whole solve; the
-    /// lease's dispatch publishes the zeroing to the solve's threads.
-    pub(crate) fn begin_solve(&self) -> MutexGuard<'_, u32> {
-        let mut generation =
-            self.generation.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        *generation = generation.wrapping_add(1);
-        if *generation == 0 {
-            for flag in &self.flags {
-                flag.store(0, Ordering::Relaxed);
-            }
-            *generation = 1;
-        }
-        generation
-    }
-}
-
-/// Point-to-point synchronization through per-row done flags (see
-/// [`crate::async_exec`]).
-pub(crate) struct Flags {
-    /// For every vertex, the parents on *other* schedule cores that must
-    /// be awaited (same-core dependencies are ordered by the cell walk).
-    pub(crate) waits: Vec<Vec<u32>>,
-    done: DoneFlags,
-    backoff: Backoff,
-    /// Raised by a panicking thread so siblings spinning on its flags
-    /// unwind too (the runtime re-raises on the leaseholder).
-    abort: AtomicBool,
-}
-
-impl Flags {
-    /// Wait lists of `compiled` against `sync_dag` (the solve DAG or a
-    /// reduction with the same reachability); waits spin under `backoff`.
-    pub(crate) fn new(compiled: &CompiledSchedule, sync_dag: &SolveDag, backoff: Backoff) -> Flags {
-        let n = compiled.n_vertices();
-        assert_eq!(sync_dag.n(), n, "sync DAG size mismatch");
-        let core_of = compiled.core_assignment();
-        let waits = (0..n)
-            .map(|v| {
-                let cross = sync_dag.parents(v).iter().filter(|&&u| core_of[u] != core_of[v]);
-                cross.map(|&u| u as u32).collect()
-            })
-            .collect();
-        Flags { waits, done: DoneFlags::new(n), backoff, abort: AtomicBool::new(false) }
-    }
-
-    /// Starts one solve under a fresh generation; the returned guard
-    /// serializes solves on this executor and must outlive the solve.
-    pub(crate) fn begin(&self) -> (MutexGuard<'_, u32>, FlagSolve<'_>) {
-        let turn = self.done.begin_solve();
-        // Relaxed: the lease's job dispatch publishes it, as the zeroing.
-        self.abort.store(false, Ordering::Relaxed);
-        let solve = FlagSolve {
-            waits: &self.waits,
-            done: &self.done.flags,
-            generation: *turn,
-            backoff: self.backoff,
-            abort: &self.abort,
-        };
-        (turn, solve)
-    }
-}
-
-/// One solve under [`Flags`], passed by value so its fields stay in
-/// registers across the flag spins.
-#[derive(Clone, Copy)]
-pub(crate) struct FlagSolve<'a> {
-    waits: &'a [Vec<u32>],
-    done: &'a [AtomicU32],
-    generation: u32,
-    backoff: Backoff,
-    abort: &'a AtomicBool,
-}
-
-impl Hooks for FlagSolve<'_> {
-    /// Waits (under the policy's backoff) until every cross-core parent of
-    /// `i` carries the solve's generation; panics if a sibling aborted.
-    /// A dense block awaits all its rows first — deadlock-free, since a
-    /// cross-core parent always lies in a strictly earlier superstep
-    /// (Definition 2.1), so waits only point backwards in superstep order.
-    #[inline]
-    fn before(&self, i: usize) {
-        for &u in &self.waits[i] {
-            let mut spins = 0;
-            while self.done[u as usize].load(Ordering::Acquire) != self.generation {
-                if self.abort.load(Ordering::Relaxed) {
-                    panic!("parallel solve aborted: a sibling core panicked");
-                }
-                backoff_wait(self.backoff, &mut spins);
-            }
-        }
-    }
-
-    #[inline]
-    fn after(&self, i: usize) {
-        self.done[i].store(self.generation, Ordering::Release);
-    }
-
-    fn drive(&self, lease: &mut CoreLease<'_>, engine: &Engine, body: &StepFn<'_>) {
-        let (width, n_steps) = (lease.size(), engine.compiled.n_supersteps());
-        lease.run(engine.policy.backoff, &|thread| {
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                body(thread, width, 0..n_steps);
-            }));
-            if let Err(panic) = result {
-                self.abort.store(true, Ordering::Release);
-                std::panic::resume_unwind(panic);
-            }
-        });
-    }
-}
+pub(crate) type StepFn<'a> = dyn Fn(usize, usize, Range<usize>) + Sync + 'a;
 
 /// Row positions of one cell: schedule cells map position `p` to the row
 /// `cell[p]`; a natural-order serial plan's single cell maps `p` to `p`.
@@ -747,7 +606,7 @@ pub(crate) struct Engine {
     /// The runtime solves lease from; `None` always runs the serial sweep
     /// (the fastmath `@serial` model).
     runtime: Option<RuntimeHandle>,
-    policy: ExecPolicy,
+    pub(crate) policy: ExecPolicy,
 }
 
 impl Engine {
@@ -797,19 +656,6 @@ impl Engine {
             // synchronized by `sync`.
             unsafe { run_steps(l, num, x, rhs, compiled, kernel, sync, (thread, width), steps) }
         });
-    }
-
-    /// [`Engine::solve`] in the user's numbering, at the shape
-    /// [`solve_width`] picks for the operands' width.
-    pub(crate) fn solve_user<H: Hooks>(
-        &self,
-        sync: H,
-        l: &CsrMatrix,
-        to_internal: &Permutation,
-        mut user: UserOperands<'_>,
-    ) {
-        let (num, x) = user.numbered(to_internal);
-        solve_width((self, sync), l, num, x, num.width());
     }
 }
 

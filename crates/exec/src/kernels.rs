@@ -33,7 +33,8 @@
 //! after storing it to the internal `x` — the same arithmetic in either
 //! numbering.
 
-use crate::engine::{check_lengths, run_cell, Barrier, Identity, Natural, Numbering, One};
+use crate::barrier::Barrier;
+use crate::engine::{check_lengths, run_cell, Identity, Natural, Numbering, One};
 use sptrsv_core::kernel::{DenseBlock, KernelPlan, MAX_DENSE_BLOCK};
 use sptrsv_sparse::CsrMatrix;
 
@@ -355,6 +356,7 @@ pub(crate) unsafe fn solve_dense_multi<N: Numbering>(
 pub fn solve_lower_serial_fast(l: &CsrMatrix, plan: &KernelPlan, b: &[f64], x: &mut [f64]) {
     let n = l.n_rows();
     assert_eq!(plan.n_rows(), n, "kernel plan does not match the matrix");
+    assert_eq!(plan.n_cells(), 1, "kernel plan is not a natural-order serial plan");
     check_lengths(n, One, Identity(b), x);
     let ops = plan.cell_ops(0, 0);
     // SAFETY: lengths checked; single-threaded ascending sweep — every
@@ -410,6 +412,18 @@ mod tests {
         solve_lower_serial_fast(&l, &plan, &b, &mut x1);
         solve_lower_serial_fast(&l, &plan, &b, &mut x2);
         assert_eq!(x1, x2, "fastmath solves must be bit-stable run to run");
+    }
+
+    #[test]
+    #[should_panic(expected = "not a natural-order serial plan")]
+    fn multi_cell_plan_rejected() {
+        use sptrsv_core::{CompiledSchedule, Scheduler, WavefrontScheduler};
+        let l = grid2d_laplacian(20, 20, Stencil2D::NinePoint, 0.5).lower_triangle().unwrap();
+        let dag = sptrsv_dag::SolveDag::from_lower_triangular(&l);
+        let compiled = CompiledSchedule::from_schedule(&WavefrontScheduler.schedule(&dag, 2));
+        let plan = KernelPlan::detect(&l, &compiled);
+        let mut x = vec![f64::NAN; l.n_rows()];
+        solve_lower_serial_fast(&l, &plan, &vec![1.0; l.n_rows()], &mut x);
     }
 
     #[test]

@@ -1,20 +1,18 @@
 //! Execution of SpTRSV schedules.
 //!
-//! * [`executor`] — the [`Executor`] trait: one interface over every
-//!   execution model ([`ExecModel`]), dispatched by [`SolvePlan`];
+//! * [`executor`] — the one [`Executor`] type over every execution model
+//!   ([`ExecModel`]): a compiled schedule plus how its threads synchronize —
+//!   one barrier per superstep (the paper's execution model, §6.1;
+//!   `@barrier`), SpMP-style per-row done flags (`@async`) or none
+//!   (`@serial`) — single- and multi-RHS (SpTRSM), dispatched by
+//!   [`SolvePlan`];
 //! * [`serial`] — the reference forward/backward substitution kernels
-//!   (single- and multi-RHS) and the [`SerialExecutor`] (`@serial`);
-//! * [`barrier`] — a real multi-threaded executor that runs a
-//!   [`Schedule`](sptrsv_core::Schedule) with one synchronization barrier per
-//!   superstep (the paper's execution model, §6.1; `@barrier`), single- and
-//!   multi-RHS (SpTRSM);
-//! * [`async_exec`] — an SpMP-style asynchronous executor with per-vertex
-//!   ready flags (point-to-point synchronization instead of barriers;
-//!   `@async`), single- and multi-RHS;
-//! * `engine` (crate-private) — the one superstep loop behind every
-//!   executor: length checks, the serial sweep, the lease decision,
-//!   thread striding and the single cell dispatch, monomorphised
-//!   over the sync strategy (barrier or done flags), the RHS shape (one
+//!   (single- and multi-RHS);
+//! * `engine`, `barrier` and `async_exec` (crate-private) — the one
+//!   superstep loop behind every executor: length checks, the serial sweep,
+//!   the lease decision, thread striding and the single cell dispatch,
+//!   monomorphised over the sync strategy (the barrier, or the done flags;
+//!   each strategy's module holds its safety argument), the RHS shape (one
 //!   or `r` right-hand sides) and the numbering (internal, or the plan's
 //!   user↔internal permutation fused into the row kernels);
 //! * [`kernels`] — the row/block kernels the engine's cell dispatch runs:
@@ -67,8 +65,8 @@
 
 #![warn(missing_docs)]
 
-pub mod async_exec;
-pub mod barrier;
+mod async_exec;
+mod barrier;
 mod engine;
 pub mod executor;
 pub mod kernels;
@@ -78,18 +76,14 @@ pub mod serial;
 pub mod sim;
 pub mod verify;
 
-pub use async_exec::AsyncExecutor;
-pub use barrier::{solve_with_barriers, BarrierExecutor};
-pub use executor::{Executor, UserOperands};
+pub use executor::{solve_with_barriers, Executor};
 pub use kernels::solve_lower_serial_fast;
 pub use plan::{
     BatchWorkspace, CacheOutcome, Orientation, PlanBuilder, PlanError, PreOrder, SolvePlan,
     SolveWorkspace,
 };
 pub use runtime::{CoreLease, SenseBarrier, SolverRuntime};
-pub use serial::{
-    solve_lower_multi_serial, solve_lower_serial, solve_upper_serial, SerialExecutor,
-};
+pub use serial::{solve_lower_multi_serial, solve_lower_serial, solve_upper_serial};
 pub use sim::{
     simulate_async, simulate_barrier, simulate_model, simulate_serial, MachineProfile, SimReport,
 };

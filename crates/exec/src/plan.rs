@@ -11,8 +11,8 @@
 //! The execution model is a first-class dimension: pick it with the typed
 //! [`PlanBuilder::execution`] knob or the spec's `@model` suffix
 //! (`"growlocal:alpha=8@async"`); with neither, the scheduler's registry
-//! default applies. The resulting plan dispatches `solve_into` and
-//! `solve_batch_in_place` through the [`Executor`] trait, so barrier,
+//! default applies. The resulting plan runs `solve_into` and
+//! `solve_batch_in_place` on its one [`Executor`], so barrier,
 //! asynchronous and serial execution are interchangeable behind one API.
 //!
 //! The **execution policy** rides the spec too: `sync=full|reduced`
@@ -69,12 +69,9 @@
 //! assert!(sptrsv_sparse::linalg::relative_residual(&l, &x, &b) < 1e-12);
 //! ```
 
-use crate::async_exec::AsyncExecutor;
-use crate::barrier::BarrierExecutor;
-use crate::engine::{Engine, SharedPtr};
-use crate::executor::{Executor, UserOperands};
+use crate::engine::{SharedPtr, UserOperands};
+use crate::executor::Executor;
 use crate::runtime::{RuntimeHandle, SolverRuntime};
-use crate::serial::{FastSerialExecutor, SerialExecutor};
 use crate::sim::{simulate_model, MachineProfile, SimReport};
 use sptrsv_core::kernel::KernelPlan;
 use sptrsv_core::registry::{
@@ -471,7 +468,7 @@ pub struct SolvePlan {
     /// The runtime the executor leases threads from; kept so value rebinds
     /// can rebuild an executor against the same pool.
     runtime: RuntimeHandle,
-    executor: Box<dyn Executor>,
+    executor: Executor,
 }
 
 /// What a plan's source hands [`SolvePlan::assemble`]: the artifacts that
@@ -815,9 +812,10 @@ impl SolvePlan {
             .then(|| kernel.unwrap_or_else(|| Arc::new(KernelPlan::detect(&matrix, &compiled))));
         let sync_dag = sync_dag
             .or_else(|| wait_dag(model, policy.sync, || SolveDag::from_lower_triangular(&matrix)));
-        let executor = make_executor(
-            &compiled,
-            kernel.as_ref(),
+        let executor = Executor::planned(
+            Arc::clone(&matrix),
+            Arc::clone(&compiled),
+            kernel.clone(),
             model,
             policy,
             runtime.clone(),
@@ -889,10 +887,11 @@ impl SolvePlan {
         self.sync_dag.as_ref()
     }
 
-    /// The execution engine `solve_into`/`solve_batch_in_place` dispatch
-    /// through.
-    pub fn executor(&self) -> &dyn Executor {
-        self.executor.as_ref()
+    /// The executor `solve_into`/`solve_batch_in_place` run on; its
+    /// `solve` and `solve_multi` take [`SolvePlan::internal_matrix`] and
+    /// operands in internal numbering.
+    pub fn executor(&self) -> &Executor {
+        &self.executor
     }
 
     /// The internal (possibly permuted) lower-triangular operand.
@@ -920,7 +919,7 @@ impl SolvePlan {
         }
         workspace.px.resize(n, 0.0);
         let user = UserOperands::one(b, x, &mut workspace.px);
-        self.executor.solve_user(&self.matrix, &self.to_internal, user);
+        self.executor.solve_user(&self.to_internal, user);
     }
 
     /// Solves for one right-hand side, returning the solution in the user's
@@ -977,7 +976,7 @@ impl SolvePlan {
         }
         let px = &mut workspace.px[..n * k];
         let user = UserOperands::in_place(rhs, px, &mut workspace.columns);
-        self.executor.solve_user(&self.matrix, &self.to_internal, user);
+        self.executor.solve_user(&self.to_internal, user);
     }
 
     /// Simulates this plan's execution on a machine profile, under the
@@ -1180,33 +1179,6 @@ fn reconstruct_reduced_dag(
         }
     }
     Ok(SolveDag::from_edges(n, &edges, full.weights().to_vec()))
-}
-
-/// Executor construction for [`SolvePlan::assemble`]. `sync` must be
-/// `Some` for asynchronous plans.
-fn make_executor(
-    compiled: &Arc<CompiledSchedule>,
-    kernel: Option<&Arc<KernelPlan>>,
-    model: ExecModel,
-    policy: ExecPolicy,
-    runtime: RuntimeHandle,
-    sync: Option<&SolveDag>,
-) -> Box<dyn Executor> {
-    let kernel = kernel.cloned();
-    let compiled = Arc::clone(compiled);
-    match model {
-        ExecModel::Barrier => {
-            Box::new(BarrierExecutor::from_compiled(compiled, kernel, runtime, policy))
-        }
-        ExecModel::Serial => match kernel {
-            Some(k) => Box::new(FastSerialExecutor(Engine::new(compiled, Some(k), None, policy))),
-            None => Box::new(SerialExecutor),
-        },
-        ExecModel::Async => {
-            let sync = sync.expect("async plans carry a synchronization DAG");
-            Box::new(AsyncExecutor::from_compiled(compiled, kernel, sync, runtime, policy))
-        }
-    }
 }
 
 /// Validates the orientation and returns the lower-triangular operand plus

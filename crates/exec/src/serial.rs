@@ -1,12 +1,9 @@
-//! Serial forward and backward substitution (§2.2, equation (2.1)), plus
-//! the [`SerialExecutor`] that exposes the reference kernel through the
-//! [`Executor`] trait (`@serial` in the registry's spec grammar).
+//! Serial forward and backward substitution (§2.2, equation (2.1)): the
+//! reference kernels every execution model is checked against.
 
-use crate::engine::{check_lengths, solve_width, Barrier, Engine, Identity, NaturalSweep, One};
-use crate::executor::{Executor, UserOperands};
+use crate::engine::{check_lengths, solve_width, Identity, NaturalSweep, One};
 use crate::kernels::substitute_row;
-use sptrsv_core::registry::ExecModel;
-use sptrsv_sparse::{CsrMatrix, Permutation};
+use sptrsv_sparse::CsrMatrix;
 
 /// Solves `L x = b` for a lower-triangular `L` by forward substitution.
 ///
@@ -48,58 +45,6 @@ pub fn solve_upper_serial(u: &CsrMatrix, b: &[f64], x: &mut [f64]) {
 /// once, so no scratch is allocated.
 pub fn solve_lower_multi_serial(l: &CsrMatrix, b: &[f64], x: &mut [f64], r: usize) {
     solve_width(NaturalSweep, l, Identity(b), x, r);
-}
-
-/// The reference kernel as an [`Executor`]: rows in natural (vertex) order,
-/// single-threaded. A plan's schedule is ignored at execution time — the
-/// natural order of a lower-triangular operand is always topological — which
-/// makes this the executor of choice for debugging and for operands whose
-/// DAG has no parallelism worth threads.
-pub struct SerialExecutor;
-
-impl Executor for SerialExecutor {
-    fn model(&self) -> ExecModel {
-        ExecModel::Serial
-    }
-
-    fn solve(&self, l: &CsrMatrix, b: &[f64], x: &mut [f64]) {
-        solve_lower_serial(l, b, x);
-    }
-
-    fn solve_multi(&self, l: &CsrMatrix, b: &[f64], x: &mut [f64], r: usize) {
-        solve_lower_multi_serial(l, b, x, r);
-    }
-
-    /// The natural-order sweep with the permutation fused into the exact
-    /// kernels (the engine's serial sweep over one natural cell).
-    fn solve_user(&self, l: &CsrMatrix, to_internal: &Permutation, mut user: UserOperands<'_>) {
-        let (num, x) = user.numbered(to_internal);
-        solve_width(NaturalSweep, l, num, x, num.width());
-    }
-}
-
-/// The serial execution model under `fastmath=on`: the engine's serial
-/// sweep (no runtime) over the compiled cells in schedule order — a
-/// topological order — through the planned kernels. Constructed by the
-/// planner instead of [`SerialExecutor`] when the policy enables fastmath.
-pub(crate) struct FastSerialExecutor(pub(crate) Engine);
-
-impl Executor for FastSerialExecutor {
-    fn model(&self) -> ExecModel {
-        ExecModel::Serial
-    }
-
-    fn solve(&self, l: &CsrMatrix, b: &[f64], x: &mut [f64]) {
-        self.0.solve(Barrier, l, Identity(b), x, One);
-    }
-
-    fn solve_multi(&self, l: &CsrMatrix, b: &[f64], x: &mut [f64], r: usize) {
-        solve_width((&self.0, Barrier), l, Identity(b), x, r);
-    }
-
-    fn solve_user(&self, l: &CsrMatrix, to_internal: &Permutation, user: UserOperands<'_>) {
-        self.0.solve_user(Barrier, l, to_internal, user);
-    }
 }
 
 #[cfg(test)]

@@ -4,10 +4,20 @@
 use crate::serial::solve_lower_serial;
 use sptrsv_sparse::CsrMatrix;
 
-/// Maximum absolute component difference between two vectors.
+/// Maximum absolute component difference between two vectors. A NaN
+/// difference (a NaN component, or infinities of the same sign) reads
+/// infinity, so no comparison against a tolerance can pass it.
 pub fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| (x - y).abs()).fold(0.0, f64::max)
+    let diff = |(x, y): (&f64, &f64)| {
+        let d = (x - y).abs();
+        if d.is_nan() {
+            f64::INFINITY
+        } else {
+            d
+        }
+    };
+    a.iter().zip(b).map(diff).fold(0.0, f64::max)
 }
 
 /// Solves serially and returns the maximum deviation of `x` from the serial
@@ -105,6 +115,16 @@ mod tests {
     fn diff_helpers() {
         assert_eq!(max_abs_diff(&[1.0, 2.0], &[1.5, 2.0]), 0.5);
         assert_eq!(max_abs_diff(&[], &[]), 0.0);
+    }
+
+    #[test]
+    fn a_nan_difference_reads_infinity() {
+        assert_eq!(max_abs_diff(&[f64::NAN, 1.0], &[0.0, 1.0]), f64::INFINITY);
+        assert_eq!(max_abs_diff(&[0.0, 1.0], &[0.0, f64::NAN]), f64::INFINITY);
+        assert_eq!(max_abs_diff(&[f64::INFINITY], &[f64::INFINITY]), f64::INFINITY);
+        let l = CsrMatrix::identity(5);
+        let b = [1.0, 2.0, 3.0, 4.0, 5.0];
+        assert_eq!(deviation_from_serial(&l, &b, &[f64::NAN; 5]), f64::INFINITY);
     }
 
     #[test]

@@ -9,9 +9,8 @@
 use sptrsv::core::registry;
 use sptrsv::core::CompiledSchedule;
 use sptrsv::dag::transitive::{approximate_transitive_reduction, reduction_invocations};
-use sptrsv::exec::async_exec::AsyncExecutor;
 use sptrsv::exec::verify::deviation_from_serial;
-use sptrsv::exec::{solve_lower_serial, BarrierExecutor, ExecModel, Executor, PlanBuilder};
+use sptrsv::exec::{solve_lower_serial, ExecModel, Executor, PlanBuilder};
 use sptrsv::prelude::*;
 
 #[test]
@@ -55,12 +54,12 @@ fn all_executors_agree_through_the_compiled_schedule() {
     solve_with_barriers(&ds.lower, &schedule, &b, &mut x_barrier).expect("valid");
     assert!(deviation_from_serial(&ds.lower, &b, &x_barrier) < 1e-12);
     // The barrier executor's multi-RHS path with r = 1 must match exactly.
-    let multi = BarrierExecutor::new(&ds.lower, &schedule).expect("valid");
+    let multi = Executor::new(&ds.lower, &schedule, ExecModel::Barrier).expect("valid");
     let mut x_multi = vec![0.0; n];
-    Executor::solve_multi(&multi, &ds.lower, &b, &mut x_multi, 1);
+    multi.solve_multi(&ds.lower, &b, &mut x_multi, 1);
     assert_eq!(x_barrier, x_multi, "multi-RHS r=1 diverged from barrier executor");
     // Async executor waiting on the full DAG.
-    let asynchronous = AsyncExecutor::new(&ds.lower, &schedule, &dag).expect("valid");
+    let asynchronous = Executor::new(&ds.lower, &schedule, ExecModel::Async).expect("valid");
     let mut x_async = vec![0.0; n];
     asynchronous.solve(&ds.lower, &b, &mut x_async);
     assert_eq!(x_barrier, x_async, "async executor diverged from barrier executor");
@@ -310,14 +309,21 @@ fn reordered_problem_solves_identically() {
 fn async_executor_correct_on_hard_instance() {
     let suite = load_suite(SuiteKind::NarrowBandwidth, Scale::Test, 6);
     let ds = &suite[0];
-    let dag = ds.dag();
-    let schedule = SpMp.schedule(&dag, 4);
-    let reduced = approximate_transitive_reduction(&dag);
-    let exec = AsyncExecutor::new(&ds.lower, &schedule, &reduced).expect("valid");
+    // SpMP's 4-core schedule waiting on the reduced DAG; without
+    // reordering, the internal operand is the suite's lower triangle.
+    let plan = PlanBuilder::new(&ds.lower)
+        .scheduler("spmp:sync=reduced@async")
+        .cores(4)
+        .reorder(false)
+        .build()
+        .expect("valid");
+    assert_eq!(plan.internal_matrix(), &ds.lower);
+    let reduced = approximate_transitive_reduction(&ds.dag());
+    assert_eq!(plan.sync_dag().map(|d| d.n_edges()), Some(reduced.n_edges()));
     let n = ds.lower.n_rows();
     let b: Vec<f64> = (0..n).map(|i| ((i % 23) as f64) - 11.0).collect();
     let mut x = vec![0.0; n];
-    exec.solve(&ds.lower, &b, &mut x);
+    plan.executor().solve(plan.internal_matrix(), &b, &mut x);
     assert!(deviation_from_serial(&ds.lower, &b, &x) < 1e-10);
 }
 
