@@ -16,7 +16,7 @@ use sptrsv_core::CompiledSchedule;
 use sptrsv_dag::{wavefronts, SolveDag};
 use sptrsv_exec::{
     backward_error, simulate_model, simulate_serial, CacheOutcome, MachineProfile, PlanBuilder,
-    PreOrder, BACKWARD_ERROR_TOL,
+    PlanCache, PreOrder, BACKWARD_ERROR_TOL,
 };
 use sptrsv_serve::{Admission, ServeBuilder, SubmitError};
 use sptrsv_sparse::csr::Triangle;
@@ -24,6 +24,7 @@ use sptrsv_sparse::gen;
 use sptrsv_sparse::io::{read_matrix_market_file, write_matrix_market_file};
 use sptrsv_sparse::linalg::relative_residual;
 use sptrsv_sparse::CsrMatrix;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const USAGE: &str = "\
@@ -43,7 +44,7 @@ commands:
            [--save <file.plan>] [--load <file.plan>] [--plan-cache DIR]
   simulate <file.mtx> [--algo SPEC] [--cores K] [--machine intel|amd|arm]
   tune     <file.mtx> [--algo auto[:key=...][@model]] [--cores K]
-           [--budget N] [--measure on|off] [--cache DIR]
+           [--budget N] [--cache DIR]
   serve-bench <file.mtx> [--algo SPEC] [--cores K] [--batch N]
            [--batch-wait-us U] [--clients C] [--requests R] [--depth D]
            [--admission block|shed] [--plan-cache DIR]
@@ -88,17 +89,18 @@ scheduling artifact to an explicit file and --load builds from one (the
 file must match the matrix and build flags, enforced by the
 fingerprint).
 --algo auto turns scheduler selection over to the tuner on any command
-that takes a spec: features of the matrix prune the registry's
-(scheduler, model) pairs, the survivors are scheduled and ranked by
-modeled cycles, and the winner is built (printed as an `auto picked:`
-line). Scope keys parameterize it — auto:budget=N bounds how many
-candidates are scheduled, auto:measure=on adds a timed refinement of the
-top ranks, auto:cache=DIR persists the verdict under the matrix's
-structure fingerprint so later runs skip tuning (a corrupt or foreign
-verdict file is an error, never a wrong pick) — and any execution-policy
-key (auto:cores=4,fastmath=on) passes through to the winner. `sptrsv
-tune` runs the same pipeline standalone and prints the full ranked
-table; its --budget/--measure/--cache flags override the spec keys.";
+that takes a spec: it builds at most three entrants (funnel-gl@barrier,
+hdagg@barrier, then wavefront@serial on narrow fronts or
+growlocal@barrier; a near-sequential matrix gets the serial sweep
+alone), races them in wall-clock time on the matrix itself, and builds
+the fastest (printed as an `auto picked:` line). Scope keys parameterize
+it — auto:budget=N races at most N entrants, auto:cache=DIR persists the
+verdict under the matrix's structure fingerprint so later runs skip
+tuning (a corrupt or foreign verdict file is an error, never a wrong
+pick) — and any execution-policy key (auto:cores=4,fastmath=on) passes
+through to every entrant; auto@model maps the entrants to one model.
+`sptrsv tune` runs the same pipeline standalone and prints the race
+table; its --budget/--cache flags override the spec keys.";
 
 /// Dispatches a full argv (after the program name).
 pub fn dispatch(argv: &[String]) -> Result<(), String> {
@@ -140,7 +142,7 @@ fn known_flags(command: &str) -> Option<&'static [&'static str]> {
             &["algo", "cores", "no-reorder", "pre-order", "coarsen", "plan-cache", "save", "load"]
         }
         "simulate" => &["algo", "cores", "machine"],
-        "tune" => &["algo", "cores", "budget", "measure", "cache"],
+        "tune" => &["algo", "cores", "budget", "cache"],
         "serve-bench" => &[
             "algo",
             "cores",
@@ -276,19 +278,22 @@ fn algos() -> Result<(), String> {
 /// becomes the concrete winning spec (printing the greppable `auto
 /// picked:` line), so `--algo auto` works uniformly on every spec-taking
 /// command. The core count is `--cores` (a positive integer), else the
-/// spec's `cores=` execution-policy key, else `default`.
+/// spec's `cores=` execution-policy key, else `default`. When the tuner
+/// ran, the third value is the plan cache it built its entrants through.
 fn algo_and_cores(
     args: &Args,
     lower: &CsrMatrix,
     default: usize,
-) -> Result<(String, usize), String> {
+) -> Result<(String, usize, Option<Arc<PlanCache>>), String> {
     let flag = positive_flag(args, "cores")?;
     let mut algo = args.get("algo").unwrap_or("growlocal").to_string();
+    let mut plans = None;
     if sptrsv_tune::is_auto_spec(&algo) {
         let resolved = sptrsv_tune::resolve_spec(lower, &algo, flag).map_err(|e| e.to_string())?;
-        if let Some(report) = &resolved.report {
+        if let Some(report) = resolved.report {
             println!("verdict cache:     {}", report.cache.as_str());
             println!("tuning time:       {:.1} ms", report.tuning_seconds * 1e3);
+            plans = Some(report.plans);
         }
         println!("auto picked:       {}", resolved.spec);
         algo = resolved.spec;
@@ -302,17 +307,19 @@ fn algo_and_cores(
             policy.cores.unwrap_or(default)
         }
     };
-    Ok((algo, cores))
+    Ok((algo, cores, plans))
 }
 
 /// The plan `solve`, `plan` and `serve-bench` build: `algo` at `cores`
 /// cores, shaped by whichever of `--pre-order`, `--no-reorder`,
-/// `--coarsen`, `--plan-cache` and `--load` the command takes.
+/// `--coarsen`, `--plan-cache` and `--load` the command takes. `plans`
+/// is the tuner's cache from [`algo_and_cores`].
 fn plan_builder<'m>(
     args: &Args,
     lower: &'m CsrMatrix,
     algo: &str,
     cores: usize,
+    plans: Option<Arc<PlanCache>>,
 ) -> Result<PlanBuilder<'m>, String> {
     let pre_order = match args.get("pre-order") {
         None | Some("natural") => PreOrder::Natural,
@@ -331,6 +338,10 @@ fn plan_builder<'m>(
         .reorder(!args.get_parse("no-reorder", false)?);
     if let Some(dir) = args.get("plan-cache") {
         builder = builder.plan_cache(dir);
+    } else if let Some(plans) = &plans {
+        // The tuner already built the winner; with no plan-cache directory
+        // to fill, reuse it.
+        builder = builder.cached(plans);
     }
     if let Some(load) = args.get("load") {
         builder = builder.load_plan(load);
@@ -338,20 +349,10 @@ fn plan_builder<'m>(
     Ok(builder)
 }
 
-/// A shared `on`/`off` boolean flag parser.
-fn on_off_flag(args: &Args, name: &str) -> Result<Option<bool>, String> {
-    match args.get(name) {
-        None => Ok(None),
-        Some("on") => Ok(Some(true)),
-        Some("off") => Ok(Some(false)),
-        Some(other) => Err(format!("bad value for --{name}: `{other}` (expected on or off)")),
-    }
-}
-
 fn schedule(args: &Args) -> Result<(), String> {
     let path = args.require_positional(0, "matrix file")?;
     let lower = load_lower(path)?;
-    let (algo, cores) = algo_and_cores(args, &lower, 8)?;
+    let (algo, cores, _) = algo_and_cores(args, &lower, 8)?;
     let dag = SolveDag::from_lower_triangular(&lower);
     let sched = registry::resolve(&algo, &dag, cores).map_err(|e| e.to_string())?;
     let started = std::time::Instant::now();
@@ -380,12 +381,13 @@ fn schedule(args: &Args) -> Result<(), String> {
 fn solve(args: &Args) -> Result<(), String> {
     let path = args.require_positional(0, "matrix file")?;
     let lower = load_lower(path)?;
-    let (algo, cores) = algo_and_cores(args, &lower, 8)?;
+    let (algo, cores, plans) = algo_and_cores(args, &lower, 8)?;
     let repeat: usize = args.get_parse("repeat", 1)?;
     if repeat == 0 {
         return Err("--repeat needs at least one solve".into());
     }
-    let plan = plan_builder(args, &lower, &algo, cores)?.build().map_err(|e| e.to_string())?;
+    let plan =
+        plan_builder(args, &lower, &algo, cores, plans)?.build().map_err(|e| e.to_string())?;
     let b = vec![1.0; lower.n_rows()];
     let mut x = vec![0.0; lower.n_rows()];
     let mut workspace = plan.workspace();
@@ -451,8 +453,8 @@ fn solve(args: &Args) -> Result<(), String> {
 fn plan_cmd(args: &Args) -> Result<(), String> {
     let path = args.require_positional(0, "matrix file")?;
     let lower = load_lower(path)?;
-    let (algo, cores) = algo_and_cores(args, &lower, 8)?;
-    let builder = plan_builder(args, &lower, &algo, cores)?;
+    let (algo, cores, plans) = algo_and_cores(args, &lower, 8)?;
+    let builder = plan_builder(args, &lower, &algo, cores, plans)?;
     let started = Instant::now();
     let plan = builder.build().map_err(|e| e.to_string())?;
     let built = started.elapsed();
@@ -482,7 +484,7 @@ fn plan_cmd(args: &Args) -> Result<(), String> {
 fn simulate(args: &Args) -> Result<(), String> {
     let path = args.require_positional(0, "matrix file")?;
     let lower = load_lower(path)?;
-    let (algo, cores) = algo_and_cores(args, &lower, 22)?;
+    let (algo, cores, _) = algo_and_cores(args, &lower, 22)?;
     let profile = match args.get("machine").unwrap_or("intel") {
         "intel" => MachineProfile::intel_xeon_22(),
         "amd" => MachineProfile::amd_epyc_64(),
@@ -528,9 +530,6 @@ fn tune(args: &Args) -> Result<(), String> {
     if let Some(budget) = positive_flag(args, "budget")? {
         tuner = tuner.max_candidates(budget);
     }
-    if let Some(measure) = on_off_flag(args, "measure")? {
-        tuner = tuner.measure(measure);
-    }
     if let Some(dir) = args.get("cache") {
         tuner = tuner.cache_dir(dir);
     }
@@ -562,7 +561,7 @@ fn percentile(sorted: &[Duration], q: f64) -> Duration {
 fn serve_bench(args: &Args) -> Result<(), String> {
     let path = args.require_positional(0, "matrix file")?;
     let lower = load_lower(path)?;
-    let (algo, cores) = algo_and_cores(args, &lower, 8)?;
+    let (algo, cores, plans) = algo_and_cores(args, &lower, 8)?;
     let clients: usize = args.get_parse("clients", 4)?;
     let requests: usize = args.get_parse("requests", 32)?;
     if clients == 0 || requests == 0 {
@@ -583,7 +582,8 @@ fn serve_bench(args: &Args) -> Result<(), String> {
             format!("bad value for --batch-wait-us: `{us}` (expected microseconds)")
         })?),
     };
-    let plan = plan_builder(args, &lower, &algo, cores)?.build().map_err(|e| e.to_string())?;
+    let plan =
+        plan_builder(args, &lower, &algo, cores, plans)?.build().map_err(|e| e.to_string())?;
     let fastmath = plan.exec_policy().fastmath;
     println!("algorithm:         {algo}");
     println!("execution model:   {}", plan.exec_model());
@@ -1115,7 +1115,7 @@ mod tests {
             .unwrap();
         // The standalone tuner: default spec, flag form, spec-key form.
         dispatch(&sv(&["tune", mtx, "--cores", "2"])).unwrap();
-        dispatch(&sv(&["tune", mtx, "--cores", "2", "--budget", "4", "--measure", "on"])).unwrap();
+        dispatch(&sv(&["tune", mtx, "--cores", "2", "--budget", "2"])).unwrap();
         dispatch(&sv(&["tune", mtx, "--algo", "auto:budget=4,cores=2@barrier"])).unwrap();
         // The verdict cache: first run stores, second hits.
         dispatch(&sv(&["tune", mtx, "--cores", "2", "--cache", cache])).unwrap();
@@ -1141,6 +1141,11 @@ mod tests {
         // A non-auto spec on tune and a bad scope key are errors.
         assert!(dispatch(&sv(&["tune", mtx, "--algo", "growlocal"])).is_err());
         assert!(dispatch(&sv(&["tune", mtx, "--algo", "auto:warp=9"])).is_err());
+        // The removed timed-refinement knob fails by name, flag and key.
+        let err = dispatch(&sv(&["tune", mtx, "--measure", "on"])).unwrap_err();
+        assert!(err.contains("--measure"), "{err}");
+        let err = dispatch(&sv(&["tune", mtx, "--algo", "auto:measure=on"])).unwrap_err();
+        assert!(err.contains("measure"), "{err}");
         assert!(dispatch(&sv(&["solve", mtx, "--algo", "auto:budget=0"])).is_err());
         // A corrupt verdict file is an error, never a silent wrong pick.
         let verdict = std::fs::read_dir(cache).unwrap().next().unwrap().unwrap().path();

@@ -1,135 +1,64 @@
-//! The candidate generator + pruner: every (scheduler, model) pair the
-//! registry supports, minus the combinations the features already rule
-//! out, in a deterministic most-promising-first order so a
-//! [`TuneBudget`](crate::TuneBudget) truncation keeps the right tail.
+//! The race's entrants: one fixed, ordered list that the features can only
+//! shrink.
 //!
-//! Pruning is *structural* — cheap rules on [`TuneFeatures`] that drop
-//! dominated or degenerate combinations before any scheduling work
-//! happens. Every rule is conservative: a pruned candidate is one a
-//! dominating survivor models at least as well, so pruning narrows the
-//! simulator's workload without changing the argmin.
+//! The list is the paper's Funnel + GrowLocal pipeline, its strongest
+//! baseline HDagg (Zarebavani et al., IPDPS 2022), and a third entrant
+//! picked by the front widths: the level-ordered serial sweep
+//! (`wavefront@serial`) when the fronts are narrow, GrowLocal alone
+//! otherwise. The order is the race's tie-break, and a
+//! [`TuneBudget`](crate::TuneBudget) truncates it from the tail.
 
 use crate::features::TuneFeatures;
-use sptrsv_core::registry::{self, ExecModel, SchedulerSpec};
+use sptrsv_core::registry::{ExecModel, SchedulerSpec};
 
-/// Why a (scheduler, model) pair was dropped before scoring.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Pruned {
-    /// The dropped spec, as text.
-    pub spec: String,
-    /// The structural rule that dropped it.
-    pub reason: &'static str,
-}
+/// The p90 front width at or below which the serial sweep takes the third
+/// slot. Measured at 2 cores over drift-bench's 20 operands: the
+/// level-ordered sweep beat every parallel plan only on the two
+/// narrow-band operands whose p90 width is 18, and lost by at least 6 % on
+/// every operand whose p90 width is 38 or more.
+pub const NARROW_FRONT_P90: usize = 24;
 
-/// The generator's output: survivors in scoring order, plus the audit
-/// trail of what was pruned and why (the CLI table prints it).
-#[derive(Debug, Clone)]
-pub struct CandidateSet {
-    /// Specs to score, most promising first.
-    pub survivors: Vec<SchedulerSpec>,
-    /// Dropped pairs with their rules.
-    pub pruned: Vec<Pruned>,
-}
+/// The level-ordered serial sweep.
+const SWEEP: (&str, ExecModel) = ("wavefront", ExecModel::Serial);
 
-/// Walks [`registry::list()`] and generates every supported
-/// (scheduler, model) pair — candidates only ever carry a model from the
-/// scheduler's own `exec_models` list — then applies the structural
-/// pruning rules:
+/// The entrants for an operand with `features`, at most `budget` of them,
+/// in race order.
 ///
-/// 1. **Serial is schedule-independent**: every `@serial` schedule
-///    executes as the same row sweep, so exactly one representative
-///    (`wavefront@serial`, the cheapest to construct) survives.
-/// 2. **`wavefront@async` ⊂ `spmp@async`**: SpMP runs the same level
-///    structure with a reduced wait DAG — strictly fewer waits.
-/// 3. **`spmp@barrier` ⊂ `wavefront@barrier`**: under barriers the
-///    transitive reduction buys nothing; the level schedules coincide.
-/// 4. **`block-gl` needs blocks**: with fewer than two DAG sources there
-///    are no independent diagonal blocks to split.
-/// 5. **Near-sequential DAGs** (average wavefront below 1.5): threading
-///    is overhead; only `growlocal@barrier` and `spmp@async` stay to let
-///    the simulator confirm serial wins.
-/// 6. **Fastmath variants**: when dense/supernode coverage reaches 5 % a
-///    `fastmath=on` variant of each surviving non-serial pair is appended
-///    (after the exact candidates, so tight budgets truncate them first).
+/// * A near-sequential DAG ([`TuneFeatures::near_sequential`]), and
+///   `auto@serial`, get the serial sweep alone.
+/// * `auto@async` races `spmp`, `funnel-gl` and `hdagg`, all `@async`.
+/// * Otherwise `funnel-gl@barrier`, `hdagg@barrier`, then
+///   `wavefront@serial` when the p90 front width is at most
+///   [`NARROW_FRONT_P90`], else `growlocal@barrier`.
 ///
-/// `model_filter` (an `auto@model` suffix) restricts the walk to one
-/// execution model before the rules run; `allow_fastmath` is cleared when
-/// the caller pinned `fastmath=` explicitly.
-pub fn generate(
+/// `model` (an `auto@model` suffix) maps every entrant to that model;
+/// every registered scheduler supports all three.
+pub fn entrants(
     features: &TuneFeatures,
-    model_filter: Option<ExecModel>,
-    allow_fastmath: bool,
-) -> CandidateSet {
-    let mut survivors: Vec<SchedulerSpec> = Vec::new();
-    let mut pruned: Vec<Pruned> = Vec::new();
-    let reject = |spec: SchedulerSpec, reason: &'static str, pruned: &mut Vec<Pruned>| {
-        pruned.push(Pruned { spec: spec.to_string(), reason });
+    model: Option<ExecModel>,
+    budget: usize,
+) -> Vec<SchedulerSpec> {
+    use ExecModel::{Async, Barrier, Serial};
+    let list: &[(&str, ExecModel)] = if features.near_sequential() || model == Some(Serial) {
+        &[SWEEP]
+    } else if model == Some(Async) {
+        &[("spmp", Async), ("funnel-gl", Async), ("hdagg", Async)]
+    } else if features.width_quantiles[2] <= NARROW_FRONT_P90 {
+        &[("funnel-gl", Barrier), ("hdagg", Barrier), SWEEP]
+    } else {
+        &[("funnel-gl", Barrier), ("hdagg", Barrier), ("growlocal", Barrier)]
     };
-
-    // Pass 1: default models (registry order) — the pairs the paper's
-    // ablations rank; pass 2: the remaining supported models.
-    for default_only in [true, false] {
-        for info in registry::list() {
-            for &model in info.exec_models {
-                if (model == info.default_model()) != default_only {
-                    continue;
-                }
-                let spec = SchedulerSpec::new(info.name).with_model(model);
-                if model_filter.is_some_and(|want| model != want) {
-                    continue; // out of scope, not worth an audit line
-                }
-                if model == ExecModel::Serial {
-                    if info.name == "wavefront" {
-                        survivors.push(spec);
-                    } else {
-                        reject(spec, "serial execution is schedule-independent", &mut pruned);
-                    }
-                    continue;
-                }
-                if info.name == "wavefront" && model == ExecModel::Async {
-                    reject(spec, "dominated by spmp@async (reduced wait DAG)", &mut pruned);
-                    continue;
-                }
-                if info.name == "spmp" && model == ExecModel::Barrier {
-                    reject(
-                        spec,
-                        "dominated by wavefront@barrier (reduction buys nothing)",
-                        &mut pruned,
-                    );
-                    continue;
-                }
-                if info.name == "block-gl" && features.stats.n_sources < 2 {
-                    reject(spec, "single DAG source: no independent blocks", &mut pruned);
-                    continue;
-                }
-                if features.near_sequential()
-                    && !(info.name == "growlocal" && model == ExecModel::Barrier)
-                    && !(info.name == "spmp" && model == ExecModel::Async)
-                {
-                    reject(spec, "near-sequential DAG: threading is overhead", &mut pruned);
-                    continue;
-                }
-                survivors.push(spec);
-            }
-        }
-    }
-
-    if allow_fastmath && features.dense_coverage >= 0.05 {
-        let variants: Vec<SchedulerSpec> = survivors
-            .iter()
-            .filter(|s| s.exec_model() != Some(ExecModel::Serial))
-            .map(|s| s.clone().with("fastmath", "on"))
-            .collect();
-        survivors.extend(variants);
-    }
-
-    CandidateSet { survivors, pruned }
+    list.iter()
+        .take(budget)
+        .map(|&(name, own)| SchedulerSpec::new(name).with_model(model.unwrap_or(own)))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::features::TuneFeatures;
+    use sptrsv_core::registry;
     use sptrsv_sparse::gen::grid::{grid2d_laplacian, Stencil2D};
     use sptrsv_sparse::{CooMatrix, CsrMatrix};
 
@@ -138,38 +67,51 @@ mod tests {
         TuneFeatures::extract(&l)
     }
 
+    fn texts(specs: &[SchedulerSpec]) -> Vec<String> {
+        specs.iter().map(|s| s.to_string()).collect()
+    }
+
     #[test]
     fn every_candidate_model_is_supported() {
-        let set = generate(&grid_features(), None, true);
-        assert!(!set.survivors.is_empty());
-        for spec in &set.survivors {
-            let info = registry::info(spec.name()).expect("registered scheduler");
-            let model = spec.exec_model().expect("candidates always pin a model");
-            assert!(info.exec_models.contains(&model), "{spec} uses an unsupported model");
+        for model in [None, Some(ExecModel::Barrier), Some(ExecModel::Async)] {
+            let list = entrants(&grid_features(), model, 3);
+            assert!(!list.is_empty());
+            for spec in &list {
+                let info = registry::info(spec.name()).expect("registered scheduler");
+                let model = spec.exec_model().expect("entrants always pin a model");
+                assert!(info.exec_models.contains(&model), "{spec} uses an unsupported model");
+            }
         }
     }
 
     #[test]
-    fn dominated_pairs_are_pruned_with_reasons() {
-        let set = generate(&grid_features(), None, true);
-        let texts: Vec<String> = set.survivors.iter().map(|s| s.to_string()).collect();
-        assert!(!texts.iter().any(|t| t.starts_with("wavefront@async")));
-        assert!(!texts.iter().any(|t| t.starts_with("spmp@barrier")));
-        assert_eq!(texts.iter().filter(|t| t.ends_with("@serial")).count(), 1);
-        assert!(set.pruned.iter().any(|p| p.spec == "wavefront@async"));
+    fn entrants_follow_the_fixed_order() {
+        let mut f = grid_features();
+        f.width_quantiles[2] = 38;
+        let wide = ["funnel-gl@barrier", "hdagg@barrier", "growlocal@barrier"];
+        assert_eq!(texts(&entrants(&f, None, 3)), wide);
+        f.width_quantiles[2] = 18;
+        let narrow = ["funnel-gl@barrier", "hdagg@barrier", "wavefront@serial"];
+        assert_eq!(texts(&entrants(&f, None, 3)), narrow);
+        // A budget truncates from the tail; a larger one adds nothing.
+        assert_eq!(texts(&entrants(&f, None, 2)), narrow[..2]);
+        assert_eq!(texts(&entrants(&f, None, 12)), narrow);
+        assert!(entrants(&f, None, 0).is_empty());
     }
 
     #[test]
-    fn default_models_score_before_alternates() {
-        let set = generate(&grid_features(), None, false);
-        // The first survivors are the registry's default-model pairs, in
-        // registry order (growlocal@barrier first).
-        assert_eq!(set.survivors[0].to_string(), "growlocal@barrier");
-        assert!(set.survivors.iter().all(|s| !s.params().iter().any(|(k, _)| k == "fastmath")));
+    fn the_narrow_front_threshold_is_pinned() {
+        let mut f = grid_features();
+        let third = |f: &TuneFeatures| entrants(f, None, 3)[2].to_string();
+        f.width_quantiles[2] = NARROW_FRONT_P90;
+        assert_eq!(third(&f), "wavefront@serial");
+        f.width_quantiles[2] = NARROW_FRONT_P90 + 1;
+        assert_eq!(third(&f), "growlocal@barrier");
+        assert_eq!(NARROW_FRONT_P90, 24);
     }
 
     #[test]
-    fn near_sequential_keeps_the_minimal_trio() {
+    fn near_sequential_races_the_sweep_alone() {
         let n = 64;
         let mut coo = CooMatrix::new(n, n);
         for i in 0..n {
@@ -179,17 +121,20 @@ mod tests {
             }
         }
         let l: CsrMatrix = coo.to_csr();
-        let set = generate(&TuneFeatures::extract(&l), None, true);
-        let texts: Vec<String> = set.survivors.iter().map(|s| s.to_string()).collect();
-        assert_eq!(texts, vec!["growlocal@barrier", "spmp@async", "wavefront@serial"]);
+        let f = TuneFeatures::extract(&l);
+        assert_eq!(texts(&entrants(&f, None, 3)), ["wavefront@serial"]);
+        // Under a model restriction the sweep takes that model.
+        assert_eq!(texts(&entrants(&f, Some(ExecModel::Async), 3)), ["wavefront@async"]);
     }
 
     #[test]
     fn model_filter_restricts_the_walk() {
-        let set = generate(&grid_features(), Some(ExecModel::Async), true);
-        for spec in &set.survivors {
-            assert_eq!(spec.exec_model(), Some(ExecModel::Async));
+        let f = grid_features();
+        let asynchronous = ["spmp@async", "funnel-gl@async", "hdagg@async"];
+        assert_eq!(texts(&entrants(&f, Some(ExecModel::Async), 3)), asynchronous);
+        assert_eq!(texts(&entrants(&f, Some(ExecModel::Serial), 3)), ["wavefront@serial"]);
+        for spec in entrants(&f, Some(ExecModel::Barrier), 3) {
+            assert_eq!(spec.exec_model(), Some(ExecModel::Barrier));
         }
-        assert!(set.survivors.iter().any(|s| s.name() == "spmp"));
     }
 }

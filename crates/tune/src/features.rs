@@ -2,13 +2,13 @@
 //! schedulers, computed once per matrix before any candidate is scheduled.
 //!
 //! The paper's ablations (§6.3) show the winner flips with wavefront
-//! depth/width and row-length variance; the kernel layer adds supernode
-//! density as the signal for the `fastmath=on` policy. Everything here is
-//! a function of the sparsity structure alone — values never enter, which
-//! is what lets a tuning verdict be keyed by the structure-only
+//! depth and width; the entrant list reads the average front (a
+//! near-sequential DAG races nothing) and the p90 front width (narrow
+//! fronts race the serial sweep). Everything here is a function of the
+//! sparsity structure alone — values never enter, which is what lets a
+//! tuning verdict be keyed by the structure-only
 //! [`PlanFingerprint`](sptrsv_core::serialize::PlanFingerprint).
 
-use sptrsv_core::kernel::KernelPlan;
 use sptrsv_dag::{wavefront::wavefronts, SolveDag};
 use sptrsv_datasets::MatrixStats;
 use sptrsv_sparse::CsrMatrix;
@@ -16,7 +16,7 @@ use sptrsv_sparse::CsrMatrix;
 /// Structural signals of one lower-triangular operand.
 ///
 /// Extends [`MatrixStats`] (the paper's Appendix A columns) with the
-/// wavefront width profile and the kernel layer's supernode density.
+/// wavefront width profile.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TuneFeatures {
     /// The base statistics (size, nnz, wavefront counts, row-length
@@ -27,14 +27,6 @@ pub struct TuneFeatures {
     /// concentrated in a few wide fronts (level scheduling wastes the
     /// narrow ones); a flat profile favours wavefront/HDagg gluing.
     pub width_quantiles: [usize; 3],
-    /// Fraction of rows covered by detected dense blocks
-    /// ([`KernelPlan::dense_coverage`] of a serial plan): the supernode
-    /// density that decides whether `fastmath=on` variants are worth
-    /// scoring.
-    pub dense_coverage: f64,
-    /// Fraction of the off-diagonal non-zeros in the heaviest decile of
-    /// rows — high when a few long rows dominate the work.
-    pub heavy_row_share: f64,
 }
 
 impl TuneFeatures {
@@ -58,17 +50,7 @@ impl TuneFeatures {
             }
         };
         let width_quantiles = [q(0.25), q(0.50), q(0.90)];
-
-        let dense_coverage = KernelPlan::detect_serial(lower).dense_coverage();
-
-        let mut row_lens: Vec<usize> = (0..lower.n_rows()).map(|r| lower.row_nnz(r)).collect();
-        row_lens.sort_unstable();
-        let total: usize = row_lens.iter().sum();
-        let decile = row_lens.len().div_ceil(10);
-        let heavy: usize = row_lens.iter().rev().take(decile).sum();
-        let heavy_row_share = if total == 0 { 0.0 } else { heavy as f64 / total as f64 };
-
-        TuneFeatures { stats, width_quantiles, dense_coverage, heavy_row_share }
+        TuneFeatures { stats, width_quantiles }
     }
 
     /// True when the DAG is close to a chain: almost no wavefront-level

@@ -1,39 +1,39 @@
 //! # sptrsv-tune — the `spec=auto` decision layer
 //!
 //! The registry enumerates 7 schedulers × 3 execution models × 4 policy
-//! keys, and the calibrated simulator can rank them — this crate is the
-//! piece that *chooses*. It sits between `sptrsv-datasets`'
-//! [`MatrixStats`](sptrsv_datasets::MatrixStats) and
+//! keys; this crate is the piece that *chooses*, by timing a few of them on
+//! the operand itself rather than by modeling them. It sits between
+//! `sptrsv-datasets`' [`MatrixStats`](sptrsv_datasets::MatrixStats) and
 //! [`PlanBuilder`]:
 //!
 //! ```text
-//! matrix ──► features ──► candidates ──► prune ──► simulate ──► measure ──► verdict
-//!            (structure)  (registry)    (rules)   (TuneBudget)  (opt-in)    (cached)
+//! matrix ──► features ──► entrants ──► build ──► race ──► verdict
+//!            (structure)  (≤ 3, fixed  (run's    (wall    (cached)
+//!                          order)      PlanCache) clock)
 //! ```
 //!
 //! * [`TuneFeatures`] — structural signals (wavefront depth/width
-//!   profile, row-length variance, bandwidth, source count, supernode
-//!   density) extracted once per matrix;
-//! * [`candidates::generate`] — every supported (scheduler, model) pair
-//!   from [`registry::list()`](sptrsv_core::registry::list), dominated or
-//!   degenerate combinations pruned by cheap structural rules;
-//! * [`Tuner`] — builds each surviving candidate's plan (bounded by
-//!   [`TuneBudget`]; candidates with the same schedule identity share one
-//!   schedule through a plan cache private to the run) and ranks modeled
-//!   cycles via the existing simulate paths; `measure=on` refines the
-//!   top-K with real timed first-solves;
+//!   profile, row-length variance, bandwidth, source count) extracted once
+//!   per matrix;
+//! * [`candidates::entrants`] — a fixed list, `funnel-gl@barrier`,
+//!   `hdagg@barrier`, then `wavefront@serial` on narrow fronts or
+//!   `growlocal@barrier`, which the features and the [`TuneBudget`] can
+//!   only shrink;
+//! * [`Tuner`] — builds each entrant through a plan cache private to the
+//!   run, warms each one, times interleaved rounds of real solves on a
+//!   runtime private to the run, and picks the lowest median (ties keep
+//!   the entrant order);
 //! * [`verdict`] — the winner persisted in a versioned, checksummed
-//!   on-disk cache keyed by the structure-only
-//!   [`PlanFingerprint`], so the
+//!   on-disk cache keyed by the structure-only [`PlanFingerprint`], so the
 //!   tuning cost amortizes across warm starts (corruption is an error,
 //!   never a wrong pick).
 //!
-//! Everywhere a spec string is accepted, `"auto"` now works too:
-//! `auto`, `auto:budget=8`, `auto:measure=on,cache=DIR`, `auto@barrier`
-//! (restrict the search to one model), and any execution-policy key
-//! (`auto:cores=4,fastmath=off`) passes through to the winning spec.
-//! [`resolve_spec`] is the single entry point consumers (the CLI) call:
-//! non-auto specs pass through untouched.
+//! Everywhere a spec string is accepted, `"auto"` works too: `auto`,
+//! `auto:budget=2`, `auto:cache=DIR`, `auto@barrier` (map every entrant to
+//! one model), and any execution-policy key (`auto:cores=4,fastmath=on`)
+//! passes through to every entrant and so to the winner. [`resolve_spec`]
+//! is the single entry point consumers (the CLI) call: non-auto specs pass
+//! through untouched.
 //!
 //! # Examples
 //!
@@ -46,7 +46,8 @@
 //! let report = Tuner::new(&l).cores(4).run()?;
 //! println!("auto picked: {}", report.winner);
 //!
-//! // Or in one step: a PlanBuilder pre-configured with the winner.
+//! // Or in one step: a PlanBuilder pre-configured with the winner, whose
+//! // build reuses the plan the race built.
 //! let plan = PlanBuilder::auto(&l)?.build()?;
 //! let b = vec![1.0; l.n_rows()];
 //! let x = plan.solve(&b);
@@ -60,29 +61,34 @@ pub mod candidates;
 pub mod features;
 pub mod verdict;
 
-pub use candidates::{CandidateSet, Pruned};
 pub use features::TuneFeatures;
 
 use sptrsv_core::registry::{
     is_exec_policy_param, resolve_exec_policy, ExecModel, RegistryError, SchedulerSpec,
 };
 use sptrsv_core::serialize::PlanFingerprint;
-use sptrsv_exec::{CacheOutcome, MachineProfile, PlanBuilder, PlanCache, PlanError};
+use sptrsv_exec::{PlanBuilder, PlanCache, PlanError, SolvePlan, SolverRuntime};
 use sptrsv_sparse::CsrMatrix;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Untimed solves per entrant before the timed rounds: without them,
+/// first-touch costs decide the race.
+const WARM_UP: usize = 2;
+/// Timed rounds; each solves every entrant once, in entrant order.
+const ROUNDS: usize = 5;
+
 /// Everything that can go wrong while tuning.
 #[derive(Debug)]
 pub enum TuneError {
     /// The `auto:…` spec text is malformed (unknown key, bad value).
     Spec(String),
-    /// A candidate spec failed registry resolution (a bug: candidates are
-    /// generated from the registry).
+    /// An entrant spec failed registry resolution (a bug: entrants are
+    /// registered schedulers).
     Registry(RegistryError),
-    /// Building or scoring a candidate plan failed.
+    /// Building an entrant's plan failed.
     Plan(PlanError),
     /// The on-disk verdict cache is corrupt (version, checksum,
     /// fingerprint, or a winner that fails revalidation).
@@ -96,7 +102,7 @@ impl fmt::Display for TuneError {
         match self {
             TuneError::Spec(msg) => write!(f, "bad auto spec: {msg}"),
             TuneError::Registry(e) => write!(f, "registry: {e}"),
-            TuneError::Plan(e) => write!(f, "candidate plan: {e}"),
+            TuneError::Plan(e) => write!(f, "entrant plan: {e}"),
             TuneError::Cache(msg) => write!(f, "{msg}"),
             TuneError::Io(e) => write!(f, "verdict cache I/O: {e}"),
         }
@@ -126,19 +132,14 @@ impl From<std::io::Error> for TuneError {
 /// Bounds on how much work one tuning run may do.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TuneBudget {
-    /// Maximum candidates that get *scheduled* (the expensive step).
-    /// Survivors beyond the bound are dropped from the tail of the
-    /// most-promising-first candidate order.
+    /// Maximum entrants that get built and raced (the expensive steps).
+    /// The entrant list is truncated from its tail.
     pub max_candidates: usize,
-    /// Refine the top-K with real timed first-solves (`measure=on`).
-    pub measure: bool,
-    /// How many leaders the measured refinement re-ranks.
-    pub top_k: usize,
 }
 
 impl Default for TuneBudget {
     fn default() -> TuneBudget {
-        TuneBudget { max_candidates: 12, measure: false, top_k: 3 }
+        TuneBudget { max_candidates: 3 }
     }
 }
 
@@ -147,8 +148,8 @@ impl Default for TuneBudget {
 pub enum CacheStatus {
     /// No cache directory configured.
     Off,
-    /// The verdict was served from a valid cached file — no candidate was
-    /// scheduled.
+    /// The verdict was served from a valid cached file — no entrant was
+    /// built.
     Hit,
     /// Tuning ran and the verdict was written for next time.
     Stored,
@@ -165,41 +166,37 @@ impl CacheStatus {
     }
 }
 
-/// One scored candidate.
+/// One entrant of the race.
 #[derive(Debug, Clone)]
 pub struct TuneEntry {
-    /// The candidate spec (passthrough policy keys applied).
+    /// The entrant spec (passthrough policy keys applied).
     pub spec: SchedulerSpec,
-    /// Modeled cycles of one solve on the tuning machine profile.
-    pub modeled_cycles: f64,
-    /// Supersteps of the candidate's schedule.
+    /// Median wall time of one `solve_into` over the race's timed rounds,
+    /// in microseconds; `None` when the entrant ran alone (a list of one
+    /// is not raced).
+    pub race_median_us: Option<f64>,
+    /// Supersteps of the entrant's schedule.
     pub n_supersteps: usize,
-    /// The candidate reused the schedule (and its reordering and compiled
-    /// layout) of an earlier candidate with the same
-    /// [`schedule_identity`](sptrsv_core::registry::schedule_identity) in
-    /// this run, instead of scheduling cold.
-    pub reused_schedule: bool,
-    /// Measured first-solve wall time (median of three), when the
-    /// measured refinement ran for this entry.
-    pub measured_ms: Option<f64>,
 }
 
 /// The outcome of one tuning run.
 #[derive(Debug, Clone)]
 pub struct TuneReport {
-    /// The extracted features the pruner saw.
+    /// The extracted features the entrant list was cut with.
     pub features: TuneFeatures,
-    /// Scored candidates, best modeled first. Empty on a cache hit.
+    /// The entrants in race order, which is also the tie-break order.
+    /// Empty on a cache hit.
     pub ranked: Vec<TuneEntry>,
-    /// Structurally pruned pairs with reasons. Empty on a cache hit.
-    pub pruned: Vec<Pruned>,
-    /// Survivors dropped by the [`TuneBudget::max_candidates`] bound.
-    pub budget_dropped: usize,
-    /// The winning spec — what `auto` resolves to.
+    /// The winning spec — what `auto` resolves to: the entrant with the
+    /// lowest race median.
     pub winner: SchedulerSpec,
     /// What the verdict cache did.
     pub cache: CacheStatus,
-    /// Wall time the tuning run took (features + scheduling + scoring).
+    /// The plan cache the entrants were built through (empty on a verdict
+    /// hit). Wire it into the winner's [`PlanBuilder::cached`] at the
+    /// tuner's core count and the winner builds as a memory hit.
+    pub plans: Arc<PlanCache>,
+    /// Wall time the tuning run took (features + builds + race).
     pub tuning_seconds: f64,
 }
 
@@ -209,21 +206,19 @@ pub struct Tuner<'m> {
     matrix: &'m CsrMatrix,
     n_cores: Option<usize>,
     budget: TuneBudget,
-    profile: MachineProfile,
     cache_dir: Option<PathBuf>,
     model: Option<ExecModel>,
     passthrough: Vec<(String, String)>,
 }
 
 impl<'m> Tuner<'m> {
-    /// A tuner for `matrix` (the lower-triangular operand) with default
-    /// budget, profile and no verdict cache.
+    /// A tuner for `matrix` (the lower-triangular operand) with the default
+    /// budget and no verdict cache.
     pub fn new(matrix: &'m CsrMatrix) -> Tuner<'m> {
         Tuner {
             matrix,
             n_cores: None,
             budget: TuneBudget::default(),
-            profile: MachineProfile::intel_xeon_22(),
             cache_dir: None,
             model: None,
             passthrough: Vec::new(),
@@ -234,9 +229,9 @@ impl<'m> Tuner<'m> {
     ///
     /// Returns `Ok(None)` when the spec does not name `auto` (callers
     /// pass their spec through unchanged). Auto-scope keys: `budget=N`
-    /// (max candidates scheduled), `measure=on|off` (timed refinement),
-    /// `cache=DIR` (verdict cache directory). Any execution-policy key
-    /// passes through to the winner; anything else is an error.
+    /// (max entrants raced) and `cache=DIR` (verdict cache directory). Any
+    /// execution-policy key passes through to every entrant; anything else
+    /// is an error.
     pub fn from_spec(matrix: &'m CsrMatrix, spec: &str) -> Result<Option<Tuner<'m>>, TuneError> {
         let parsed: SchedulerSpec = spec.parse()?;
         if parsed.name() != "auto" {
@@ -254,15 +249,6 @@ impl<'m> Tuner<'m> {
                         )))
                     }
                 },
-                "measure" => match value.as_str() {
-                    "on" => tuner.budget.measure = true,
-                    "off" => tuner.budget.measure = false,
-                    _ => {
-                        return Err(TuneError::Spec(format!(
-                            "measure={value} (expected on or off)"
-                        )))
-                    }
-                },
                 "cache" => {
                     if value.trim().is_empty() {
                         return Err(TuneError::Spec("cache= (expected a directory path)".into()));
@@ -274,14 +260,14 @@ impl<'m> Tuner<'m> {
                 }
                 _ => {
                     return Err(TuneError::Spec(format!(
-                        "unknown auto key `{key}` (expected budget=, measure=, cache=, \
+                        "unknown auto key `{key}` (expected budget=, cache=, \
                          or an execution-policy key)"
                     )))
                 }
             }
         }
         // Validate the passthrough values now (bad `cores=0` etc. should
-        // fail at parse time, not on the first candidate build).
+        // fail at parse time, not on the first entrant build).
         let mut probe = SchedulerSpec::new("auto");
         for (k, v) in &tuner.passthrough {
             probe = probe.with(k.clone(), v.clone());
@@ -290,7 +276,7 @@ impl<'m> Tuner<'m> {
         Ok(Some(tuner))
     }
 
-    /// Core count the candidates are scheduled and scored for (defaults
+    /// Core count the entrants are scheduled for and raced at (defaults
     /// to a `cores=` passthrough key, then 8 — the planner's default).
     pub fn cores(mut self, n_cores: usize) -> Self {
         self.n_cores = Some(n_cores);
@@ -303,24 +289,10 @@ impl<'m> Tuner<'m> {
         self
     }
 
-    /// Overrides just the candidate bound (the CLI's `--budget` flag,
+    /// Overrides just the entrant bound (the CLI's `--budget` flag,
     /// layered over whatever the spec's scope keys set).
     pub fn max_candidates(mut self, n: usize) -> Self {
         self.budget.max_candidates = n;
-        self
-    }
-
-    /// Overrides just the measured-refinement switch (the CLI's
-    /// `--measure` flag).
-    pub fn measure(mut self, on: bool) -> Self {
-        self.budget.measure = on;
-        self
-    }
-
-    /// Machine profile the simulator scores against (default
-    /// [`MachineProfile::intel_xeon_22`]).
-    pub fn profile(mut self, profile: MachineProfile) -> Self {
-        self.profile = profile;
         self
     }
 
@@ -330,7 +302,7 @@ impl<'m> Tuner<'m> {
         self
     }
 
-    /// Restrict the search to one execution model (`auto@model`).
+    /// Map every entrant to one execution model (`auto@model`).
     pub fn model(mut self, model: ExecModel) -> Self {
         self.model = Some(model);
         self
@@ -359,13 +331,10 @@ impl<'m> Tuner<'m> {
             pass.push_str(&format!("{k}={v},"));
         }
         format!(
-            "tune|v1|cores={}|budget={}|measure={}|top_k={}|model={}|profile={}|pass={}",
+            "tune|v2|cores={}|budget={}|model={}|pass={}",
             self.effective_cores(),
             self.budget.max_candidates,
-            if self.budget.measure { "on" } else { "off" },
-            self.budget.top_k,
             self.model.map_or("any".to_string(), |m| m.to_string()),
-            self.profile.name,
             pass,
         )
     }
@@ -376,16 +345,14 @@ impl<'m> Tuner<'m> {
         PlanFingerprint::compute(self.matrix, &self.tune_key())
     }
 
-    /// Runs the pipeline: features → candidates → prune → simulate →
-    /// (measure) → verdict, consulting and updating the verdict cache
-    /// when one is configured.
+    /// Runs the pipeline: features → entrants → build → race → verdict,
+    /// consulting and updating the verdict cache when one is configured.
     pub fn run(&self) -> Result<TuneReport, TuneError> {
         let started = Instant::now();
         let n_cores = self.effective_cores();
-        let features = TuneFeatures::extract_with_dag(
-            self.matrix,
-            &sptrsv_dag::SolveDag::from_lower_triangular(self.matrix),
-        );
+        let features = TuneFeatures::extract(self.matrix);
+        let entrants = candidates::entrants(&features, self.model, self.budget.max_candidates);
+        let plans = Arc::new(PlanCache::new(entrants.len().max(1)));
 
         // A valid cached verdict short-circuits the whole pipeline; a
         // corrupt one is an error (never a silent re-tune: the operator
@@ -399,84 +366,52 @@ impl<'m> Tuner<'m> {
                 return Ok(TuneReport {
                     features,
                     ranked: Vec::new(),
-                    pruned: Vec::new(),
-                    budget_dropped: 0,
                     winner,
                     cache: CacheStatus::Hit,
+                    plans,
                     tuning_seconds: started.elapsed().as_secs_f64(),
                 });
             }
         }
+        if entrants.is_empty() {
+            return Err(TuneError::Spec("budget=0 races no entrant".into()));
+        }
 
-        let fastmath_pinned = self.passthrough.iter().any(|(k, _)| k == "fastmath");
-        let set = candidates::generate(&features, self.model, !fastmath_pinned);
-        let mut survivors = set.survivors;
-        let budget_dropped = survivors.len().saturating_sub(self.budget.max_candidates);
-        survivors.truncate(self.budget.max_candidates);
-
-        // Score: build each candidate's schedule and rank modeled cycles.
-        // Passthrough policy keys are applied *before* scoring so a
-        // pinned `fastmath=off` or `sync=full` changes the model.
-        //
-        // Candidates that differ only in model or policy (`@barrier` /
-        // `@async` / `@serial`, `fastmath=on`) share one schedule: a plan
-        // cache private to this run schedules, reorders and compiles each
-        // schedule identity once. It is dropped when the run ends, so no
-        // later build sees it.
-        let shared = Arc::new(PlanCache::new(survivors.len().max(1)));
-        let mut scored: Vec<(TuneEntry, sptrsv_exec::SolvePlan)> = Vec::new();
-        for candidate in survivors {
-            let mut spec = candidate;
+        // Build every entrant with the passthrough policy keys applied, so
+        // each races as it will run. The run's private runtime (dropped
+        // with the entrants when the run ends) keeps a process that solves
+        // on explicit runtimes from starting the global pool.
+        let runtime = Arc::new(race_runtime(n_cores));
+        let mut built: Vec<(SchedulerSpec, SolvePlan)> = Vec::new();
+        for mut spec in entrants {
             for (k, v) in &self.passthrough {
                 spec = spec.with(k.clone(), v.clone());
             }
             let plan = PlanBuilder::new(self.matrix)
                 .scheduler(spec.to_string())
                 .cores(n_cores)
-                .cached(&shared)
+                .runtime(Arc::clone(&runtime))
+                .cached(&plans)
                 .build()?;
-            let report = plan.simulate(&self.profile);
-            let entry = TuneEntry {
-                spec,
-                modeled_cycles: report.cycles,
-                n_supersteps: plan.schedule().n_supersteps(),
-                reused_schedule: plan.cache_outcome() == CacheOutcome::MemoryHit,
-                measured_ms: None,
-            };
-            scored.push((entry, plan));
+            built.push((spec, plan));
         }
-        if scored.is_empty() {
-            return Err(TuneError::Spec("no candidate survived pruning under this budget".into()));
-        }
-        // Stable sort: ties keep the most-promising-first candidate order,
-        // so the verdict is deterministic for a fixed matrix + budget.
-        scored.sort_by(|a, b| a.0.modeled_cycles.total_cmp(&b.0.modeled_cycles));
-
-        // Optional measured refinement: real first-solves of the top-K.
+        // The lowest median wins; a tie keeps the entrant order.
+        let medians = race(self.matrix.n_rows(), &built);
         let mut winner_idx = 0;
-        if self.budget.measure {
-            let b: Vec<f64> = (0..self.matrix.n_rows()).map(|i| 1.0 + (i % 7) as f64).collect();
-            let k = self.budget.top_k.max(1).min(scored.len());
-            let mut best = f64::INFINITY;
-            for (idx, (entry, plan)) in scored.iter_mut().take(k).enumerate() {
-                let mut x = vec![0.0; self.matrix.n_rows()];
-                let mut ws = plan.workspace();
-                let mut samples = [0.0f64; 3];
-                for s in &mut samples {
-                    let t = Instant::now();
-                    plan.solve_into(&b, &mut x, &mut ws);
-                    *s = t.elapsed().as_secs_f64() * 1e3;
-                }
-                samples.sort_by(f64::total_cmp);
-                entry.measured_ms = Some(samples[1]);
-                if samples[1] < best {
-                    best = samples[1];
-                    winner_idx = idx;
-                }
+        for (idx, median) in medians.iter().enumerate() {
+            if median < &medians[winner_idx] {
+                winner_idx = idx;
             }
         }
-
-        let ranked: Vec<TuneEntry> = scored.into_iter().map(|(e, _)| e).collect();
+        let ranked: Vec<TuneEntry> = built
+            .into_iter()
+            .zip(medians)
+            .map(|((spec, plan), race_median_us)| TuneEntry {
+                spec,
+                race_median_us,
+                n_supersteps: plan.schedule().n_supersteps(),
+            })
+            .collect();
         let winner = ranked[winner_idx].spec.clone();
 
         let mut cache = CacheStatus::Off;
@@ -490,13 +425,53 @@ impl<'m> Tuner<'m> {
         Ok(TuneReport {
             features,
             ranked,
-            pruned: set.pruned,
-            budget_dropped,
             winner,
             cache,
+            plans,
             tuning_seconds: started.elapsed().as_secs_f64(),
         })
     }
+}
+
+/// The runtime a run races on: `n_cores` wide, capped by the hardware, so
+/// `cores=64` on a small machine spawns no more threads than it has.
+fn race_runtime(n_cores: usize) -> SolverRuntime {
+    let hardware = std::thread::available_parallelism().map_or(1, |n| n.get());
+    SolverRuntime::new(n_cores.min(hardware))
+}
+
+/// Times the entrants on one right-hand side of length `n`: [`WARM_UP`]
+/// untimed solves each, then [`ROUNDS`] interleaved rounds. Returns each
+/// entrant's median solve time in microseconds, or `None` for a list of
+/// one, which is not raced.
+fn race(n: usize, entrants: &[(SchedulerSpec, SolvePlan)]) -> Vec<Option<f64>> {
+    if entrants.len() < 2 {
+        return vec![None; entrants.len()];
+    }
+    let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64).collect();
+    let mut lanes: Vec<_> = entrants
+        .iter()
+        .map(|(_, plan)| (plan, plan.workspace(), vec![0.0; n], Vec::new()))
+        .collect();
+    for (plan, ws, x, _) in &mut lanes {
+        for _ in 0..WARM_UP {
+            plan.solve_into(&b, x, ws);
+        }
+    }
+    for _ in 0..ROUNDS {
+        for (plan, ws, x, samples) in &mut lanes {
+            let t = Instant::now();
+            plan.solve_into(&b, x, ws);
+            samples.push(t.elapsed().as_secs_f64() * 1e6);
+        }
+    }
+    lanes
+        .into_iter()
+        .map(|(.., mut samples)| {
+            samples.sort_by(f64::total_cmp);
+            Some(samples[ROUNDS / 2])
+        })
+        .collect()
 }
 
 /// A resolved spec: what to actually build, plus the tuning report when
@@ -506,14 +481,15 @@ pub struct Resolved {
     /// The concrete spec text to hand to `PlanBuilder::scheduler` (the
     /// input unchanged when it was not `auto`).
     pub spec: String,
-    /// The tuning report, when the input was an `auto` spec.
+    /// The tuning report, when the input was an `auto` spec. Its
+    /// [`TuneReport::plans`] holds the winner's plan for the builder.
     pub report: Option<TuneReport>,
 }
 
 /// The single entry point consumers call on any user-provided spec
 /// string: `auto[:…]` resolves through the tuner, anything else passes
 /// through untouched. `cores`, when known from a typed setting or flag,
-/// keeps the tuner scoring the same width the plan will run at.
+/// keeps the tuner racing the same width the plan will run at.
 pub fn resolve_spec(
     matrix: &CsrMatrix,
     spec: &str,
@@ -542,11 +518,11 @@ pub fn is_auto_spec(spec: &str) -> bool {
 /// execution crate in the dependency order.
 pub trait AutoPlanBuilder<'m>: Sized {
     /// A `PlanBuilder` pre-configured with the auto-picked spec for
-    /// `matrix` (default tuner: modeled scoring, no verdict cache).
+    /// `matrix` (default tuner: no verdict cache).
     fn auto(matrix: &'m CsrMatrix) -> Result<Self, TuneError>;
 
     /// Like [`AutoPlanBuilder::auto`], but with an explicitly configured
-    /// [`Tuner`] (budget, cache, profile, model restriction).
+    /// [`Tuner`] (budget, cache, model restriction).
     fn auto_with(tuner: &Tuner<'m>) -> Result<Self, TuneError>;
 }
 
@@ -555,21 +531,24 @@ impl<'m> AutoPlanBuilder<'m> for PlanBuilder<'m> {
         Self::auto_with(&Tuner::new(matrix))
     }
 
+    /// The builder is wired to the run's plan cache, so the winner the
+    /// race built is not scheduled a second time.
     fn auto_with(tuner: &Tuner<'m>) -> Result<PlanBuilder<'m>, TuneError> {
         let report = tuner.run()?;
         Ok(PlanBuilder::new(tuner.matrix)
             .scheduler(report.winner.to_string())
-            .cores(tuner.effective_cores()))
+            .cores(tuner.effective_cores())
+            .cached(&report.plans))
     }
 }
 
-/// Renders the ranked table the CLI prints.
+/// Renders the race table the CLI prints.
 pub fn render_table(report: &TuneReport) -> String {
     let mut out = String::new();
     let f = &report.features;
     out.push_str(&format!(
         "features: n={} nnz={} sources={} wavefronts={} (avg {:.1}, max {}) \
-         width p25/p50/p90 {}/{}/{} row-var {:.1} bandwidth {} dense {:.0}%\n",
+         width p25/p50/p90 {}/{}/{} row-var {:.1} bandwidth {}\n",
         f.stats.n,
         f.stats.nnz,
         f.stats.n_sources,
@@ -581,33 +560,18 @@ pub fn render_table(report: &TuneReport) -> String {
         f.width_quantiles[2],
         f.stats.row_len_variance,
         f.stats.bandwidth,
-        f.dense_coverage * 100.0,
     ));
     if report.cache == CacheStatus::Hit {
         return out;
     }
-    out.push_str(&format!(
-        "{:<34} {:>14} {:>6} {:>8} {:>10}\n",
-        "candidate", "modeled cycles", "steps", "schedule", "solve ms"
-    ));
+    out.push_str(&format!("{:<34} {:>15} {:>6}\n", "entrant", "race median us", "steps"));
     for entry in &report.ranked {
-        let measured = entry.measured_ms.map_or("-".to_string(), |ms| format!("{ms:.3}"));
+        let median = entry.race_median_us.map_or("not raced".to_string(), |us| format!("{us:.1}"));
         out.push_str(&format!(
-            "{:<34} {:>14.0} {:>6} {:>8} {:>10}\n",
+            "{:<34} {:>15} {:>6}\n",
             entry.spec.to_string(),
-            entry.modeled_cycles,
+            median,
             entry.n_supersteps,
-            if entry.reused_schedule { "reused" } else { "built" },
-            measured,
-        ));
-    }
-    for p in &report.pruned {
-        out.push_str(&format!("pruned: {:<26} ({})\n", p.spec, p.reason));
-    }
-    if report.budget_dropped > 0 {
-        out.push_str(&format!(
-            "budget: {} survivor(s) not scheduled (budget=N raises the bound)\n",
-            report.budget_dropped
         ));
     }
     out
@@ -617,21 +581,40 @@ pub fn render_table(report: &TuneReport) -> String {
 mod tests {
     use super::*;
     use sptrsv_core::registry;
+    use sptrsv_exec::CacheOutcome;
     use sptrsv_sparse::gen::grid::{grid2d_laplacian, Stencil2D};
+    use sptrsv_sparse::CooMatrix;
 
     fn grid() -> CsrMatrix {
         grid2d_laplacian(16, 16, Stencil2D::FivePoint, 0.5).lower_triangle().unwrap()
     }
 
+    fn specs(report: &TuneReport) -> Vec<String> {
+        report.ranked.iter().map(|e| e.spec.to_string()).collect()
+    }
+
+    /// A verdict-cache directory of its own for one test.
+    fn scratch_dir(test: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("sptrsv-tune-{test}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        dir
+    }
+
     #[test]
     fn auto_resolution_is_deterministic_and_registered() {
+        // A timed pick is not deterministic; what is: the entrants and
+        // their order, the winner's membership, and a cached verdict.
         let l = grid();
         let a = Tuner::new(&l).cores(4).run().unwrap();
         let b = Tuner::new(&l).cores(4).run().unwrap();
-        assert_eq!(a.winner.to_string(), b.winner.to_string());
-        let ra: Vec<String> = a.ranked.iter().map(|e| e.spec.to_string()).collect();
-        let rb: Vec<String> = b.ranked.iter().map(|e| e.spec.to_string()).collect();
-        assert_eq!(ra, rb);
+        assert_eq!(specs(&a), specs(&b));
+        assert!(specs(&a).contains(&a.winner.to_string()), "{} is no entrant", a.winner);
+        let dir = scratch_dir("determinism");
+        let stored = Tuner::new(&l).cores(4).cache_dir(&dir).run().unwrap();
+        let hit = Tuner::new(&l).cores(4).cache_dir(&dir).run().unwrap();
+        assert_eq!((stored.cache, hit.cache), (CacheStatus::Stored, CacheStatus::Hit));
+        assert_eq!(hit.winner.to_string(), stored.winner.to_string());
+        std::fs::remove_dir_all(&dir).ok();
         // The winner parses, is registered, and uses a supported model.
         let spec: SchedulerSpec = a.winner.to_string().parse().unwrap();
         let info = registry::info(spec.name()).unwrap();
@@ -644,125 +627,133 @@ mod tests {
         use rand::SeedableRng;
         let mut rng = rand::rngs::SmallRng::seed_from_u64(5);
         let operands = [
-            ("grid", grid()),
+            ("grid", grid(), "auto"),
             (
                 "narrow band",
                 sptrsv_sparse::gen::narrow_band::narrow_band_lower(300, 0.3, 6.0, &mut rng),
+                "auto:fastmath=on",
             ),
-            // Dense blocks: the fastmath variants join the candidate set.
             (
-                "supernodal",
-                sptrsv_sparse::gen::grid::supernodal_spd(6, 8, 2, 0.5).lower_triangle().unwrap(),
+                "erdos-renyi",
+                sptrsv_sparse::gen::erdos_renyi::erdos_renyi_lower(300, 0.02, &mut rng),
+                "auto@async",
             ),
         ];
-        let mut saw_fastmath = false;
-        for (what, l) in &operands {
-            let report = Tuner::new(l).cores(2).run().unwrap();
-            assert!(report.ranked.len() > 1, "{what}: nothing to share");
+        for (what, l, spec) in &operands {
+            let report = Tuner::from_spec(l, spec).unwrap().unwrap().cores(2).run().unwrap();
+            assert!(report.ranked.len() > 1, "{what}: nothing raced");
             for entry in &report.ranked {
                 let cold =
                     PlanBuilder::new(l).scheduler(entry.spec.to_string()).cores(2).build().unwrap();
-                let cycles = cold.simulate(&MachineProfile::intel_xeon_22()).cycles;
-                assert_eq!(
-                    entry.modeled_cycles.to_bits(),
-                    cycles.to_bits(),
-                    "{what}: {} scored {} shared, {} cold",
-                    entry.spec,
-                    entry.modeled_cycles,
-                    cycles
-                );
-                assert_eq!(
-                    entry.n_supersteps,
-                    cold.schedule().n_supersteps(),
-                    "{what}: {}",
-                    entry.spec
-                );
-                saw_fastmath |= entry.spec.to_string().contains("fastmath=on");
+                assert_eq!(entry.n_supersteps, cold.schedule().n_supersteps(), "{what}");
+                let warm = PlanBuilder::new(l)
+                    .scheduler(entry.spec.to_string())
+                    .cores(2)
+                    .cached(&report.plans)
+                    .build()
+                    .unwrap();
+                assert_eq!(warm.cache_outcome(), CacheOutcome::MemoryHit, "{what}: {}", entry.spec);
+                assert_eq!(warm.schedule(), cold.schedule(), "{what}: {}", entry.spec);
             }
-            // Exactly one cold schedule per identity; every other candidate
-            // reused it.
+            // One cold schedule per identity: the run's cache holds exactly
+            // the distinct identities.
             let identities: std::collections::HashSet<String> =
                 report.ranked.iter().map(|e| registry::schedule_identity(&e.spec)).collect();
-            let built = report.ranked.iter().filter(|e| !e.reused_schedule).count();
-            assert_eq!(built, identities.len(), "{what}");
-            assert!(built < report.ranked.len(), "{what}: no candidate shared a schedule");
-            assert!(render_table(&report).contains(" reused "), "{what}");
+            assert_eq!(report.plans.len(), identities.len(), "{what}");
         }
-        assert!(saw_fastmath, "no operand exercised a fastmath variant");
     }
 
     #[test]
-    fn winner_beats_every_scored_candidate_by_model() {
+    fn winner_has_the_lowest_race_median() {
         let l = grid();
-        let report = Tuner::new(&l).cores(4).run().unwrap();
-        let best = report.ranked[0].modeled_cycles;
-        for entry in &report.ranked {
-            assert!(entry.modeled_cycles >= best);
+        let report = Tuner::new(&l).cores(2).run().unwrap();
+        let medians: Vec<f64> =
+            report.ranked.iter().map(|e| e.race_median_us.expect("every entrant raced")).collect();
+        let best = medians.iter().copied().fold(f64::INFINITY, f64::min);
+        // The first entrant at the lowest median: a tie keeps the order.
+        let first_best = medians.iter().position(|&m| m == best).unwrap();
+        assert_eq!(report.winner.to_string(), report.ranked[first_best].spec.to_string());
+        assert!(render_table(&report).contains(&report.winner.to_string()));
+    }
+
+    #[test]
+    fn race_runtime_is_capped_by_the_hardware() {
+        let hardware = std::thread::available_parallelism().map_or(1, |n| n.get());
+        for n_cores in [1, 2, 64] {
+            assert_eq!(race_runtime(n_cores).capacity(), n_cores.min(hardware));
         }
-        assert_eq!(report.winner.to_string(), report.ranked[0].spec.to_string());
-        // The fixed-spec ablation set — every scheduler under its default
-        // model — never has a worse member than the winner.
-        let worst_fixed = registry::list()
-            .iter()
-            .map(|info| {
-                let spec = format!("{}@{}", info.name, info.default_model());
-                let plan = PlanBuilder::new(&l).scheduler(&spec).cores(4).build().unwrap();
-                plan.simulate(&MachineProfile::intel_xeon_22()).cycles
-            })
-            .fold(f64::MIN, f64::max);
-        assert!(best <= worst_fixed, "auto ({best}) lost to the worst fixed spec");
+    }
+
+    #[test]
+    fn near_sequential_operand_is_not_raced() {
+        let n = 200;
+        let mut coo = CooMatrix::new(n, n);
+        for i in 0..n {
+            coo.push(i, i, 2.0).unwrap();
+            if i > 0 {
+                coo.push(i, i - 1, 1.0).unwrap();
+            }
+        }
+        let l = coo.to_csr();
+        let report = Tuner::new(&l).cores(2).run().unwrap();
+        assert_eq!(specs(&report), ["wavefront@serial"]);
+        assert_eq!(report.ranked[0].race_median_us, None);
+        assert!(render_table(&report).contains("not raced"));
     }
 
     #[test]
     fn from_spec_parses_scope_and_passthrough_keys() {
         let l = grid();
         assert!(Tuner::from_spec(&l, "growlocal").unwrap().is_none());
-        let t = Tuner::from_spec(&l, "auto:budget=4,measure=off,cores=2").unwrap().unwrap();
-        assert_eq!(t.budget.max_candidates, 4);
-        assert!(!t.budget.measure);
+        let t = Tuner::from_spec(&l, "auto:budget=2,cores=2").unwrap().unwrap();
+        assert_eq!(t.budget.max_candidates, 2);
         assert_eq!(t.effective_cores(), 2);
         assert!(Tuner::from_spec(&l, "auto:bogus=1").is_err());
         assert!(Tuner::from_spec(&l, "auto:budget=0").is_err());
         assert!(Tuner::from_spec(&l, "auto:cores=0").is_err());
+        // The removed timed-refinement knob fails by name.
+        let err = Tuner::from_spec(&l, "auto:measure=on").unwrap_err();
+        assert!(matches!(&err, TuneError::Spec(m) if m.contains("measure")), "{err}");
     }
 
     #[test]
     fn budget_bounds_scheduled_candidates() {
         let l = grid();
-        let report = Tuner::new(&l)
-            .cores(4)
-            .budget(TuneBudget { max_candidates: 3, measure: false, top_k: 3 })
-            .run()
-            .unwrap();
-        assert_eq!(report.ranked.len(), 3);
-        assert!(report.budget_dropped > 0);
+        for max_candidates in 1..=4 {
+            let report =
+                Tuner::new(&l).cores(4).budget(TuneBudget { max_candidates }).run().unwrap();
+            assert_eq!(report.ranked.len(), max_candidates.min(3));
+        }
     }
 
     #[test]
     fn model_restriction_holds() {
         let l = grid();
         let report = Tuner::from_spec(&l, "auto@serial").unwrap().unwrap().run().unwrap();
+        assert_eq!(specs(&report), ["wavefront@serial"], "auto@serial has one entrant");
         assert_eq!(report.winner.to_string(), "wavefront@serial");
+        let report = Tuner::from_spec(&l, "auto@async").unwrap().unwrap().cores(2).run().unwrap();
+        assert_eq!(specs(&report), ["spmp@async", "funnel-gl@async", "hdagg@async"]);
     }
 
     #[test]
     fn verdict_cache_hits_and_detects_corruption() {
         let l = grid();
-        let dir = std::env::temp_dir().join(format!("sptrsv-tune-test-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = scratch_dir("verdict");
 
         let first = Tuner::new(&l).cores(4).cache_dir(&dir).run().unwrap();
         assert_eq!(first.cache, CacheStatus::Stored);
         let second = Tuner::new(&l).cores(4).cache_dir(&dir).run().unwrap();
         assert_eq!(second.cache, CacheStatus::Hit);
         assert_eq!(second.winner.to_string(), first.winner.to_string());
-        assert!(second.ranked.is_empty(), "a hit schedules nothing");
+        assert!(second.ranked.is_empty(), "a hit builds nothing");
+        assert!(second.plans.is_empty(), "a hit builds nothing");
 
         // A different budget is a different question: its own cache slot.
         let other = Tuner::new(&l)
             .cores(4)
             .cache_dir(&dir)
-            .budget(TuneBudget { max_candidates: 3, measure: false, top_k: 3 })
+            .budget(TuneBudget { max_candidates: 2 })
             .run()
             .unwrap();
         assert_eq!(other.cache, CacheStatus::Stored);
@@ -799,6 +790,24 @@ mod tests {
     }
 
     #[test]
+    fn the_auto_builder_reuses_the_raced_plan() {
+        let l = grid();
+        let b: Vec<f64> = (0..l.n_rows()).map(|i| 1.0 + (i % 5) as f64).collect();
+        let plan = PlanBuilder::auto(&l).unwrap().build().unwrap();
+        assert_eq!(plan.cache_outcome(), CacheOutcome::MemoryHit);
+        // With one entrant the winner is known: the reused plan solves
+        // bit-identically to a cold build of it.
+        let warm =
+            PlanBuilder::auto_with(&Tuner::new(&l).cores(2).max_candidates(1)).unwrap().build();
+        let warm = warm.unwrap();
+        let cold = PlanBuilder::new(&l).scheduler("funnel-gl@barrier").cores(2).build().unwrap();
+        assert_eq!(warm.cache_outcome(), CacheOutcome::MemoryHit);
+        assert_eq!(warm.schedule(), cold.schedule());
+        let bits = |x: Vec<f64>| x.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(bits(warm.solve(&b)), bits(cold.solve(&b)));
+    }
+
+    #[test]
     fn passthrough_policy_reaches_the_winner() {
         let l = grid();
         let report =
@@ -806,9 +815,13 @@ mod tests {
         let winner = report.winner.to_string();
         assert!(winner.contains("fastmath=off"), "got {winner}");
         assert!(winner.contains("cores=2"), "got {winner}");
-        // Pinned fastmath suppresses generated fastmath variants.
+        // `auto` never adds fastmath on its own; the passthrough key
+        // reaches every entrant.
         for e in &report.ranked {
-            assert!(!e.spec.to_string().contains("fastmath=on"));
+            assert!(e.spec.to_string().contains("fastmath=off"), "{}", e.spec);
+        }
+        for e in &Tuner::new(&l).cores(2).run().unwrap().ranked {
+            assert!(!e.spec.to_string().contains("fastmath"), "{}", e.spec);
         }
     }
 
@@ -832,6 +845,7 @@ mod tests {
             ("batch_wait_us", "0"),
             ("plan_cache", "/tmp/x"),
             ("sync", "2000"),
+            ("measure", "on"),
         ] {
             let err = Tuner::from_spec(&l, &format!("auto:{key}={value}")).unwrap_err();
             assert!(matches!(&err, TuneError::Spec(m) if m.contains(key)), "{key}: {err}");

@@ -10,10 +10,10 @@
 //! schedule is computed once and reused hundreds of times (amortization,
 //! §7.7).
 //!
-//! Scheduler selection is handed to the auto-tuner: `PlanBuilder::auto`
-//! (the `sptrsv-tune` entry point) extracts the factor's features, prunes
-//! the registry's (scheduler, model) pairs, ranks the survivors by modeled
-//! cycles, and builds the winner — no scheduler name appears in this file.
+//! Scheduler selection is handed to the auto-tuner (`sptrsv-tune`): it
+//! reads the factor's features, builds at most three entrants, races them
+//! in wall-clock time on the factor itself, and names the fastest — no
+//! scheduler name appears in this file.
 //!
 //! Both sweeps go through `PlanBuilder`: the forward solve plans `L` as a
 //! lower operand, the backward solve plans `Lᵀ` as an *upper* operand (the
@@ -46,12 +46,13 @@ fn main() {
     // lets the tuner pick the (scheduler, model) pair from the factor's
     // structure; the backward sweep solves the transpose, whose internal
     // lower operand has the same structure mirrored, so the same winning
-    // spec is reused rather than tuned twice.
+    // spec is reused rather than tuned twice. The forward build reuses the
+    // plan the tuner's race already built.
     let l = ichol0(&a, &IcholOptions::default()).expect("diagonally dominant");
     let lt = l.transpose();
     let tune_report = Tuner::new(&l).cores(8).run().expect("tuning a well-formed factor");
     println!(
-        "auto picked: {} ({} candidates scored, {:.1} ms tuning)",
+        "auto picked: {} ({} entrants raced, {:.1} ms tuning)",
         tune_report.winner,
         tune_report.ranked.len(),
         tune_report.tuning_seconds * 1e3
@@ -59,6 +60,7 @@ fn main() {
     let forward = PlanBuilder::new(&l)
         .scheduler(tune_report.winner.to_string())
         .cores(8)
+        .cached(&tune_report.plans)
         .build()
         .expect("valid lower plan");
     let backward = PlanBuilder::new(&lt)
