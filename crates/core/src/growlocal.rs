@@ -6,10 +6,25 @@
 //! 1. assign up to `α` ready vertices to core 1, giving weight `Ω₁`;
 //! 2. fill every further core up to weight `Ω₁`;
 //! 3. score the iteration with `β = Σ_p Ω_p / (max_p Ω_p + L)`, where `L`
-//!    is the synchronization-barrier penalty;
-//! 4. if `β` is at least `0.97×` the best score seen in this superstep, the
-//!    iteration is *worthy*: undo it, grow `α ← 1.5·α`, and try again;
-//!    otherwise finalize the last worthy iteration as the superstep.
+//!    is the synchronization-barrier penalty, and price it against
+//!    closing the superstep: with P the worthy iteration of this superstep
+//!    (the first counts as worthy) whose cores `2..k` carry the most
+//!    weight, the later one on a tie, the iteration *grows
+//!    serially* when it gives those cores less than P does and
+//!    `max_p Ω_p > Σ_p Ω_p · max_P / total_P + L`, i.e. when growing from
+//!    P adds more critical work than running the extra work as a separate
+//!    superstep, spread as evenly as P's, plus one barrier;
+//! 4. if the iteration does not grow serially and `β` is at least `0.97×`
+//!    the best score seen in this superstep, it is *worthy*: undo it, grow
+//!    `α ← 1.5·α`, and try again; otherwise finalize the last worthy
+//!    iteration as the superstep.
+//!
+//! The serial-growth test of step 3 is an addition to Algorithm 3.1 as
+//! this code reads it, which scores by β alone. β rises with Ω₁ whenever
+//! the other cores add less than `L`, so once core 1 has taken the shared
+//! ready list every longer iteration stayed worthy, and whole Erdős–Rényi
+//! operands ran as one superstep on one core. On one core, or while P
+//! itself is serial, `max_P = total_P` and the test never fires.
 //!
 //! Vertex selection follows **Rule I**: first vertices that are executable
 //! *only on this core* in the current superstep (because a parent was just
@@ -99,10 +114,49 @@ impl GrowLocal {
 struct Iteration {
     /// Parallelization score β.
     beta: f64,
+    /// The candidate superstep's weights.
+    load: Load,
     /// How many assignments came from the ready list: its first
     /// `from_ready` entries, since every core takes ready vertices through
     /// one shared cursor in ID order.
     from_ready: usize,
+}
+
+/// The weights of a candidate superstep: `Σ_p Ω_p`, `max_p Ω_p`, and the
+/// share of cores `1..k` (every core but the first).
+#[derive(Debug, Clone, Copy)]
+struct Load {
+    total: u64,
+    max: u64,
+    others: u64,
+}
+
+impl Load {
+    fn of(omegas: &[u64]) -> Load {
+        let total: u64 = omegas.iter().sum();
+        let max = omegas.iter().copied().max().unwrap_or(0);
+        Load { total, max, others: total - omegas[0] }
+    }
+
+    /// Whether growing from `self` (iteration P) to the longer candidate
+    /// `c` trades parallel work for serial work: `c` gives cores `1..k`
+    /// less weight than P, and closing the superstep at P, running the
+    /// rest of `c`'s work as a separate superstep, is cheaper in BSP cost.
+    /// Growing adds `max_c − max_P` to the critical work; the extra
+    /// superstep costs `L` plus the extra work `total_c − total_P` spread
+    /// as evenly as P spreads its own, `max_P / total_P` of it on the
+    /// busiest core. The `max_P` terms cancel, leaving
+    ///
+    /// `max_c · total_P > total_c · max_P + L · total_P`.
+    ///
+    /// When P runs on one core, `max_P = total_P` and `max_c ≤ total_c`,
+    /// so this never holds: a chain or a single core keeps growing.
+    fn growth_is_serial(&self, c: &Load, sync_cost: u64) -> bool {
+        let p = self;
+        let wide = |a: u64, b: u64| a as u128 * b as u128;
+        c.others < p.others
+            && wide(c.max, p.total) > wide(c.total, p.max) + wide(sync_cost, p.total)
+    }
 }
 
 /// Working memory of the speculative iterations, allocated once per
@@ -278,10 +332,9 @@ impl GrowLocal {
             }
         }
         assigned.extend(core0.iter().map(|&v| (v, 0)));
-        let total: u64 = omegas.iter().sum();
-        let max = omegas.iter().copied().max().unwrap_or(0);
-        let beta = total as f64 / (max + self.params.sync_cost) as f64;
-        Iteration { beta, from_ready: cursor }
+        let load = Load::of(omegas);
+        let beta = load.total as f64 / (load.max + self.params.sync_cost) as f64;
+        Iteration { beta, load, from_ready: cursor }
     }
 }
 
@@ -335,10 +388,14 @@ impl Scheduler for GrowLocal {
                 "no ready vertices but {} unscheduled — the graph has a cycle",
                 n - n_finalized
             );
-            // Grow the superstep: α-iterations until the score degrades.
+            // Grow the superstep: α-iterations until the score degrades or
+            // growing costs more than closing the superstep.
             let mut alpha = self.params.alpha_init.max(1);
             let first = self.run_iteration(dag, alpha, false, &state, &mut scratch, &mut best);
             let (mut best_beta, mut from_ready) = (first.beta, first.from_ready);
+            // The accepted iteration whose cores 1..k carry the most weight
+            // (the longer one on a tie).
+            let mut most_parallel = first.load;
             loop {
                 let next_alpha =
                     ((alpha as f64 * self.params.growth).ceil() as usize).min(n).max(alpha + 1);
@@ -346,10 +403,16 @@ impl Scheduler for GrowLocal {
                 if cand.len() <= best.len() {
                     break; // the DAG frontier is exhausted; growing is futile
                 }
+                if most_parallel.growth_is_serial(&it.load, self.params.sync_cost) {
+                    break; // the growth is serial: close the superstep instead
+                }
                 if it.beta >= self.params.accept_ratio * best_beta {
                     best_beta = best_beta.max(it.beta);
                     alpha = next_alpha;
                     from_ready = it.from_ready;
+                    if it.load.others >= most_parallel.others {
+                        most_parallel = it.load;
+                    }
                     std::mem::swap(&mut best, &mut cand);
                 } else {
                     break; // parallelism degraded: keep the last worthy one
@@ -389,6 +452,8 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use sptrsv_dag::wavefront::wavefronts;
+    use std::collections::BTreeMap;
+    use std::sync::Mutex;
 
     /// The hash-map implementation: every speculative iteration re-runs
     /// every core from a fresh map of assigned-parent counts and fresh
@@ -401,6 +466,10 @@ mod tests {
         struct Iteration {
             assigned: Vec<(usize, usize)>,
             beta: f64,
+            /// `Σ_p Ω_p`, `max_p Ω_p` and the weight of cores 1..k.
+            total: u64,
+            max: u64,
+            others: u64,
         }
 
         struct State {
@@ -471,10 +540,27 @@ mod tests {
             let total: u64 = omegas.iter().sum();
             let max = omegas.iter().copied().max().unwrap_or(0);
             let beta = total as f64 / (max + params.sync_cost) as f64;
-            Iteration { assigned, beta }
+            Iteration { assigned, beta, total, max, others: total - omegas[0] }
         }
 
-        pub(super) fn schedule(params: &GrowLocalParams, dag: &SolveDag, k: usize) -> Schedule {
+        /// Whether growing from the accepted iteration `p` to `c` takes
+        /// weight off cores 1..k and adds more critical work than closing
+        /// the superstep at `p` would cost: the extra work as a separate
+        /// superstep at `p`'s balance, plus one barrier.
+        fn growth_is_serial(p: &Iteration, c: &Iteration, sync_cost: u64) -> bool {
+            let grow = (c.max as i128 - p.max as i128) * p.total as i128;
+            let close = (c.total as i128 - p.total as i128) * p.max as i128
+                + sync_cost as i128 * p.total as i128;
+            c.others < p.others && grow > close
+        }
+
+        /// GrowLocal by hash maps; also returns how many supersteps the
+        /// serial-growth rule closed where the `β` test would have grown.
+        pub(super) fn schedule(
+            params: &GrowLocalParams,
+            dag: &SolveDag,
+            k: usize,
+        ) -> (Schedule, usize) {
             let n = dag.n();
             let mut state = State {
                 remaining: (0..n).map(|v| dag.in_degree(v)).collect(),
@@ -484,25 +570,37 @@ mod tests {
             };
             let mut n_finalized = 0usize;
             let mut step = 0usize;
+            let mut closed_by_rule = 0usize;
             while n_finalized < n {
                 let mut alpha = params.alpha_init.max(1);
-                let mut best = run_iteration(params, dag, k, alpha, &state);
-                let mut best_beta = best.beta;
+                // Every accepted iteration of this superstep; the last is
+                // the one to finalize.
+                let mut accepted = vec![run_iteration(params, dag, k, alpha, &state)];
+                let mut best_beta = accepted[0].beta;
                 loop {
+                    let best = accepted.last().expect("the first iteration");
                     let next_alpha =
                         ((alpha as f64 * params.growth).ceil() as usize).min(n).max(alpha + 1);
                     let cand = run_iteration(params, dag, k, next_alpha, &state);
                     if cand.assigned.len() <= best.assigned.len() {
                         break;
                     }
-                    if cand.beta >= params.accept_ratio * best_beta {
+                    let worthy = cand.beta >= params.accept_ratio * best_beta;
+                    // `max_by_key` keeps the last of equal maxima.
+                    let p = accepted.iter().max_by_key(|it| it.others).expect("non-empty");
+                    if growth_is_serial(p, &cand, params.sync_cost) {
+                        closed_by_rule += usize::from(worthy);
+                        break;
+                    }
+                    if worthy {
                         best_beta = best_beta.max(cand.beta);
                         alpha = next_alpha;
-                        best = cand;
+                        accepted.push(cand);
                     } else {
                         break;
                     }
                 }
+                let best = accepted.pop().expect("the first iteration");
                 for &(v, p) in &best.assigned {
                     state.core_of[v] = p;
                     state.step_of[v] = step;
@@ -519,7 +617,7 @@ mod tests {
                 n_finalized += best.assigned.len();
                 step += 1;
             }
-            Schedule::new(k, state.core_of, state.step_of)
+            (Schedule::new(k, state.core_of, state.step_of), closed_by_rule)
         }
     }
 
@@ -547,14 +645,40 @@ mod tests {
         sweep
     }
 
-    fn assert_matches_oracle(dag: &SolveDag, n_cores: usize, what: &str) {
+    /// Asserts that the scheduler matches the oracle over the parameter
+    /// sweep; returns how many supersteps the serial-growth rule closed
+    /// where the `β` test alone would have grown them.
+    fn assert_matches_oracle(dag: &SolveDag, n_cores: usize, what: &str) -> usize {
+        let mut closed_by_rule = 0;
         for params in param_sweep() {
             let fast = GrowLocal::with_params(params.clone()).schedule(dag, n_cores);
-            let slow = oracle::schedule(&params, dag, n_cores);
+            let (slow, closed) = oracle::schedule(&params, dag, n_cores);
             let ctx = format!("{what}, cores={n_cores}, {params:?}");
             assert_eq!(fast.cores(), slow.cores(), "cores differ: {ctx}");
             assert_eq!(fast.steps(), slow.steps(), "steps differ: {ctx}");
             assert!(fast.validate(dag).is_ok(), "invalid schedule: {ctx}");
+            closed_by_rule += closed;
+        }
+        closed_by_rule
+    }
+
+    /// Cases each oracle property runs.
+    const ORACLE_CASES: u32 = 32;
+
+    /// Per oracle property: cases run, and supersteps the serial-growth
+    /// rule closed in them.
+    static RULE_TALLY: Mutex<BTreeMap<&str, (u32, usize)>> = Mutex::new(BTreeMap::new());
+
+    /// Records one generated case of `property`; at its last case, asserts
+    /// that the serial-growth rule decided at least one superstep, so the
+    /// property compares the rule and not only the `β` test.
+    fn tally_rule(property: &'static str, closed_by_rule: usize) {
+        let mut tally = RULE_TALLY.lock().unwrap_or_else(|e| e.into_inner());
+        let (cases, closed) = tally.entry(property).or_default();
+        *cases += 1;
+        *closed += closed_by_rule;
+        if *cases == ORACLE_CASES {
+            assert!(*closed > 0, "{property}: the serial-growth rule never decided a superstep");
         }
     }
 
@@ -575,7 +699,7 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
+        #![proptest_config(ProptestConfig::with_cases(ORACLE_CASES))]
 
         #[test]
         fn dense_iterations_match_the_hash_map_oracle(
@@ -585,9 +709,11 @@ mod tests {
             n_cores in 1usize..9,
         ) {
             let dag = random_dag(n, density, seed);
-            assert_matches_oracle(&dag, n_cores, &format!("random n={n} p={density} seed={seed}"));
-            // Many more cores than rows.
-            assert_matches_oracle(&dag, n + 16, &format!("random n={n} seed={seed}, cores >> rows"));
+            let closed =
+                assert_matches_oracle(&dag, n_cores, &format!("random n={n} p={density} seed={seed}"))
+                // Many more cores than rows.
+                + assert_matches_oracle(&dag, n + 16, &format!("random n={n} seed={seed}, cores >> rows"));
+            tally_rule("dense_iterations_match_the_hash_map_oracle", closed);
         }
 
         #[test]
@@ -600,7 +726,8 @@ mod tests {
             let mut rng = SmallRng::seed_from_u64(seed);
             let l = sptrsv_sparse::gen::narrow_band::narrow_band_lower(n, 0.5, bandwidth, &mut rng);
             let dag = SolveDag::from_lower_triangular(&l);
-            assert_matches_oracle(&dag, n_cores, &format!("narrow band n={n} B={bandwidth}"));
+            let closed = assert_matches_oracle(&dag, n_cores, &format!("narrow band n={n} B={bandwidth}"));
+            tally_rule("dense_iterations_match_the_oracle_on_narrow_band_operands", closed);
         }
     }
 
@@ -702,6 +829,39 @@ mod tests {
             "GrowLocal used {} supersteps vs {} wavefronts",
             s.n_supersteps(),
             wf.n_fronts()
+        );
+    }
+
+    /// BSP cost of a schedule: critical work plus `L` per barrier.
+    fn bsp_cost(s: &Schedule, dag: &SolveDag, sync_cost: u64) -> u64 {
+        let stats = s.stats(dag);
+        stats.critical_work + sync_cost * stats.n_barriers as u64
+    }
+
+    #[test]
+    fn growth_never_trades_a_parallel_superstep_for_a_serial_one() {
+        // Without the serial-growth rule this operand is one superstep with
+        // all its work on core 0, at 1.38× HDagg's BSP cost: past α = 102
+        // core 0 swallows the shared ready list, and β keeps rising with
+        // Ω₀ because Ω₀ ≫ L.
+        let l = sptrsv_sparse::gen::erdos_renyi_lower(
+            4000,
+            40.0 / 3999.0,
+            &mut SmallRng::seed_from_u64(2),
+        );
+        let dag = SolveDag::from_lower_triangular(&l);
+        let params = GrowLocalParams::default();
+        assert_eq!(params.sync_cost, 500);
+        let s = GrowLocal::with_params(params.clone()).schedule(&dag, 2);
+        assert!(s.validate(&dag).is_ok());
+        let hdagg = crate::HDagg::default().schedule(&dag, 2);
+        let (gl, hd) =
+            (bsp_cost(&s, &dag, params.sync_cost), bsp_cost(&hdagg, &dag, params.sync_cost));
+        assert!(s.n_supersteps() > 2, "collapsed to {} supersteps", s.n_supersteps());
+        assert!(
+            gl as f64 <= 1.2 * hd as f64,
+            "BSP cost {gl} is {:.2}× HDagg's {hd}",
+            gl as f64 / hd as f64
         );
     }
 

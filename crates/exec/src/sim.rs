@@ -1176,22 +1176,22 @@ mod tests {
         [0x40e60d1333333335, 0x40e4b24000000019, 0x40a5ad33333331c0, 1004],
         [0x4101e73000000000, 0x4101e73000000000, 0x0, 625],
         [0x4101e73000000000, 0x4101e73000000000, 0x0, 625],
-        [0x4101e73000000000, 0x4101e73000000000, 0x0, 625],
-        [0x4101e73000000000, 0x4101e73000000000, 0x0, 625],
-        [0x4101e73000000000, 0x4101e73000000000, 0x0, 625],
-        [0x4101e73000000000, 0x4101e73000000000, 0x0, 625],
+        [0x41021cd000000000, 0x4101e49000000000, 0x409c200000000000, 632],
+        [0x41021cd000000000, 0x4101e49000000000, 0x409c200000000000, 632],
+        [0x4101e5a000000000, 0x4101e49000000000, 0x4041000000000000, 632],
+        [0x4101e5a000000000, 0x4101e49000000000, 0x4041000000000000, 632],
         [0x41030c2800000000, 0x41030c2800000000, 0x0, 625],
         [0x41030c2800000000, 0x41030c2800000000, 0x0, 625],
-        [0x41030c2800000000, 0x41030c2800000000, 0x0, 625],
-        [0x41030c2800000000, 0x41030c2800000000, 0x0, 625],
-        [0x41030c2800000000, 0x41030c2800000000, 0x0, 625],
-        [0x41030c2800000000, 0x41030c2800000000, 0x0, 625],
+        [0x41036d8800000000, 0x4103098800000000, 0x40a9000000000000, 632],
+        [0x41036d8800000000, 0x4103098800000000, 0x40a9000000000000, 632],
+        [0x41030a9800000000, 0x4103098800000000, 0x4041000000000000, 632],
+        [0x41030a9800000000, 0x4103098800000000, 0x4041000000000000, 632],
         [0x41038a7199999992, 0x41038a7199999992, 0x0, 625],
         [0x41038a7199999992, 0x41038a7199999992, 0x0, 625],
-        [0x41038a7199999992, 0x41038a7199999992, 0x0, 625],
-        [0x41038a7199999992, 0x41038a7199999992, 0x0, 625],
-        [0x41038a7199999992, 0x41038a7199999992, 0x0, 625],
-        [0x41038a7199999992, 0x41038a7199999992, 0x0, 625],
+        [0x4103cc4e6666666c, 0x4103878e6666666c, 0x40a1300000000000, 632],
+        [0x4103cc4e6666666c, 0x4103878e6666666c, 0x40a1300000000000, 632],
+        [0x4103889e6666665d, 0x4103878e6666665d, 0x4041000000000000, 632],
+        [0x4103889e6666665d, 0x4103878e6666665d, 0x4041000000000000, 632],
         [0x4104c60000000000, 0x4104c60000000000, 0x0, 1144],
         [0x4104c60000000000, 0x4104c60000000000, 0x0, 1144],
         [0x4100c3c000000000, 0x40ff550000000000, 0x40c1940000000000, 5047],

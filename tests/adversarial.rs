@@ -2,13 +2,16 @@
 //!
 //! The degenerate inputs a scheduler meets at the edges of its contract:
 //! no rows, one row, a diagonal, one chain, a fully dense triangle,
-//! disconnected blocks, all-zero weights and many more cores than rows.
-//! Every plan must carry a valid schedule and a `solve_into` that is
-//! bit-identical to the serial substitution.
+//! disconnected blocks, all-zero weights, many more cores than rows, and
+//! the Erdős–Rényi operand on which GrowLocal once grew one serial
+//! superstep. Every plan must carry a valid schedule. Without the §5
+//! reordering its `solve_into` is bit-identical to the serial substitution
+//! on the user's matrix; with it, bit-identical on the plan's internal
+//! operand, and on the user's matrix too wherever the case says so.
 
 use sptrsv::core::{auto_part_weight_cap, coarsen_and_schedule, registry, GrowLocal};
 use sptrsv::dag::coarsen::{FunnelDirection, FunnelOptions};
-use sptrsv::exec::{solve_lower_serial, PlanBuilder};
+use sptrsv::exec::{backward_error, solve_lower_serial, PlanBuilder, BACKWARD_ERROR_TOL};
 use sptrsv::prelude::*;
 
 /// The scheduler specs under test; each also runs behind
@@ -66,21 +69,41 @@ fn disconnected_blocks() -> CsrMatrix {
     lower(&rows)
 }
 
-fn cases() -> Vec<(&'static str, CsrMatrix)> {
+/// The cases, each with whether its reordered plans are bit-identical to
+/// the serial substitution on the user's matrix as well. The §5
+/// reordering sums a row in internal column order; on the random operand
+/// that order differs from the user's, so only the internal operand and
+/// the backward error pin its reordered solve.
+fn cases() -> Vec<(&'static str, CsrMatrix, bool)> {
     vec![
-        ("n = 0", diagonal(0)),
-        ("n = 1", diagonal(1)),
-        ("diagonal only", diagonal(64)),
-        ("one chain", chain(300)),
+        ("n = 0", diagonal(0), true),
+        ("n = 1", diagonal(1), true),
+        ("diagonal only", diagonal(64), true),
+        ("one chain", chain(300), true),
         // Dense triangles probe about n/3 times per vertex-plus-edge (18.7
         // at n = 60), over funnel coarsening's bound of 10: it skips the
         // transitive reduction and partitions the solve DAG itself.
-        ("fully dense", dense(60)),
-        ("fully dense, n = 64", dense(64)),
-        ("disconnected blocks", disconnected_blocks()),
-        ("short chain", chain(5)),
-        ("small dense", dense(4)),
+        ("fully dense", dense(60), true),
+        ("fully dense, n = 64", dense(64), true),
+        ("disconnected blocks", disconnected_blocks(), true),
+        ("short chain", chain(5), true),
+        ("small dense", dense(4), true),
+        // Before GrowLocal's serial-growth rule, this operand ran as one
+        // superstep with all its work on core 0 at 2 cores.
+        ("serial-growth Erdős–Rényi", serial_growth_operand(), false),
     ]
+}
+
+/// `erdos_renyi_lower(4000, 40/3999)` with seed 2: at 2 cores and L = 500
+/// GrowLocal's α-growth let core 0 swallow the shared ready list.
+fn serial_growth_operand() -> CsrMatrix {
+    use rand::SeedableRng;
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(2);
+    sptrsv::sparse::gen::erdos_renyi_lower(4000, 40.0 / 3999.0, &mut rng)
+}
+
+fn bits_equal(a: &[f64], b: &[f64]) -> bool {
+    a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 fn assert_plan_is_valid_and_exact(
@@ -89,15 +112,19 @@ fn assert_plan_is_valid_and_exact(
     spec: &str,
     cores: usize,
     coarsen: bool,
+    reorder: bool,
+    reordered_user_exact: bool,
 ) {
-    let ctx = format!("{what}: {spec}, cores={cores}, coarsen={coarsen}");
+    let ctx = format!("{what}: {spec}, cores={cores}, coarsen={coarsen}, reorder={reorder}");
     let plan = PlanBuilder::new(m)
         .scheduler(spec)
         .cores(cores)
         .coarsen(coarsen)
+        .reorder(reorder)
         .build()
         .unwrap_or_else(|e| panic!("{ctx}: build failed: {e}"));
-    let dag = SolveDag::from_lower_triangular(plan.internal_matrix());
+    let internal = plan.internal_matrix();
+    let dag = SolveDag::from_lower_triangular(internal);
     plan.schedule().validate(&dag).unwrap_or_else(|e| panic!("{ctx}: invalid schedule: {e}"));
     let n = m.n_rows();
     let b: Vec<f64> = (0..n).map(|i| 1.0 + ((i * 7) % 11) as f64 / 3.0).collect();
@@ -106,18 +133,40 @@ fn assert_plan_is_valid_and_exact(
     let mut ws = plan.workspace();
     let mut x = vec![f64::NAN; n];
     plan.solve_into(&b, &mut x, &mut ws);
-    let same = x.iter().zip(&serial).all(|(a, s)| a.to_bits() == s.to_bits());
-    assert!(same, "{ctx}: solve_into differs from solve_lower_serial");
+    if !reorder || reordered_user_exact {
+        assert!(bits_equal(&x, &serial), "{ctx}: solve_into differs from solve_lower_serial");
+    } else {
+        let err = backward_error(m, &x, &b);
+        assert!(err <= BACKWARD_ERROR_TOL, "{ctx}: backward error {err}");
+        let mut internal_serial = vec![0.0; n];
+        solve_lower_serial(internal, &b, &mut internal_serial);
+        let mut px = vec![f64::NAN; n];
+        plan.executor().solve(internal, &b, &mut px);
+        assert!(
+            bits_equal(&px, &internal_serial),
+            "{ctx}: differs from solve_lower_serial on the internal operand"
+        );
+    }
 }
 
 #[test]
 fn adversarial_structures_schedule_validly_and_solve_exactly() {
-    for (what, m) in cases() {
+    for (what, m, reordered_user_exact) in cases() {
         for spec in SPECS {
             for coarsen in [false, true] {
                 // 16 cores is many more than rows on the small cases.
                 for cores in [1, 2, 3, 16] {
-                    assert_plan_is_valid_and_exact(what, &m, spec, cores, coarsen);
+                    for reorder in [true, false] {
+                        assert_plan_is_valid_and_exact(
+                            what,
+                            &m,
+                            spec,
+                            cores,
+                            coarsen,
+                            reorder,
+                            reordered_user_exact,
+                        );
+                    }
                 }
             }
         }

@@ -10,7 +10,9 @@ use sptrsv::core::registry;
 use sptrsv::core::CompiledSchedule;
 use sptrsv::dag::transitive::{approximate_transitive_reduction, reduction_invocations};
 use sptrsv::exec::verify::deviation_from_serial;
-use sptrsv::exec::{solve_lower_serial, ExecModel, Executor, PlanBuilder};
+use sptrsv::exec::{
+    backward_error, solve_lower_serial, ExecModel, Executor, PlanBuilder, BACKWARD_ERROR_TOL,
+};
 use sptrsv::prelude::*;
 
 #[test]
@@ -358,5 +360,59 @@ fn schedules_are_deterministic() {
         let a = sched.schedule(&dag, 4);
         let b = sched.schedule(&dag, 4);
         assert_eq!(a, b, "{} is nondeterministic", info.name);
+    }
+}
+
+#[test]
+fn reorder_off_plans_match_the_users_serial_solve_and_default_plans_their_internal_one() {
+    // The bit-identity contract as it holds: a `reorder(false)` plan's
+    // `solve_into` is bit-identical to `solve_lower_serial` on the user's
+    // matrix. A default plan (with the §5 reordering) is bit-identical to
+    // `solve_lower_serial` on its `internal_matrix()`; on the user's matrix
+    // it sums each row in another order, so it is held to
+    // `BACKWARD_ERROR_TOL` there. Every scheduler × model, on the three
+    // suites drift-bench solves.
+    for kind in [SuiteKind::SuiteSparse, SuiteKind::NarrowBandwidth, SuiteKind::ErdosRenyi] {
+        let ds = &load_suite(kind, Scale::Test, 3)[0];
+        let n = ds.lower.n_rows();
+        let b: Vec<f64> = (0..n).map(|i| 1.0 + ((i * 13) % 17) as f64 / 7.0).collect();
+        let mut user_serial = vec![0.0; n];
+        solve_lower_serial(&ds.lower, &b, &mut user_serial);
+        for info in registry::list() {
+            for &model in info.exec_models {
+                let spec = format!("{}@{model}", info.name);
+                let ctx = format!("`{spec}` on {}", ds.name);
+                let build = |reorder: bool| {
+                    PlanBuilder::new(&ds.lower)
+                        .scheduler(&spec)
+                        .cores(3)
+                        .reorder(reorder)
+                        .build()
+                        .unwrap_or_else(|e| panic!("{ctx}, reorder={reorder}: {e}"))
+                };
+                let plain = build(false);
+                let x = plain.solve(&b);
+                assert!(
+                    x.iter().zip(&user_serial).all(|(a, s)| a.to_bits() == s.to_bits()),
+                    "{ctx}, reorder=false: not bit-identical to the user's serial solve"
+                );
+                let reordered = build(true);
+                let internal = reordered.internal_matrix();
+                let mut px = vec![0.0; n];
+                reordered.executor().solve(internal, &b, &mut px);
+                let mut internal_serial = vec![0.0; n];
+                solve_lower_serial(internal, &b, &mut internal_serial);
+                assert!(
+                    px.iter().zip(&internal_serial).all(|(a, s)| a.to_bits() == s.to_bits()),
+                    "{ctx}: not bit-identical to the serial solve of its internal operand"
+                );
+                let x = reordered.solve(&b);
+                let err = backward_error(&ds.lower, &x, &b);
+                assert!(
+                    err <= BACKWARD_ERROR_TOL,
+                    "{ctx}: backward error {err} on the user's matrix"
+                );
+            }
+        }
     }
 }
