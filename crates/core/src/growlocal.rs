@@ -69,10 +69,12 @@ pub struct GrowLocalParams {
     pub alpha_init: usize,
     /// Growth factor for `α` between iterations (paper: 1.5).
     pub growth: f64,
-    /// A new iteration is worthy if `β ≥ accept_ratio · β_best` (App. B: 0.97).
+    /// A new iteration that does not grow serially is worthy if
+    /// `β ≥ accept_ratio · β_best` (App. B: 0.97).
     pub accept_ratio: f64,
-    /// Barrier penalty `L` in the parallelization score (paper: 500,
-    /// from synchronization cycles on current architectures, App. C.2).
+    /// Barrier penalty `L` in the parallelization score and the
+    /// serial-growth test (paper: 500, from synchronization cycles on
+    /// current architectures, App. C.2).
     pub sync_cost: u64,
     /// Vertex-selection rule (Rule I by default).
     pub priority: VertexPriority,

@@ -608,7 +608,9 @@ pub fn list() -> &'static [SchedulerInfo] {
                     help: "iteration kept while β ≥ accept·β_best",
                 },
                 ParamInfo {
-                    key: "sync", default: "500", help: "barrier penalty L in the β score"
+                    key: "sync",
+                    default: "500",
+                    help: "barrier penalty L in the β score and the serial-growth test",
                 },
                 ParamInfo {
                     key: "priority",
