@@ -8,12 +8,11 @@
 //! async / serial machine model).
 
 use crate::statistics::quartiles;
-use sptrsv_core::registry::{self, ExecModel, ExecPolicy, SchedulerSpec, SyncPolicy};
+use sptrsv_core::registry::{self, ExecModel, ExecPolicy, SchedulerSpec};
 use sptrsv_core::{reorder_for_locality, CompiledSchedule, Schedule};
-use sptrsv_dag::transitive::approximate_transitive_reduction;
 use sptrsv_dag::SolveDag;
 use sptrsv_datasets::Dataset;
-use sptrsv_exec::{simulate_model, simulate_serial, MachineProfile, SimReport};
+use sptrsv_exec::{simulate_model, simulate_serial, wait_dag, MachineProfile, SimReport};
 use sptrsv_sparse::CsrMatrix;
 use std::time::Instant;
 
@@ -188,18 +187,9 @@ fn prepare(dataset: &Dataset, dag: &SolveDag, pipeline: &Pipeline, n_cores: usiz
     let matrix = reordered_matrix.as_ref().unwrap_or(&dataset.lower);
     // Async execution waits on the policy's DAG of the simulated operand —
     // building it is scheduling-preparation work, so it counts toward the
-    // amortization threshold like the schedule itself. As in the plan
-    // layer, `sync=reduced` waits on the approximate transitive reduction.
-    let sync_dag = match model {
-        ExecModel::Async => {
-            let full = SolveDag::from_lower_triangular(matrix);
-            Some(match policy.sync {
-                SyncPolicy::Full => full,
-                SyncPolicy::Reduced => approximate_transitive_reduction(&full),
-            })
-        }
-        ExecModel::Barrier | ExecModel::Serial => None,
-    };
+    // amortization threshold like the schedule itself. `wait_dag`, the rule
+    // every plan follows, decides which DAG that is.
+    let sync_dag = wait_dag(model, policy.sync, || SolveDag::from_lower_triangular(matrix));
     Prepared { schedule, reordered_matrix, sync_dag, model, policy }
 }
 

@@ -602,10 +602,10 @@ pub(crate) struct Engine {
     pub(crate) compiled: Arc<CompiledSchedule>,
     /// `Some` only under `fastmath=on`; `None` keeps the bit-identical
     /// exact path.
-    kernel: Option<Arc<KernelPlan>>,
+    pub(crate) kernel: Option<Arc<KernelPlan>>,
     /// The runtime solves lease from; `None` always runs the serial sweep
-    /// (the fastmath `@serial` model).
-    runtime: Option<RuntimeHandle>,
+    /// (the `@serial` model, which never leases).
+    pub(crate) runtime: Option<RuntimeHandle>,
     pub(crate) policy: ExecPolicy,
 }
 

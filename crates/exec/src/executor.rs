@@ -35,8 +35,9 @@ use crate::barrier::Barrier;
 use crate::engine::{solve_width, Engine, Identity, NaturalSweep, Numbering, UserOperands};
 use crate::runtime::RuntimeHandle;
 use sptrsv_core::kernel::KernelPlan;
-use sptrsv_core::registry::{ExecModel, ExecPolicy};
+use sptrsv_core::registry::{ExecModel, ExecPolicy, SyncPolicy};
 use sptrsv_core::{CompiledSchedule, Schedule, ScheduleError};
+use sptrsv_dag::transitive::approximate_transitive_reduction;
 use sptrsv_dag::SolveDag;
 use sptrsv_sparse::{CsrMatrix, Permutation};
 use std::sync::Arc;
@@ -126,6 +127,32 @@ impl Executor {
         self.model
     }
 
+    /// The validated operand.
+    pub(crate) fn operand(&self) -> &Arc<CsrMatrix> {
+        &self.operand
+    }
+
+    /// The compiled layout the engine runs.
+    pub(crate) fn compiled(&self) -> &Arc<CompiledSchedule> {
+        &self.engine.compiled
+    }
+
+    /// The kernel plan of `fastmath=on` (`None` under `fastmath=off`).
+    pub(crate) fn kernel(&self) -> Option<&Arc<KernelPlan>> {
+        self.engine.kernel.as_ref()
+    }
+
+    /// The execution policy the executor runs under.
+    pub(crate) fn policy(&self) -> ExecPolicy {
+        self.engine.policy
+    }
+
+    /// The runtime solves lease from; `None` for `@serial`, which never
+    /// leases.
+    pub(crate) fn runtime(&self) -> Option<&RuntimeHandle> {
+        self.engine.runtime.as_ref()
+    }
+
     /// Solves `L x = b` for one right-hand side, in internal numbering.
     ///
     /// # Panics
@@ -168,6 +195,23 @@ impl Executor {
             Strategy::Natural => solve_width(NaturalSweep, l, num, x, r),
         }
     }
+}
+
+/// The wait DAG of an execution under `model` and `sync`, from `full`, the
+/// operand's solve DAG (built only when needed): `None` unless `model` is
+/// asynchronous, `full` itself under `sync=full`, and its approximate
+/// transitive reduction under `sync=reduced`, which keeps reachability and
+/// so the asynchronous executor's safety. Plans, the simulator and the
+/// bench harness all derive their wait DAG here.
+pub fn wait_dag(
+    model: ExecModel,
+    sync: SyncPolicy,
+    full: impl FnOnce() -> SolveDag,
+) -> Option<SolveDag> {
+    (model == ExecModel::Async).then(|| match sync {
+        SyncPolicy::Full => full(),
+        SyncPolicy::Reduced => approximate_transitive_reduction(&full()),
+    })
 }
 
 /// One-shot convenience: validate, plan and solve in one call under the

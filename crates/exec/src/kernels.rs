@@ -11,11 +11,12 @@
 //!   these, so results stay bit-identical across all execution models,
 //!   lease widths and batch widths.
 //! * **Fastmath kernels** — the blocked/unrolled implementations of a
-//!   [`KernelPlan`] (see [`sptrsv_core::kernel`]): a packed dense
-//!   triangular block solve, a lane-unrolled (4/8 accumulator) sparse row
-//!   dot product, and a scalar kernel with precomputed diagonal
-//!   reciprocals. Portable Rust only — multiple named accumulators the
-//!   auto-vectorizer can keep in SIMD lanes, no nightly intrinsics.
+//!   [`KernelPlan`](sptrsv_core::kernel::KernelPlan) (see
+//!   [`sptrsv_core::kernel`]): a packed dense triangular block solve, a
+//!   lane-unrolled (4/8 accumulator) sparse row dot product, and a scalar
+//!   kernel with precomputed diagonal reciprocals. Portable Rust only —
+//!   multiple named accumulators the auto-vectorizer can keep in SIMD
+//!   lanes, no nightly intrinsics.
 //!
 //! The fastmath kernels multiply by `1/L[i,i]` instead of dividing and
 //! re-associate long accumulations, so their results differ from the
@@ -33,9 +34,8 @@
 //! after storing it to the internal `x` — the same arithmetic in either
 //! numbering.
 
-use crate::barrier::Barrier;
-use crate::engine::{check_lengths, run_cell, Identity, Natural, Numbering, One};
-use sptrsv_core::kernel::{DenseBlock, KernelPlan, MAX_DENSE_BLOCK};
+use crate::engine::Numbering;
+use sptrsv_core::kernel::{DenseBlock, MAX_DENSE_BLOCK};
 use sptrsv_sparse::CsrMatrix;
 
 // ---------------------------------------------------------------------------
@@ -337,109 +337,5 @@ pub(crate) unsafe fn solve_dense_multi<N: Numbering>(
                 }
             }
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Safe entry point: the natural-order fastmath serial sweep.
-// ---------------------------------------------------------------------------
-
-/// Serial fastmath forward substitution: executes a natural-order kernel
-/// plan ([`KernelPlan::detect_serial`]) over the whole matrix. This is the
-/// single-threaded reference for the fastmath family — benchmarks compare
-/// it against [`crate::serial::solve_lower_serial`] to isolate the kernel
-/// win from threading effects.
-///
-/// # Panics
-/// Panics if `plan` was not detected for `l`'s natural order (row-count
-/// mismatch or a multi-cell plan).
-pub fn solve_lower_serial_fast(l: &CsrMatrix, plan: &KernelPlan, b: &[f64], x: &mut [f64]) {
-    let n = l.n_rows();
-    assert_eq!(plan.n_rows(), n, "kernel plan does not match the matrix");
-    assert_eq!(plan.n_cells(), 1, "kernel plan is not a natural-order serial plan");
-    check_lengths(n, One, Identity(b), x);
-    let ops = plan.cell_ops(0, 0);
-    // SAFETY: lengths checked; single-threaded ascending sweep — every
-    // dependency is program-ordered; x is exclusively borrowed. A serial
-    // plan's single cell is the identity map: position p is row p.
-    let (b, fast) = (Identity(b), Some((plan, ops)));
-    unsafe { run_cell(l, b, x.as_mut_ptr(), One, Barrier, Natural(n), fast) };
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::serial::solve_lower_serial;
-    use sptrsv_sparse::gen::{
-        block_diagonal_spd, grid2d_laplacian, grid3d_laplacian, supernodal_spd, Stencil2D,
-        Stencil3D,
-    };
-
-    fn rel_tol(x: &[f64], reference: &[f64]) -> f64 {
-        let scale = reference.iter().fold(1.0f64, |m, v| m.max(v.abs()));
-        x.iter().zip(reference).map(|(a, e)| (a - e).abs()).fold(0.0f64, f64::max) / scale
-    }
-
-    #[test]
-    fn fastmath_serial_matches_scalar_to_tolerance() {
-        for l in [
-            grid2d_laplacian(25, 19, Stencil2D::NinePoint, 0.5).lower_triangle().unwrap(),
-            grid2d_laplacian(25, 19, Stencil2D::FivePoint, 0.5).lower_triangle().unwrap(),
-            grid3d_laplacian(9, 9, 9, Stencil3D::TwentySevenPoint, 0.5).lower_triangle().unwrap(),
-            block_diagonal_spd(40, 8, 0.5).lower_triangle().unwrap(),
-            supernodal_spd(40, 8, 2, 0.5).lower_triangle().unwrap(),
-        ] {
-            let n = l.n_rows();
-            let b: Vec<f64> = (0..n).map(|i| 1.0 + ((i * 11) % 17) as f64 * 0.25).collect();
-            let mut reference = vec![0.0; n];
-            solve_lower_serial(&l, &b, &mut reference);
-            let plan = KernelPlan::detect_serial(&l);
-            let mut x = vec![f64::NAN; n];
-            solve_lower_serial_fast(&l, &plan, &b, &mut x);
-            let tol = rel_tol(&x, &reference);
-            assert!(tol < 1e-12, "fastmath deviated by {tol:.3e}");
-        }
-    }
-
-    #[test]
-    fn fastmath_is_deterministic_across_repeats() {
-        let l = grid2d_laplacian(17, 17, Stencil2D::NinePoint, 0.5).lower_triangle().unwrap();
-        let n = l.n_rows();
-        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin()).collect();
-        let plan = KernelPlan::detect_serial(&l);
-        let mut x1 = vec![0.0; n];
-        let mut x2 = vec![1.0; n]; // dirty start
-        solve_lower_serial_fast(&l, &plan, &b, &mut x1);
-        solve_lower_serial_fast(&l, &plan, &b, &mut x2);
-        assert_eq!(x1, x2, "fastmath solves must be bit-stable run to run");
-    }
-
-    #[test]
-    #[should_panic(expected = "not a natural-order serial plan")]
-    fn multi_cell_plan_rejected() {
-        use sptrsv_core::{CompiledSchedule, Scheduler, WavefrontScheduler};
-        let l = grid2d_laplacian(20, 20, Stencil2D::NinePoint, 0.5).lower_triangle().unwrap();
-        let dag = sptrsv_dag::SolveDag::from_lower_triangular(&l);
-        let compiled = CompiledSchedule::from_schedule(&WavefrontScheduler.schedule(&dag, 2));
-        let plan = KernelPlan::detect(&l, &compiled);
-        let mut x = vec![f64::NAN; l.n_rows()];
-        solve_lower_serial_fast(&l, &plan, &vec![1.0; l.n_rows()], &mut x);
-    }
-
-    #[test]
-    fn unrolled_lanes_match_scalar_on_long_rows() {
-        use rand::rngs::SmallRng;
-        use rand::SeedableRng;
-        let mut rng = SmallRng::seed_from_u64(11);
-        let l = sptrsv_sparse::gen::erdos_renyi_lower(300, 0.3, &mut rng);
-        let n = l.n_rows();
-        let b: Vec<f64> = (0..n).map(|i| ((i * 13) % 31) as f64 - 15.0).collect();
-        let mut reference = vec![0.0; n];
-        solve_lower_serial(&l, &b, &mut reference);
-        let plan = KernelPlan::detect_serial(&l);
-        assert!(plan.unrolled_rows() > 0, "dense random rows should plan unrolled");
-        let mut x = vec![0.0; n];
-        solve_lower_serial_fast(&l, &plan, &b, &mut x);
-        assert!(rel_tol(&x, &reference) < 1e-12);
     }
 }

@@ -76,8 +76,7 @@ pub mod serial;
 pub mod sim;
 pub mod verify;
 
-pub use executor::{solve_with_barriers, Executor};
-pub use kernels::solve_lower_serial_fast;
+pub use executor::{solve_with_barriers, wait_dag, Executor};
 pub use plan::{
     BatchWorkspace, CacheOutcome, Orientation, PlanBuilder, PlanError, PreOrder, SolvePlan,
     SolveWorkspace,

@@ -70,7 +70,7 @@
 //! ```
 
 use crate::engine::{SharedPtr, UserOperands};
-use crate::executor::Executor;
+use crate::executor::{wait_dag, Executor};
 use crate::runtime::{RuntimeHandle, SolverRuntime};
 use crate::sim::{simulate_model, MachineProfile, SimReport};
 use sptrsv_core::kernel::KernelPlan;
@@ -86,7 +86,6 @@ use sptrsv_core::{
     Scheduler,
 };
 use sptrsv_dag::coarsen::{FunnelDirection, FunnelOptions};
-use sptrsv_dag::transitive::approximate_transitive_reduction;
 use sptrsv_dag::SolveDag;
 use sptrsv_sparse::csr::Triangle;
 use sptrsv_sparse::ordering::{min_degree_ordering, nested_dissection_ordering, rcm_ordering};
@@ -432,30 +431,21 @@ pub struct BatchWorkspace {
     columns: Vec<SharedPtr>,
 }
 
-/// A planned, reusable parallel triangular solve.
+/// A planned, reusable parallel triangular solve: a thin shell over its
+/// [`Executor`], which holds the one copy of the internal operand, the
+/// compiled layout, the kernel plan, the model, the policy and the runtime.
+/// The plan keeps what the executor has no use for.
 pub struct SolvePlan {
-    /// The internal lower-triangular matrix the executor runs on (an `Arc`
-    /// so cache hits and value rebinds share it instead of copying).
-    matrix: Arc<CsrMatrix>,
     /// Permutation from user indices to internal indices.
     to_internal: Permutation,
     /// Whether `to_internal` moves anything, decided once at assembly:
     /// selects the user-numbered engine path over the identity one.
     permuted: bool,
     schedule: Schedule,
-    /// The flat execution layout, shared with the executor.
-    compiled: Arc<CompiledSchedule>,
-    /// The execution model [`SolvePlan::executor`] implements.
-    model: ExecModel,
-    /// The execution policy the executor runs under.
-    policy: ExecPolicy,
     /// Async plans keep the synchronization DAG built for the executor
     /// (reduced or full, per policy), so repeated [`SolvePlan::simulate`]
-    /// calls reuse it.
+    /// calls, saves and value rebinds reuse it.
     sync_dag: Option<SolveDag>,
-    /// The detected kernel plan under `fastmath=on` (shared with the
-    /// executor; kept for cache publication and value rebinds).
-    kernel: Option<Arc<KernelPlan>>,
     /// The §5 reorder permutation alone (also folded into `to_internal`);
     /// kept so the plan can be saved to disk and re-applied to new values.
     reorder_perm: Option<Permutation>,
@@ -465,9 +455,6 @@ pub struct SolvePlan {
     schedule_key: String,
     /// How the schedule was obtained (cache hit vs computed).
     cache_outcome: CacheOutcome,
-    /// The runtime the executor leases threads from; kept so value rebinds
-    /// can rebuild an executor against the same pool.
-    runtime: RuntimeHandle,
     executor: Executor,
 }
 
@@ -487,19 +474,21 @@ struct Parts {
     /// The wait DAG, when the source already has the one the plan's model
     /// and policy call for; otherwise derived from `matrix`.
     sync_dag: Option<SolveDag>,
+    /// The final operand's full solve DAG, when the source built one:
+    /// assembly derives the wait DAG from it instead of rebuilding it.
+    full_dag: Option<SolveDag>,
 }
 
-/// What every plan of one build shares whatever its source: how it runs
-/// and what it is keyed by. Value rebinds carry it over unchanged.
-struct Settings {
+/// How a plan's executor runs. A build resolves it from the spec and the
+/// builder; a value rebind reads it back from the executor, which holds it
+/// once the plan is assembled.
+struct Run {
     model: ExecModel,
     policy: ExecPolicy,
     runtime: RuntimeHandle,
-    fingerprint: PlanFingerprint,
-    schedule_key: String,
 }
 
-impl Settings {
+impl Run {
     /// Whether the plan waits on a reduced DAG (`sync=reduced` under the
     /// asynchronous model), the one wait DAG worth caching and saving.
     fn waits_reduced(&self) -> bool {
@@ -516,7 +505,6 @@ impl Parts {
         builder: &PlanBuilder<'_>,
         spec: &SchedulerSpec,
         n_cores: usize,
-        settings: &Settings,
     ) -> Result<Parts, PlanError> {
         let dag = SolveDag::from_lower_triangular(&lower);
         let scheduler = registry::build(spec, &dag, n_cores)?;
@@ -546,7 +534,8 @@ impl Parts {
             schedule,
             reorder_perm,
             kernel: None,
-            sync_dag: wait_dag(settings.model, settings.policy.sync, || final_dag),
+            sync_dag: None,
+            full_dag: Some(final_dag),
         })
     }
 
@@ -591,6 +580,7 @@ impl Parts {
             // values match bit-for-bit.
             kernel: entry.kernel.clone().filter(|_| same_values),
             sync_dag: entry.reduced_sync_dag.as_ref().filter(|_| waits_reduced).cloned(),
+            full_dag: None,
         })
     }
 
@@ -602,11 +592,12 @@ impl Parts {
         saved: SavedPlan,
         lower: CsrMatrix,
         base_perm: Permutation,
-        settings: &Settings,
+        fingerprint: PlanFingerprint,
+        run: &Run,
     ) -> Result<Parts, PlanError> {
-        if saved.fingerprint != settings.fingerprint {
+        if saved.fingerprint != fingerprint {
             return Err(PlanError::Cache(SerializeError::FingerprintMismatch {
-                expected: settings.fingerprint,
+                expected: fingerprint,
                 found: saved.fingerprint,
             }));
         }
@@ -640,7 +631,7 @@ impl Parts {
         // `from_verdict` re-validates every op against the compiled cells,
         // so a damaged section errors instead of mis-planning. Files
         // without the section re-detect at assembly.
-        let kernel = match (&saved.kernel, settings.policy.fastmath) {
+        let kernel = match (&saved.kernel, run.policy.fastmath) {
             (Some(ops), true) => {
                 Some(Arc::new(KernelPlan::from_verdict(&matrix, &compiled, ops).map_err(|e| {
                     PlanError::Cache(SerializeError::Parse(format!("kernel section: {e}")))
@@ -653,11 +644,11 @@ impl Parts {
             // removed edge keeps a two-path witness in the full DAG (the
             // asynchronous executor's safety argument); a file that fails
             // the check errors out.
-            Some(removed) if settings.waits_reduced() => Some(
+            Some(removed) if run.waits_reduced() => Some(
                 reconstruct_reduced_dag(&final_dag, removed)
                     .map_err(|e| PlanError::Cache(SerializeError::Parse(e)))?,
             ),
-            _ => wait_dag(settings.model, settings.policy.sync, || final_dag),
+            _ => None,
         };
         Ok(Parts {
             matrix: Arc::new(matrix),
@@ -667,6 +658,7 @@ impl Parts {
             reorder_perm: saved.reorder_perm,
             kernel,
             sync_dag,
+            full_dag: Some(final_dag),
         })
     }
 }
@@ -729,8 +721,8 @@ impl SolvePlan {
         let values_digest = value_digest(lower.values());
         let cache_dir = builder.plan_cache_dir.as_ref();
         let cached_path = cache_dir.map(|dir| plan_cache_path(dir, &fingerprint));
-        let settings = Settings { model, policy, runtime, fingerprint, schedule_key };
-        let waits_reduced = settings.waits_reduced();
+        let run = Run { model, policy, runtime };
+        let waits_reduced = run.waits_reduced();
 
         // 1. The in-process cache. An explicit `load_plan` file bypasses
         //    it: the caller asked for that file's contents, and loading
@@ -748,7 +740,8 @@ impl SolvePlan {
             let same_values = values_digest == entry.values_digest;
             let base_perm = base_perm.unwrap_or_else(|| Permutation::identity(lower.n_rows()));
             let parts = Parts::cached(&entry, lower, base_perm, same_values, waits_reduced)?;
-            let plan = Self::assemble(parts, settings, CacheOutcome::MemoryHit);
+            let plan =
+                Self::assemble(parts, run, fingerprint, schedule_key, CacheOutcome::MemoryHit);
             // Publish improvements back: a value rebind or a newly derived
             // reduced wait DAG makes the entry more reusable.
             if !same_values || (waits_reduced && entry.reduced_sync_dag.is_none()) {
@@ -772,16 +765,15 @@ impl SolvePlan {
         let (parts, outcome) = match load_path {
             Some(path) => {
                 let saved = read_plan_file(&path)?;
-                (Parts::saved(saved, lower, base_perm, &settings)?, CacheOutcome::DiskHit)
+                (Parts::saved(saved, lower, base_perm, fingerprint, &run)?, CacheOutcome::DiskHit)
             }
             None => {
-                let parts =
-                    Parts::scheduled(lower, base_perm, &builder, &spec, n_cores, &settings)?;
+                let parts = Parts::scheduled(lower, base_perm, &builder, &spec, n_cores)?;
                 let cached = cache_dir.is_some() || builder.memory_cache.is_some();
                 (parts, if cached { CacheOutcome::Miss } else { CacheOutcome::Uncached })
             }
         };
-        let plan = Self::assemble(parts, settings, outcome);
+        let plan = Self::assemble(parts, run, fingerprint, schedule_key, outcome);
         if let Some(cache) = &builder.memory_cache {
             cache.insert(fingerprint, Arc::new(plan.cache_entry(values_digest)));
         }
@@ -801,41 +793,46 @@ impl SolvePlan {
     /// `fastmath=on`, detected against the FINAL operand (the matrix the
     /// executor actually solves, after any reordering) so its row ranges
     /// line up with the compiled cells, and the wait DAG of asynchronous
-    /// plans — then builds the executor.
-    fn assemble(parts: Parts, settings: Settings, cache_outcome: CacheOutcome) -> SolvePlan {
-        let Parts { matrix, to_internal, schedule, compiled, reorder_perm, kernel, sync_dag } =
-            parts;
-        let Settings { model, policy, runtime, fingerprint, schedule_key } = settings;
+    /// plans — then moves the operand, layout, kernel plan and `run` into
+    /// the executor, their one home.
+    fn assemble(
+        parts: Parts,
+        run: Run,
+        fingerprint: PlanFingerprint,
+        schedule_key: String,
+        cache_outcome: CacheOutcome,
+    ) -> SolvePlan {
+        let Parts {
+            matrix,
+            to_internal,
+            schedule,
+            compiled,
+            reorder_perm,
+            kernel,
+            sync_dag,
+            full_dag,
+        } = parts;
+        let Run { model, policy, runtime } = run;
         debug_assert!(sync_dag.is_none() || model == ExecModel::Async);
         let kernel = policy
             .fastmath
             .then(|| kernel.unwrap_or_else(|| Arc::new(KernelPlan::detect(&matrix, &compiled))));
-        let sync_dag = sync_dag
-            .or_else(|| wait_dag(model, policy.sync, || SolveDag::from_lower_triangular(&matrix)));
-        let executor = Executor::planned(
-            Arc::clone(&matrix),
-            Arc::clone(&compiled),
-            kernel.clone(),
-            model,
-            policy,
-            runtime.clone(),
-            sync_dag.as_ref(),
-        );
+        let sync_dag = sync_dag.or_else(|| {
+            wait_dag(model, policy.sync, || {
+                full_dag.unwrap_or_else(|| SolveDag::from_lower_triangular(&matrix))
+            })
+        });
+        let executor =
+            Executor::planned(matrix, compiled, kernel, model, policy, runtime, sync_dag.as_ref());
         SolvePlan {
-            matrix,
             permuted: !to_internal.is_identity(),
             to_internal,
             schedule,
-            compiled,
-            model,
-            policy,
             sync_dag,
-            kernel,
             reorder_perm,
             fingerprint,
             schedule_key,
             cache_outcome,
-            runtime,
             executor,
         }
     }
@@ -845,18 +842,18 @@ impl SolvePlan {
     fn cache_entry(&self, values_digest: u64) -> CachedPlan {
         CachedPlan {
             schedule: self.schedule.clone(),
-            compiled: Arc::clone(&self.compiled),
+            compiled: Arc::clone(self.executor.compiled()),
             reorder_perm: self.reorder_perm.clone(),
-            matrix: Arc::clone(&self.matrix),
+            matrix: Arc::clone(self.executor.operand()),
             values_digest,
-            kernel: self.kernel.clone(),
+            kernel: self.executor.kernel().cloned(),
             reduced_sync_dag: self.reduced_sync_dag().cloned(),
         }
     }
 
     /// The wait DAG of an asynchronous plan under `sync=reduced`.
     fn reduced_sync_dag(&self) -> Option<&SolveDag> {
-        self.sync_dag.as_ref().filter(|_| self.policy.sync == SyncPolicy::Reduced)
+        self.sync_dag.as_ref().filter(|_| self.exec_policy().sync == SyncPolicy::Reduced)
     }
 
     /// The schedule driving the executor (internal numbering).
@@ -866,18 +863,18 @@ impl SolvePlan {
 
     /// The compiled execution layout.
     pub fn compiled(&self) -> &CompiledSchedule {
-        &self.compiled
+        self.executor.compiled()
     }
 
     /// The execution model the plan runs under.
     pub fn exec_model(&self) -> ExecModel {
-        self.model
+        self.executor.model()
     }
 
     /// The execution policy (the spec's `sync=`/`backoff=`/`cores=`/
     /// `fastmath=` keys) the plan runs under.
     pub fn exec_policy(&self) -> ExecPolicy {
-        self.policy
+        self.executor.policy()
     }
 
     /// The synchronization DAG an asynchronous plan waits on (`None` for
@@ -894,14 +891,16 @@ impl SolvePlan {
         &self.executor
     }
 
-    /// The internal (possibly permuted) lower-triangular operand.
+    /// The internal (possibly permuted) lower-triangular operand: the
+    /// executor's own, so `executor().solve(internal_matrix(), …)` passes
+    /// its operand check by pointer.
     pub fn internal_matrix(&self) -> &CsrMatrix {
-        &self.matrix
+        self.executor.operand()
     }
 
     /// Fresh reusable buffers sized for this plan.
     pub fn workspace(&self) -> SolveWorkspace {
-        let n = if self.permuted { self.matrix.n_rows() } else { 0 };
+        let n = if self.permuted { self.internal_matrix().n_rows() } else { 0 };
         SolveWorkspace { px: vec![0.0; n] }
     }
 
@@ -911,11 +910,11 @@ impl SolvePlan {
     /// other plan's row kernels read `b` and write `x` through the
     /// permutation (no separate gather or scatter pass).
     pub fn solve_into(&self, b: &[f64], x: &mut [f64], workspace: &mut SolveWorkspace) {
-        let n = self.matrix.n_rows();
+        let n = self.internal_matrix().n_rows();
         assert_eq!(b.len(), n, "right-hand side length");
         assert_eq!(x.len(), n, "solution length");
         if !self.permuted {
-            return self.executor.solve(&self.matrix, b, x);
+            return self.executor.solve(self.internal_matrix(), b, x);
         }
         workspace.px.resize(n, 0.0);
         let user = UserOperands::one(b, x, &mut workspace.px);
@@ -935,7 +934,7 @@ impl SolvePlan {
     /// Fresh batch buffers pre-sized for up to `max_r` fused right-hand
     /// sides (see [`SolvePlan::solve_batch_in_place`]).
     pub fn batch_workspace(&self, max_r: usize) -> BatchWorkspace {
-        let n = self.matrix.n_rows();
+        let n = self.internal_matrix().n_rows();
         BatchWorkspace { px: Vec::with_capacity(n * max_r), columns: Vec::with_capacity(max_r) }
     }
 
@@ -960,7 +959,7 @@ impl SolvePlan {
     /// request alone (under the default `fastmath=off` policy; `fastmath`
     /// kernels keep the documented `1e-12` tolerance instead).
     pub fn solve_batch_in_place(&self, rhs: &mut [Vec<f64>], workspace: &mut BatchWorkspace) {
-        let n = self.matrix.n_rows();
+        let n = self.internal_matrix().n_rows();
         let k = rhs.len();
         if k == 0 {
             return;
@@ -986,13 +985,13 @@ impl SolvePlan {
     /// re-compilation, re-reduction or re-detection.
     pub fn simulate(&self, profile: &MachineProfile) -> SimReport {
         simulate_model(
-            &self.matrix,
-            &self.compiled,
-            self.model,
+            self.internal_matrix(),
+            self.compiled(),
+            self.exec_model(),
             self.sync_dag.as_ref(),
-            self.kernel.as_deref(),
+            self.executor.kernel().map(Arc::as_ref),
             profile,
-            self.policy,
+            self.exec_policy(),
         )
     }
 
@@ -1018,7 +1017,7 @@ impl SolvePlan {
         // plans, the edges the transitive reduction removed (so a warm
         // load reconstructs the reduced DAG without re-reducing).
         let removed_sync_edges = self.reduced_sync_dag().map(|reduced| {
-            let full = SolveDag::from_lower_triangular(&self.matrix);
+            let full = SolveDag::from_lower_triangular(self.internal_matrix());
             removed_edges(&full, reduced)
         });
         let saved = SavedPlan {
@@ -1026,7 +1025,7 @@ impl SolvePlan {
             key: self.schedule_key.clone(),
             schedule: self.schedule.clone(),
             reorder_perm: self.reorder_perm.clone(),
-            kernel: self.kernel.as_ref().map(|k| k.verdict()),
+            kernel: self.executor.kernel().map(|k| k.verdict()),
             removed_sync_edges,
         };
         write_plan_file(&saved, path).map_err(PlanError::Cache)
@@ -1049,17 +1048,16 @@ impl SolvePlan {
         // One gather reproduces the whole internal pipeline (orientation
         // conjugation, pre-order, §5 reorder): `to_internal` is their
         // composition, and symmetric permutation composes contravariantly.
+        let current = self.internal_matrix();
         let mismatch = || PlanError::StructureMismatch {
-            expected: (self.matrix.n_rows(), self.matrix.nnz()),
+            expected: (current.n_rows(), current.nnz()),
             found: (matrix.n_rows(), matrix.nnz()),
         };
-        if matrix.n_rows() != self.matrix.n_rows() {
+        if matrix.n_rows() != current.n_rows() {
             return Err(mismatch());
         }
         let permuted = matrix.symmetric_permute(&self.to_internal).map_err(PlanError::Matrix)?;
-        if permuted.row_ptr() != self.matrix.row_ptr()
-            || permuted.col_idx() != self.matrix.col_idx()
-        {
+        if permuted.row_ptr() != current.row_ptr() || permuted.col_idx() != current.col_idx() {
             return Err(mismatch());
         }
         // Structure matched, so triangularity is inherited — but the new
@@ -1069,22 +1067,24 @@ impl SolvePlan {
             matrix: Arc::new(permuted),
             to_internal: self.to_internal.clone(),
             schedule: self.schedule.clone(),
-            compiled: Arc::clone(&self.compiled),
+            compiled: Arc::clone(self.executor.compiled()),
             reorder_perm: self.reorder_perm.clone(),
             // The kernel plan packs values (dense panels, diagonal
             // reciprocals), so it is the one artifact that must be
             // re-detected.
             kernel: None,
             sync_dag: self.sync_dag.clone(),
+            full_dag: None,
         };
-        let settings = Settings {
-            model: self.model,
-            policy: self.policy,
-            runtime: self.runtime.clone(),
-            fingerprint: self.fingerprint,
-            schedule_key: self.schedule_key.clone(),
+        // The executor holds how the plan runs. A `@serial` executor keeps
+        // no runtime, and its rebind needs none: it never leases.
+        let run = Run {
+            model: self.exec_model(),
+            policy: self.exec_policy(),
+            runtime: self.executor.runtime().cloned().unwrap_or_default(),
         };
-        Ok(Self::assemble(parts, settings, self.cache_outcome))
+        let key = self.schedule_key.clone();
+        Ok(Self::assemble(parts, run, self.fingerprint, key, self.cache_outcome))
     }
 }
 
@@ -1092,21 +1092,6 @@ impl SolvePlan {
 /// directory.
 fn plan_cache_path(dir: &Path, fingerprint: &PlanFingerprint) -> PathBuf {
     dir.join(format!("{fingerprint}.plan"))
-}
-
-/// The wait DAG of a plan, from `full`, the final operand's solve DAG
-/// (built only when needed): `None` unless `model` is asynchronous, `full`
-/// itself under `sync=full`, and its approximate transitive reduction under
-/// `sync=reduced`, which keeps reachability and so the executor's safety.
-fn wait_dag(
-    model: ExecModel,
-    sync: SyncPolicy,
-    full: impl FnOnce() -> SolveDag,
-) -> Option<SolveDag> {
-    (model == ExecModel::Async).then(|| match sync {
-        SyncPolicy::Full => full(),
-        SyncPolicy::Reduced => approximate_transitive_reduction(&full()),
-    })
 }
 
 /// Re-checks the diagonal of new values on a structure validated before
@@ -1524,19 +1509,39 @@ mod tests {
         let n = l.n_rows();
         let b: Vec<f64> = (0..n).map(|i| ((i * 5) % 9) as f64 - 4.0).collect();
         let reference = PlanBuilder::new(&l).cores(4).build().unwrap().solve(&b);
+        let scaled = CsrMatrix::from_raw(
+            n,
+            n,
+            l.row_ptr().to_vec(),
+            l.col_idx().to_vec(),
+            l.values().iter().map(|v| v * 0.5 - 0.125).collect(),
+        )
+        .unwrap();
         // A plan pinned to a tiny runtime degrades its 4-core schedule to
         // the runtime's capacity and still produces identical bits; the
         // runtime records the lease traffic.
         for capacity in [1, 2, 4] {
             let runtime = Arc::new(SolverRuntime::new(capacity));
             for model in [ExecModel::Barrier, ExecModel::Async] {
-                let plan = PlanBuilder::new(&l)
-                    .cores(4)
-                    .execution(model)
-                    .runtime(Arc::clone(&runtime))
-                    .build()
-                    .unwrap();
-                assert_eq!(plan.solve(&b), reference, "{model} on capacity {capacity}");
+                let build = |m: &CsrMatrix| {
+                    PlanBuilder::new(m)
+                        .cores(4)
+                        .execution(model)
+                        .runtime(Arc::clone(&runtime))
+                        .build()
+                        .unwrap()
+                };
+                let config = format!("{model} on capacity {capacity}");
+                let plan = build(&l);
+                assert_eq!(plan.solve(&b), reference, "{config}");
+                // A value rebind keeps leasing from the caller's runtime:
+                // one more handle on it, no fallback to the global one.
+                let held = Arc::strong_count(&runtime);
+                let rebound = plan.with_new_values(&scaled).unwrap();
+                assert_eq!(Arc::strong_count(&runtime), held + 1, "{config}");
+                let handle = rebound.executor.runtime().expect("parallel plans lease");
+                assert!(Arc::ptr_eq(handle.get(), &runtime), "{config}");
+                assert_eq!(rebound.solve(&b), build(&scaled).solve(&b), "{config} rebound");
             }
             assert_eq!(runtime.cores_in_use(), 0, "solves leaked leases");
         }
@@ -1799,6 +1804,11 @@ mod tests {
         assert_eq!(serial.simulate(&profile).sync_cycles, 0.0);
     }
 
+    /// A report's fields as bits, so equal reports are equal bit for bit.
+    fn sim_bits(r: &SimReport) -> [u64; 4] {
+        [r.cycles.to_bits(), r.compute_cycles.to_bits(), r.sync_cycles.to_bits(), r.cache_misses]
+    }
+
     #[test]
     fn plan_simulation_reuses_its_kernel_plan() {
         // A supernodal operand detects dense blocks, so the fastmath
@@ -1806,14 +1816,6 @@ mod tests {
         // exactly as a fresh detection over the plan's operand does.
         let l = sptrsv_sparse::gen::supernodal_spd(24, 8, 2, 0.5).lower_triangle().unwrap();
         let profile = MachineProfile::kunpeng_920_48();
-        let bits = |r: &SimReport| {
-            [
-                r.cycles.to_bits(),
-                r.compute_cycles.to_bits(),
-                r.sync_cycles.to_bits(),
-                r.cache_misses,
-            ]
-        };
         for model in [ExecModel::Serial, ExecModel::Barrier, ExecModel::Async] {
             for fastmath in [false, true] {
                 let plan = PlanBuilder::new(&l)
@@ -1822,17 +1824,48 @@ mod tests {
                     .scheduler(fastmath_spec(fastmath))
                     .build()
                     .unwrap();
-                assert_eq!(plan.kernel.as_ref().is_some_and(|k| !k.blocks().is_empty()), fastmath);
+                let kernel = plan.executor.kernel();
+                assert_eq!(kernel.is_some_and(|k| !k.blocks().is_empty()), fastmath);
                 let fresh = simulate_model(
-                    &plan.matrix,
-                    &plan.compiled,
-                    plan.model,
-                    plan.sync_dag.as_ref(),
+                    plan.internal_matrix(),
+                    plan.compiled(),
+                    plan.exec_model(),
+                    plan.sync_dag(),
                     None,
                     &profile,
-                    plan.policy,
+                    plan.exec_policy(),
                 );
-                assert_eq!(bits(&plan.simulate(&profile)), bits(&fresh), "{model}, {fastmath}");
+                let config = format!("{model}, {fastmath}");
+                assert_eq!(sim_bits(&plan.simulate(&profile)), sim_bits(&fresh), "{config}");
+            }
+        }
+    }
+
+    #[test]
+    fn stored_wait_dag_simulates_as_the_rule_derives_it() {
+        // The plan's stored wait DAG (built at assembly) against the one
+        // `simulate_model` derives through `wait_dag` when handed none:
+        // every model and `sync=` policy, with and without the kernel plan.
+        let l = sptrsv_sparse::gen::supernodal_spd(24, 8, 2, 0.5).lower_triangle().unwrap();
+        let profile = MachineProfile::intel_xeon_22();
+        for fastmath in ["off", "on"] {
+            for spec in ["spmp@barrier", "spmp@serial", "spmp:sync=full", "spmp:sync=reduced"] {
+                let spec = match spec.split_once('@') {
+                    Some((head, model)) => format!("{head}:fastmath={fastmath}@{model}"),
+                    None => format!("{spec},fastmath={fastmath}@async"),
+                };
+                let plan = PlanBuilder::new(&l).scheduler(&spec).cores(4).build().unwrap();
+                assert_eq!(plan.sync_dag().is_some(), plan.exec_model() == ExecModel::Async);
+                let ruled = simulate_model(
+                    plan.internal_matrix(),
+                    plan.compiled(),
+                    plan.exec_model(),
+                    None,
+                    None,
+                    &profile,
+                    plan.exec_policy(),
+                );
+                assert_eq!(sim_bits(&plan.simulate(&profile)), sim_bits(&ruled), "{spec}");
             }
         }
     }
@@ -1880,8 +1913,8 @@ mod tests {
         let warm = PlanBuilder::new(&l).cores(3).cached(&cache).build().unwrap();
         assert_eq!(warm.cache_outcome(), CacheOutcome::MemoryHit);
         // The warm plan shares the operand and compiled layout by pointer.
-        assert!(Arc::ptr_eq(&cold.matrix, &warm.matrix));
-        assert!(Arc::ptr_eq(&cold.compiled, &warm.compiled));
+        assert!(Arc::ptr_eq(cold.executor.operand(), warm.executor.operand()));
+        assert!(Arc::ptr_eq(cold.executor.compiled(), warm.executor.compiled()));
         assert_eq!(cold.solve(&b), warm.solve(&b));
         // A different spec or core count is a different fingerprint.
         let other = PlanBuilder::new(&l).cores(4).cached(&cache).build().unwrap();
@@ -1919,8 +1952,10 @@ mod tests {
         .unwrap();
         let warm = PlanBuilder::new(&scaled).cores(3).cached(&cache).build().unwrap();
         assert_eq!(warm.cache_outcome(), CacheOutcome::MemoryHit);
-        assert!(!Arc::ptr_eq(&cold.matrix, &warm.matrix), "values differ, operand must not");
-        assert!(Arc::ptr_eq(&cold.compiled, &warm.compiled));
+        let (cold_exec, warm_exec) = (&cold.executor, &warm.executor);
+        let shared = Arc::ptr_eq(cold_exec.operand(), warm_exec.operand());
+        assert!(!shared, "values differ, operand must not");
+        assert!(Arc::ptr_eq(cold_exec.compiled(), warm_exec.compiled()));
         let b: Vec<f64> = (0..n).map(|i| ((i * 3) % 11) as f64 - 5.0).collect();
         let reference = PlanBuilder::new(&scaled).cores(3).build().unwrap().solve(&b);
         assert_eq!(warm.solve(&b), reference);
@@ -2069,7 +2104,7 @@ mod tests {
                     .unwrap();
                 let rebound = plan.with_new_values(&scaled).unwrap();
                 // Schedule artifacts are shared by reference, not rebuilt.
-                assert!(Arc::ptr_eq(&plan.compiled, &rebound.compiled));
+                assert!(Arc::ptr_eq(plan.executor.compiled(), rebound.executor.compiled()));
                 assert_eq!(plan.schedule(), rebound.schedule());
                 // And the rebound plan solves the NEW matrix.
                 let x = rebound.solve(&b);
@@ -2179,7 +2214,7 @@ mod tests {
                              capacity={}",
                             runtime.capacity()
                         );
-                        if let Some(k) = &plan.kernel {
+                        if let Some(k) = plan.executor.kernel() {
                             dense_rows += k.dense_rows();
                             unrolled_rows += k.unrolled_rows();
                         }

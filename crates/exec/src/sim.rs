@@ -41,10 +41,10 @@
 //! precomputed reciprocals instead of dividing), so each block credits
 //! `(rows − 1) · cycles_per_row / 2` cycles back.
 
+use crate::executor::wait_dag;
 use sptrsv_core::kernel::KernelPlan;
-use sptrsv_core::registry::{Backoff, ExecModel, ExecPolicy, SyncPolicy};
+use sptrsv_core::registry::{Backoff, ExecModel, ExecPolicy};
 use sptrsv_core::CompiledSchedule;
-use sptrsv_dag::transitive::approximate_transitive_reduction;
 use sptrsv_dag::SolveDag;
 use sptrsv_sparse::CsrMatrix;
 
@@ -313,15 +313,16 @@ fn row_cost(
 }
 
 /// Routes a compiled schedule to the simulator matching `model` — the one
-/// place the [`ExecModel`]-to-simulator mapping lives (the CLI, the bench
-/// harness, the examples and [`crate::plan::SolvePlan::simulate`] all call
-/// this).
+/// place the [`ExecModel`]-to-simulator mapping lives.
+/// [`SolvePlan::simulate`](crate::plan::SolvePlan::simulate), through which
+/// the CLI's `simulate` command and the examples simulate, and the bench
+/// harness call it.
 ///
 /// Asynchronous execution waits on `sync_dag` when given (callers that
 /// already hold a synchronization DAG — e.g. a plan's cached copy, already
 /// shaped by its policy — pass it to avoid rebuilding); with `None` the DAG
-/// is built here per `policy.sync`: the full solve DAG, or its approximate
-/// transitive reduction. `policy.backoff` charges OS re-scheduling latency
+/// is derived here by [`wait_dag`], the rule every plan follows: the full
+/// solve DAG under `sync=full`, or its approximate transitive reduction. `policy.backoff` charges OS re-scheduling latency
 /// on blocking waits under `yield` (per-barrier in the barrier model,
 /// per-blocking-wait in the async model). Under `policy.fastmath` the
 /// dense-block discount reads `kernel` when given (a plan's own detection
@@ -385,11 +386,8 @@ fn simulate_model_exact(
             let sync = match sync_dag {
                 Some(dag) => dag,
                 None => {
-                    let full = SolveDag::from_lower_triangular(matrix);
-                    built = match policy.sync {
-                        SyncPolicy::Full => full,
-                        SyncPolicy::Reduced => approximate_transitive_reduction(&full),
-                    };
+                    let full = || SolveDag::from_lower_triangular(matrix);
+                    built = wait_dag(model, policy.sync, full).expect("async executions wait");
                     &built
                 }
             };
@@ -542,7 +540,9 @@ pub fn simulate_async(
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use sptrsv_core::registry::SyncPolicy;
     use sptrsv_core::{GrowLocal, Scheduler, SpMp, WavefrontScheduler};
+    use sptrsv_dag::transitive::approximate_transitive_reduction;
     use sptrsv_sparse::gen::grid::{grid2d_laplacian, Stencil2D};
 
     /// A grid with a realistic (block-shuffled) row numbering: locally
