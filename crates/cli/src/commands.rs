@@ -12,11 +12,10 @@ use crate::args::Args;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sptrsv_core::registry::{self, SchedulerSpec};
-use sptrsv_core::CompiledSchedule;
 use sptrsv_dag::{wavefronts, SolveDag};
 use sptrsv_exec::{
-    backward_error, simulate_model, simulate_serial, CacheOutcome, MachineProfile, PlanBuilder,
-    PlanCache, PreOrder, BACKWARD_ERROR_TOL,
+    backward_error, simulate_serial, CacheOutcome, MachineProfile, PlanBuilder, PlanCache,
+    PreOrder, BACKWARD_ERROR_TOL,
 };
 use sptrsv_serve::{Admission, ServeBuilder, SubmitError};
 use sptrsv_sparse::csr::Triangle;
@@ -491,17 +490,21 @@ fn simulate(args: &Args) -> Result<(), String> {
         "arm" => MachineProfile::kunpeng_920_48(),
         other => return Err(format!("unknown machine `{other}`")),
     };
-    let dag = SolveDag::from_lower_triangular(&lower);
+    // The operand as given: without the §5 reordering, the plan simulates
+    // the schedule on the same numbering as the serial baseline.
+    let plan = PlanBuilder::new(&lower)
+        .scheduler(&algo)
+        .cores(cores)
+        .reorder(false)
+        .build()
+        .map_err(|e| e.to_string())?;
     let spec: SchedulerSpec = algo.parse().map_err(|e: registry::RegistryError| e.to_string())?;
-    let model = registry::resolve_model(&spec).map_err(|e| e.to_string())?;
-    let policy = registry::resolve_exec_policy(&spec).map_err(|e| e.to_string())?;
-    let sched = registry::build(&spec, &dag, cores).map_err(|e| e.to_string())?;
-    let s = sched.schedule(&dag, cores);
-    let compiled = CompiledSchedule::from_schedule(&s);
+    let name = registry::display_name(&spec).map_err(|e| e.to_string())?;
+    let (model, policy) = (plan.exec_model(), plan.exec_policy());
     let serial = simulate_serial(&lower, &profile);
-    let parallel = simulate_model(&lower, &compiled, model, None, None, &profile, policy);
+    let parallel = plan.simulate(&profile);
     println!("machine:          {}", profile.name);
-    println!("algorithm:        {} (spec: {algo})", sched.name());
+    println!("algorithm:        {name} (spec: {algo})");
     println!("execution model:  {model}");
     println!(
         "execution policy: sync={} backoff={} fastmath={}",

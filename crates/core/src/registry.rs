@@ -984,6 +984,14 @@ pub fn build(
     })
 }
 
+/// The [`Scheduler::name`] of the scheduler a spec describes, for
+/// callers that plan through a builder and only print it. Sizing by DAG
+/// and core count never changes a name, so the spec is built over an
+/// empty DAG.
+pub fn display_name(spec: &SchedulerSpec) -> Result<&'static str, RegistryError> {
+    Ok(build(spec, &SolveDag::from_edges(0, &[], Vec::new()), 1)?.name())
+}
+
 /// Parses and builds in one step — the call every consumer makes.
 pub fn resolve(
     text: &str,
@@ -1070,6 +1078,8 @@ mod tests {
             for example in entry.examples {
                 let sched = resolve(example, &g, 3)
                     .unwrap_or_else(|e| panic!("example `{example}` failed: {e}"));
+                let spec = example.parse().unwrap();
+                assert_eq!(display_name(&spec).unwrap(), sched.name(), "`{example}`");
                 let s = sched.schedule(&g, 3);
                 assert!(s.validate(&g).is_ok(), "example `{example}` produced invalid schedule");
             }

@@ -14,24 +14,25 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sptrsv::core::registry::{self, ExecModel};
-use sptrsv::core::CompiledSchedule;
+use sptrsv::exec::PlanBuilder;
 use sptrsv::prelude::*;
 
-/// Resolves a spec, schedules, simulates under the spec's execution model,
-/// and prints the summary line — the full `name:key=value@model` grammar in
-/// one helper.
+/// Plans a spec on the operand as given (no §5 reordering, so `dag` is the
+/// plan's DAG), simulates it under the spec's execution model and prints
+/// the summary line — the full `name:key=value@model` grammar in one
+/// helper.
 fn run_spec(spec: &str, dag: &SolveDag, matrix: &CsrMatrix, k: usize) {
-    let parsed = spec.parse().expect("spec follows the grammar");
-    let model = registry::resolve_model(&parsed).expect("model is supported");
-    let policy = registry::resolve_exec_policy(&parsed).expect("policy keys are valid");
-    let sched = registry::build(&parsed, dag, k).expect("spec is registered");
-    let s = sched.schedule(dag, k);
-    s.validate(dag).expect("schedule must be valid");
+    let plan = PlanBuilder::new(matrix)
+        .scheduler(spec)
+        .cores(k)
+        .reorder(false)
+        .build()
+        .unwrap_or_else(|e| panic!("`{spec}`: {e}"));
+    let s = plan.schedule();
     let stats = s.stats(dag);
     let profile = MachineProfile::intel_xeon_22();
     let serial = simulate_serial(matrix, &profile);
-    let compiled = CompiledSchedule::from_schedule(&s);
-    let par = sptrsv::exec::simulate_model(matrix, &compiled, model, None, None, &profile, policy);
+    let par = plan.simulate(&profile);
     println!(
         "{spec:<38} supersteps {:>6}  imbalance {:>5.2}  modeled speed-up {:>5.2}x",
         s.n_supersteps(),
