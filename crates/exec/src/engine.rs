@@ -514,7 +514,7 @@ pub(crate) type StepFn<'a> = dyn Fn(usize, usize, Range<usize>) + Sync + 'a;
 
 /// Row positions of one cell: schedule cells map position `p` to the row
 /// `cell[p]`; a natural-order serial plan's single cell maps `p` to `p`.
-pub(crate) trait CellRows: Copy {
+trait CellRows: Copy {
     /// Number of positions.
     fn len(self) -> usize;
     /// Rows at positions `start..start + len`.
@@ -533,7 +533,7 @@ impl CellRows for &[u32] {
 
 /// The natural-order cell of `n` rows (position `p` is row `p`).
 #[derive(Clone, Copy)]
-pub(crate) struct Natural(pub(crate) usize);
+struct Natural(usize);
 
 impl CellRows for Natural {
     fn len(self) -> usize {
@@ -554,7 +554,7 @@ impl CellRows for Natural {
 /// `Some`, the ops must stem from the same `KernelPlan` detection as
 /// `rows` (op positions index into them).
 #[inline]
-pub(crate) unsafe fn run_cell<H: Hooks, R: Rhs, N: Numbering>(
+unsafe fn run_cell<H: Hooks, R: Rhs, N: Numbering>(
     l: &CsrMatrix,
     num: N,
     x: *mut f64,
@@ -596,8 +596,10 @@ pub(crate) unsafe fn run_cell<H: Hooks, R: Rhs, N: Numbering>(
     }
 }
 
-/// What an executor runs: the compiled cells, the optional fastmath kernel
-/// plan, and where its threads come from.
+/// What an executor runs: the compiled cells (validated against the
+/// operand; the solve loop's safety rests on it), the optional fastmath
+/// kernel plan detected from them, and where its threads come from. Built
+/// only by [`Executor::planned`](crate::Executor).
 pub(crate) struct Engine {
     pub(crate) compiled: Arc<CompiledSchedule>,
     /// `Some` only under `fastmath=on`; `None` keeps the bit-identical
@@ -610,17 +612,6 @@ pub(crate) struct Engine {
 }
 
 impl Engine {
-    /// An engine over an already-validated compiled schedule (the solve
-    /// loop's safety rests on it) and a kernel plan detected from it.
-    pub(crate) fn new(
-        compiled: Arc<CompiledSchedule>,
-        kernel: Option<Arc<KernelPlan>>,
-        runtime: Option<RuntimeHandle>,
-        policy: ExecPolicy,
-    ) -> Engine {
-        Engine { compiled, kernel, runtime, policy }
-    }
-
     /// Solves `L X = B` (`rhs` right-hand sides; `x` row-major in internal
     /// order) synchronized by `sync`, striding the schedule's cores over
     /// the leased width (see [`crate::barrier`] for why every width gives

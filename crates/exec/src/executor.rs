@@ -118,7 +118,7 @@ impl Executor {
             ExecModel::Serial if kernel.is_some() => (Strategy::Barrier, None),
             ExecModel::Serial => (Strategy::Natural, None),
         };
-        let engine = Engine::new(compiled, kernel, runtime, policy);
+        let engine = Engine { compiled, kernel, runtime, policy };
         Executor { model, operand, engine, strategy }
     }
 

@@ -5,7 +5,9 @@
 //!   one barrier per superstep (the paper's execution model, §6.1;
 //!   `@barrier`), SpMP-style per-row done flags (`@async`) or none
 //!   (`@serial`) — single- and multi-RHS (SpTRSM), dispatched by
-//!   [`SolvePlan`];
+//!   [`SolvePlan`]; and [`wait_dag`], the one rule for the DAG an
+//!   asynchronous execution waits on, which plans, the simulator and the
+//!   bench harness share;
 //! * [`serial`] — the reference forward/backward substitution kernels
 //!   (single- and multi-RHS);
 //! * `engine`, `barrier` and `async_exec` (crate-private) — the one
@@ -25,13 +27,14 @@
 //!   leases cores ([`CoreLease`]), so concurrent plans coexist without
 //!   oversubscription, degrade gracefully under contention (down to
 //!   serial) and release deterministically on panic;
-//! * [`plan`] — the high-level [`PlanBuilder`]/[`SolvePlan`] API: matrix →
-//!   validated, pre-ordered, scheduled (via registry spec), reordered,
-//!   compiled, reusable parallel solve (lower or upper) under a selectable
-//!   execution model, [`ExecPolicy`] (the `sync=`/`backoff=`/`cores=`/
-//!   `fastmath=` spec keys) and runtime ([`PlanBuilder::runtime`]), with an
-//!   allocation-free [`SolvePlan::solve_into`] steady-state path and a
-//!   borrowed-RHS [`SolvePlan::solve_batch_in_place`] entry point the
+//! * [`plan`] — the high-level [`PlanBuilder`]/[`SolvePlan`] API, a thin
+//!   shell over its [`Executor`] and the one spec-to-simulation pipeline:
+//!   matrix → validated, pre-ordered, scheduled (via registry spec),
+//!   reordered, compiled, reusable parallel solve (lower or upper) under a
+//!   selectable execution model, [`ExecPolicy`] (the `sync=`/`backoff=`/
+//!   `cores=`/`fastmath=` spec keys) and runtime ([`PlanBuilder::runtime`]),
+//!   with an allocation-free [`SolvePlan::solve_into`] steady-state path
+//!   and a borrowed-RHS [`SolvePlan::solve_batch_in_place`] entry point the
 //!   `sptrsv-serve` combiner fuses queued requests through;
 //! * [`sim`] — a calibrated multicore machine model used for the paper's
 //!   speed-up experiments: it charges compute, cache misses, memory

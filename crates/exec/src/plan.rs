@@ -49,10 +49,13 @@
 //! allocation — the amortization regime (§7.7) the paper targets.
 //!
 //! A plan's schedule comes from one of four sources — a cold build, the
-//! in-process [`PlanCache`], a plan file, or [`SolvePlan::with_new_values`]
-//! on an existing plan — and every source hands its artifacts to one
-//! assembly point, which derives whatever the source lacks (kernel plan,
-//! wait DAG) and builds the executor.
+//! in-process [`PlanCache`](sptrsv_core::serialize::PlanCache), a plan
+//! file, or [`SolvePlan::with_new_values`] on an existing plan — and every
+//! source hands its artifacts to one assembly point, which derives whatever
+//! the source lacks (kernel plan, wait DAG) and builds the executor. The
+//! executor then holds the one copy of the operand, the compiled layout,
+//! the kernel plan, the model, the policy and the runtime; the plan keeps
+//! only what the executor has no use for.
 //!
 //! ```
 //! use sptrsv_sparse::gen::grid::{grid2d_laplacian, Stencil2D};
@@ -185,8 +188,9 @@ pub enum CacheOutcome {
     /// A cache was configured but held no matching plan; the schedule was
     /// computed and stored.
     Miss,
-    /// The in-process [`PlanCache`] supplied the plan — no scheduling,
-    /// reordering, validation or compilation ran.
+    /// The in-process [`PlanCache`](sptrsv_core::serialize::PlanCache)
+    /// supplied the plan — no scheduling, reordering, validation or
+    /// compilation ran.
     MemoryHit,
     /// An on-disk plan file supplied the schedule — no scheduling or
     /// reordering ran (the loaded schedule is re-validated and re-compiled).
@@ -247,9 +251,6 @@ struct Parts {
     /// The wait DAG, when the source already has the one the plan's model
     /// and policy call for; otherwise derived from `matrix`.
     sync_dag: Option<SolveDag>,
-    /// The final operand's full solve DAG, when the source built one:
-    /// assembly derives the wait DAG from it instead of rebuilding it.
-    full_dag: Option<SolveDag>,
 }
 
 /// How a plan's executor runs. A build resolves it from the spec and the

@@ -13,8 +13,7 @@ use sptrsv_core::serialize::{
     read_plan_file, value_digest, CachedPlan, PlanCache, PlanFingerprint, SerializeError,
 };
 use sptrsv_core::{
-    auto_part_weight_cap, coarsen_and_schedule, reorder_for_locality, CompiledSchedule, Schedule,
-    Scheduler,
+    auto_part_weight_cap, coarsen_and_schedule, reorder_for_locality, CompiledSchedule,
 };
 use sptrsv_dag::coarsen::{FunnelDirection, FunnelOptions};
 use sptrsv_dag::SolveDag;
@@ -210,17 +209,6 @@ fn pre_order_permutation(lower: &CsrMatrix, pre_order: PreOrder) -> Option<Permu
     Some(Permutation::from_old_of_new(order).expect("topological order covers every vertex once"))
 }
 
-/// Funnel-coarsens `dag` with the automatic part-weight cap and schedules
-/// the coarse DAG with `scheduler` (shared implementation:
-/// [`sptrsv_core::coarsen_and_schedule`]).
-fn schedule_coarsened(dag: &SolveDag, scheduler: &dyn Scheduler, n_cores: usize) -> Schedule {
-    let options = FunnelOptions {
-        direction: FunnelDirection::In,
-        max_part_weight: auto_part_weight_cap(dag, n_cores),
-    };
-    coarsen_and_schedule(dag, scheduler, n_cores, &options, true)
-}
-
 impl Parts {
     /// Cold: schedule the operand's DAG, apply the §5 reordering and
     /// validate the result against the final operand.
@@ -230,11 +218,16 @@ impl Parts {
         builder: &PlanBuilder<'_>,
         spec: &SchedulerSpec,
         n_cores: usize,
+        run: &Run,
     ) -> Result<Parts, PlanError> {
         let dag = SolveDag::from_lower_triangular(&lower);
         let scheduler = registry::build(spec, &dag, n_cores)?;
         let schedule = if builder.coarsen {
-            schedule_coarsened(&dag, scheduler.as_ref(), n_cores)
+            // Funnel-coarsen with the automatic part-weight cap, schedule
+            // the coarse DAG and pull the schedule back.
+            let max_part_weight = auto_part_weight_cap(&dag, n_cores);
+            let options = FunnelOptions { direction: FunnelDirection::In, max_part_weight };
+            coarsen_and_schedule(&dag, scheduler.as_ref(), n_cores, &options, true)
         } else {
             scheduler.schedule(&dag, n_cores)
         };
@@ -259,8 +252,7 @@ impl Parts {
             schedule,
             reorder_perm,
             kernel: None,
-            sync_dag: None,
-            full_dag: Some(final_dag),
+            sync_dag: wait_dag(run.model, run.policy.sync, || final_dag),
         })
     }
 
@@ -305,7 +297,6 @@ impl Parts {
             // values match bit-for-bit.
             kernel: entry.kernel.clone().filter(|_| same_values),
             sync_dag: entry.reduced_sync_dag.as_ref().filter(|_| waits_reduced).cloned(),
-            full_dag: None,
         })
     }
 }
@@ -325,10 +316,7 @@ impl SolvePlan {
         // (`policy.cores` keeps the spec's value — the effective count is
         // `SolvePlan::compiled().n_cores()`.)
         let n_cores = builder.n_cores.or(policy.cores).unwrap_or(DEFAULT_PLAN_CORES);
-        let runtime = match &builder.runtime {
-            Some(rt) => RuntimeHandle::explicit(Arc::clone(rt)),
-            None => RuntimeHandle::default(),
-        };
+        let runtime = builder.runtime.clone().map(RuntimeHandle::explicit).unwrap_or_default();
         // Warm-start identity: the canonical schedule-relevant spec (policy
         // keys and model stripped — they change how a schedule runs, not
         // what is computed) plus every pipeline toggle that shapes the
@@ -415,7 +403,7 @@ impl SolvePlan {
                 (Parts::saved(saved, lower, base_perm, fingerprint, &run)?, CacheOutcome::DiskHit)
             }
             None => {
-                let parts = Parts::scheduled(lower, base_perm, &builder, &spec, n_cores)?;
+                let parts = Parts::scheduled(lower, base_perm, &builder, &spec, n_cores, &run)?;
                 let cached = cache_dir.is_some() || builder.memory_cache.is_some();
                 (parts, if cached { CacheOutcome::Miss } else { CacheOutcome::Uncached })
             }
@@ -449,26 +437,15 @@ impl SolvePlan {
         schedule_key: String,
         cache_outcome: CacheOutcome,
     ) -> SolvePlan {
-        let Parts {
-            matrix,
-            to_internal,
-            schedule,
-            compiled,
-            reorder_perm,
-            kernel,
-            sync_dag,
-            full_dag,
-        } = parts;
+        let Parts { matrix, to_internal, schedule, compiled, reorder_perm, kernel, sync_dag } =
+            parts;
         let Run { model, policy, runtime } = run;
         debug_assert!(sync_dag.is_none() || model == ExecModel::Async);
         let kernel = policy
             .fastmath
             .then(|| kernel.unwrap_or_else(|| Arc::new(KernelPlan::detect(&matrix, &compiled))));
-        let sync_dag = sync_dag.or_else(|| {
-            wait_dag(model, policy.sync, || {
-                full_dag.unwrap_or_else(|| SolveDag::from_lower_triangular(&matrix))
-            })
-        });
+        let sync_dag = sync_dag
+            .or_else(|| wait_dag(model, policy.sync, || SolveDag::from_lower_triangular(&matrix)));
         let executor =
             Executor::planned(matrix, compiled, kernel, model, policy, runtime, sync_dag.as_ref());
         SolvePlan {
@@ -527,7 +504,6 @@ impl SolvePlan {
             // re-detected.
             kernel: None,
             sync_dag: self.sync_dag.clone(),
-            full_dag: None,
         };
         // The executor holds how the plan runs. A `@serial` executor keeps
         // no runtime, and its rebind needs none: it never leases.

@@ -4,6 +4,7 @@
 //! reload, and the plan-cache file path.
 
 use super::{Parts, PlanError, Run, SolvePlan};
+use crate::executor::wait_dag;
 use sptrsv_core::kernel::KernelPlan;
 use sptrsv_core::registry::SyncPolicy;
 use sptrsv_core::serialize::{
@@ -81,7 +82,7 @@ impl Parts {
                 reconstruct_reduced_dag(&final_dag, removed)
                     .map_err(|e| PlanError::Cache(SerializeError::Parse(e)))?,
             ),
-            _ => None,
+            _ => wait_dag(run.model, run.policy.sync, || final_dag),
         };
         Ok(Parts {
             matrix: Arc::new(matrix),
@@ -91,7 +92,6 @@ impl Parts {
             reorder_perm: saved.reorder_perm,
             kernel,
             sync_dag,
-            full_dag: Some(final_dag),
         })
     }
 }
@@ -118,8 +118,9 @@ impl SolvePlan {
 
     /// Saves this plan's scheduling artifact (schedule + reorder
     /// permutation, under its fingerprint) to `path` in the versioned plan
-    /// format, for [`PlanBuilder::load_plan`] or a
-    /// [`PlanBuilder::plan_cache`] directory to pick up later.
+    /// format, for [`PlanBuilder::load_plan`](super::PlanBuilder::load_plan)
+    /// or a [`PlanBuilder::plan_cache`](super::PlanBuilder::plan_cache)
+    /// directory to pick up later.
     pub fn save<P: AsRef<Path>>(&self, path: P) -> Result<(), PlanError> {
         // Persist the derived artifacts too: the kernel verdict (replayed
         // on load instead of re-detecting) and, for reduced-sync async

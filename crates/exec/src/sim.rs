@@ -322,11 +322,12 @@ fn row_cost(
 /// already hold a synchronization DAG — e.g. a plan's cached copy, already
 /// shaped by its policy — pass it to avoid rebuilding); with `None` the DAG
 /// is derived here by [`wait_dag`], the rule every plan follows: the full
-/// solve DAG under `sync=full`, or its approximate transitive reduction. `policy.backoff` charges OS re-scheduling latency
-/// on blocking waits under `yield` (per-barrier in the barrier model,
-/// per-blocking-wait in the async model). Under `policy.fastmath` the
-/// dense-block discount reads `kernel` when given (a plan's own detection
-/// over the same operand and layout); with `None` it detects here.
+/// solve DAG under `sync=full`, or its approximate transitive reduction.
+/// `policy.backoff` charges OS re-scheduling latency on blocking waits
+/// under `yield` (per-barrier in the barrier model, per-blocking-wait in
+/// the async model). Under `policy.fastmath` the dense-block discount reads
+/// `kernel` when given (a plan's own detection over the same operand and
+/// layout); with `None` it detects here.
 pub fn simulate_model(
     matrix: &CsrMatrix,
     compiled: &CompiledSchedule,
@@ -336,40 +337,7 @@ pub fn simulate_model(
     profile: &MachineProfile,
     policy: ExecPolicy,
 ) -> SimReport {
-    let mut report = simulate_model_exact(matrix, compiled, model, sync_dag, profile, policy);
-    if policy.fastmath {
-        // Dense blocks fuse the loop/divide/store overhead of every row
-        // after a block's first into one packed kernel invocation (the
-        // divides become reciprocal multiplies amortized over the block);
-        // credit half the per-row overhead of those fused rows back. The
-        // executors run the same kernel plan, so the model detects the
-        // same blocks the real solve would.
-        let detected;
-        let kernel = match kernel {
-            Some(plan) => plan,
-            None => {
-                detected = KernelPlan::detect(matrix, compiled);
-                &detected
-            }
-        };
-        let fused: f64 = kernel.blocks().iter().map(|blk| (blk.rows - 1) as f64).sum();
-        let discount = (fused * profile.cycles_per_row * 0.5).min(report.compute_cycles * 0.5);
-        report.compute_cycles -= discount;
-        report.cycles -= discount;
-    }
-    report
-}
-
-/// The exact-arithmetic (`fastmath=off`) routing behind [`simulate_model`].
-fn simulate_model_exact(
-    matrix: &CsrMatrix,
-    compiled: &CompiledSchedule,
-    model: ExecModel,
-    sync_dag: Option<&SolveDag>,
-    profile: &MachineProfile,
-    policy: ExecPolicy,
-) -> SimReport {
-    match model {
+    let mut report = match model {
         ExecModel::Barrier => {
             let mut report = simulate_barrier(matrix, compiled, profile);
             if policy.backoff == Backoff::Yield {
@@ -393,7 +361,28 @@ fn simulate_model_exact(
             };
             simulate_async(matrix, compiled, sync, profile, policy.backoff)
         }
+    };
+    if policy.fastmath {
+        // Dense blocks fuse the loop/divide/store overhead of every row
+        // after a block's first into one packed kernel invocation (the
+        // divides become reciprocal multiplies amortized over the block);
+        // credit half the per-row overhead of those fused rows back. The
+        // executors run the same kernel plan, so the model detects the
+        // same blocks the real solve would.
+        let detected;
+        let kernel = match kernel {
+            Some(plan) => plan,
+            None => {
+                detected = KernelPlan::detect(matrix, compiled);
+                &detected
+            }
+        };
+        let fused: f64 = kernel.blocks().iter().map(|blk| (blk.rows - 1) as f64).sum();
+        let discount = (fused * profile.cycles_per_row * 0.5).min(report.compute_cycles * 0.5);
+        report.compute_cycles -= discount;
+        report.cycles -= discount;
     }
+    report
 }
 
 /// Simulates a serial execution (one core, no synchronization).
