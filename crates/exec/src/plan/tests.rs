@@ -587,68 +587,40 @@ fn plan_simulation_routes_by_model() {
     assert_eq!(serial.simulate(&profile).sync_cycles, 0.0);
 }
 
-/// A report's fields as bits, so equal reports are equal bit for bit.
-fn sim_bits(r: &SimReport) -> [u64; 4] {
-    [r.cycles.to_bits(), r.compute_cycles.to_bits(), r.sync_cycles.to_bits(), r.cache_misses]
-}
-
 #[test]
 fn plan_simulation_reuses_its_kernel_plan() {
-    // A supernodal operand detects dense blocks, so the fastmath
-    // discount is non-zero: the plan's own kernel plan must price it
-    // exactly as a fresh detection over the plan's operand does.
-    let l = sptrsv_sparse::gen::supernodal_spd(24, 8, 2, 0.5).lower_triangle().unwrap();
+    // The plan's own kernel plan and stored wait DAG must price exactly as
+    // what `simulate_model` derives when handed neither: a fresh detection
+    // over the plan's operand, and the DAG of the `wait_dag` rule, for
+    // every model and `sync=` policy. GrowLocal keeps each supernode of a
+    // supernodal operand on one core, so its fastmath plans detect the
+    // dense blocks whose discount is priced; SpMP spreads a grid's
+    // wavefronts over the cores, so the reduction drops cross-core waits
+    // the simulator charges.
+    let supernodal = sptrsv_sparse::gen::supernodal_spd(24, 8, 2, 0.5).lower_triangle().unwrap();
     let profile = MachineProfile::kunpeng_920_48();
-    for model in [ExecModel::Serial, ExecModel::Barrier, ExecModel::Async] {
-        for fastmath in [false, true] {
-            let plan = PlanBuilder::new(&l)
-                .cores(4)
-                .execution(model)
-                .scheduler(fastmath_spec(fastmath))
-                .build()
-                .unwrap();
-            let kernel = plan.executor.kernel();
-            assert_eq!(kernel.is_some_and(|k| !k.blocks().is_empty()), fastmath);
-            let fresh = simulate_model(
-                plan.internal_matrix(),
-                plan.compiled(),
-                plan.exec_model(),
-                plan.sync_dag(),
-                None,
-                &profile,
-                plan.exec_policy(),
-            );
-            let config = format!("{model}, {fastmath}");
-            assert_eq!(sim_bits(&plan.simulate(&profile)), sim_bits(&fresh), "{config}");
-        }
-    }
-}
-
-#[test]
-fn stored_wait_dag_simulates_as_the_rule_derives_it() {
-    // The plan's stored wait DAG (built at assembly) against the one
-    // `simulate_model` derives through `wait_dag` when handed none:
-    // every model and `sync=` policy, with and without the kernel plan.
-    let l = sptrsv_sparse::gen::supernodal_spd(24, 8, 2, 0.5).lower_triangle().unwrap();
-    let profile = MachineProfile::intel_xeon_22();
-    for fastmath in ["off", "on"] {
-        for spec in ["spmp@barrier", "spmp@serial", "spmp:sync=full", "spmp:sync=reduced"] {
-            let spec = match spec.split_once('@') {
-                Some((head, model)) => format!("{head}:fastmath={fastmath}@{model}"),
-                None => format!("{spec},fastmath={fastmath}@async"),
-            };
-            let plan = PlanBuilder::new(&l).scheduler(&spec).cores(4).build().unwrap();
-            assert_eq!(plan.sync_dag().is_some(), plan.exec_model() == ExecModel::Async);
-            let ruled = simulate_model(
-                plan.internal_matrix(),
-                plan.compiled(),
-                plan.exec_model(),
-                None,
-                None,
-                &profile,
-                plan.exec_policy(),
-            );
-            assert_eq!(sim_bits(&plan.simulate(&profile)), sim_bits(&ruled), "{spec}");
+    let bits = |r: &SimReport| {
+        [r.cycles.to_bits(), r.compute_cycles.to_bits(), r.sync_cycles.to_bits(), r.cache_misses]
+    };
+    for (l, scheduler) in [(&supernodal, "growlocal"), (&lower(), "spmp")] {
+        for fastmath in ["off", "on"] {
+            for model in ["@serial", "@barrier", ",sync=full@async", ",sync=reduced@async"] {
+                let spec = format!("{scheduler}:fastmath={fastmath}{model}");
+                let plan = PlanBuilder::new(l).scheduler(&spec).cores(4).build().unwrap();
+                let blocks = plan.executor.kernel().is_some_and(|k| !k.blocks().is_empty());
+                assert!(blocks == (fastmath == "on") || scheduler == "spmp", "{spec}");
+                assert_eq!(plan.sync_dag().is_some(), plan.exec_model() == ExecModel::Async);
+                let derived = simulate_model(
+                    plan.internal_matrix(),
+                    plan.compiled(),
+                    plan.exec_model(),
+                    None,
+                    None,
+                    &profile,
+                    plan.exec_policy(),
+                );
+                assert_eq!(bits(&plan.simulate(&profile)), bits(&derived), "{spec}");
+            }
         }
     }
 }
