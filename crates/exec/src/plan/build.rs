@@ -13,7 +13,8 @@ use sptrsv_core::serialize::{
     read_plan_file, value_digest, CachedPlan, PlanCache, PlanFingerprint, SerializeError,
 };
 use sptrsv_core::{
-    auto_part_weight_cap, coarsen_and_schedule, reorder_for_locality, CompiledSchedule,
+    auto_part_weight_cap, coarsen_and_schedule, reorder_for_locality, CompiledSchedule, Schedule,
+    Scheduler,
 };
 use sptrsv_dag::coarsen::{FunnelDirection, FunnelOptions};
 use sptrsv_dag::SolveDag;
@@ -209,6 +210,17 @@ fn pre_order_permutation(lower: &CsrMatrix, pre_order: PreOrder) -> Option<Permu
     Some(Permutation::from_old_of_new(order).expect("topological order covers every vertex once"))
 }
 
+/// Funnel-coarsens `dag` with the automatic part-weight cap and schedules
+/// the coarse DAG with `scheduler` (shared implementation:
+/// [`sptrsv_core::coarsen_and_schedule`]).
+fn schedule_coarsened(dag: &SolveDag, scheduler: &dyn Scheduler, n_cores: usize) -> Schedule {
+    let options = FunnelOptions {
+        direction: FunnelDirection::In,
+        max_part_weight: auto_part_weight_cap(dag, n_cores),
+    };
+    coarsen_and_schedule(dag, scheduler, n_cores, &options, true)
+}
+
 impl Parts {
     /// Cold: schedule the operand's DAG, apply the §5 reordering and
     /// validate the result against the final operand.
@@ -223,11 +235,7 @@ impl Parts {
         let dag = SolveDag::from_lower_triangular(&lower);
         let scheduler = registry::build(spec, &dag, n_cores)?;
         let schedule = if builder.coarsen {
-            // Funnel-coarsen with the automatic part-weight cap, schedule
-            // the coarse DAG and pull the schedule back.
-            let max_part_weight = auto_part_weight_cap(&dag, n_cores);
-            let options = FunnelOptions { direction: FunnelDirection::In, max_part_weight };
-            coarsen_and_schedule(&dag, scheduler.as_ref(), n_cores, &options, true)
+            schedule_coarsened(&dag, scheduler.as_ref(), n_cores)
         } else {
             scheduler.schedule(&dag, n_cores)
         };
@@ -316,7 +324,10 @@ impl SolvePlan {
         // (`policy.cores` keeps the spec's value — the effective count is
         // `SolvePlan::compiled().n_cores()`.)
         let n_cores = builder.n_cores.or(policy.cores).unwrap_or(DEFAULT_PLAN_CORES);
-        let runtime = builder.runtime.clone().map(RuntimeHandle::explicit).unwrap_or_default();
+        let runtime = match &builder.runtime {
+            Some(rt) => RuntimeHandle::explicit(Arc::clone(rt)),
+            None => RuntimeHandle::default(),
+        };
         // Warm-start identity: the canonical schedule-relevant spec (policy
         // keys and model stripped — they change how a schedule runs, not
         // what is computed) plus every pipeline toggle that shapes the
