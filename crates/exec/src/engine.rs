@@ -596,22 +596,41 @@ unsafe fn run_cell<H: Hooks, R: Rhs, N: Numbering>(
     }
 }
 
-/// What an executor runs: the compiled cells (validated against the
-/// operand; the solve loop's safety rests on it), the optional fastmath
-/// kernel plan detected from them, and where its threads come from. Built
-/// only by [`Executor::planned`](crate::Executor).
+/// What an executor runs: the compiled cells, the optional fastmath kernel
+/// plan, and where its threads come from.
 pub(crate) struct Engine {
     pub(crate) compiled: Arc<CompiledSchedule>,
     /// `Some` only under `fastmath=on`; `None` keeps the bit-identical
     /// exact path.
-    pub(crate) kernel: Option<Arc<KernelPlan>>,
+    kernel: Option<Arc<KernelPlan>>,
     /// The runtime solves lease from; `None` always runs the serial sweep
     /// (the `@serial` model, which never leases).
-    pub(crate) runtime: Option<RuntimeHandle>,
+    runtime: Option<RuntimeHandle>,
     pub(crate) policy: ExecPolicy,
 }
 
 impl Engine {
+    /// An engine over an already-validated compiled schedule (the solve
+    /// loop's safety rests on it) and a kernel plan detected from it.
+    pub(crate) fn new(
+        compiled: Arc<CompiledSchedule>,
+        kernel: Option<Arc<KernelPlan>>,
+        runtime: Option<RuntimeHandle>,
+        policy: ExecPolicy,
+    ) -> Engine {
+        Engine { compiled, kernel, runtime, policy }
+    }
+
+    /// The kernel plan of `fastmath=on`, detected from `compiled`.
+    pub(crate) fn kernel(&self) -> Option<&Arc<KernelPlan>> {
+        self.kernel.as_ref()
+    }
+
+    /// The runtime solves lease from.
+    pub(crate) fn runtime(&self) -> Option<&RuntimeHandle> {
+        self.runtime.as_ref()
+    }
+
     /// Solves `L X = B` (`rhs` right-hand sides; `x` row-major in internal
     /// order) synchronized by `sync`, striding the schedule's cores over
     /// the leased width (see [`crate::barrier`] for why every width gives

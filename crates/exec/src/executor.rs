@@ -118,7 +118,7 @@ impl Executor {
             ExecModel::Serial if kernel.is_some() => (Strategy::Barrier, None),
             ExecModel::Serial => (Strategy::Natural, None),
         };
-        let engine = Engine { compiled, kernel, runtime, policy };
+        let engine = Engine::new(compiled, kernel, runtime, policy);
         Executor { model, operand, engine, strategy }
     }
 
@@ -130,27 +130,6 @@ impl Executor {
     /// The validated operand.
     pub(crate) fn operand(&self) -> &Arc<CsrMatrix> {
         &self.operand
-    }
-
-    /// The compiled layout the engine runs.
-    pub(crate) fn compiled(&self) -> &Arc<CompiledSchedule> {
-        &self.engine.compiled
-    }
-
-    /// The kernel plan of `fastmath=on` (`None` under `fastmath=off`).
-    pub(crate) fn kernel(&self) -> Option<&Arc<KernelPlan>> {
-        self.engine.kernel.as_ref()
-    }
-
-    /// The execution policy the executor runs under.
-    pub(crate) fn policy(&self) -> ExecPolicy {
-        self.engine.policy
-    }
-
-    /// The runtime solves lease from; `None` for `@serial`, which never
-    /// leases.
-    pub(crate) fn runtime(&self) -> Option<&RuntimeHandle> {
-        self.engine.runtime.as_ref()
     }
 
     /// Solves `L x = b` for one right-hand side, in internal numbering.

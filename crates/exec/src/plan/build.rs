@@ -508,7 +508,7 @@ impl SolvePlan {
             matrix: Arc::new(permuted),
             to_internal: self.to_internal.clone(),
             schedule: self.schedule.clone(),
-            compiled: Arc::clone(self.executor.compiled()),
+            compiled: Arc::clone(&self.executor.engine.compiled),
             reorder_perm: self.reorder_perm.clone(),
             // The kernel plan packs values (dense panels, diagonal
             // reciprocals), so it is the one artifact that must be
@@ -521,7 +521,7 @@ impl SolvePlan {
         let run = Run {
             model: self.exec_model(),
             policy: self.exec_policy(),
-            runtime: self.executor.runtime().cloned().unwrap_or_default(),
+            runtime: self.executor.engine.runtime().cloned().unwrap_or_default(),
         };
         let key = self.schedule_key.clone();
         Ok(Self::assemble(parts, run, self.fingerprint, key, self.cache_outcome))

@@ -102,11 +102,11 @@ impl SolvePlan {
     pub(super) fn cache_entry(&self, values_digest: u64) -> CachedPlan {
         CachedPlan {
             schedule: self.schedule.clone(),
-            compiled: Arc::clone(self.executor.compiled()),
+            compiled: Arc::clone(&self.executor.engine.compiled),
             reorder_perm: self.reorder_perm.clone(),
             matrix: Arc::clone(self.executor.operand()),
             values_digest,
-            kernel: self.executor.kernel().cloned(),
+            kernel: self.executor.engine.kernel().cloned(),
             reduced_sync_dag: self.reduced_sync_dag().cloned(),
         }
     }
@@ -135,7 +135,7 @@ impl SolvePlan {
             key: self.schedule_key.clone(),
             schedule: self.schedule.clone(),
             reorder_perm: self.reorder_perm.clone(),
-            kernel: self.executor.kernel().map(|k| k.verdict()),
+            kernel: self.executor.engine.kernel().map(|k| k.verdict()),
             removed_sync_edges,
         };
         write_plan_file(&saved, path).map_err(PlanError::Cache)

@@ -43,7 +43,7 @@ impl SolvePlan {
 
     /// The compiled execution layout.
     pub fn compiled(&self) -> &CompiledSchedule {
-        self.executor.compiled()
+        &self.executor.engine.compiled
     }
 
     /// The execution model the plan runs under.
@@ -54,7 +54,7 @@ impl SolvePlan {
     /// The execution policy (the spec's `sync=`/`backoff=`/`cores=`/
     /// `fastmath=` keys) the plan runs under.
     pub fn exec_policy(&self) -> ExecPolicy {
-        self.executor.policy()
+        self.executor.engine.policy
     }
 
     /// The synchronization DAG an asynchronous plan waits on (`None` for
@@ -169,7 +169,7 @@ impl SolvePlan {
             self.compiled(),
             self.exec_model(),
             self.sync_dag.as_ref(),
-            self.executor.kernel().map(Arc::as_ref),
+            self.executor.engine.kernel().map(Arc::as_ref),
             profile,
             self.exec_policy(),
         )

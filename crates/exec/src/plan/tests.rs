@@ -324,7 +324,7 @@ fn explicit_runtime_handles_are_honored() {
             let held = Arc::strong_count(&runtime);
             let rebound = plan.with_new_values(&scaled).unwrap();
             assert_eq!(Arc::strong_count(&runtime), held + 1, "{config}");
-            let handle = rebound.executor.runtime().expect("parallel plans lease");
+            let handle = rebound.executor.engine.runtime().expect("parallel plans lease");
             assert!(Arc::ptr_eq(handle.get(), &runtime), "{config}");
             assert_eq!(rebound.solve(&b), build(&scaled).solve(&b), "{config} rebound");
         }
@@ -607,7 +607,7 @@ fn plan_simulation_reuses_its_kernel_plan() {
             for model in ["@serial", "@barrier", ",sync=full@async", ",sync=reduced@async"] {
                 let spec = format!("{scheduler}:fastmath={fastmath}{model}");
                 let plan = PlanBuilder::new(l).scheduler(&spec).cores(4).build().unwrap();
-                let blocks = plan.executor.kernel().is_some_and(|k| !k.blocks().is_empty());
+                let blocks = plan.executor.engine.kernel().is_some_and(|k| !k.blocks().is_empty());
                 assert!(blocks == (fastmath == "on") || scheduler == "spmp", "{spec}");
                 assert_eq!(plan.sync_dag().is_some(), plan.exec_model() == ExecModel::Async);
                 let derived = simulate_model(
@@ -664,7 +664,7 @@ fn memory_cache_hits_share_artifacts_and_solve_identically() {
     assert_eq!(warm.cache_outcome(), CacheOutcome::MemoryHit);
     // The warm plan shares the operand and compiled layout by pointer.
     assert!(Arc::ptr_eq(cold.executor.operand(), warm.executor.operand()));
-    assert!(Arc::ptr_eq(cold.executor.compiled(), warm.executor.compiled()));
+    assert!(Arc::ptr_eq(&cold.executor.engine.compiled, &warm.executor.engine.compiled));
     assert_eq!(cold.solve(&b), warm.solve(&b));
     // A different spec or core count is a different fingerprint.
     let other = PlanBuilder::new(&l).cores(4).cached(&cache).build().unwrap();
@@ -700,7 +700,7 @@ fn memory_cache_rebinds_new_values_without_scheduling() {
     let (cold_exec, warm_exec) = (&cold.executor, &warm.executor);
     let shared = Arc::ptr_eq(cold_exec.operand(), warm_exec.operand());
     assert!(!shared, "values differ, operand must not");
-    assert!(Arc::ptr_eq(cold_exec.compiled(), warm_exec.compiled()));
+    assert!(Arc::ptr_eq(&cold_exec.engine.compiled, &warm_exec.engine.compiled));
     let b: Vec<f64> = (0..n).map(|i| ((i * 3) % 11) as f64 - 5.0).collect();
     let reference = PlanBuilder::new(&scaled).cores(3).build().unwrap().solve(&b);
     assert_eq!(warm.solve(&b), reference);
@@ -847,7 +847,7 @@ fn with_new_values_rebinds_without_scheduling() {
                 .unwrap();
             let rebound = plan.with_new_values(&scaled).unwrap();
             // Schedule artifacts are shared by reference, not rebuilt.
-            assert!(Arc::ptr_eq(plan.executor.compiled(), rebound.executor.compiled()));
+            assert!(Arc::ptr_eq(&plan.executor.engine.compiled, &rebound.executor.engine.compiled));
             assert_eq!(plan.schedule(), rebound.schedule());
             // And the rebound plan solves the NEW matrix.
             let x = rebound.solve(&b);
@@ -957,7 +957,7 @@ fn fused_permutation_matches_gather_solve_scatter() {
                          capacity={}",
                         runtime.capacity()
                     );
-                    if let Some(k) = plan.executor.kernel() {
+                    if let Some(k) = plan.executor.engine.kernel() {
                         dense_rows += k.dense_rows();
                         unrolled_rows += k.unrolled_rows();
                     }

@@ -313,10 +313,9 @@ fn row_cost(
 }
 
 /// Routes a compiled schedule to the simulator matching `model` — the one
-/// place the [`ExecModel`]-to-simulator mapping lives.
-/// [`SolvePlan::simulate`](crate::plan::SolvePlan::simulate), through which
-/// the CLI's `simulate` command and the examples simulate, and the bench
-/// harness call it.
+/// place the [`ExecModel`]-to-simulator mapping lives. Its callers are
+/// [`SolvePlan::simulate`](crate::plan::SolvePlan::simulate), the route of
+/// the CLI's `simulate` command and the examples, and the bench harness.
 ///
 /// Asynchronous execution waits on `sync_dag` when given (callers that
 /// already hold a synchronization DAG — e.g. a plan's cached copy, already
@@ -337,7 +336,40 @@ pub fn simulate_model(
     profile: &MachineProfile,
     policy: ExecPolicy,
 ) -> SimReport {
-    let mut report = match model {
+    let mut report = simulate_model_exact(matrix, compiled, model, sync_dag, profile, policy);
+    if policy.fastmath {
+        // Dense blocks fuse the loop/divide/store overhead of every row
+        // after a block's first into one packed kernel invocation (the
+        // divides become reciprocal multiplies amortized over the block);
+        // credit half the per-row overhead of those fused rows back. The
+        // executors run the same kernel plan, so the model detects the
+        // same blocks the real solve would.
+        let detected;
+        let kernel = match kernel {
+            Some(plan) => plan,
+            None => {
+                detected = KernelPlan::detect(matrix, compiled);
+                &detected
+            }
+        };
+        let fused: f64 = kernel.blocks().iter().map(|blk| (blk.rows - 1) as f64).sum();
+        let discount = (fused * profile.cycles_per_row * 0.5).min(report.compute_cycles * 0.5);
+        report.compute_cycles -= discount;
+        report.cycles -= discount;
+    }
+    report
+}
+
+/// The exact-arithmetic (`fastmath=off`) routing behind [`simulate_model`].
+fn simulate_model_exact(
+    matrix: &CsrMatrix,
+    compiled: &CompiledSchedule,
+    model: ExecModel,
+    sync_dag: Option<&SolveDag>,
+    profile: &MachineProfile,
+    policy: ExecPolicy,
+) -> SimReport {
+    match model {
         ExecModel::Barrier => {
             let mut report = simulate_barrier(matrix, compiled, profile);
             if policy.backoff == Backoff::Yield {
@@ -361,28 +393,7 @@ pub fn simulate_model(
             };
             simulate_async(matrix, compiled, sync, profile, policy.backoff)
         }
-    };
-    if policy.fastmath {
-        // Dense blocks fuse the loop/divide/store overhead of every row
-        // after a block's first into one packed kernel invocation (the
-        // divides become reciprocal multiplies amortized over the block);
-        // credit half the per-row overhead of those fused rows back. The
-        // executors run the same kernel plan, so the model detects the
-        // same blocks the real solve would.
-        let detected;
-        let kernel = match kernel {
-            Some(plan) => plan,
-            None => {
-                detected = KernelPlan::detect(matrix, compiled);
-                &detected
-            }
-        };
-        let fused: f64 = kernel.blocks().iter().map(|blk| (blk.rows - 1) as f64).sum();
-        let discount = (fused * profile.cycles_per_row * 0.5).min(report.compute_cycles * 0.5);
-        report.compute_cycles -= discount;
-        report.cycles -= discount;
     }
-    report
 }
 
 /// Simulates a serial execution (one core, no synchronization).
