@@ -339,3 +339,95 @@ pub(crate) unsafe fn solve_dense_multi<N: Numbering>(
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    //! The fastmath serial sweep that ships: a planned `@serial` +
+    //! `fastmath=on` solve (the engine's schedule-order pass through the
+    //! kernel plan, no runtime), checked against the exact serial
+    //! substitution.
+    use super::CsrMatrix;
+    use crate::serial::solve_lower_serial;
+    use crate::{PlanBuilder, SolvePlan};
+    use sptrsv_core::kernel::KernelPlan;
+    use sptrsv_sparse::gen::{
+        block_diagonal_spd, grid2d_laplacian, grid3d_laplacian, supernodal_spd, Stencil2D,
+        Stencil3D,
+    };
+
+    fn fastmath_serial_plan(l: &CsrMatrix, cores: usize) -> SolvePlan {
+        PlanBuilder::new(l).scheduler("growlocal:fastmath=on@serial").cores(cores).build().unwrap()
+    }
+
+    fn rel_tol(x: &[f64], reference: &[f64]) -> f64 {
+        let scale = reference.iter().fold(1.0f64, |m, v| m.max(v.abs()));
+        x.iter().zip(reference).map(|(a, e)| (a - e).abs()).fold(0.0f64, f64::max) / scale
+    }
+
+    fn reference(l: &CsrMatrix, b: &[f64]) -> Vec<f64> {
+        let mut x = vec![0.0; l.n_rows()];
+        solve_lower_serial(l, b, &mut x);
+        x
+    }
+
+    #[test]
+    fn fastmath_serial_matches_scalar_to_tolerance() {
+        let mut dense_rows = 0;
+        for l in [
+            grid2d_laplacian(25, 19, Stencil2D::NinePoint, 0.5).lower_triangle().unwrap(),
+            grid2d_laplacian(25, 19, Stencil2D::FivePoint, 0.5).lower_triangle().unwrap(),
+            grid3d_laplacian(9, 9, 9, Stencil3D::TwentySevenPoint, 0.5).lower_triangle().unwrap(),
+            block_diagonal_spd(40, 8, 0.5).lower_triangle().unwrap(),
+            supernodal_spd(40, 8, 2, 0.5).lower_triangle().unwrap(),
+        ] {
+            let n = l.n_rows();
+            let b: Vec<f64> = (0..n).map(|i| 1.0 + ((i * 11) % 17) as f64 * 0.25).collect();
+            let reference = reference(&l, &b);
+            for cores in [1, 4] {
+                let plan = fastmath_serial_plan(&l, cores);
+                dense_rows +=
+                    KernelPlan::detect(plan.internal_matrix(), plan.compiled()).dense_rows();
+                let mut x = vec![f64::NAN; n];
+                plan.solve_into(&b, &mut x, &mut plan.workspace());
+                let tol = rel_tol(&x, &reference);
+                assert!(tol < 1e-12, "fastmath at {cores} cores deviated by {tol:.3e}");
+            }
+        }
+        assert!(dense_rows > 0, "no operand exercised the dense block kernels");
+    }
+
+    #[test]
+    fn fastmath_is_deterministic_across_repeats() {
+        let l = grid2d_laplacian(17, 17, Stencil2D::NinePoint, 0.5).lower_triangle().unwrap();
+        let n = l.n_rows();
+        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin()).collect();
+        for cores in [1, 4] {
+            let plan = fastmath_serial_plan(&l, cores);
+            let mut ws = plan.workspace();
+            let mut x1 = vec![0.0; n];
+            let mut x2 = vec![1.0; n]; // dirty start
+            plan.solve_into(&b, &mut x1, &mut ws);
+            plan.solve_into(&b, &mut x2, &mut ws);
+            assert_eq!(x1, x2, "fastmath solves must be bit-stable run to run");
+        }
+    }
+
+    #[test]
+    fn unrolled_lanes_match_scalar_on_long_rows() {
+        use rand::rngs::SmallRng;
+        use rand::SeedableRng;
+        let mut rng = SmallRng::seed_from_u64(11);
+        let l = sptrsv_sparse::gen::erdos_renyi_lower(300, 0.3, &mut rng);
+        let n = l.n_rows();
+        let b: Vec<f64> = (0..n).map(|i| ((i * 13) % 31) as f64 - 15.0).collect();
+        let reference = reference(&l, &b);
+        for cores in [1, 4] {
+            let plan = fastmath_serial_plan(&l, cores);
+            let kernels = KernelPlan::detect(plan.internal_matrix(), plan.compiled());
+            assert!(kernels.unrolled_rows() > 0, "dense random rows should plan unrolled");
+            let mut x = vec![0.0; n];
+            plan.solve_into(&b, &mut x, &mut plan.workspace());
+            assert!(rel_tol(&x, &reference) < 1e-12);
+        }
+    }
+}

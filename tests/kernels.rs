@@ -236,57 +236,6 @@ fn fastmath_agrees_with_exact_path_on_every_suite_scheduler_and_model() {
 }
 
 #[test]
-fn fastmath_serial_plan_matches_scalar_and_repeats_bitwise() {
-    // The planned `@serial` + `fastmath=on` sweep (the engine's
-    // schedule-order pass through the kernel plan, no runtime) on grids,
-    // blocked and supernodal operands (dense blocks) and a dense random
-    // one (lane-unrolled rows): within 1e-12 of the exact serial
-    // substitution, and bit-stable from a dirty start.
-    use sptrsv::exec::{solve_lower_serial, PlanBuilder};
-    use sptrsv::sparse::gen::{
-        block_diagonal_spd, grid2d_laplacian, grid3d_laplacian, supernodal_spd, Stencil2D,
-        Stencil3D,
-    };
-    let operands = [
-        grid2d_laplacian(25, 19, Stencil2D::NinePoint, 0.5).lower_triangle().unwrap(),
-        grid2d_laplacian(25, 19, Stencil2D::FivePoint, 0.5).lower_triangle().unwrap(),
-        grid3d_laplacian(9, 9, 9, Stencil3D::TwentySevenPoint, 0.5).lower_triangle().unwrap(),
-        block_diagonal_spd(40, 8, 0.5).lower_triangle().unwrap(),
-        supernodal_spd(40, 8, 2, 0.5).lower_triangle().unwrap(),
-        random_lower(11, 300, 0.3, None),
-    ];
-    let (mut dense_rows, mut unrolled_rows) = (0, 0);
-    for (k, l) in operands.iter().enumerate() {
-        let n = l.n_rows();
-        let b: Vec<f64> = (0..n).map(|i| 1.0 + ((i * 11) % 17) as f64 * 0.25).collect();
-        let mut reference = vec![0.0; n];
-        solve_lower_serial(l, &b, &mut reference);
-        let scale = reference.iter().fold(1.0f64, |m, v| m.max(v.abs()));
-        for cores in [1, 4] {
-            let plan = PlanBuilder::new(l)
-                .scheduler("growlocal:fastmath=on@serial")
-                .cores(cores)
-                .build()
-                .unwrap();
-            // The kernel plan the executor runs is this detection.
-            let kernels = KernelPlan::detect(plan.internal_matrix(), plan.compiled());
-            dense_rows += kernels.dense_rows();
-            unrolled_rows += kernels.unrolled_rows();
-            let mut ws = plan.workspace();
-            let mut x = vec![f64::NAN; n];
-            plan.solve_into(&b, &mut x, &mut ws);
-            let err = x.iter().zip(&reference).fold(0.0f64, |m, (a, e)| m.max((a - e).abs()));
-            assert!(err / scale < 1e-12, "operand {k} at {cores} cores deviated by {err:.3e}");
-            let mut again = vec![1.0; n];
-            plan.solve_into(&b, &mut again, &mut ws);
-            assert_eq!(again, x, "operand {k} at {cores} cores not bit-stable");
-        }
-    }
-    assert!(dense_rows > 0, "no operand exercised the dense block kernels");
-    assert!(unrolled_rows > 0, "no operand exercised the lane-unrolled kernels");
-}
-
-#[test]
 fn fastmath_multi_rhs_agrees_column_by_column() {
     // Every branch of the shared superstep engine, per execution model:
     // exact and fastmath kernels, every register-block width (1–8) and
